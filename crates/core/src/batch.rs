@@ -1,44 +1,59 @@
-//! Batched multi-job mask optimization: several explain jobs that share one
-//! model are fused into a single wider optimize pass.
+//! REVELIO's mask optimisation (§IV, Eqs. 4–9) for one explanation or a
+//! fused batch of many.
 //!
-//! The serving runtime frequently receives bursts of explain requests
-//! against the same registered model. Optimising their flow masks one job
-//! at a time runs the model forward/backward over one small graph per
-//! epoch — matrices too narrow to amortise loop and dispatch overhead.
-//! [`BatchedOptimizer`] instead builds the **disjoint union** of the batch's
-//! instance graphs (block-diagonal incidence, node/edge/flow offsets) and
-//! learns every job's masks in one stacked parameter set driven by a single
-//! summed loss. Each epoch then runs one forward/backward over a matrix
-//! with `Σ nodes` rows instead of `B` separate passes.
+//! [`BatchedOptimizer`] runs the only REVELIO epoch loop in the crate:
+//! [`Revelio::try_explain_controlled`] is a batch of one. A batch of one
+//! optimises over the instance's own message-passing graph, features and
+//! incidence matrices. A larger batch (every item against one model) is
+//! fused: the optimizer builds the **disjoint union** of the item graphs
+//! (block-diagonal incidence, node/edge/flow offsets) and learns every
+//! item's masks in one stacked parameter set driven by a single summed
+//! loss, so each epoch runs one forward/backward over a matrix with
+//! `Σ nodes` rows instead of `B` separate passes.
+//!
+//! Every item keeps its own [`ExplainControl`]: flow-index reuse or
+//! shrink, preselection (the saliency probe runs per item, before
+//! fusing), warm-start seeds, deadline and cancel polling with best-loss
+//! tracking, plateau early stop, and tracing. An item that stops early is
+//! frozen by restoring its parameter segment after every later Adam step.
+//! Node- and graph-classification batches both fuse; a graph item is
+//! sum-pooled over its own node segment.
 //!
 //! # Equivalence
 //!
 //! The union graph is disjoint, the stacked losses are summed (so each
-//! job's sub-tape receives the same upstream gradient `1.0` it gets when
-//! optimised alone), and Adam is elementwise — the batched trajectory is
-//! designed to match per-job serial runs exactly, and on every test shape
-//! it does bitwise. The *documented contract* is weaker: batched scores
-//! match serial scores within [`BATCH_TOLERANCE`] (`1e-6` absolute), which
-//! the equivalence suite enforces. Rely on the tolerance, not on bitwise
-//! equality.
+//! item's sub-tape receives the same upstream gradient `1.0` it gets when
+//! optimised alone), segments are disjoint and Adam is elementwise — the
+//! batched trajectory is designed to match per-item runs exactly, and on
+//! every test shape it does bitwise. The *documented contract* is weaker:
+//! batched scores match batch-of-one scores within [`BATCH_TOLERANCE`]
+//! (`1e-6` absolute), which the equivalence suite enforces. Rely on the
+//! tolerance, not on bitwise equality.
 //!
-//! Jobs are fused only when they are plain cold-start node-classification
-//! runs (no preselection). Anything else falls back to per-job serial
-//! optimisation and still returns correct results.
+//! [`Revelio::try_explain_controlled`]: crate::Revelio::try_explain_controlled
 
+use std::ops::Range;
 use std::sync::Arc;
 
 use revelio_gnn::{Gnn, Instance, Task};
 use revelio_graph::{FlowIndex, Graph, MpGraph, Target};
 use revelio_tensor::{uniform, Adam, BinCsr, Optimizer, Tensor};
+use revelio_trace::{EventKind, Phase, Span, TraceHandle};
 
-use crate::control::ExplainControl;
+use crate::control::{ControlledExplanation, ConvergedMask, Degradation, ExplainControl};
 use crate::explanation::{Explanation, FlowScores, Objective};
-use crate::revelio::{ExplainError, LayerWeight, Revelio, RevelioConfig};
+use crate::revelio::{ExplainError, LayerWeight, MaskSquash, RevelioConfig};
 
-/// Maximum absolute divergence of batched from serial scores (see the
-/// module docs: empirically bitwise, contractually `1e-6`).
+/// Maximum absolute divergence of batched from batch-of-one scores (see
+/// the module docs: empirically bitwise, contractually `1e-6`).
 pub const BATCH_TOLERANCE: f32 = 1e-6;
+
+/// Warm-started items stop once the loss plateaus: a relative change below
+/// `WARM_PLATEAU_TOL` for `WARM_PLATEAU_EPOCHS` consecutive epochs. Cold
+/// items never evaluate this (extra `loss.item()` reads included), keeping
+/// them bit-identical to a warm-start-free build.
+const WARM_PLATEAU_TOL: f32 = 1e-3;
+const WARM_PLATEAU_EPOCHS: usize = 8;
 
 /// One job of a batch: the instance plus its mask-initialisation seed
 /// (which overrides [`RevelioConfig::seed`] for that job).
@@ -53,39 +68,164 @@ pub struct BatchItem<'a> {
     pub flow_index: Option<Arc<FlowIndex>>,
 }
 
-/// Fuses the mask optimisation of several explain jobs against one model
-/// into a single wider forward/backward pass per epoch.
+/// One job of a controlled batch: the instance, its mask-initialisation
+/// seed, and its own controls (deadline, flow index, warm start, trace).
+pub struct ControlledItem<'a> {
+    /// The instance to explain.
+    pub instance: &'a Instance,
+    /// Per-job mask-initialisation seed.
+    pub seed: u64,
+    /// Per-job controls, honoured exactly as a batch of one honours them.
+    pub ctl: &'a ExplainControl,
+}
+
+/// Learns REVELIO flow masks for a batch of jobs against one model, fusing
+/// their optimisation into one forward/backward pass per epoch.
 pub struct BatchedOptimizer {
     cfg: RevelioConfig,
 }
 
+/// The learnable state: one stacked `[Σk, 1]` mask leaf (item `j` owns
+/// rows `flow_off[j]..flow_off[j + 1]`) and one `[B, 1]` weight leaf per
+/// layer (item `j` owns row `j`; empty when [`LayerWeight::None`]).
+struct Params {
+    mask: Tensor,
+    layer_weights: Vec<Tensor>,
+    flow_off: Vec<usize>,
+}
+
+impl Params {
+    fn fresh(
+        mask: Tensor,
+        layer_weight: LayerWeight,
+        layers: usize,
+        flow_off: Vec<usize>,
+    ) -> Params {
+        let rows = flow_off.len() - 1;
+        let layer_weights = match layer_weight {
+            LayerWeight::None => Vec::new(),
+            // Softplus(0.54) ≈ 1, exp(0) = 1: start as identity weighting.
+            LayerWeight::Exp => (0..layers)
+                .map(|_| Tensor::zeros(rows, 1).requires_grad())
+                .collect(),
+            LayerWeight::Softplus => (0..layers)
+                .map(|_| Tensor::full(0.5413, rows, 1).requires_grad())
+                .collect(),
+        };
+        Params {
+            mask: mask.requires_grad(),
+            layer_weights,
+            flow_off,
+        }
+    }
+
+    fn all(&self) -> Vec<Tensor> {
+        let mut p = vec![self.mask.clone()];
+        p.extend(self.layer_weights.iter().cloned());
+        p
+    }
+
+    fn flow_scores(&self, squash: MaskSquash) -> Tensor {
+        match squash {
+            MaskSquash::Tanh => self.mask.tanh_t(),
+            MaskSquash::Sigmoid => self.mask.sigmoid(),
+        }
+    }
+
+    /// `ω[E] = σ(I · squash(M) ⊙ act(w))` (Eqs. 4, 5, 7). `edge_item`
+    /// names the item owning each layer edge so every edge is scaled by its
+    /// own item's weight; `None` applies the lone `[1, 1]` weight to all.
+    fn layer_masks(
+        &self,
+        cfg: &RevelioConfig,
+        incidence: &[Arc<BinCsr>],
+        edge_item: Option<&[usize]>,
+    ) -> Vec<Tensor> {
+        let omega_f = self.flow_scores(cfg.squash);
+        incidence
+            .iter()
+            .enumerate()
+            .map(|(l, inc)| {
+                let s = omega_f.sp_matvec(inc);
+                let scale = match cfg.layer_weight {
+                    LayerWeight::Exp => self.layer_weights[l].exp(),
+                    LayerWeight::Softplus => self.layer_weights[l].softplus(),
+                    LayerWeight::None => return s.sigmoid(),
+                };
+                // Fused scale + sigmoid: bit-identical to the unfused
+                // `s.mul(..).sigmoid()` chain but one pass over the edges.
+                match edge_item {
+                    Some(rows) => s.sigmoid_scale(&scale.gather_rows(rows)),
+                    None => s.sigmoid_scale(&scale),
+                }
+            })
+            .collect()
+    }
+
+    fn range(&self, j: usize) -> Range<usize> {
+        self.flow_off[j]..self.flow_off[j + 1]
+    }
+
+    /// Item `j`'s slice of the parameters — its mask segment and its row
+    /// of every layer weight — in the exported layout (`selected` is left
+    /// empty; the item's flow selection is not part of the parameters).
+    fn segment(&self, j: usize) -> ConvergedMask {
+        ConvergedMask {
+            mask_params: self.mask.data()[self.range(j)].to_vec(),
+            layer_weights: self
+                .layer_weights
+                .iter()
+                .map(|w| vec![w.data()[j]])
+                .collect(),
+            selected: Vec::new(),
+        }
+    }
+
+    /// Writes `seg` (in [`Params::segment`]'s layout) back into item `j`'s
+    /// slice.
+    fn restore(&self, j: usize, seg: &ConvergedMask) {
+        self.mask
+            .update_data(|d| d[self.range(j)].copy_from_slice(&seg.mask_params));
+        for (w, v) in self.layer_weights.iter().zip(&seg.layer_weights) {
+            w.update_data(|d| d[j] = v[0]);
+        }
+    }
+}
+
+/// One item's flow set and optimisation-loop state.
+struct Item<'a> {
+    tr: &'a TraceHandle,
+    index: Arc<FlowIndex>,
+    /// Selected flow ids (identity when no preselection ran).
+    selected: Vec<u32>,
+    /// Per layer, `|E| × k` incidence over the selected flows.
+    incidence: Vec<Arc<BinCsr>>,
+    degradation: Degradation,
+    warm: bool,
+    best: Option<(f32, ConvergedMask)>,
+    prev_loss: Option<f32>,
+    plateau: usize,
+    /// The parameters a stopped item is frozen at; `None` while it learns.
+    frozen: Option<ConvergedMask>,
+    optimize: Option<Span<'a>>,
+}
+
+impl Item<'_> {
+    fn stop(&mut self, at: ConvergedMask) {
+        self.frozen = Some(at);
+        self.optimize = None;
+    }
+}
+
 impl BatchedOptimizer {
     /// Creates a batched optimizer; all jobs of a batch share `cfg` (their
-    /// seeds come from the [`BatchItem`]s).
+    /// seeds come from the items).
     pub fn new(cfg: RevelioConfig) -> BatchedOptimizer {
         BatchedOptimizer { cfg }
     }
 
-    /// The shared configuration.
-    pub fn config(&self) -> &RevelioConfig {
-        &self.cfg
-    }
-
-    /// Whether a batch of jobs with this configuration would take the fused
-    /// path (as opposed to the serial fallback).
-    pub fn fusable(&self, model: &Gnn, items: &[BatchItem<'_>]) -> bool {
-        items.len() >= 2
-            && self.cfg.preselect.is_none()
-            && model.config().task == Task::NodeClassification
-            && items.iter().all(|it| {
-                matches!(it.instance.target, Target::Node(_))
-                    && it.instance.graph.feat_dim() == items[0].instance.graph.feat_dim()
-            })
-    }
-
-    /// Explains every item, fusing the optimisation into one pass when the
-    /// batch is eligible ([`BatchedOptimizer::fusable`]) and falling back
-    /// to per-job serial runs otherwise.
+    /// Explains every item with default controls (apart from the item's
+    /// flow index).
     ///
     /// # Errors
     ///
@@ -96,69 +236,72 @@ impl BatchedOptimizer {
         model: &Gnn,
         items: &[BatchItem<'_>],
     ) -> Result<Vec<Explanation>, ExplainError> {
-        if !self.fusable(model, items) {
-            return self.explain_serial(model, items);
-        }
-        self.explain_fused(model, items)
-    }
-
-    /// Per-job fallback: plain [`Revelio::try_explain`] runs.
-    fn explain_serial(
-        &self,
-        model: &Gnn,
-        items: &[BatchItem<'_>],
-    ) -> Result<Vec<Explanation>, ExplainError> {
-        items
+        let ctls: Vec<ExplainControl> = items
             .iter()
-            .map(|it| {
-                let cfg = RevelioConfig {
-                    seed: it.seed,
-                    ..self.cfg
-                };
-                let ctl = ExplainControl {
-                    flow_index: it.flow_index.clone(),
-                    ..Default::default()
-                };
-                Revelio::new(cfg)
-                    .try_explain_controlled(model, it.instance, &ctl)
-                    .map(|c| c.explanation)
+            .map(|it| ExplainControl {
+                flow_index: it.flow_index.clone(),
+                ..Default::default()
             })
-            .collect()
+            .collect();
+        let controlled: Vec<ControlledItem<'_>> = items
+            .iter()
+            .zip(&ctls)
+            .map(|(it, ctl)| ControlledItem {
+                instance: it.instance,
+                seed: it.seed,
+                ctl,
+            })
+            .collect();
+        Ok(self
+            .explain_controlled(model, &controlled)?
+            .into_iter()
+            .map(|c| c.explanation)
+            .collect())
     }
 
-    fn explain_fused(
+    /// Explains every item under its own controls (see
+    /// [`Revelio::try_explain_controlled`] for what each control does),
+    /// returning one result per item in item order.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ExplainError::TooManyFlows`] when an item without
+    /// `shrink_on_overflow` exceeds [`RevelioConfig::max_flows`]; no
+    /// partial results are returned.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an item's target does not match the model's task, or if
+    /// the items' feature widths differ.
+    ///
+    /// [`Revelio::try_explain_controlled`]: crate::Revelio::try_explain_controlled
+    pub fn explain_controlled(
         &self,
         model: &Gnn,
-        items: &[BatchItem<'_>],
-    ) -> Result<Vec<Explanation>, ExplainError> {
+        items: &[ControlledItem<'_>],
+    ) -> Result<Vec<ControlledExplanation>, ExplainError> {
         let cfg = &self.cfg;
         let layers = model.num_layers();
         let b = items.len();
-
-        // Flow enumeration stays per-job (indexes are also part of the
-        // returned explanations); cache-shared indexes are reused.
-        let mut indexes: Vec<Arc<FlowIndex>> = Vec::with_capacity(b);
-        for it in items {
-            let idx = match &it.flow_index {
-                Some(idx) if idx.num_layers() == layers => Arc::clone(idx),
-                _ => Arc::new(
-                    FlowIndex::build(&it.instance.mp, layers, it.instance.target, cfg.max_flows)
-                        .map_err(ExplainError::TooManyFlows)?,
-                ),
-            };
-            indexes.push(idx);
+        if b == 0 {
+            return Ok(Vec::new());
         }
+        // Tracing: emit through each item's handle, or the shared noop
+        // handle (disabled collector — every emit below is one branch).
+        let noop = TraceHandle::noop();
+        let mut runs = items
+            .iter()
+            .map(|it| self.prepare(model, it, it.ctl.trace.as_ref().unwrap_or(&noop)))
+            .collect::<Result<Vec<Item<'_>>, ExplainError>>()?;
 
         // Disjoint-union offsets. A layer edge of the union MpGraph is the
-        // stored edges of every job in job order, then the self-loops of
-        // every node in job order (MpGraph's stored-then-self-loop layout
-        // applied to the union graph).
+        // stored edges of every item in item order, then the self-loops of
+        // every node in item order (MpGraph's stored-then-self-loop layout
+        // applied to the union graph). A batch of one has zero offsets.
         let node_off = prefix_sums(items.iter().map(|it| it.instance.mp.num_nodes()));
         let edge_off = prefix_sums(items.iter().map(|it| it.instance.mp.num_orig_edges()));
-        let flow_off = prefix_sums(indexes.iter().map(|idx| idx.num_flows()));
-        let n_total = node_off[b];
+        let flow_off = prefix_sums(runs.iter().map(|r| r.selected.len()));
         let m_total = edge_off[b];
-        let k_total = flow_off[b];
         let union_edge = |j: usize, e: usize| {
             let m_j = items[j].instance.mp.num_orig_edges();
             if e < m_j {
@@ -168,107 +311,56 @@ impl BatchedOptimizer {
             }
         };
 
-        // Union graph + features. Per-job node/edge ids shift by their
-        // offsets; degrees (hence the GCN normalisation) are unchanged.
-        let feat_dim = items[0].instance.graph.feat_dim();
-        let mut gb = Graph::builder(n_total, feat_dim);
-        let mut feats = Vec::with_capacity(n_total * feat_dim);
-        for (j, it) in items.iter().enumerate() {
-            for &(s, d) in it.instance.graph.edges() {
-                gb.edge(node_off[j] + s as usize, node_off[j] + d as usize);
-            }
-            feats.extend_from_slice(it.instance.graph.features());
-        }
-        gb.all_features(feats);
-        let union_g = gb.build();
-        let mp = MpGraph::new(&union_g);
-        let x = Gnn::features_tensor(&union_g);
+        // A batch of one runs on the instance's own graph, features and
+        // incidence; a larger batch on their disjoint union.
+        let union = (b > 1).then(|| union_graph(items, &node_off));
+        let (mp, x) = match &union {
+            Some((mp, x)) => (mp, x),
+            None => (&items[0].instance.mp, &items[0].instance.x),
+        };
         let e_total = mp.layer_edge_count();
-
-        // Which job each union layer edge belongs to (for expanding the
-        // per-job layer weights onto edges).
-        let mut edge_job = vec![0usize; e_total];
-        for (j, it) in items.iter().enumerate() {
-            let mpj = &it.instance.mp;
-            for e in 0..mpj.layer_edge_count() {
-                edge_job[union_edge(j, e)] = j;
+        let (incidence, edge_item) = if b == 1 {
+            (runs[0].incidence.clone(), None)
+        } else {
+            let mut edge_item = vec![0usize; e_total];
+            for (j, it) in items.iter().enumerate() {
+                for e in 0..it.instance.mp.layer_edge_count() {
+                    edge_item[union_edge(j, e)] = j;
+                }
             }
-        }
-
-        // Block-diagonal incidence: union row `union_edge(j, e)` is job
-        // `j`'s row `e` with flow columns shifted by `flow_off[j]`.
-        let union_incidence: Vec<Arc<BinCsr>> = (0..layers)
-            .map(|l| {
-                let mut rows: Vec<Vec<u32>> = vec![Vec::new(); e_total];
-                for (j, idx) in indexes.iter().enumerate() {
-                    let mpj = &items[j].instance.mp;
-                    for e in 0..mpj.layer_edge_count() {
-                        let cols = idx.incidence(l).row(e);
-                        if !cols.is_empty() {
-                            rows[union_edge(j, e)] = cols
+            // Block-diagonal: union row `union_edge(j, e)` is item `j`'s row
+            // `e` with flow columns shifted by `flow_off[j]`.
+            let incidence = (0..layers)
+                .map(|l| {
+                    let mut rows: Vec<Vec<u32>> = vec![Vec::new(); e_total];
+                    for (j, (it, r)) in items.iter().zip(&runs).enumerate() {
+                        for e in 0..it.instance.mp.layer_edge_count() {
+                            rows[union_edge(j, e)] = r.incidence[l]
+                                .row(e)
                                 .iter()
                                 .map(|&c| (flow_off[j] + c as usize) as u32)
                                 .collect();
                         }
                     }
-                }
-                Arc::new(BinCsr::from_rows(e_total, k_total, &rows))
-            })
-            .collect();
-
-        // Stacked parameters: one mask leaf holding every job's segment
-        // (each initialised from its own seed, so segments match the cold
-        // per-job init exactly), and one `[B, 1]` weight leaf per layer.
-        let mut init = Vec::with_capacity(k_total);
-        for (j, idx) in indexes.iter().enumerate() {
-            init.extend(uniform(idx.num_flows(), 1, 0.1, items[j].seed).to_vec());
-        }
-        let mask_params = Tensor::from_vec(init, k_total, 1).requires_grad();
-        let layer_weights: Vec<Tensor> = match cfg.layer_weight {
-            LayerWeight::None => Vec::new(),
-            LayerWeight::Exp => (0..layers)
-                .map(|_| Tensor::zeros(b, 1).requires_grad())
-                .collect(),
-            LayerWeight::Softplus => (0..layers)
-                .map(|_| Tensor::full(0.5413, b, 1).requires_grad())
-                .collect(),
-        };
-        let mut params = vec![mask_params.clone()];
-        params.extend(layer_weights.iter().cloned());
-
-        let flow_scores = || match cfg.squash {
-            crate::revelio::MaskSquash::Tanh => mask_params.tanh_t(),
-            crate::revelio::MaskSquash::Sigmoid => mask_params.sigmoid(),
-        };
-        let layer_masks = || {
-            let omega_f = flow_scores();
-            (0..layers)
-                .map(|l| {
-                    let s = omega_f.sp_matvec(&union_incidence[l]);
-                    match cfg.layer_weight {
-                        LayerWeight::Exp => {
-                            s.sigmoid_scale(&layer_weights[l].exp().gather_rows(&edge_job))
-                        }
-                        LayerWeight::Softplus => {
-                            s.sigmoid_scale(&layer_weights[l].softplus().gather_rows(&edge_job))
-                        }
-                        LayerWeight::None => s.sigmoid(),
-                    }
+                    Arc::new(BinCsr::from_rows(e_total, flow_off[b], &rows))
                 })
-                .collect::<Vec<Tensor>>()
+                .collect();
+            (incidence, Some(edge_item))
         };
 
-        // Per-job sparsity supports (union layer-edge ids of edges carrying
-        // at least one of the job's flows, ascending — the same visit order
-        // the serial run uses).
+        // "Skip layer edges unused by GNN layers" (Eq. 8): per item, only
+        // the (union) layer edges carrying at least one of its selected
+        // flows enter the sparsity penalty, in ascending order.
         let used: Vec<Vec<Vec<usize>>> = items
             .iter()
+            .zip(&runs)
             .enumerate()
-            .map(|(j, it)| {
-                (0..layers)
-                    .map(|l| {
+            .map(|(j, (it, r))| {
+                r.incidence
+                    .iter()
+                    .map(|inc| {
                         (0..it.instance.mp.layer_edge_count())
-                            .filter(|&e| !indexes[j].incidence(l).row(e).is_empty())
+                            .filter(|&e| !inc.row(e).is_empty())
                             .map(|e| union_edge(j, e))
                             .collect()
                     })
@@ -276,69 +368,137 @@ impl BatchedOptimizer {
             })
             .collect();
 
+        // Node tasks read each item's target row of the (union) logits.
+        let task = model.config().task;
         let target_rows: Vec<usize> = items
             .iter()
             .enumerate()
-            .map(|(j, it)| match it.instance.target {
-                Target::Node(v) => node_off[j] + v,
-                Target::Graph => unreachable!("fusable() requires node targets"),
+            .filter_map(|(j, it)| match (task, it.instance.target) {
+                (Task::NodeClassification, Target::Node(v)) => Some(node_off[j] + v),
+                (Task::GraphClassification, Target::Graph) => None,
+                (task, target) => panic!("target {target:?} does not match task {task:?}"),
             })
             .collect();
 
-        let build_loss = || {
-            let masks = layer_masks();
-            let logits = model
-                .node_logits(&mp, &x, Some(&masks))
-                .gather_rows(&target_rows);
-            let logp = logits.log_softmax_rows();
-            let mut total: Option<Tensor> = None;
-            for (j, it) in items.iter().enumerate() {
-                let lp_c = logp
-                    .gather_rows(&[j])
-                    .slice_cols(it.instance.class, it.instance.class + 1);
-                let objective = match cfg.objective {
-                    Objective::Factual => lp_c.neg(),
-                    Objective::Counterfactual => {
-                        lp_c.exp().neg().add_scalar(1.0).clamp_min(1e-6).ln().neg()
-                    }
-                };
-                let mut reg: Option<Tensor> = None;
-                let mut used_count = 0usize;
-                for (l, mask) in masks.iter().enumerate() {
-                    if used[j][l].is_empty() {
-                        continue;
-                    }
-                    let vals = mask.gather_rows(&used[j][l]);
-                    let term = match cfg.objective {
-                        Objective::Factual => vals.sum_all(),
-                        Objective::Counterfactual => vals.neg().add_scalar(1.0).sum_all(),
-                    };
-                    used_count += used[j][l].len();
-                    reg = Some(match reg {
-                        None => term,
-                        Some(r) => r.add(&term),
-                    });
+        // Stacked parameters: each item's mask segment is initialised from
+        // its own seed, exactly like a cold batch of one.
+        let mut init = Vec::with_capacity(flow_off[b]);
+        for (it, r) in items.iter().zip(&runs) {
+            init.extend(uniform(r.selected.len(), 1, 0.1, it.seed).to_vec());
+        }
+        let params = Params::fresh(
+            Tensor::from_vec(init, flow_off[b], 1),
+            cfg.layer_weight,
+            layers,
+            flow_off,
+        );
+
+        // Warm start: seed an item from a previously converged mask, but
+        // only when it is aligned with the item's exact flow selection and
+        // parameter shapes — anything else is silently stale (a changed
+        // cap, a different preselection, another layer-weight mode) and is
+        // rejected so the item stays bit-identical to a cold one.
+        for (j, (it, run)) in items.iter().zip(&mut runs).enumerate() {
+            if let Some(ws) = &it.ctl.warm_start {
+                if ws.selected == run.selected
+                    && ws.mask_params.len() == run.selected.len()
+                    && ws.layer_weights.len() == params.layer_weights.len()
+                    && ws.layer_weights.iter().all(|w| w.len() == 1)
+                {
+                    params.restore(j, ws);
+                    run.warm = true;
+                    run.tr.event(EventKind::Note("warm-start"));
+                } else {
+                    run.tr.event(EventKind::Note("warm-start-rejected"));
                 }
-                let loss_j = match reg {
-                    Some(r) if used_count > 0 => {
-                        objective.add(&r.mul_scalar(cfg.alpha / used_count as f32))
-                    }
-                    _ => objective,
-                };
-                total = Some(match total {
-                    None => loss_j,
-                    Some(t) => t.add(&loss_j),
-                });
             }
-            total.expect("batch has at least one job")
+        }
+
+        // The summed loss plus every item's own loss term.
+        let build_loss = || {
+            let masks = params.layer_masks(cfg, &incidence, edge_item.as_deref());
+            let h = model
+                .forward_layers(mp, x, Some(&masks))
+                .pop()
+                .expect("at least one layer");
+            let logp: Vec<Tensor> = match task {
+                Task::NodeClassification => {
+                    let logp = h.gather_rows(&target_rows).log_softmax_rows();
+                    if b == 1 {
+                        vec![logp]
+                    } else {
+                        (0..b).map(|j| logp.gather_rows(&[j])).collect()
+                    }
+                }
+                // Sum-pool each item's own node segment.
+                Task::GraphClassification if b == 1 => {
+                    vec![model.readout_logits(&h).log_softmax_rows()]
+                }
+                Task::GraphClassification => (0..b)
+                    .map(|j| {
+                        let rows: Vec<usize> = (node_off[j]..node_off[j + 1]).collect();
+                        model
+                            .readout_logits(&h.gather_rows(&rows))
+                            .log_softmax_rows()
+                    })
+                    .collect(),
+            };
+            let losses: Vec<Tensor> = items
+                .iter()
+                .zip(&logp)
+                .zip(&used)
+                .map(|((it, logp), used)| {
+                    let class = it.instance.class;
+                    let lp_c = logp.slice_cols(class, class + 1);
+                    let objective = match cfg.objective {
+                        // Eq. 1: -log P(Y = c | G, F̂).
+                        Objective::Factual => lp_c.neg(),
+                        // Eq. 2: -log(1 - P(Y = c | G, F̂)).
+                        Objective::Counterfactual => {
+                            lp_c.exp().neg().add_scalar(1.0).clamp_min(1e-6).ln().neg()
+                        }
+                    };
+                    // Eqs. 8–9: mean mask value over used layer edges.
+                    let mut reg: Option<Tensor> = None;
+                    let mut used_count = 0usize;
+                    for (mask, used_l) in masks.iter().zip(used) {
+                        if used_l.is_empty() {
+                            continue;
+                        }
+                        let vals = mask.gather_rows(used_l);
+                        let term = match cfg.objective {
+                            Objective::Factual => vals.sum_all(),
+                            Objective::Counterfactual => vals.neg().add_scalar(1.0).sum_all(),
+                        };
+                        used_count += used_l.len();
+                        reg = Some(match reg {
+                            None => term,
+                            Some(r) => r.add(&term),
+                        });
+                    }
+                    match reg {
+                        Some(r) if used_count > 0 => {
+                            objective.add(&r.mul_scalar(cfg.alpha / used_count as f32))
+                        }
+                        _ => objective,
+                    }
+                })
+                .collect();
+            let total = losses[1..]
+                .iter()
+                .fold(losses[0].clone(), |t, loss| t.add(loss));
+            (total, losses)
         };
 
+        // Debug builds statically audit the first recorded loss tape before
+        // any training step: shape consistency, numeric-stability patterns,
+        // and that every mask parameter is reachable from the loss.
         #[cfg(debug_assertions)]
         {
-            let diags = revelio_analysis::audit_tape_with_params(&build_loss(), &params);
+            let diags = revelio_analysis::audit_tape_with_params(&build_loss().0, &params.all());
             assert!(
                 diags.is_empty(),
-                "batched REVELIO: static tape audit found {} defect(s):\n{}",
+                "REVELIO: static tape audit found {} defect(s):\n{}",
                 diags.len(),
                 diags
                     .iter()
@@ -348,85 +508,311 @@ impl BatchedOptimizer {
             );
         }
 
-        let mut opt = Adam::new(params, cfg.lr);
-        for _ in 0..cfg.epochs {
+        let mut opt = Adam::new(params.all(), cfg.lr);
+        for run in &mut runs {
+            run.optimize = Some(run.tr.span(Phase::Optimize));
+        }
+        for epoch in 0..cfg.epochs {
+            for (j, run) in runs.iter_mut().enumerate() {
+                if run.frozen.is_none() && items[j].ctl.deadline.expired() {
+                    run.degradation.deadline_hit = true;
+                    run.tr.event(EventKind::DeadlineHit {
+                        epoch: epoch as u32,
+                    });
+                    run.stop(params.segment(j));
+                }
+            }
+            if runs.iter().all(|r| r.frozen.is_some()) {
+                break;
+            }
             opt.zero_grad();
-            build_loss().backward();
+            let (total, losses) = build_loss();
+            total.backward();
+            for (j, run) in runs.iter_mut().enumerate() {
+                // Deadline-bounded items track the best (lowest-loss)
+                // parameters so an early stop returns the best mask seen,
+                // not the latest one. Per-epoch loss/grad-norm emission reads
+                // tensors the untraced loop never materialises, so it is
+                // gated on `verbose` (a ring collector), not merely `enabled`
+                // (which an always-on metrics bridge sets).
+                let track_best = items[j].ctl.deadline.is_set();
+                let trace_epochs = run.tr.verbose();
+                if run.frozen.is_some() || !(track_best || trace_epochs || run.warm) {
+                    continue;
+                }
+                // The loss corresponds to the parameters *before* the step.
+                let l = losses[j].item();
+                if track_best && l.is_finite() && run.best.as_ref().is_none_or(|(b, _)| l < *b) {
+                    run.best = Some((l, params.segment(j)));
+                }
+                if trace_epochs {
+                    let g = params.mask.grad_vec();
+                    let grad_norm = g[params.range(j)].iter().map(|v| v * v).sum::<f32>().sqrt();
+                    run.tr.event(EventKind::Epoch {
+                        index: epoch as u32,
+                        loss: l,
+                        grad_norm,
+                    });
+                }
+                if run.warm {
+                    if let Some(p) = run.prev_loss {
+                        let rel = (p - l).abs() / p.abs().max(1e-8);
+                        run.plateau = if rel < WARM_PLATEAU_TOL {
+                            run.plateau + 1
+                        } else {
+                            0
+                        };
+                    }
+                    run.prev_loss = Some(l);
+                    if l.is_finite() && run.plateau >= WARM_PLATEAU_EPOCHS {
+                        // The parameters already match this loss (the step
+                        // below would move past it), so the item stops here.
+                        run.degradation.epochs_run = epoch + 1;
+                        run.tr.event(EventKind::Note("warm-start-early-stop"));
+                        run.stop(params.segment(j));
+                    }
+                }
+            }
+            if runs.iter().all(|r| r.frozen.is_some()) {
+                break;
+            }
             opt.step();
+            for (j, run) in runs.iter_mut().enumerate() {
+                match &run.frozen {
+                    Some(seg) => params.restore(j, seg),
+                    None => run.degradation.epochs_run = epoch + 1,
+                }
+            }
+        }
+        for (j, run) in runs.iter_mut().enumerate() {
+            run.optimize = None;
+            if run.degradation.deadline_hit {
+                if let Some((_, best)) = &run.best {
+                    params.restore(j, best);
+                }
+            }
         }
 
-        // Per-job readout: slice the stacked state back apart and apply the
-        // same score mapping as the serial path.
-        let learned_all = flow_scores().to_vec();
-        let union_mask_vals: Vec<Vec<f32>> = layer_masks().iter().map(Tensor::to_vec).collect();
-        let out = items
+        // Final scores. Counterfactual: ω'[F] = -ω[F] and
+        // ω'[e] = 1 - ω[e], so higher always means more important.
+        let readouts: Vec<Span<'_>> = runs.iter().map(|r| r.tr.span(Phase::Readout)).collect();
+        let learned = params.flow_scores(cfg.squash).to_vec();
+        let mask_vals: Vec<Vec<f32>> = params
+            .layer_masks(cfg, &incidence, edge_item.as_deref())
             .iter()
-            .enumerate()
-            .map(|(j, it)| {
-                let index = Arc::clone(&indexes[j]);
-                let k_j = index.num_flows();
-                let mut flow_scores: Vec<f32> =
-                    learned_all[flow_off[j]..flow_off[j] + k_j].to_vec();
-                let e_j = it.instance.mp.layer_edge_count();
-                let mut layer_edge_scores: Vec<Vec<f32>> = union_mask_vals
-                    .iter()
-                    .map(|vals| (0..e_j).map(|e| vals[union_edge(j, e)]).collect())
-                    .collect();
-                if cfg.objective == Objective::Counterfactual {
-                    for s in &mut flow_scores {
-                        *s = -*s;
-                    }
-                    for ls in &mut layer_edge_scores {
-                        for v in ls.iter_mut() {
-                            *v = 1.0 - *v;
-                        }
-                    }
+            .map(Tensor::to_vec)
+            .collect();
+        let mut out = Vec::with_capacity(b);
+        for (j, run) in runs.into_iter().enumerate() {
+            let instance = items[j].instance;
+            // Scatter learned scores back over the full flow set
+            // (unselected flows keep the neutral score 0).
+            let mut flow_scores = vec![0.0f32; run.index.num_flows()];
+            for (s, &fid) in learned[params.range(j)].iter().zip(&run.selected) {
+                flow_scores[fid as usize] = *s;
+            }
+            let e_j = instance.mp.layer_edge_count();
+            let mut layer_edge_scores: Vec<Vec<f32>> = mask_vals
+                .iter()
+                .map(|vals| (0..e_j).map(|e| vals[union_edge(j, e)]).collect())
+                .collect();
+            if cfg.objective == Objective::Counterfactual {
+                for s in &mut flow_scores {
+                    *s = -*s;
                 }
-                let m_j = it.instance.mp.num_orig_edges();
-                let mut edge_scores = vec![f32::NEG_INFINITY; m_j];
-                for l in 0..layers {
-                    for (e, es) in edge_scores.iter_mut().enumerate() {
-                        for &f in index.flows_through(l, e) {
-                            *es = es.max(flow_scores[f as usize]);
-                        }
+                for ls in &mut layer_edge_scores {
+                    for v in ls.iter_mut() {
+                        *v = 1.0 - *v;
                     }
                 }
-                for es in &mut edge_scores {
-                    *es = if es.is_finite() {
-                        (1.0 + *es) / 2.0
-                    } else {
-                        0.0
-                    };
-                }
-                Explanation {
+            }
+            let edge_scores = edge_scores(&run.index, instance.mp.num_orig_edges(), &flow_scores);
+
+            out.push(ControlledExplanation {
+                explanation: Explanation {
                     edge_scores,
                     layer_edge_scores: Some(layer_edge_scores),
                     flows: Some(FlowScores {
-                        index,
+                        index: run.index,
                         scores: flow_scores,
                     }),
-                }
-            })
-            .collect();
+                },
+                degradation: run.degradation,
+                // Export the converged state so a persistence layer can seed
+                // the next run on the same instance through `ctl.warm_start`.
+                converged_mask: Some(ConvergedMask {
+                    selected: run.selected,
+                    ..params.segment(j)
+                }),
+            });
+        }
+        drop(readouts);
         Ok(out)
     }
+
+    /// Resolves an item's flow index — reusing `ctl.flow_index`, shrinking
+    /// to the cap, or enumerating — then optionally preselects the top-k
+    /// flows via a one-shot gradient-saliency pass (§VI future work).
+    fn prepare<'a>(
+        &self,
+        model: &Gnn,
+        it: &ControlledItem<'_>,
+        tr: &'a TraceHandle,
+    ) -> Result<Item<'a>, ExplainError> {
+        let cfg = &self.cfg;
+        let layers = model.num_layers();
+        let instance = it.instance;
+        let mut flows_dropped = 0;
+        let index: Arc<FlowIndex> = match &it.ctl.flow_index {
+            Some(idx) if idx.num_layers() == layers => {
+                tr.event(EventKind::Note("flow-index-reused"));
+                Arc::clone(idx)
+            }
+            _ if it.ctl.shrink_on_overflow => {
+                let _span = tr.span(Phase::FlowIndex);
+                let capped =
+                    FlowIndex::build_capped(&instance.mp, layers, instance.target, cfg.max_flows);
+                flows_dropped = capped.dropped;
+                Arc::new(capped.index)
+            }
+            _ => {
+                let _span = tr.span(Phase::FlowIndex);
+                Arc::new(
+                    FlowIndex::build(&instance.mp, layers, instance.target, cfg.max_flows)
+                        .map_err(ExplainError::TooManyFlows)?,
+                )
+            }
+        };
+        let nf = index.num_flows();
+        let full: Vec<Arc<BinCsr>> = (0..layers)
+            .map(|l| Arc::clone(index.incidence(l)))
+            .collect();
+
+        let selected: Vec<u32> = match cfg.preselect {
+            Some(k) if nf > k => {
+                // Saliency pass: gradient of the factual objective w.r.t.
+                // the flow masks at the neutral point.
+                let probe =
+                    Params::fresh(Tensor::zeros(nf, 1), cfg.layer_weight, layers, vec![0, nf]);
+                let masks = probe.layer_masks(cfg, &full, None);
+                let lp_c = model
+                    .target_logits(&instance.mp, &instance.x, Some(&masks), instance.target)
+                    .log_softmax_rows()
+                    .slice_cols(instance.class, instance.class + 1);
+                lp_c.neg().backward();
+                let grad = probe.mask.grad_vec();
+                let mut order: Vec<u32> = (0..nf as u32).collect();
+                order.sort_by(|&a, &b| grad[b as usize].abs().total_cmp(&grad[a as usize].abs()));
+                let mut sel: Vec<u32> = order.into_iter().take(k).collect();
+                sel.sort_unstable();
+                sel
+            }
+            _ => (0..nf as u32).collect(),
+        };
+
+        // Incidence restricted to the selected flows (columns renumbered).
+        let incidence = if selected.len() == nf {
+            full
+        } else {
+            let ne = instance.mp.layer_edge_count();
+            (0..layers)
+                .map(|l| {
+                    let mut rows: Vec<Vec<u32>> = vec![Vec::new(); ne];
+                    for (new_id, &f) in selected.iter().enumerate() {
+                        rows[index.flow(f as usize)[l] as usize].push(new_id as u32);
+                    }
+                    Arc::new(BinCsr::from_rows(ne, selected.len(), &rows))
+                })
+                .collect()
+        };
+        Ok(Item {
+            tr,
+            index,
+            selected,
+            incidence,
+            degradation: Degradation {
+                epochs_planned: cfg.epochs,
+                flows_dropped,
+                ..Default::default()
+            },
+            warm: false,
+            best: None,
+            prev_loss: None,
+            plateau: 0,
+            frozen: None,
+            optimize: None,
+        })
+    }
+}
+
+/// The disjoint union of every item's graph: its message-passing view and
+/// feature tensor. Per-item node/edge ids shift by their offsets; degrees
+/// (hence the GCN normalisation) are unchanged.
+///
+/// # Panics
+///
+/// Panics if the items' feature widths differ.
+fn union_graph(items: &[ControlledItem<'_>], node_off: &[usize]) -> (MpGraph, Tensor) {
+    let feat_dim = items[0].instance.graph.feat_dim();
+    let mut gb = Graph::builder(node_off[items.len()], feat_dim);
+    let mut feats = Vec::with_capacity(node_off[items.len()] * feat_dim);
+    for (it, &off) in items.iter().zip(node_off) {
+        let g = &it.instance.graph;
+        assert_eq!(
+            g.feat_dim(),
+            feat_dim,
+            "REVELIO: batched instances must share one feature width"
+        );
+        for &(s, d) in g.edges() {
+            gb.edge(off + s as usize, off + d as usize);
+        }
+        feats.extend_from_slice(g.features());
+    }
+    gb.all_features(feats);
+    let union = gb.build();
+    (MpGraph::new(&union), Gnn::features_tensor(&union))
+}
+
+/// Edge scores: Eq. 3 with `f = max` — an edge is as important as the
+/// strongest flow it carries. Sum/mask aggregation suffers the "excessive
+/// accumulation" problem of §IV-B (an edge crossed by many weakly-negative
+/// flows outranks a motif edge), which empirically inverts motif rankings;
+/// max does not. Edges carrying no flow cannot influence the target at all
+/// and rank strictly lowest.
+fn edge_scores(index: &FlowIndex, num_edges: usize, flow_scores: &[f32]) -> Vec<f32> {
+    let mut edge_scores = vec![f32::NEG_INFINITY; num_edges];
+    for l in 0..index.num_layers() {
+        for (e, es) in edge_scores.iter_mut().enumerate() {
+            for &f in index.flows_through(l, e) {
+                *es = es.max(flow_scores[f as usize]);
+            }
+        }
+    }
+    // Map from the squash range (-1, 1) into (0, 1), flowless edges to 0.
+    for es in &mut edge_scores {
+        *es = if es.is_finite() {
+            (1.0 + *es) / 2.0
+        } else {
+            0.0
+        };
+    }
+    edge_scores
 }
 
 /// `[0, x0, x0+x1, ...]` — offsets plus a trailing total.
 fn prefix_sums(xs: impl Iterator<Item = usize>) -> Vec<usize> {
-    let mut out = vec![0usize];
-    let mut acc = 0usize;
-    for x in xs {
-        acc += x;
-        out.push(acc);
-    }
-    out
+    let sums = xs.scan(0, |acc, x| {
+        *acc += x;
+        Some(*acc)
+    });
+    std::iter::once(0).chain(sums).collect()
 }
 
 #[cfg(test)]
 #[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
+    use crate::revelio::Revelio;
     use revelio_gnn::{GnnConfig, GnnKind};
 
     fn model(kind: GnnKind, seed: u64) -> Gnn {
@@ -488,10 +874,6 @@ mod tests {
             })
             .collect();
         let opt = BatchedOptimizer::new(cfg);
-        assert!(
-            opt.fusable(&m, &items),
-            "fixture should take the fused path"
-        );
         let batched = opt.explain_batch(&m, &items).unwrap();
 
         for (j, inst) in insts.iter().enumerate() {
@@ -565,7 +947,6 @@ mod tests {
             seed: 5,
             flow_index: None,
         }];
-        assert!(!opt.fusable(&m, &items), "singletons must stay serial");
         let batched = opt.explain_batch(&m, &items).unwrap();
         let serial = Revelio::new(cfg).try_explain(&m, &insts[0]).unwrap();
         assert_eq!(batched[0].edge_scores, serial.edge_scores);

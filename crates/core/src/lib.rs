@@ -24,7 +24,7 @@ mod explanation;
 mod revelio;
 pub mod wire;
 
-pub use batch::{BatchItem, BatchedOptimizer, BATCH_TOLERANCE};
+pub use batch::{BatchItem, BatchedOptimizer, ControlledItem, BATCH_TOLERANCE};
 pub use control::{ControlledExplanation, ConvergedMask, Deadline, Degradation, ExplainControl};
 pub use explanation::{aggregate_flow_scores, Explainer, Explanation, FlowScores, Objective};
 pub use revelio::{ExplainError, LayerWeight, MaskSquash, Revelio, RevelioConfig};

@@ -1,15 +1,13 @@
 //! The REVELIO algorithm (§IV of the paper).
 
 use std::fmt;
-use std::sync::Arc;
 
 use revelio_gnn::{Gnn, Instance};
-use revelio_graph::{FlowIndex, TooManyFlows};
-use revelio_tensor::{uniform, Adam, BinCsr, Optimizer, Tensor};
-use revelio_trace::{EventKind, Phase, TraceHandle};
+use revelio_graph::TooManyFlows;
 
-use crate::control::{ControlledExplanation, ConvergedMask, Degradation, ExplainControl};
-use crate::explanation::{Explainer, Explanation, FlowScores, Objective};
+use crate::batch::{BatchedOptimizer, ControlledItem};
+use crate::control::{ControlledExplanation, ExplainControl};
+use crate::explanation::{Explainer, Explanation, Objective};
 
 /// How flow-mask parameters are squashed into flow scores (Eq. 4).
 ///
@@ -82,163 +80,6 @@ impl Default for RevelioConfig {
     }
 }
 
-/// The REVELIO explainer.
-pub struct Revelio {
-    cfg: RevelioConfig,
-}
-
-/// The per-instance learning state: parameters plus the (possibly
-/// flow-restricted) incidence matrices.
-struct MaskModel {
-    /// `[k, 1]` learnable flow-mask parameters (k = selected flows).
-    mask_params: Tensor,
-    /// One `[1, 1]` weight per layer (empty when `LayerWeight::None`).
-    layer_weights: Vec<Tensor>,
-    /// Per layer, `|E| × k` incidence over the selected flows.
-    incidence: Vec<Arc<BinCsr>>,
-    /// Selected flow ids (identity when no preselection ran).
-    selected: Vec<u32>,
-    squash: MaskSquash,
-    layer_weight: LayerWeight,
-}
-
-impl MaskModel {
-    fn params(&self) -> Vec<Tensor> {
-        let mut p = vec![self.mask_params.clone()];
-        p.extend(self.layer_weights.iter().cloned());
-        p
-    }
-
-    fn flow_scores(&self) -> Tensor {
-        match self.squash {
-            MaskSquash::Tanh => self.mask_params.tanh_t(),
-            MaskSquash::Sigmoid => self.mask_params.sigmoid(),
-        }
-    }
-
-    /// `ω[E] = σ(I · squash(M) ⊙ act(w))` (Eqs. 4, 5, 7).
-    fn layer_masks(&self) -> Vec<Tensor> {
-        let omega_f = self.flow_scores();
-        (0..self.incidence.len())
-            .map(|l| {
-                let s = omega_f.sp_matvec(&self.incidence[l]);
-                // Fused scale + sigmoid: bit-identical to the unfused
-                // `s.mul(&w.gather_rows(..)).sigmoid()` chain but a single
-                // pass over the edge column per epoch.
-                match self.layer_weight {
-                    LayerWeight::Exp => s.sigmoid_scale(&self.layer_weights[l].exp()),
-                    LayerWeight::Softplus => s.sigmoid_scale(&self.layer_weights[l].softplus()),
-                    LayerWeight::None => s.sigmoid(),
-                }
-            })
-            .collect()
-    }
-}
-
-impl Revelio {
-    /// Creates an explainer with the given configuration.
-    pub fn new(cfg: RevelioConfig) -> Revelio {
-        Revelio { cfg }
-    }
-
-    /// Paper-default factual explainer.
-    pub fn factual() -> Revelio {
-        Revelio::new(RevelioConfig::default())
-    }
-
-    /// Paper-default counterfactual explainer.
-    pub fn counterfactual() -> Revelio {
-        Revelio::new(RevelioConfig {
-            objective: Objective::Counterfactual,
-            ..Default::default()
-        })
-    }
-
-    /// The active configuration.
-    pub fn config(&self) -> &RevelioConfig {
-        &self.cfg
-    }
-
-    fn fresh_layer_weights(&self, layers: usize) -> Vec<Tensor> {
-        match self.cfg.layer_weight {
-            LayerWeight::None => Vec::new(),
-            // Softplus(0.54) ≈ 1, exp(0) = 1: start as identity weighting.
-            LayerWeight::Exp => (0..layers)
-                .map(|_| Tensor::zeros(1, 1).requires_grad())
-                .collect(),
-            LayerWeight::Softplus => (0..layers)
-                .map(|_| Tensor::full(0.5413, 1, 1).requires_grad())
-                .collect(),
-        }
-    }
-
-    /// Builds the mask model, optionally preselecting top-k flows via a
-    /// one-shot gradient-saliency pass (§VI future work).
-    fn build_mask_model(&self, model: &Gnn, instance: &Instance, index: &FlowIndex) -> MaskModel {
-        let cfg = &self.cfg;
-        let layers = index.num_layers();
-        let ne = instance.mp.layer_edge_count();
-        let nf = index.num_flows();
-
-        let selected: Vec<u32> = match cfg.preselect {
-            Some(k) if nf > k => {
-                // Saliency pass: gradient of the factual objective w.r.t.
-                // the flow masks at the neutral point.
-                let probe = MaskModel {
-                    mask_params: Tensor::zeros(nf, 1).requires_grad(),
-                    layer_weights: self.fresh_layer_weights(layers),
-                    incidence: (0..layers)
-                        .map(|l| Arc::clone(index.incidence(l)))
-                        .collect(),
-                    selected: (0..nf as u32).collect(),
-                    squash: cfg.squash,
-                    layer_weight: cfg.layer_weight,
-                };
-                let masks = probe.layer_masks();
-                let lp_c = model
-                    .target_logits(&instance.mp, &instance.x, Some(&masks), instance.target)
-                    .log_softmax_rows()
-                    .slice_cols(instance.class, instance.class + 1);
-                lp_c.neg().backward();
-                let grad = probe.mask_params.grad_vec();
-                let mut order: Vec<u32> = (0..nf as u32).collect();
-                order.sort_by(|&a, &b| grad[b as usize].abs().total_cmp(&grad[a as usize].abs()));
-                let mut sel: Vec<u32> = order.into_iter().take(k).collect();
-                sel.sort_unstable();
-                sel
-            }
-            _ => (0..nf as u32).collect(),
-        };
-
-        // Incidence restricted to the selected flows (columns renumbered).
-        let incidence: Vec<Arc<BinCsr>> = if selected.len() == nf {
-            (0..layers)
-                .map(|l| Arc::clone(index.incidence(l)))
-                .collect()
-        } else {
-            (0..layers)
-                .map(|l| {
-                    let mut rows: Vec<Vec<u32>> = vec![Vec::new(); ne];
-                    for (new_id, &f) in selected.iter().enumerate() {
-                        let e = index.flow(f as usize)[l] as usize;
-                        rows[e].push(new_id as u32);
-                    }
-                    Arc::new(BinCsr::from_rows(ne, selected.len(), &rows))
-                })
-                .collect()
-        };
-
-        MaskModel {
-            mask_params: uniform(selected.len(), 1, 0.1, cfg.seed).requires_grad(),
-            layer_weights: self.fresh_layer_weights(layers),
-            incidence,
-            selected,
-            squash: cfg.squash,
-            layer_weight: cfg.layer_weight,
-        }
-    }
-}
-
 /// Why [`Revelio::try_explain`] could not produce an explanation.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ExplainError {
@@ -267,7 +108,35 @@ impl std::error::Error for ExplainError {
     }
 }
 
+/// The REVELIO explainer.
+pub struct Revelio {
+    cfg: RevelioConfig,
+}
+
 impl Revelio {
+    /// Creates an explainer with the given configuration.
+    pub fn new(cfg: RevelioConfig) -> Revelio {
+        Revelio { cfg }
+    }
+
+    /// Paper-default factual explainer.
+    pub fn factual() -> Revelio {
+        Revelio::new(RevelioConfig::default())
+    }
+
+    /// Paper-default counterfactual explainer.
+    pub fn counterfactual() -> Revelio {
+        Revelio::new(RevelioConfig {
+            objective: Objective::Counterfactual,
+            ..Default::default()
+        })
+    }
+
+    /// The active configuration.
+    pub fn config(&self) -> &RevelioConfig {
+        &self.cfg
+    }
+
     /// Learns flow masks for `instance` and returns flow, layer-edge, and
     /// edge scores.
     ///
@@ -284,8 +153,8 @@ impl Revelio {
             .map(|c| c.explanation)
     }
 
-    /// Deadline- and budget-aware variant of [`Revelio::try_explain`]
-    /// (the serving runtime's entry point).
+    /// Deadline- and budget-aware variant of [`Revelio::try_explain`]:
+    /// a batch of one through [`BatchedOptimizer::explain_controlled`].
     ///
     /// * Reuses `ctl.flow_index` when its layer count matches the model,
     ///   skipping flow enumeration entirely.
@@ -315,307 +184,13 @@ impl Revelio {
         instance: &Instance,
         ctl: &ExplainControl,
     ) -> Result<ControlledExplanation, ExplainError> {
-        let cfg = &self.cfg;
-        let layers = model.num_layers();
-        let flow_target = instance.target;
-        let mut degradation = Degradation {
-            epochs_planned: cfg.epochs,
-            ..Default::default()
+        let item = ControlledItem {
+            instance,
+            seed: self.cfg.seed,
+            ctl,
         };
-        // Tracing: emit through the request's handle, or the shared noop
-        // handle (disabled collector — every emit below is one branch).
-        let noop = TraceHandle::noop();
-        let tr = ctl.trace.as_ref().unwrap_or(&noop);
-        let index: Arc<FlowIndex> = match &ctl.flow_index {
-            Some(idx) if idx.num_layers() == layers => {
-                tr.event(EventKind::Note("flow-index-reused"));
-                Arc::clone(idx)
-            }
-            _ if ctl.shrink_on_overflow => {
-                let _span = tr.span(Phase::FlowIndex);
-                let capped =
-                    FlowIndex::build_capped(&instance.mp, layers, flow_target, cfg.max_flows);
-                degradation.flows_dropped = capped.dropped;
-                Arc::new(capped.index)
-            }
-            _ => {
-                let _span = tr.span(Phase::FlowIndex);
-                Arc::new(
-                    FlowIndex::build(&instance.mp, layers, flow_target, cfg.max_flows)
-                        .map_err(ExplainError::TooManyFlows)?,
-                )
-            }
-        };
-        let ne = instance.mp.layer_edge_count();
-
-        let mask_model = self.build_mask_model(model, instance, &index);
-
-        // Warm start: seed the parameters from a previously converged mask,
-        // but only when it is aligned with this run's exact flow selection
-        // and parameter shapes — anything else is silently stale (a changed
-        // cap, a different preselection, another layer-weight mode) and is
-        // rejected so the run stays bit-identical to a cold one.
-        let mut warm_applied = false;
-        if let Some(ws) = &ctl.warm_start {
-            let weights_match = ws.layer_weights.len() == mask_model.layer_weights.len()
-                && ws
-                    .layer_weights
-                    .iter()
-                    .zip(&mask_model.layer_weights)
-                    .all(|(stored, w)| stored.len() == w.to_vec().len());
-            if ws.selected == mask_model.selected
-                && ws.mask_params.len() == mask_model.selected.len()
-                && weights_match
-            {
-                mask_model.mask_params.set_data(&ws.mask_params);
-                for (w, data) in mask_model.layer_weights.iter().zip(&ws.layer_weights) {
-                    w.set_data(data);
-                }
-                warm_applied = true;
-                tr.event(EventKind::Note("warm-start"));
-            } else {
-                tr.event(EventKind::Note("warm-start-rejected"));
-            }
-        }
-
-        let mut opt = Adam::new(mask_model.params(), cfg.lr);
-
-        // "Skip layer edges unused by GNN layers" (Eq. 8): only layer edges
-        // that carry at least one (selected) flow enter the sparsity penalty.
-        let used: Vec<Vec<usize>> = (0..layers)
-            .map(|l| {
-                (0..ne)
-                    .filter(|&e| !mask_model.incidence[l].row(e).is_empty())
-                    .collect()
-            })
-            .collect();
-
-        let build_loss = || {
-            let masks = mask_model.layer_masks();
-
-            let logits =
-                model.target_logits(&instance.mp, &instance.x, Some(&masks), instance.target);
-            let logp = logits.log_softmax_rows();
-            let lp_c = logp.slice_cols(instance.class, instance.class + 1);
-            let objective = match cfg.objective {
-                // Eq. 1: -log P(Y = c | G, F̂).
-                Objective::Factual => lp_c.neg(),
-                // Eq. 2: -log(1 - P(Y = c | G, F̂)).
-                Objective::Counterfactual => {
-                    lp_c.exp().neg().add_scalar(1.0).clamp_min(1e-6).ln().neg()
-                }
-            };
-
-            // Eqs. 8–9: mean mask value over used layer edges.
-            let mut reg: Option<Tensor> = None;
-            let mut used_count = 0usize;
-            for (l, mask) in masks.iter().enumerate() {
-                if used[l].is_empty() {
-                    continue;
-                }
-                let vals = mask.gather_rows(&used[l]);
-                let term = match cfg.objective {
-                    Objective::Factual => vals.sum_all(),
-                    Objective::Counterfactual => vals.neg().add_scalar(1.0).sum_all(),
-                };
-                used_count += used[l].len();
-                reg = Some(match reg {
-                    None => term,
-                    Some(r) => r.add(&term),
-                });
-            }
-            match reg {
-                Some(r) if used_count > 0 => {
-                    objective.add(&r.mul_scalar(cfg.alpha / used_count as f32))
-                }
-                _ => objective,
-            }
-        };
-
-        // Debug builds statically audit the first recorded loss tape before
-        // any training step: shape consistency, numeric-stability patterns,
-        // and that every mask parameter is reachable from the loss.
-        #[cfg(debug_assertions)]
-        {
-            let diags =
-                revelio_analysis::audit_tape_with_params(&build_loss(), &mask_model.params());
-            assert!(
-                diags.is_empty(),
-                "REVELIO: static tape audit found {} defect(s):\n{}",
-                diags.len(),
-                diags
-                    .iter()
-                    .map(ToString::to_string)
-                    .collect::<Vec<_>>()
-                    .join("\n")
-            );
-        }
-
-        // Deadline-bounded runs track the best (lowest-loss) parameters so
-        // an early stop returns the best mask seen, not the latest one.
-        let track_best = ctl.deadline.is_set();
-        // Per-epoch loss/grad-norm emission reads tensors the untraced loop
-        // never materialises, so it is gated on `verbose` (a ring collector),
-        // not merely `enabled` (which an always-on metrics bridge sets).
-        let trace_epochs = tr.verbose();
-        let mut best: Option<(f32, Vec<f32>, Vec<Vec<f32>>)> = None;
-        // Warm-started runs stop once the loss plateaus: a relative change
-        // below `WARM_PLATEAU_TOL` for `WARM_PLATEAU_EPOCHS` consecutive
-        // epochs. Cold runs never evaluate this (extra `loss.item()` reads
-        // included), keeping them bit-identical to a warm-start-free build.
-        const WARM_PLATEAU_TOL: f32 = 1e-3;
-        const WARM_PLATEAU_EPOCHS: usize = 8;
-        let mut prev_loss: Option<f32> = None;
-        let mut plateau = 0usize;
-        let optimize_span = tr.span(Phase::Optimize);
-        for epoch in 0..cfg.epochs {
-            if ctl.deadline.expired() {
-                degradation.deadline_hit = true;
-                tr.event(EventKind::DeadlineHit {
-                    epoch: epoch as u32,
-                });
-                break;
-            }
-            opt.zero_grad();
-            let loss = build_loss();
-            loss.backward();
-            // The loss corresponds to the parameters *before* the step.
-            let loss_val = if track_best || trace_epochs || warm_applied {
-                Some(loss.item())
-            } else {
-                None
-            };
-            if track_best {
-                if let Some(l) = loss_val {
-                    if l.is_finite() && best.as_ref().is_none_or(|(b, _, _)| l < *b) {
-                        best = Some((
-                            l,
-                            mask_model.mask_params.to_vec(),
-                            mask_model
-                                .layer_weights
-                                .iter()
-                                .map(Tensor::to_vec)
-                                .collect(),
-                        ));
-                    }
-                }
-            }
-            if trace_epochs {
-                if let Some(l) = loss_val {
-                    let g = mask_model.mask_params.grad_vec();
-                    let grad_norm = g.iter().map(|v| v * v).sum::<f32>().sqrt();
-                    tr.event(EventKind::Epoch {
-                        index: epoch as u32,
-                        loss: l,
-                        grad_norm,
-                    });
-                }
-            }
-            if warm_applied {
-                if let Some(l) = loss_val {
-                    if let Some(p) = prev_loss {
-                        let rel = (p - l).abs() / p.abs().max(1e-8);
-                        plateau = if rel < WARM_PLATEAU_TOL {
-                            plateau + 1
-                        } else {
-                            0
-                        };
-                    }
-                    prev_loss = Some(l);
-                    if l.is_finite() && plateau >= WARM_PLATEAU_EPOCHS {
-                        // The parameters already match this loss (the step
-                        // below would move past it), so stop here.
-                        degradation.epochs_run = epoch + 1;
-                        tr.event(EventKind::Note("warm-start-early-stop"));
-                        break;
-                    }
-                }
-            }
-            opt.step();
-            degradation.epochs_run = epoch + 1;
-        }
-        drop(optimize_span);
-        if degradation.deadline_hit {
-            if let Some((_, mask, weights)) = best {
-                mask_model.mask_params.set_data(&mask);
-                for (w, data) in mask_model.layer_weights.iter().zip(&weights) {
-                    w.set_data(data);
-                }
-            }
-        }
-
-        // Final scores. Counterfactual: ω'[F] = -ω[F] and
-        // ω'[e] = 1 - ω[e], so higher always means more important.
-        let readout_span = tr.span(Phase::Readout);
-        let masks = mask_model.layer_masks();
-        let learned: Vec<f32> = mask_model.flow_scores().to_vec();
-        // Scatter learned scores back over the full flow set (unselected
-        // flows keep the neutral score 0).
-        let mut flow_scores = vec![0.0f32; index.num_flows()];
-        for (new_id, &f) in mask_model.selected.iter().enumerate() {
-            flow_scores[f as usize] = learned[new_id];
-        }
-        let mut layer_edge_scores: Vec<Vec<f32>> = masks.iter().map(Tensor::to_vec).collect();
-        if cfg.objective == Objective::Counterfactual {
-            for s in &mut flow_scores {
-                *s = -*s;
-            }
-            for ls in &mut layer_edge_scores {
-                for v in ls.iter_mut() {
-                    *v = 1.0 - *v;
-                }
-            }
-        }
-
-        // Edge scores: Eq. 3 with `f = max` — an edge is as important as the
-        // strongest flow it carries. Sum/mask aggregation suffers the
-        // "excessive accumulation" problem of §IV-B (an edge crossed by many
-        // weakly-negative flows outranks a motif edge), which empirically
-        // inverts motif rankings; max does not. Edges carrying no flow
-        // cannot influence the target at all and rank strictly lowest.
-        let m = instance.mp.num_orig_edges();
-        let mut edge_scores = vec![f32::NEG_INFINITY; m];
-        for l in 0..layers {
-            for (e, es) in edge_scores.iter_mut().enumerate() {
-                for &f in index.flows_through(l, e) {
-                    *es = es.max(flow_scores[f as usize]);
-                }
-            }
-        }
-        // Map from the squash range (-1, 1) into (0, 1), flowless edges to 0.
-        for es in &mut edge_scores {
-            *es = if es.is_finite() {
-                (1.0 + *es) / 2.0
-            } else {
-                0.0
-            };
-        }
-        drop(readout_span);
-
-        // Export the converged state so a persistence layer can seed the
-        // next run on the same instance through `ctl.warm_start`.
-        let converged_mask = Some(ConvergedMask {
-            mask_params: mask_model.mask_params.to_vec(),
-            layer_weights: mask_model
-                .layer_weights
-                .iter()
-                .map(Tensor::to_vec)
-                .collect(),
-            selected: mask_model.selected.clone(),
-        });
-
-        Ok(ControlledExplanation {
-            explanation: Explanation {
-                edge_scores,
-                layer_edge_scores: Some(layer_edge_scores),
-                flows: Some(FlowScores {
-                    index,
-                    scores: flow_scores,
-                }),
-            },
-            degradation,
-            converged_mask,
-        })
+        let mut out = BatchedOptimizer::new(self.cfg).explain_controlled(model, &[item])?;
+        Ok(out.pop().expect("one result per item"))
     }
 }
 
@@ -657,7 +232,8 @@ impl Explainer for Revelio {
 mod tests {
     use super::*;
     use revelio_gnn::{GnnConfig, GnnKind, Task, TrainConfig};
-    use revelio_graph::{Graph, Target};
+    use revelio_graph::{FlowIndex, Graph, Target};
+    use std::sync::Arc;
 
     /// Builds a node-classification toy where node 0's class is decided by
     /// its neighbour 1's feature (and node 2 is noise), then checks REVELIO

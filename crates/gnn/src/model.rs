@@ -212,6 +212,17 @@ impl Gnn {
             .forward_layers(mp, x, masks)
             .pop()
             .expect("at least one layer");
+        self.readout_logits(&h)
+    }
+
+    /// The readout head over one graph's final node representations
+    /// `[n, H]`, giving its `[1, C]` logits. Batched explainers call it per
+    /// graph segment of a disjoint-union forward pass.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the model has no readout (node classification).
+    pub fn readout_logits(&self, h: &Tensor) -> Tensor {
         let (w, b) = self.readout.as_ref().expect("graph task has a readout");
         // Sum pooling (realised as mean × n): standard for GIN-style graph
         // classification and markedly easier to optimise than mean pooling

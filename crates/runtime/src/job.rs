@@ -132,13 +132,14 @@ pub struct ExplainJob {
     ///
     /// [`MetricsSnapshot::store_hits`]: crate::MetricsSnapshot
     pub warm_start: bool,
-    /// Declares this job as a REVELIO mask optimisation eligible for the
-    /// runtime's fused multi-job batching (when [`RuntimeConfig::max_batch`]
-    /// `> 1`). Queued jobs sharing the same model handle and an equal
-    /// config are drained into one [`BatchedOptimizer`] pass; everything
-    /// else — including this job when no compatible peer is queued — runs
-    /// through `make_explainer` exactly as before. Batched results match
-    /// the serial path within [`BATCH_TOLERANCE`].
+    /// Declares this job as a REVELIO mask optimisation with this config
+    /// (its `seed` is ignored — the job keeps its derived seed). The runtime
+    /// then serves it through [`BatchedOptimizer`] instead of
+    /// `make_explainer`: as a batch of one, or — when
+    /// [`RuntimeConfig::max_batch`] `> 1` — fused with queued jobs sharing
+    /// the same model handle and an equal spec, whatever their deadlines,
+    /// tracing or warm starts. Fused results match a batch of one within
+    /// [`BATCH_TOLERANCE`].
     ///
     /// [`RuntimeConfig::max_batch`]: crate::RuntimeConfig
     /// [`BatchedOptimizer`]: revelio_core::BatchedOptimizer
@@ -180,18 +181,8 @@ impl ExplainJob {
         make_explainer: ExplainerFactory,
     ) -> ExplainJob {
         ExplainJob {
-            graph,
-            target,
-            graph_id,
-            make_explainer,
             needs_flows: false,
-            max_flows: usize::MAX,
-            shrink_on_overflow: true,
-            deadline: None,
-            trace: false,
-            trace_key: None,
-            warm_start: false,
-            batch_spec: None,
+            ..ExplainJob::flow_based(graph, target, graph_id, usize::MAX, make_explainer)
         }
     }
 
@@ -225,10 +216,10 @@ impl ExplainJob {
         self
     }
 
-    /// Marks the job as batchable with the given REVELIO config (the
-    /// config's `seed` is ignored — each job keeps its derived seed). The
-    /// factory must build a `Revelio` with the *same* config for the
-    /// serial fallback to stay equivalent.
+    /// Marks the job as a batchable REVELIO optimisation with the given
+    /// config (see [`ExplainJob::batch_spec`]). `make_explainer` should
+    /// build a `Revelio` with the *same* config, so the job answers the
+    /// same with or without the spec.
     #[must_use]
     pub fn with_batch_spec(mut self, cfg: RevelioConfig) -> ExplainJob {
         self.batch_spec = Some(cfg);

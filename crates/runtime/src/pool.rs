@@ -23,19 +23,19 @@ use std::sync::atomic::AtomicBool;
 use revelio_check::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use revelio_check::sync::{mpsc, thread, Arc, Mutex, MutexGuard};
 use revelio_core::{
-    BatchItem, BatchedOptimizer, ConvergedMask, Deadline, Degradation, ExplainControl, ExplainError,
+    BatchedOptimizer, ControlledExplanation, ControlledItem, Deadline, ExplainControl, ExplainError,
 };
 use revelio_gnn::{Gnn, Instance};
 use revelio_graph::FlowIndex;
 use revelio_store::{
     ExplanationRecord, FlowsRecord, MaskKey, ModelRecord, PhaseSummary, Store, StoreError,
-    StoredMask,
 };
 use revelio_trace::{Collector, EventKind, Phase, RingCollector, Tee, Trace, TraceHandle, TraceId};
 
 use crate::cache::{ArtifactCache, CachedFlows};
 use crate::job::{
-    ExplainJob, JobError, JobOutput, JobResult, JobTiming, ModelHandle, ModelSpec, Ticket,
+    ExplainJob, ExplainerFactory, JobError, JobOutput, JobResult, JobTiming, ModelHandle,
+    ModelSpec, Ticket,
 };
 use crate::metrics::{Metrics, MetricsCollector, MetricsSnapshot};
 use crate::pool_core::PoolCore;
@@ -64,16 +64,16 @@ pub struct RuntimeConfig {
     /// unbounded).
     pub default_deadline: Option<Duration>,
     /// Maximum jobs fused into one batched optimize pass. `1` (the
-    /// default) disables batching entirely; with a larger value a worker
+    /// default) disables fusing; with a larger value a worker
     /// opportunistically drains queued jobs that share the first job's
     /// model and [`ExplainJob::batch_spec`] into one
-    /// [`BatchedOptimizer`] run. Batched answers match the serial path
+    /// [`BatchedOptimizer`] run. Fused answers match a batch of one
     /// within [`BATCH_TOLERANCE`].
     ///
     /// [`BatchedOptimizer`]: revelio_core::BatchedOptimizer
     /// [`BATCH_TOLERANCE`]: revelio_core::BATCH_TOLERANCE
     pub max_batch: usize,
-    /// How long a worker holding a single batchable job waits for a
+    /// How long a worker holding a single spec-carrying job waits for a
     /// compatible peer to arrive before running it alone. Only consulted
     /// when `max_batch > 1` and the queue is momentarily empty.
     pub batch_linger: Duration,
@@ -227,7 +227,8 @@ struct QueuedJob {
     handle: ModelHandle,
     job: ExplainJob,
     submitted: Instant,
-    deadline_at: Option<Instant>,
+    /// The job's budget (from submission) plus the runtime's cancel flag.
+    deadline: Deadline,
     result_tx: mpsc::Sender<JobResult>,
 }
 
@@ -467,7 +468,9 @@ impl Runtime {
             handle,
             job,
             submitted: Instant::now(),
-            deadline_at: budget.map(|b| Instant::now() + b),
+            deadline: budget
+                .map_or_else(Deadline::none, Deadline::within)
+                .with_cancel(Arc::clone(&self.shared.cancel)),
             result_tx,
         };
         self.shared
@@ -649,53 +652,32 @@ struct WorkerState {
     _alive: AliveGuard,
 }
 
-/// Whether a queued job may enter a fused batch at all. Batched execution
-/// has no per-job deadline polling, tracing, or warm-start seeding, so jobs
-/// using any of those stay on the serial path.
-fn batch_eligible(q: &QueuedJob) -> bool {
-    q.job.batch_spec.is_some()
-        && q.job.needs_flows
-        && !q.job.warm_start
-        && !q.job.trace
-        && q.deadline_at.is_none()
-}
-
-/// Whether `next` can join a batch opened by `first` (same model, equal
-/// REVELIO config).
-fn batch_compatible(first: &QueuedJob, next: &QueuedJob) -> bool {
-    batch_eligible(next)
-        && next.handle == first.handle
-        && next.job.batch_spec == first.job.batch_spec
-}
-
-/// [`PoolCore`]'s handler: serves the dequeued job, opportunistically
-/// draining compatible queued jobs into one fused optimize pass when
-/// batching is enabled ([`RuntimeConfig::max_batch`] `> 1`).
+/// [`PoolCore`]'s handler: serves the dequeued job as a group. When
+/// batching is enabled ([`RuntimeConfig::max_batch`] `> 1`) and the job
+/// carries an [`ExplainJob::batch_spec`], queued jobs with the same model
+/// handle and an equal spec are drained into its group first.
 fn serve_entry(
     state: &mut WorkerState,
     shared: &Shared,
     first: QueuedJob,
     drain: &mut dyn FnMut() -> Option<QueuedJob>,
 ) {
-    if shared.max_batch <= 1 || !batch_eligible(&first) {
-        serve_job(state, shared, first);
-        return;
-    }
-    let mut batch = vec![first];
-    // A drained job that cannot join the batch is served (serially) right
-    // after it — never re-queued, so intra-model submission order is
-    // preserved per worker.
+    let mut group = vec![first];
+    // A drained job that cannot join the group is served (as a group of
+    // one) right after it — never re-queued, so intra-model submission
+    // order is preserved per worker.
     let mut follower: Option<QueuedJob> = None;
     let mut lingered = false;
-    while batch.len() < shared.max_batch {
+    while group[0].job.batch_spec.is_some() && group.len() < shared.max_batch {
         match drain() {
+            Some(q)
+                if q.handle == group[0].handle && q.job.batch_spec == group[0].job.batch_spec =>
+            {
+                group.push(q);
+            }
             Some(q) => {
-                if batch_compatible(&batch[0], &q) {
-                    batch.push(q);
-                } else {
-                    follower = Some(q);
-                    break;
-                }
+                follower = Some(q);
+                break;
             }
             None if !lingered && !shared.batch_linger.is_zero() => {
                 // Give an in-flight burst one chance to land a peer.
@@ -705,63 +687,64 @@ fn serve_entry(
             None => break,
         }
     }
-    if batch.len() == 1 {
-        let only = batch.pop().expect("len checked");
-        serve_job(state, shared, only);
-    } else {
-        serve_fused_batch(state, shared, batch);
-    }
+    serve_group(state, shared, group);
     if let Some(q) = follower {
-        serve_job(state, shared, q);
+        serve_group(state, shared, vec![q]);
     }
 }
 
-/// Everything retained per job across the fused batch's prep stage.
+/// One job of a group after its prep stage: everything the explain call
+/// and the finish step need.
 struct PreppedJob {
     job_id: u64,
     queue_wait: Duration,
+    prep: Duration,
     result_tx: mpsc::Sender<JobResult>,
+    make_explainer: ExplainerFactory,
     instance: Instance,
-    flow_index: Arc<FlowIndex>,
-    flows_dropped: u64,
-    graph_id: u64,
+    ctl: ExplainControl,
+    /// Flows the shared cache's capped build dropped.
+    cache_flows_dropped: u64,
+    /// The store key for this job's converged mask: warm-start lookups and
+    /// the write-behind explanation record share it.
+    mask_key: MaskKey,
+    ring: Option<Arc<RingCollector>>,
 }
 
-/// Serves `batch` (≥ 2 jobs sharing one model and config) through a single
-/// [`BatchedOptimizer`] pass. Per-job accounting mirrors [`serve_job`];
-/// named-phase histograms and warm-start mask persistence are skipped
-/// (batched jobs are cold-start by eligibility).
-fn serve_fused_batch(state: &mut WorkerState, shared: &Shared, batch: Vec<QueuedJob>) {
+/// Serves a group of jobs sharing one model handle (and, when larger than
+/// one, one batch spec): per-job prep, one explain call, per-job finish.
+/// Jobs with a spec go through one [`BatchedOptimizer`] pass (fused when
+/// the group holds several); a job without one is a group of one served by
+/// its `make_explainer`.
+fn serve_group(state: &mut WorkerState, shared: &Shared, group: Vec<QueuedJob>) {
     let metrics = &shared.metrics;
-    // One in-flight decrement per job, however the batch ends.
-    let _guards: Vec<InFlightGuard<'_>> = batch
+    // One in-flight decrement per job, however the group ends.
+    let _guards: Vec<InFlightGuard<'_>> = group
         .iter()
         .map(|_| InFlightGuard(&shared.in_flight))
         .collect();
-    for q in &batch {
+    for q in &group {
         metrics.queue_depth.fetch_sub(1, Ordering::Relaxed);
         metrics.jobs_started.fetch_add(1, Ordering::Relaxed);
         metrics.queue_wait.observe(q.submitted.elapsed());
     }
+    let fail = |tx: &mpsc::Sender<JobResult>, err: JobError| {
+        metrics.jobs_failed.fetch_add(1, Ordering::Relaxed);
+        let _ = tx.send(Err(err));
+    };
 
     if shared.cancel.load(Ordering::Relaxed) {
-        for q in batch {
-            metrics.jobs_failed.fetch_add(1, Ordering::Relaxed);
-            let _ = q.result_tx.send(Err(JobError::Cancelled));
+        for q in &group {
+            fail(&q.result_tx, JobError::Cancelled);
         }
         return;
     }
-
-    let handle = batch[0].handle;
-    let cfg = batch[0]
-        .job
-        .batch_spec
-        .expect("batch_eligible requires a spec");
+    let handle = group[0].handle;
+    let batch_spec = group[0].job.batch_spec;
     let spec = lock(&shared.models).get(handle.0).map(Arc::clone);
     let Some(spec) = spec else {
-        for q in batch {
-            metrics.jobs_failed.fetch_add(1, Ordering::Relaxed);
-            let _ = q.result_tx.send(Err(JobError::UnknownModel));
+        for q in &group {
+            fail(&q.result_tx, JobError::UnknownModel);
         }
         return;
     };
@@ -770,209 +753,91 @@ fn serve_fused_batch(state: &mut WorkerState, shared: &Shared, batch: Vec<Queued
         .entry(handle.0)
         .or_insert_with(|| spec.materialize());
 
-    // Per-job prep: instance forward pass + cache-shared flow index.
-    let prep_start = Instant::now();
-    let mut prepped: Vec<PreppedJob> = Vec::with_capacity(batch.len());
-    for q in batch {
-        let QueuedJob {
-            job_id,
-            job,
-            submitted,
-            result_tx,
-            ..
-        } = q;
-        let queue_wait = submitted.elapsed();
-        let instance = Instance::for_prediction(model, job.graph, job.target);
-        let (cached, hit) = shared.cache.flow_index_probed(
-            job.graph_id,
-            &instance.mp,
-            model.num_layers(),
-            instance.target,
-            job.max_flows,
-        );
-        if !hit {
-            if let Some(store) = &shared.store {
-                let _ = store.put_flows(&FlowsRecord {
-                    graph_id: job.graph_id,
-                    target: instance.target,
-                    layers: model.num_layers() as u32,
-                    max_flows: job.max_flows as u64,
-                    layer_edge_count: instance.mp.layer_edge_count() as u32,
-                    flow_edges: cached.index.flow_edges().to_vec(),
-                    dropped: cached.dropped,
-                });
-            }
-        }
-        if !job.shrink_on_overflow && cached.dropped > 0 {
-            metrics.jobs_failed.fetch_add(1, Ordering::Relaxed);
-            let _ = result_tx.send(Err(JobError::TooManyFlows {
-                dropped: cached.dropped,
-            }));
-            continue;
-        }
-        prepped.push(PreppedJob {
-            job_id,
-            queue_wait,
-            result_tx,
-            instance,
-            flow_index: cached.index,
-            flows_dropped: cached.dropped,
-            graph_id: job.graph_id,
-        });
-    }
+    let prepped: Vec<PreppedJob> = group
+        .into_iter()
+        .filter_map(|q| prep_job(shared, &spec, model, q))
+        .collect();
     if prepped.is_empty() {
         return;
     }
+
     let n = prepped.len();
-    let prep_share = prep_start.elapsed() / n as u32;
-    for _ in 0..n {
-        metrics.prep_latency.observe(prep_share);
+    let explain_start = Instant::now();
+    let outcome = catch_unwind(AssertUnwindSafe(|| match batch_spec {
+        Some(cfg) => {
+            let items: Vec<ControlledItem<'_>> = prepped
+                .iter()
+                .map(|p| ControlledItem {
+                    instance: &p.instance,
+                    seed: derive_seed(shared.base_seed, p.job_id),
+                    ctl: &p.ctl,
+                })
+                .collect();
+            BatchedOptimizer::new(cfg).explain_controlled(model, &items)
+        }
+        None => Ok(prepped
+            .iter()
+            .map(|p| {
+                let explainer = (p.make_explainer)(derive_seed(shared.base_seed, p.job_id));
+                explainer.explain_controlled(model, &p.instance, &p.ctl)
+            })
+            .collect()),
+    }));
+    let explain_share = explain_start.elapsed() / n as u32;
+    if batch_spec.is_some() && n > 1 {
+        metrics.batches.fetch_add(1, Ordering::Relaxed);
+        metrics.batched_jobs.fetch_add(n as u64, Ordering::Relaxed);
+        metrics.batch_size.observe(n as u64);
     }
 
-    let items: Vec<BatchItem<'_>> = prepped
-        .iter()
-        .map(|p| BatchItem {
-            instance: &p.instance,
-            seed: derive_seed(shared.base_seed, p.job_id),
-            flow_index: Some(Arc::clone(&p.flow_index)),
-        })
-        .collect();
-    let optimizer = BatchedOptimizer::new(cfg);
-    let explain_start = Instant::now();
-    let outcome = catch_unwind(AssertUnwindSafe(|| optimizer.explain_batch(model, &items)));
-    let explain_elapsed = explain_start.elapsed();
-    let explain_share = explain_elapsed / n as u32;
-    drop(items);
-
-    metrics.batches.fetch_add(1, Ordering::Relaxed);
-    metrics.batched_jobs.fetch_add(n as u64, Ordering::Relaxed);
-    metrics.batch_size.observe(n as u64);
-
     let failure = match outcome {
-        Ok(Ok(explanations)) => {
-            for (p, explanation) in prepped.into_iter().zip(explanations) {
-                metrics.explain_latency.observe(explain_share);
-                metrics.jobs_completed.fetch_add(1, Ordering::Relaxed);
-                metrics
-                    .epochs_total
-                    .fetch_add(cfg.epochs as u64, Ordering::Relaxed);
-                let degradation = Degradation {
-                    deadline_hit: false,
-                    epochs_run: cfg.epochs,
-                    epochs_planned: cfg.epochs,
-                    flows_dropped: p.flows_dropped,
-                };
-                if degradation.is_degraded() {
-                    metrics.jobs_degraded.fetch_add(1, Ordering::Relaxed);
-                }
-                if let Some(store) = &shared.store {
-                    let us = |d: Duration| u64::try_from(d.as_micros()).unwrap_or(u64::MAX);
-                    let _ = store.put_explanation(&ExplanationRecord {
-                        job_id: p.job_id,
-                        key: MaskKey {
-                            model_id: handle.0 as u32,
-                            graph_id: p.graph_id,
-                            target: p.instance.target,
-                            layers: model.num_layers() as u32,
-                        },
-                        model_fingerprint: spec.fingerprint(),
-                        edge_scores: explanation.edge_scores.clone(),
-                        layer_edge_scores: explanation.layer_edge_scores.clone(),
-                        flow_scores: explanation.flows.as_ref().map(|f| f.scores.clone()),
-                        degradation,
-                        phases: PhaseSummary {
-                            queue_us: us(p.queue_wait),
-                            prep_us: us(prep_share),
-                            explain_us: us(explain_share),
-                        },
-                        // Batched runs keep masks stacked across jobs, so
-                        // no per-job converged mask is persisted.
-                        mask: None,
-                    });
-                }
-                let _ = p.result_tx.send(Ok(JobOutput {
-                    job_id: p.job_id,
-                    explanation,
-                    degradation,
-                    timing: JobTiming {
-                        queue_wait: p.queue_wait,
-                        prep: prep_share,
-                        explain: explain_share,
-                    },
-                    trace: None,
-                }));
+        Ok(Ok(answers)) => {
+            for (p, controlled) in prepped.into_iter().zip(answers) {
+                finish_job(shared, &spec, p, controlled, explain_share);
             }
             return;
         }
         Ok(Err(ExplainError::TooManyFlows(e))) => JobError::TooManyFlows {
             dropped: e.found.saturating_sub(e.max as u64),
         },
-        Err(payload) => {
-            let msg = payload
+        Err(payload) => JobError::Panicked(
+            payload
                 .downcast_ref::<&str>()
                 .map(|s| (*s).to_owned())
                 .or_else(|| payload.downcast_ref::<String>().cloned())
-                .unwrap_or_else(|| "unknown panic".to_owned());
-            JobError::Panicked(msg)
-        }
+                .unwrap_or_else(|| "unknown panic".to_owned()),
+        ),
     };
     for p in prepped {
-        metrics.jobs_failed.fetch_add(1, Ordering::Relaxed);
-        let _ = p.result_tx.send(Err(failure.clone()));
+        fail(&p.result_tx, failure.clone());
     }
 }
 
-/// Serves one dequeued job: [`PoolCore`]'s per-job handler.
-fn serve_job(state: &mut WorkerState, shared: &Shared, q: QueuedJob) {
-    let _in_flight = InFlightGuard(&shared.in_flight);
+/// A job's prep stage: instance forward pass, flow artifacts (cache probe,
+/// write-behind flow table), flow-cap rejection, warm-start lookup, and its
+/// trace handle. `None` when the job was rejected (and already answered).
+fn prep_job(shared: &Shared, spec: &ModelSpec, model: &Gnn, q: QueuedJob) -> Option<PreppedJob> {
     let metrics = &shared.metrics;
-    metrics.queue_depth.fetch_sub(1, Ordering::Relaxed);
-    metrics.jobs_started.fetch_add(1, Ordering::Relaxed);
     let queue_wait = q.submitted.elapsed();
-    metrics.queue_wait.observe(queue_wait);
-
-    if shared.cancel.load(Ordering::Relaxed) {
-        metrics.jobs_failed.fetch_add(1, Ordering::Relaxed);
-        let _ = q.result_tx.send(Err(JobError::Cancelled));
-        return;
-    }
-
-    let spec = lock(&shared.models).get(q.handle.0).map(Arc::clone);
-    let Some(spec) = spec else {
-        metrics.jobs_failed.fetch_add(1, Ordering::Relaxed);
-        let _ = q.result_tx.send(Err(JobError::UnknownModel));
-        return;
-    };
-
     let job = q.job;
     // Every job gets a trace handle: untraced jobs forward only to the
     // metrics bridge (phase histograms), traced jobs additionally
     // journal into a per-job ring drained after the explainer returns.
-    let ring = if job.trace {
-        Some(Arc::new(RingCollector::new(TRACE_RING_CAPACITY)))
-    } else {
-        None
-    };
+    let ring = job
+        .trace
+        .then(|| Arc::new(RingCollector::new(TRACE_RING_CAPACITY)));
+    let bridge = Arc::clone(&shared.bridge) as Arc<dyn Collector>;
     let collector: Arc<dyn Collector> = match &ring {
-        Some(r) => Arc::new(Tee(
-            Arc::clone(r) as Arc<dyn Collector>,
-            Arc::clone(&shared.bridge) as Arc<dyn Collector>,
-        )),
-        None => Arc::clone(&shared.bridge) as Arc<dyn Collector>,
+        Some(r) => Arc::new(Tee(Arc::clone(r) as Arc<dyn Collector>, bridge)),
+        None => bridge,
     };
     // Distributed callers key the trace under the global trace id's low
     // half so the fragment is fetchable fleet-wide; local jobs keep the
     // job-id keying.
-    let trace_id = TraceId(job.trace_key.unwrap_or(q.job_id));
-    let tr = TraceHandle::new(trace_id, collector);
+    let tr = TraceHandle::new(TraceId(job.trace_key.unwrap_or(q.job_id)), collector);
 
-    // Prep stage: local model, instance forward pass, flow artifacts.
     let prep_start = Instant::now();
     let extraction_span = tr.span(Phase::Extraction);
-    let model = state
-        .local_models
-        .entry(q.handle.0)
-        .or_insert_with(|| spec.materialize());
     let instance = Instance::for_prediction(model, job.graph, job.target);
     drop(extraction_span);
     let (flow_index, cache_flows_dropped) = if job.needs_flows {
@@ -1006,20 +871,18 @@ fn serve_job(state: &mut WorkerState, shared: &Shared, q: QueuedJob) {
     } else {
         (None, 0)
     };
-    metrics.prep_latency.observe(prep_start.elapsed());
 
     if !job.shrink_on_overflow && cache_flows_dropped > 0 {
         // The job asked for an exact answer and the instance is over
         // budget: fail it instead of serving a silent prefix.
+        metrics.prep_latency.observe(prep_start.elapsed());
         metrics.jobs_failed.fetch_add(1, Ordering::Relaxed);
         let _ = q.result_tx.send(Err(JobError::TooManyFlows {
             dropped: cache_flows_dropped,
         }));
-        return;
+        return None;
     }
 
-    // The store key for this job's converged mask: warm-start lookups and
-    // the write-behind explanation record share it.
     let mask_key = MaskKey {
         model_id: q.handle.0 as u32,
         graph_id: job.graph_id,
@@ -1027,118 +890,102 @@ fn serve_job(state: &mut WorkerState, shared: &Shared, q: QueuedJob) {
         layers: model.num_layers() as u32,
     };
     let warm_start = if job.warm_start {
-        let usable = shared
+        let hit = shared
             .store
             .as_ref()
             .and_then(|store| store.newest_mask(&mask_key).ok().flatten())
             // Staleness guard: the mask must have been learned against the
             // exact weights this runtime serves.
             .filter(|hit| hit.model_fingerprint == spec.fingerprint());
-        match usable {
-            Some(hit) => {
-                metrics.store_hits.fetch_add(1, Ordering::Relaxed);
-                Some(Arc::new(ConvergedMask {
-                    mask_params: hit.mask.mask_params,
-                    layer_weights: hit.mask.layer_weights,
-                    selected: hit.mask.selected,
-                }))
-            }
-            None => {
-                metrics.store_misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
+        let counter = match hit {
+            Some(_) => &metrics.store_hits,
+            None => &metrics.store_misses,
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+        hit.map(|hit| Arc::new(hit.mask))
     } else {
         None
     };
 
-    let deadline = match q.deadline_at {
-        Some(at) => Deadline::at(at),
-        None => Deadline::none(),
-    }
-    .with_cancel(Arc::clone(&shared.cancel));
-    let ctl = ExplainControl {
-        deadline,
-        flow_index,
-        shrink_on_overflow: job.shrink_on_overflow,
-        trace: Some(tr.clone()),
-        warm_start,
-    };
+    let prep = prep_start.elapsed();
+    metrics.prep_latency.observe(prep);
+    Some(PreppedJob {
+        job_id: q.job_id,
+        queue_wait,
+        prep,
+        result_tx: q.result_tx,
+        make_explainer: job.make_explainer,
+        instance,
+        ctl: ExplainControl {
+            deadline: q.deadline,
+            flow_index,
+            shrink_on_overflow: job.shrink_on_overflow,
+            trace: Some(tr),
+            warm_start,
+        },
+        cache_flows_dropped,
+        mask_key,
+        ring,
+    })
+}
 
-    let seed = derive_seed(shared.base_seed, q.job_id);
-    let explain_start = Instant::now();
-    let outcome = catch_unwind(AssertUnwindSafe(|| {
-        let explainer = (job.make_explainer)(seed);
-        explainer.explain_controlled(model, &instance, &ctl)
+/// A job's finish step: metrics, trace drain, write-behind explanation
+/// record (with the converged mask a later warm start reads), and the
+/// answer.
+fn finish_job(
+    shared: &Shared,
+    spec: &ModelSpec,
+    p: PreppedJob,
+    mut controlled: ControlledExplanation,
+    explain: Duration,
+) {
+    let metrics = &shared.metrics;
+    metrics.explain_latency.observe(explain);
+    // Flows dropped by the shared cache's capped build degrade the answer
+    // just like an explainer-side shrink.
+    controlled.degradation.flows_dropped += p.cache_flows_dropped;
+    metrics.jobs_completed.fetch_add(1, Ordering::Relaxed);
+    metrics
+        .epochs_total
+        .fetch_add(controlled.degradation.epochs_run as u64, Ordering::Relaxed);
+    if controlled.degradation.is_degraded() {
+        metrics.jobs_degraded.fetch_add(1, Ordering::Relaxed);
+    }
+    // Drain the journal into a plain trace: once into the bounded
+    // retention store (for Runtime::trace / the wire Trace request) and
+    // once alongside the result.
+    let trace = p.ring.zip(p.ctl.trace).map(|(r, tr)| r.drain(tr.id()));
+    if let Some(t) = &trace {
+        shared.traces.push(t.clone());
+    }
+    if let Some(store) = &shared.store {
+        let us = |d: Duration| u64::try_from(d.as_micros()).unwrap_or(u64::MAX);
+        let explanation = &controlled.explanation;
+        let _ = store.put_explanation(&ExplanationRecord {
+            job_id: p.job_id,
+            key: p.mask_key,
+            model_fingerprint: spec.fingerprint(),
+            edge_scores: explanation.edge_scores.clone(),
+            layer_edge_scores: explanation.layer_edge_scores.clone(),
+            flow_scores: explanation.flows.as_ref().map(|f| f.scores.clone()),
+            degradation: controlled.degradation,
+            phases: PhaseSummary {
+                queue_us: us(p.queue_wait),
+                prep_us: us(p.prep),
+                explain_us: us(explain),
+            },
+            mask: controlled.converged_mask,
+        });
+    }
+    let _ = p.result_tx.send(Ok(JobOutput {
+        job_id: p.job_id,
+        explanation: controlled.explanation,
+        degradation: controlled.degradation,
+        timing: JobTiming {
+            queue_wait: p.queue_wait,
+            prep: p.prep,
+            explain,
+        },
+        trace,
     }));
-    let explain_elapsed = explain_start.elapsed();
-    metrics.explain_latency.observe(explain_elapsed);
-
-    match outcome {
-        Ok(mut controlled) => {
-            // Flows dropped by the shared cache's capped build degrade
-            // the answer just like an explainer-side shrink.
-            controlled.degradation.flows_dropped += cache_flows_dropped;
-            metrics.jobs_completed.fetch_add(1, Ordering::Relaxed);
-            metrics
-                .epochs_total
-                .fetch_add(controlled.degradation.epochs_run as u64, Ordering::Relaxed);
-            if controlled.degradation.is_degraded() {
-                metrics.jobs_degraded.fetch_add(1, Ordering::Relaxed);
-            }
-            // Drain the journal into a plain trace: once into the
-            // bounded retention store (for Runtime::trace / the wire
-            // Trace request) and once alongside the result.
-            let trace = ring.as_ref().map(|r| r.drain(trace_id));
-            if let Some(t) = &trace {
-                shared.traces.push(t.clone());
-            }
-            if let Some(store) = &shared.store {
-                let us = |d: Duration| u64::try_from(d.as_micros()).unwrap_or(u64::MAX);
-                let _ = store.put_explanation(&ExplanationRecord {
-                    job_id: q.job_id,
-                    key: mask_key,
-                    model_fingerprint: spec.fingerprint(),
-                    edge_scores: controlled.explanation.edge_scores.clone(),
-                    layer_edge_scores: controlled.explanation.layer_edge_scores.clone(),
-                    flow_scores: controlled
-                        .explanation
-                        .flows
-                        .as_ref()
-                        .map(|f| f.scores.clone()),
-                    degradation: controlled.degradation,
-                    phases: PhaseSummary {
-                        queue_us: us(queue_wait),
-                        prep_us: us(explain_start - prep_start),
-                        explain_us: us(explain_elapsed),
-                    },
-                    mask: controlled.converged_mask.as_ref().map(|m| StoredMask {
-                        mask_params: m.mask_params.clone(),
-                        layer_weights: m.layer_weights.clone(),
-                        selected: m.selected.clone(),
-                    }),
-                });
-            }
-            let _ = q.result_tx.send(Ok(JobOutput {
-                job_id: q.job_id,
-                explanation: controlled.explanation,
-                degradation: controlled.degradation,
-                timing: JobTiming {
-                    queue_wait,
-                    prep: explain_start - prep_start,
-                    explain: explain_elapsed,
-                },
-                trace,
-            }));
-        }
-        Err(payload) => {
-            let msg = payload
-                .downcast_ref::<&str>()
-                .map(|s| (*s).to_owned())
-                .or_else(|| payload.downcast_ref::<String>().cloned())
-                .unwrap_or_else(|| "unknown panic".to_owned());
-            metrics.jobs_failed.fetch_add(1, Ordering::Relaxed);
-            let _ = q.result_tx.send(Err(JobError::Panicked(msg)));
-        }
-    }
 }

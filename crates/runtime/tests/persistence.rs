@@ -196,3 +196,52 @@ fn runtime_without_store_counts_warm_lookups_as_misses() {
     assert_eq!(m.store_hits, 0);
     assert_eq!(m.store_misses, 1);
 }
+
+/// Fused-batch jobs persist their converged masks like any other job, so a
+/// later warm start on one of their keys hits the store and stops early.
+#[test]
+fn fused_batch_jobs_persist_masks_for_warm_start() {
+    let path = temp_store();
+    let (model, g) = trained_model();
+    let store: Arc<dyn Store> = Arc::new(LogStore::open(&path).expect("open store"));
+    let rt = Runtime::try_with_config_and_store(
+        RuntimeConfig {
+            max_batch: 4,
+            batch_linger: Duration::from_millis(50),
+            ..config()
+        },
+        store,
+    )
+    .expect("boot");
+    let handle = rt.register_model(&model);
+    let spec = RevelioConfig {
+        epochs: 500,
+        objective: Objective::Factual,
+        ..Default::default()
+    };
+    let keyed = |graph_id: u64| {
+        let mut j = job(&g, 500).with_batch_spec(spec);
+        j.graph_id = graph_id;
+        j
+    };
+
+    let burst: Vec<ExplainJob> = (10..14).map(keyed).collect();
+    for r in rt.explain_batch(handle, burst) {
+        assert_eq!(r.expect("fused job served").degradation.epochs_run, 500);
+    }
+    let m = rt.metrics();
+    assert_eq!(m.batched_jobs, 4, "the burst should fuse: {m:?}");
+
+    let warm = rt
+        .submit(handle, keyed(12).with_warm_start(true))
+        .wait()
+        .expect("warm");
+    assert_eq!(rt.metrics().store_hits, 1, "fused job left no mask");
+    assert!(
+        warm.degradation.epochs_run < warm.degradation.epochs_planned,
+        "warm start should stop early, ran {}",
+        warm.degradation.epochs_run
+    );
+
+    let _ = std::fs::remove_file(&path);
+}

@@ -8,6 +8,7 @@ use revelio_core::{Explainer, Objective, Revelio, RevelioConfig};
 use revelio_gnn::{Gnn, GnnConfig, GnnKind, Task, TrainConfig};
 use revelio_graph::{Graph, Target};
 use revelio_runtime::{ExplainJob, JobError, Runtime, RuntimeConfig};
+use revelio_trace::Phase;
 
 /// A small trained model and a family of path graphs to explain.
 fn trained_model() -> (Gnn, Vec<Graph>) {
@@ -462,8 +463,8 @@ fn batched_serving_matches_serial_within_tolerance() {
     }
 }
 
-/// A batchable job with no compatible peer runs on the ordinary serial
-/// path (bit-identical to a runtime without batching), and mixed streams —
+/// A batchable job with no compatible peer runs as a batch of one
+/// (bit-identical to a runtime without batching), and mixed streams —
 /// batchable and non-batchable jobs interleaved — all complete.
 #[test]
 fn lone_and_mixed_jobs_survive_batching_mode() {
@@ -519,7 +520,8 @@ fn lone_and_mixed_jobs_survive_batching_mode() {
         lone.explanation.edge_scores, reference.explanation.edge_scores,
         "a lone batchable job must stay bit-identical to the serial path"
     );
-    // Mixed stream: batchable + deadline-carrying (ineligible) jobs.
+    // Mixed stream: spec-carrying jobs interleaved with spec-less,
+    // deadline-carrying ones (which never join a batch).
     let mixed: Vec<ExplainJob> = graphs
         .iter()
         .enumerate()
@@ -543,5 +545,70 @@ fn lone_and_mixed_jobs_survive_batching_mode() {
         .collect();
     for r in rt.explain_batch(handle, mixed) {
         assert!(r.is_ok(), "mixed-stream job failed: {:?}", r.err());
+    }
+}
+
+/// Deadlines and tracing no longer keep a job out of a batch: a burst of
+/// four spec-carrying jobs, one traced and one with a deadline, fuses into
+/// one pass whose answers equal the unbatched runtime's bit for bit.
+#[test]
+fn traced_and_deadline_jobs_fuse_bit_identically() {
+    let (model, graphs) = trained_model();
+    let spec = RevelioConfig {
+        epochs: 12,
+        objective: Objective::Factual,
+        ..Default::default()
+    };
+    let run = |max_batch: usize| {
+        let rt = Runtime::with_config(RuntimeConfig {
+            workers: 1,
+            seed: 42,
+            max_batch,
+            batch_linger: Duration::from_millis(50),
+            ..Default::default()
+        });
+        let handle = rt.register_model(&model);
+        let jobs: Vec<ExplainJob> = jobs_for(&graphs, 12)
+            .into_iter()
+            .enumerate()
+            .map(|(i, j)| {
+                let j = j.with_batch_spec(spec);
+                match i {
+                    1 => j.with_trace(),
+                    2 => j.with_deadline(Duration::from_secs(60)),
+                    _ => j,
+                }
+            })
+            .collect();
+        let outs: Vec<_> = rt
+            .explain_batch(handle, jobs)
+            .into_iter()
+            .map(|r| r.expect("job served"))
+            .collect();
+        (outs, rt.metrics())
+    };
+    let (serial, m1) = run(1);
+    let (fused, m4) = run(4);
+    assert_eq!(m1.batches, 0, "max_batch = 1 must never fuse");
+    assert_eq!(m4.batches, 1, "the burst should fuse into one pass: {m4:?}");
+    assert_eq!(m4.batched_jobs, 4);
+
+    let trace = fused[1].trace.as_ref().expect("traced job returns a trace");
+    for phase in [
+        Phase::Extraction,
+        Phase::FlowIndex,
+        Phase::Optimize,
+        Phase::Readout,
+    ] {
+        assert!(trace.has_span(phase), "fused trace lacks {phase:?}");
+    }
+    for (j, (f, s)) in fused.iter().zip(&serial).enumerate() {
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
+        assert_eq!(
+            bits(&f.explanation.edge_scores),
+            bits(&s.explanation.edge_scores),
+            "job {j}: fused scores differ from max_batch = 1"
+        );
+        assert_eq!(f.degradation, s.degradation, "job {j}");
     }
 }

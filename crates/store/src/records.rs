@@ -14,7 +14,7 @@
 use revelio_core::wire::{
     put_bool, put_f32s, put_u32, put_u32s, put_u64, put_u8, WireDecodeError, WireReader,
 };
-use revelio_core::Degradation;
+use revelio_core::{ConvergedMask, Degradation};
 use revelio_gnn::{GnnConfig, GnnKind, Task};
 use revelio_graph::Target;
 
@@ -72,17 +72,9 @@ pub struct MaskKey {
 }
 
 /// A converged mask state: everything needed to re-seed Eq. 7's edge-mask
-/// training from where a previous run finished.
-#[derive(Debug, Clone, PartialEq)]
-pub struct StoredMask {
-    /// Raw (pre-squash) mask parameters, one per selected flow.
-    pub mask_params: Vec<f32>,
-    /// Raw layer-weight parameters, one vector per weighting tensor.
-    pub layer_weights: Vec<Vec<f32>>,
-    /// The flow ids the mask parameters are aligned with; warm-start is
-    /// rejected unless the new run selects the identical set.
-    pub selected: Vec<u32>,
-}
+/// training from where a previous run finished — stored exactly as the
+/// explainer exports it.
+pub type StoredMask = ConvergedMask;
 
 /// Wall-clock phase summary of the job that produced an explanation.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -387,20 +379,18 @@ impl FlowsRecord {
     }
 }
 
-impl StoredMask {
-    fn encode(&self, out: &mut Vec<u8>) {
-        put_f32s(out, &self.mask_params);
-        put_f32_lists(out, &self.layer_weights);
-        put_u32s(out, &self.selected);
-    }
+fn encode_mask(mask: &StoredMask, out: &mut Vec<u8>) {
+    put_f32s(out, &mask.mask_params);
+    put_f32_lists(out, &mask.layer_weights);
+    put_u32s(out, &mask.selected);
+}
 
-    fn decode(r: &mut WireReader<'_>) -> Result<StoredMask, WireDecodeError> {
-        Ok(StoredMask {
-            mask_params: r.f32s()?,
-            layer_weights: read_f32_lists(r)?,
-            selected: r.u32s()?,
-        })
-    }
+fn decode_mask(r: &mut WireReader<'_>) -> Result<StoredMask, WireDecodeError> {
+    Ok(StoredMask {
+        mask_params: r.f32s()?,
+        layer_weights: read_f32_lists(r)?,
+        selected: r.u32s()?,
+    })
 }
 
 impl ExplanationRecord {
@@ -425,7 +415,7 @@ impl ExplanationRecord {
         match &self.mask {
             Some(mask) => {
                 put_bool(out, true);
-                mask.encode(out);
+                encode_mask(mask, out);
             }
             None => put_bool(out, false),
         }
@@ -453,7 +443,7 @@ impl ExplanationRecord {
             explain_us: r.u64()?,
         };
         let mask = if r.bool()? {
-            Some(StoredMask::decode(&mut r)?)
+            Some(decode_mask(&mut r)?)
         } else {
             None
         };
