@@ -28,4 +28,4 @@ pub use batch::{BatchItem, BatchedOptimizer, ControlledItem, BATCH_TOLERANCE};
 pub use control::{ControlledExplanation, ConvergedMask, Deadline, Degradation, ExplainControl};
 pub use explanation::{aggregate_flow_scores, Explainer, Explanation, FlowScores, Objective};
 pub use revelio::{ExplainError, LayerWeight, MaskSquash, Revelio, RevelioConfig};
-pub use wire::{ControlSpec, WireDecodeError, WireReader};
+pub use wire::{Codec, ControlSpec, WireDecodeError, WireReader};

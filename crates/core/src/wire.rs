@@ -1,22 +1,36 @@
-//! Serde-free binary encoding for the serving vocabulary.
+//! The one binary codec behind every wire message and store record.
 //!
-//! The network layer (`revelio-server`) speaks a hand-rolled little-endian
-//! wire format; this module owns the byte-level primitives plus the codecs
-//! for the types *this* crate defines — [`Degradation`], score vectors, and
-//! the serialisable [`ControlSpec`] subset of [`ExplainControl`] — so the
-//! wire representation of core vocabulary lives next to the vocabulary
-//! itself. Everything is explicit and versioned by the frame protocol above
-//! it; there is no reflection and no derive machinery.
+//! Everything REVELIO produces leaves the process in two places: the
+//! network frames of `revelio-server` and the log records of
+//! `revelio-store`. Both speak the same little-endian encoding, and every
+//! type that crosses either boundary states its byte layout exactly once,
+//! as one [`Codec`] impl: a struct lists its fields in wire order through
+//! [`wire_struct!`], a fieldless enum lists its tag bytes through
+//! [`wire_enum!`], and the few types with data-carrying variants or
+//! validation (a [`Target`], a [`GnnConfig`], a [`Degradation`]) write the
+//! impl by hand. There is no reflection and no serde; the encoding is
+//! fixed by the field lists, so a layout change is a visible edit to one
+//! list.
 //!
-//! Decoding never trusts a length before checking it against the bytes that
-//! are actually present, so a truncated or hostile buffer costs at most the
-//! bytes received — never an unbounded allocation.
+//! Generic impls cover the building blocks: the integer, `f32` and `bool`
+//! primitives, `String` (`u16` byte-length prefix), `[u64; N]` (no
+//! prefix), `Vec<T>` (`u32` count) and `Option<T>` (`0`/`1` tag byte, any
+//! other byte is [`WireDecodeError::Invalid`]).
 //!
-//! [`ExplainControl`]: crate::ExplainControl
+//! Decoding never trusts a length before checking it against the bytes
+//! that are actually present: a `Vec<T>` rejects a count whose cheapest
+//! encoding ([`Codec::MIN_LEN`] per element) exceeds the remaining buffer
+//! *before* allocating, so a truncated or hostile buffer costs at most the
+//! bytes received.
 
 use std::fmt;
 
-use crate::control::Degradation;
+use revelio_gnn::{GnnConfig, GnnKind, Task};
+use revelio_graph::Target;
+use revelio_trace::{AssembledSpan, AssembledTrace, Phase, TraceContext};
+
+use crate::control::{ConvergedMask, Degradation};
+use crate::explanation::Objective;
 
 /// Error raised by [`WireReader`] when a buffer does not parse.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -54,6 +68,40 @@ impl fmt::Display for WireDecodeError {
 impl std::error::Error for WireDecodeError {}
 
 // ---------------------------------------------------------------------------
+// CRC-32 (IEEE 802.3), shared by the frame header and the store log.
+// ---------------------------------------------------------------------------
+
+const CRC_TABLE: [u32; 256] = {
+    let mut table = [0u32; 256];
+    let mut i = 0;
+    while i < 256 {
+        let mut c = i as u32;
+        let mut k = 0;
+        while k < 8 {
+            c = if c & 1 != 0 {
+                0xEDB8_8320 ^ (c >> 1)
+            } else {
+                c >> 1
+            };
+            k += 1;
+        }
+        table[i] = c;
+        i += 1;
+    }
+    table
+};
+
+/// CRC-32 (IEEE) of `data`: the checksum of every network frame payload
+/// and every store log record.
+pub fn crc32(data: &[u8]) -> u32 {
+    let mut c = 0xFFFF_FFFFu32;
+    for &b in data {
+        c = CRC_TABLE[((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
+    }
+    c ^ 0xFFFF_FFFF
+}
+
+// ---------------------------------------------------------------------------
 // Writer primitives: plain functions appending to a Vec<u8>.
 // ---------------------------------------------------------------------------
 
@@ -88,33 +136,6 @@ pub fn put_bool(out: &mut Vec<u8>, v: bool) {
     out.push(u8::from(v));
 }
 
-/// Appends `Some(v)` as `1` + the value, `None` as `0`.
-pub fn put_opt_u64(out: &mut Vec<u8>, v: Option<u64>) {
-    match v {
-        Some(v) => {
-            out.push(1);
-            put_u64(out, v);
-        }
-        None => out.push(0),
-    }
-}
-
-/// Appends a `u32` length prefix followed by each value's IEEE bits.
-pub fn put_f32s(out: &mut Vec<u8>, vs: &[f32]) {
-    put_u32(out, vs.len() as u32);
-    for &v in vs {
-        put_f32(out, v);
-    }
-}
-
-/// Appends a `u32` length prefix followed by the values.
-pub fn put_u32s(out: &mut Vec<u8>, vs: &[u32]) {
-    put_u32(out, vs.len() as u32);
-    for &v in vs {
-        put_u32(out, v);
-    }
-}
-
 /// Appends a `u16` length prefix followed by the UTF-8 bytes.
 ///
 /// # Panics
@@ -127,6 +148,15 @@ pub fn put_str(out: &mut Vec<u8>, s: &str) {
     out.extend_from_slice(s.as_bytes());
 }
 
+/// Appends a `u32` count followed by each item: the `Vec<T>` layout,
+/// for callers holding a slice.
+pub fn put_slice<T: Codec>(out: &mut Vec<u8>, items: &[T]) {
+    put_u32(out, items.len() as u32);
+    for item in items {
+        item.encode(out);
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Reader: bounds-checked cursor over a received buffer.
 // ---------------------------------------------------------------------------
@@ -134,9 +164,7 @@ pub fn put_str(out: &mut Vec<u8>, s: &str) {
 /// A bounds-checked little-endian cursor over a received byte buffer.
 ///
 /// Every getter checks the remaining length first and returns
-/// [`WireDecodeError::Truncated`] instead of panicking; length-prefixed
-/// getters additionally verify the prefix against the remaining bytes
-/// *before* allocating.
+/// [`WireDecodeError::Truncated`] instead of panicking.
 pub struct WireReader<'a> {
     buf: &'a [u8],
     pos: usize,
@@ -153,16 +181,30 @@ impl<'a> WireReader<'a> {
         self.buf.len() - self.pos
     }
 
-    fn take(&mut self, n: usize) -> Result<&'a [u8], WireDecodeError> {
-        if self.remaining() < n {
+    /// Fails with [`WireDecodeError::Truncated`] unless `needed` bytes
+    /// remain; the guard every length-prefixed decoder runs before it
+    /// allocates.
+    pub fn require(&self, needed: usize) -> Result<(), WireDecodeError> {
+        if self.remaining() < needed {
             return Err(WireDecodeError::Truncated {
-                needed: n,
+                needed,
                 remaining: self.remaining(),
             });
         }
+        Ok(())
+    }
+
+    fn take(&mut self, n: usize) -> Result<&'a [u8], WireDecodeError> {
+        self.require(n)?;
         let s = &self.buf[self.pos..self.pos + n];
         self.pos += n;
         Ok(s)
+    }
+
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], WireDecodeError> {
+        let mut a = [0u8; N];
+        a.copy_from_slice(self.take(N)?);
+        Ok(a)
     }
 
     /// Reads a `u8`.
@@ -172,22 +214,17 @@ impl<'a> WireReader<'a> {
 
     /// Reads a little-endian `u16`.
     pub fn u16(&mut self) -> Result<u16, WireDecodeError> {
-        let b = self.take(2)?;
-        Ok(u16::from_le_bytes([b[0], b[1]]))
+        self.array().map(u16::from_le_bytes)
     }
 
     /// Reads a little-endian `u32`.
     pub fn u32(&mut self) -> Result<u32, WireDecodeError> {
-        let b = self.take(4)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
+        self.array().map(u32::from_le_bytes)
     }
 
     /// Reads a little-endian `u64`.
     pub fn u64(&mut self) -> Result<u64, WireDecodeError> {
-        let b = self.take(8)?;
-        let mut a = [0u8; 8];
-        a.copy_from_slice(b);
-        Ok(u64::from_le_bytes(a))
+        self.array().map(u64::from_le_bytes)
     }
 
     /// Reads an `f32` from its IEEE bits.
@@ -202,46 +239,6 @@ impl<'a> WireReader<'a> {
             1 => Ok(true),
             _ => Err(WireDecodeError::Invalid("bool byte")),
         }
-    }
-
-    /// Reads an optional `u64` written by [`put_opt_u64`].
-    pub fn opt_u64(&mut self) -> Result<Option<u64>, WireDecodeError> {
-        match self.u8()? {
-            0 => Ok(None),
-            1 => Ok(Some(self.u64()?)),
-            _ => Err(WireDecodeError::Invalid("option tag")),
-        }
-    }
-
-    /// Reads a `u32`-prefixed `f32` vector, validating the prefix against
-    /// the remaining bytes before allocating.
-    pub fn f32s(&mut self) -> Result<Vec<f32>, WireDecodeError> {
-        let n = self.u32()? as usize;
-        let needed = n.checked_mul(4).ok_or(WireDecodeError::Invalid(
-            "f32 vector length overflows usize",
-        ))?;
-        if self.remaining() < needed {
-            return Err(WireDecodeError::Truncated {
-                needed,
-                remaining: self.remaining(),
-            });
-        }
-        (0..n).map(|_| self.f32()).collect()
-    }
-
-    /// Reads a `u32`-prefixed `u32` vector, validating the prefix first.
-    pub fn u32s(&mut self) -> Result<Vec<u32>, WireDecodeError> {
-        let n = self.u32()? as usize;
-        let needed = n.checked_mul(4).ok_or(WireDecodeError::Invalid(
-            "u32 vector length overflows usize",
-        ))?;
-        if self.remaining() < needed {
-            return Err(WireDecodeError::Truncated {
-                needed,
-                remaining: self.remaining(),
-            });
-        }
-        (0..n).map(|_| self.u32()).collect()
     }
 
     /// Reads a `u16`-prefixed UTF-8 string written by [`put_str`].
@@ -263,7 +260,226 @@ impl<'a> WireReader<'a> {
 }
 
 // ---------------------------------------------------------------------------
-// Codecs for core vocabulary.
+// The codec trait and its generic impls.
+// ---------------------------------------------------------------------------
+
+/// A type with one fixed byte layout, shared by the network and the store.
+pub trait Codec: Sized {
+    /// Bytes of the cheapest possible encoding. A `Vec<Self>` checks its
+    /// count against the remaining bytes at this rate before allocating.
+    const MIN_LEN: usize;
+
+    /// Appends the encoding to `out`.
+    fn encode(&self, out: &mut Vec<u8>);
+
+    /// Reads one value, leaving the reader just past it.
+    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireDecodeError>;
+
+    /// The encoding as a fresh buffer.
+    fn to_bytes(&self) -> Vec<u8> {
+        let mut out = Vec::new();
+        self.encode(&mut out);
+        out
+    }
+
+    /// Decodes a buffer that holds exactly one value; leftover bytes are
+    /// [`WireDecodeError::TrailingBytes`].
+    fn from_bytes(bytes: &[u8]) -> Result<Self, WireDecodeError> {
+        let mut r = WireReader::new(bytes);
+        let value = Self::decode(&mut r)?;
+        r.expect_end()?;
+        Ok(value)
+    }
+}
+
+macro_rules! primitive_codec {
+    ($($ty:ty => $len:expr, $put:ident, $get:ident;)+) => {$(
+        impl Codec for $ty {
+            const MIN_LEN: usize = $len;
+            fn encode(&self, out: &mut Vec<u8>) {
+                $put(out, *self);
+            }
+            fn decode(r: &mut WireReader<'_>) -> Result<Self, WireDecodeError> {
+                r.$get()
+            }
+        }
+    )+};
+}
+
+primitive_codec! {
+    u8 => 1, put_u8, u8;
+    u16 => 2, put_u16, u16;
+    u32 => 4, put_u32, u32;
+    u64 => 8, put_u64, u64;
+    f32 => 4, put_f32, f32;
+    bool => 1, put_bool, bool;
+}
+
+impl Codec for String {
+    const MIN_LEN: usize = 2;
+    fn encode(&self, out: &mut Vec<u8>) {
+        put_str(out, self);
+    }
+    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireDecodeError> {
+        r.str()
+    }
+}
+
+impl<const N: usize> Codec for [u64; N] {
+    const MIN_LEN: usize = 8 * N;
+    fn encode(&self, out: &mut Vec<u8>) {
+        for &v in self {
+            put_u64(out, v);
+        }
+    }
+    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireDecodeError> {
+        let mut a = [0u64; N];
+        for v in &mut a {
+            *v = r.u64()?;
+        }
+        Ok(a)
+    }
+}
+
+impl<T: Codec> Codec for Vec<T> {
+    const MIN_LEN: usize = 4;
+    fn encode(&self, out: &mut Vec<u8>) {
+        put_slice(out, self);
+    }
+    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireDecodeError> {
+        let n = r.u32()? as usize;
+        r.require(n.saturating_mul(T::MIN_LEN))?;
+        let mut items = Vec::with_capacity(n);
+        for _ in 0..n {
+            items.push(T::decode(r)?);
+        }
+        Ok(items)
+    }
+}
+
+impl<T: Codec> Codec for Option<T> {
+    const MIN_LEN: usize = 1;
+    fn encode(&self, out: &mut Vec<u8>) {
+        match self {
+            Some(v) => {
+                put_u8(out, 1);
+                v.encode(out);
+            }
+            None => put_u8(out, 0),
+        }
+    }
+    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireDecodeError> {
+        match r.u8()? {
+            0 => Ok(None),
+            1 => Ok(Some(T::decode(r)?)),
+            _ => Err(WireDecodeError::Invalid("option tag")),
+        }
+    }
+}
+
+impl<T: Codec> Codec for Box<T> {
+    const MIN_LEN: usize = T::MIN_LEN;
+    fn encode(&self, out: &mut Vec<u8>) {
+        (**self).encode(out);
+    }
+    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireDecodeError> {
+        T::decode(r).map(Box::new)
+    }
+}
+
+/// Implements [`Codec`] for a struct as its fields, encoded one after the
+/// other in the listed order. Every field must be listed with its type
+/// (the compiler rejects a missing field or a wrong type), and an optional
+/// `check` function vets the decoded value.
+///
+/// ```
+/// use revelio_core::wire::{Codec, WireDecodeError};
+///
+/// #[derive(Debug, PartialEq)]
+/// struct Span {
+///     start: u64,
+///     name: String,
+/// }
+/// revelio_core::wire_struct!(Span { start: u64, name: String } check non_empty);
+///
+/// fn non_empty(s: &Span) -> Result<(), WireDecodeError> {
+///     if s.name.is_empty() {
+///         return Err(WireDecodeError::Invalid("empty span name"));
+///     }
+///     Ok(())
+/// }
+///
+/// let s = Span { start: 7, name: "route".to_owned() };
+/// assert_eq!(Span::from_bytes(&s.to_bytes()), Ok(s));
+/// ```
+#[macro_export]
+macro_rules! wire_struct {
+    ($ty:ident { $($field:ident: $fty:ty),+ $(,)? } $(check $check:path)?) => {
+        impl $crate::wire::Codec for $ty {
+            const MIN_LEN: usize = 0 $(+ <$fty as $crate::wire::Codec>::MIN_LEN)+;
+            fn encode(&self, out: &mut Vec<u8>) {
+                $($crate::wire::Codec::encode(&self.$field, out);)+
+            }
+            fn decode(
+                r: &mut $crate::wire::WireReader<'_>,
+            ) -> Result<Self, $crate::wire::WireDecodeError> {
+                let value = $ty {
+                    $($field: <$fty as $crate::wire::Codec>::decode(r)?,)+
+                };
+                $($check(&value)?;)?
+                Ok(value)
+            }
+        }
+    };
+}
+
+/// Implements [`Codec`] for a fieldless enum as one tag byte per variant;
+/// an unlisted byte decodes to [`WireDecodeError::Invalid`] naming `what`.
+#[macro_export]
+macro_rules! wire_enum {
+    ($ty:ty, $what:literal { $($variant:path = $tag:literal),+ $(,)? }) => {
+        impl $crate::wire::Codec for $ty {
+            const MIN_LEN: usize = 1;
+            fn encode(&self, out: &mut Vec<u8>) {
+                $crate::wire::put_u8(out, match self { $($variant => $tag,)+ });
+            }
+            fn decode(
+                r: &mut $crate::wire::WireReader<'_>,
+            ) -> Result<Self, $crate::wire::WireDecodeError> {
+                match r.u8()? {
+                    $($tag => Ok($variant),)+
+                    _ => Err($crate::wire::WireDecodeError::Invalid($what)),
+                }
+            }
+        }
+    };
+}
+
+/// The property every [`Codec`] holds for `value`: it round-trips through
+/// [`Codec::to_bytes`] / [`Codec::from_bytes`], every strict prefix of its
+/// encoding fails to decode, and one trailing byte is rejected as
+/// [`WireDecodeError::TrailingBytes`]. Returns the first violation.
+pub fn check_codec<T: Codec + PartialEq + fmt::Debug>(value: &T) -> Result<(), String> {
+    let bytes = value.to_bytes();
+    match T::from_bytes(&bytes) {
+        Ok(back) if back == *value => {}
+        other => return Err(format!("{value:?} decoded back as {other:?}")),
+    }
+    for cut in 0..bytes.len() {
+        if let Ok(v) = T::decode(&mut WireReader::new(&bytes[..cut])) {
+            return Err(format!("{cut}-byte prefix of {value:?} decoded as {v:?}"));
+        }
+    }
+    let mut longer = bytes;
+    longer.push(0);
+    match T::from_bytes(&longer) {
+        Err(WireDecodeError::TrailingBytes(1)) => Ok(()),
+        other => Err(format!("{value:?} plus one byte decoded as {other:?}")),
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Layouts of the shared vocabulary.
 // ---------------------------------------------------------------------------
 
 /// The serialisable subset of [`ExplainControl`]: what a *remote* caller can
@@ -307,39 +523,23 @@ impl Default for ControlSpec {
     }
 }
 
-impl ControlSpec {
-    /// Appends the spec to `out`.
-    pub fn encode(&self, out: &mut Vec<u8>) {
-        put_opt_u64(out, self.deadline_ms);
-        put_u64(out, self.max_flows);
-        put_bool(out, self.shrink_on_overflow);
-        put_bool(out, self.trace);
-        put_bool(out, self.warm_start);
-    }
+wire_struct!(ControlSpec {
+    deadline_ms: Option<u64>,
+    max_flows: u64,
+    shrink_on_overflow: bool,
+    trace: bool,
+    warm_start: bool,
+});
 
-    /// Reads a spec written by [`ControlSpec::encode`].
-    pub fn decode(r: &mut WireReader<'_>) -> Result<ControlSpec, WireDecodeError> {
-        Ok(ControlSpec {
-            deadline_ms: r.opt_u64()?,
-            max_flows: r.u64()?,
-            shrink_on_overflow: r.bool()?,
-            trace: r.bool()?,
-            warm_start: r.bool()?,
-        })
-    }
-}
-
-impl Degradation {
-    /// Appends the degradation record to `out`.
-    pub fn encode(&self, out: &mut Vec<u8>) {
+impl Codec for Degradation {
+    const MIN_LEN: usize = 1 + 3 * 8;
+    fn encode(&self, out: &mut Vec<u8>) {
         put_bool(out, self.deadline_hit);
         put_u64(out, self.epochs_run as u64);
         put_u64(out, self.epochs_planned as u64);
         put_u64(out, self.flows_dropped);
     }
-
-    /// Reads a record written by [`Degradation::encode`].
-    pub fn decode(r: &mut WireReader<'_>) -> Result<Degradation, WireDecodeError> {
+    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireDecodeError> {
         Ok(Degradation {
             deadline_hit: r.bool()?,
             epochs_run: r.u64()? as usize,
@@ -349,15 +549,126 @@ impl Degradation {
     }
 }
 
-/// Appends a score vector (importance scores are just `f32`s, but the named
-/// helper keeps call sites self-describing).
-pub fn put_scores(out: &mut Vec<u8>, scores: &[f32]) {
-    put_f32s(out, scores);
+wire_struct!(ConvergedMask {
+    mask_params: Vec<f32>,
+    layer_weights: Vec<Vec<f32>>,
+    selected: Vec<u32>,
+} check mask_aligned);
+
+/// A converged mask holds one parameter per selected flow.
+fn mask_aligned(m: &ConvergedMask) -> Result<(), WireDecodeError> {
+    if m.mask_params.len() != m.selected.len() {
+        return Err(WireDecodeError::Invalid(
+            "mask parameters misaligned with selection",
+        ));
+    }
+    Ok(())
 }
 
-/// Reads a score vector written by [`put_scores`].
-pub fn read_scores(r: &mut WireReader<'_>) -> Result<Vec<f32>, WireDecodeError> {
-    r.f32s()
+wire_enum!(Objective, "objective tag" {
+    Objective::Factual = 0,
+    Objective::Counterfactual = 1,
+});
+
+impl Codec for Target {
+    const MIN_LEN: usize = 1;
+    fn encode(&self, out: &mut Vec<u8>) {
+        match *self {
+            Target::Graph => put_u8(out, 0),
+            Target::Node(n) => {
+                put_u8(out, 1);
+                put_u64(out, n as u64);
+            }
+        }
+    }
+    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireDecodeError> {
+        match r.u8()? {
+            0 => Ok(Target::Graph),
+            1 => Ok(Target::Node(r.u64()? as usize)),
+            _ => Err(WireDecodeError::Invalid("target tag")),
+        }
+    }
+}
+
+wire_enum!(GnnKind, "gnn kind tag" {
+    GnnKind::Gcn = 0,
+    GnnKind::Gin = 1,
+    GnnKind::Gat = 2,
+});
+
+wire_enum!(Task, "task tag" {
+    Task::NodeClassification = 0,
+    Task::GraphClassification = 1,
+});
+
+impl Codec for GnnConfig {
+    const MIN_LEN: usize = 1 + 1 + 5 * 4 + 8;
+    fn encode(&self, out: &mut Vec<u8>) {
+        self.kind.encode(out);
+        self.task.encode(out);
+        for dim in [
+            self.in_dim,
+            self.hidden_dim,
+            self.num_classes,
+            self.num_layers,
+            self.heads,
+        ] {
+            put_u32(out, dim as u32);
+        }
+        put_u64(out, self.seed);
+    }
+    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireDecodeError> {
+        Ok(GnnConfig {
+            kind: GnnKind::decode(r)?,
+            task: Task::decode(r)?,
+            in_dim: r.u32()? as usize,
+            hidden_dim: r.u32()? as usize,
+            num_classes: r.u32()? as usize,
+            num_layers: r.u32()? as usize,
+            heads: r.u32()? as usize,
+            seed: r.u64()?,
+        })
+    }
+}
+
+impl Codec for Phase {
+    const MIN_LEN: usize = 1;
+    fn encode(&self, out: &mut Vec<u8>) {
+        put_u8(out, self.to_u8());
+    }
+    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireDecodeError> {
+        Phase::from_u8(r.u8()?).ok_or(WireDecodeError::Invalid("phase tag"))
+    }
+}
+
+wire_struct!(TraceContext {
+    trace_hi: u64,
+    trace_lo: u64,
+    parent_span: u64,
+    sampled: bool,
+});
+
+wire_struct!(AssembledSpan {
+    lane: u32,
+    name: String,
+    start_us: u64,
+    dur_us: u64,
+});
+
+wire_struct!(AssembledTrace {
+    trace_hi: u64,
+    trace_lo: u64,
+    dropped: u64,
+    lanes: Vec<String>,
+    spans: Vec<AssembledSpan>,
+} check spans_on_lanes);
+
+/// Every span of an assembled trace sits on one of its lanes.
+fn spans_on_lanes(t: &AssembledTrace) -> Result<(), WireDecodeError> {
+    if t.spans.iter().any(|s| s.lane as usize >= t.lanes.len()) {
+        return Err(WireDecodeError::Invalid("span lane index out of range"));
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -373,8 +684,8 @@ mod tests {
         put_u64(&mut buf, u64::MAX - 1);
         put_f32(&mut buf, -0.0);
         put_bool(&mut buf, true);
-        put_opt_u64(&mut buf, None);
-        put_opt_u64(&mut buf, Some(42));
+        None::<u64>.encode(&mut buf);
+        Some(42u64).encode(&mut buf);
         put_str(&mut buf, "REVELIO");
         let mut r = WireReader::new(&buf);
         assert_eq!(r.u8(), Ok(7));
@@ -383,8 +694,8 @@ mod tests {
         assert_eq!(r.u64(), Ok(u64::MAX - 1));
         assert_eq!(r.f32().map(f32::to_bits), Ok((-0.0f32).to_bits()));
         assert_eq!(r.bool(), Ok(true));
-        assert_eq!(r.opt_u64(), Ok(None));
-        assert_eq!(r.opt_u64(), Ok(Some(42)));
+        assert_eq!(Option::<u64>::decode(&mut r), Ok(None));
+        assert_eq!(Option::<u64>::decode(&mut r), Ok(Some(42)));
         assert_eq!(r.str().as_deref(), Ok("REVELIO"));
         assert_eq!(r.expect_end(), Ok(()));
     }
@@ -409,16 +720,19 @@ mod tests {
         let mut buf = Vec::new();
         put_u32(&mut buf, u32::MAX / 2);
         let mut r = WireReader::new(&buf);
-        assert!(matches!(r.f32s(), Err(WireDecodeError::Truncated { .. })));
+        assert!(matches!(
+            Vec::<f32>::decode(&mut r),
+            Err(WireDecodeError::Truncated { .. })
+        ));
     }
 
     #[test]
     fn nan_scores_survive_bit_exact() {
         let weird = f32::from_bits(0x7FC0_0001); // NaN with a payload
         let mut buf = Vec::new();
-        put_scores(&mut buf, &[1.5, weird, f32::NEG_INFINITY]);
+        put_slice(&mut buf, &[1.5, weird, f32::NEG_INFINITY]);
         let mut r = WireReader::new(&buf);
-        let back = read_scores(&mut r).expect("decodes");
+        let back = Vec::<f32>::decode(&mut r).expect("decodes");
         assert_eq!(back.len(), 3);
         assert_eq!(back[0].to_bits(), 1.5f32.to_bits());
         assert_eq!(back[1].to_bits(), weird.to_bits());
@@ -454,7 +768,10 @@ mod tests {
         let mut r = WireReader::new(&[2]);
         assert_eq!(r.bool(), Err(WireDecodeError::Invalid("bool byte")));
         let mut r = WireReader::new(&[9, 0, 0, 0, 0, 0, 0, 0, 0]);
-        assert_eq!(r.opt_u64(), Err(WireDecodeError::Invalid("option tag")));
+        assert_eq!(
+            Option::<u64>::decode(&mut r),
+            Err(WireDecodeError::Invalid("option tag"))
+        );
         let mut r = WireReader::new(&[2, 0, 0xFF, 0xFE]);
         assert_eq!(
             r.str(),

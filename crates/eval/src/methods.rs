@@ -17,6 +17,11 @@ pub enum Effort {
     Paper,
 }
 
+revelio_core::wire_enum!(Effort, "effort tag" {
+    Effort::Quick = 0,
+    Effort::Paper = 1,
+});
+
 /// Every method of §V-A, in the paper's table order.
 pub const ALL_METHODS: [&str; 10] = [
     "GradCAM",

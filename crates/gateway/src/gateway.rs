@@ -36,7 +36,7 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 use revelio_gnn::GnnConfig;
-use revelio_server::server::{read_frame_cancellable, POLL_INTERVAL};
+use revelio_server::server::{accept_loop, read_frame_cancellable, wake_acceptor, POLL_INTERVAL};
 use revelio_server::wire::{
     write_frame, ErrorKind, ExplainRequest, GatewayBackendStats, GatewayStats, Request, Response,
     ServerStats, WireExplanationSummary, DEFAULT_MAX_FRAME_LEN, PROTOCOL_VERSION,
@@ -310,6 +310,8 @@ struct Shared {
     /// replay so registrations reach every backend in the same order.
     registrations: Mutex<Vec<(GnnConfig, Vec<Vec<f32>>)>>,
     stop: AtomicBool,
+    /// The listener's address, connected to once to wake the acceptor.
+    addr: SocketAddr,
     routed: AtomicU64,
     fanout: AtomicU64,
     rerouted: AtomicU64,
@@ -329,6 +331,13 @@ struct Shared {
 }
 
 impl Shared {
+    /// Raises the stop flag and, the first time, wakes the acceptor.
+    fn request_stop(&self) {
+        if !self.stop.swap(true, Ordering::AcqRel) {
+            wake_acceptor(self.addr);
+        }
+    }
+
     fn backend_client_cfg(&self, read_timeout: Duration) -> ClientConfig {
         ClientConfig {
             max_frame_len: self.cfg.max_frame_len,
@@ -454,7 +463,7 @@ impl Shared {
                         let _ = self.call(b, &Request::Shutdown, self.cfg.health_timeout);
                     }
                 }
-                self.stop.store(true, Ordering::Release);
+                self.request_stop();
                 (Response::ShutdownAck, true)
             }
         }
@@ -967,7 +976,6 @@ impl Gateway {
         cfg.validate()?;
         let listener = TcpListener::bind(&cfg.addr)?;
         let local_addr = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
         let ring = Ring::new(cfg.shards.len(), cfg.vnodes);
         let backends = cfg.shards.iter().cloned().map(Backend::new).collect();
         let sampler = Sampler::new(cfg.trace_sample_rate, TRACE_SEED);
@@ -977,6 +985,7 @@ impl Gateway {
             backends,
             registrations: Mutex::new(Vec::new()),
             stop: AtomicBool::new(false),
+            addr: local_addr,
             routed: AtomicU64::new(0),
             fanout: AtomicU64::new(0),
             rerouted: AtomicU64::new(0),
@@ -993,7 +1002,20 @@ impl Gateway {
             let handlers = Arc::clone(&handlers);
             thread::Builder::new()
                 .name("gateway-acceptor".to_owned())
-                .spawn(move || accept_loop(&listener, &shared, &handlers))?
+                .spawn(move || {
+                    accept_loop(&listener, &shared.stop, |stream| {
+                        // Reap finished handlers so the vec doesn't grow
+                        // without bound on long-lived gateways.
+                        lock(&handlers).retain(|h| !h.is_finished());
+                        let shared = Arc::clone(&shared);
+                        let spawned = thread::Builder::new()
+                            .name("gateway-conn".to_owned())
+                            .spawn(move || handle_connection(stream, &shared));
+                        if let Ok(h) = spawned {
+                            lock(&handlers).push(h);
+                        }
+                    });
+                })?
         };
         let health = {
             let shared = Arc::clone(&shared);
@@ -1022,7 +1044,7 @@ impl Gateway {
 
     /// Requests shutdown without blocking.
     pub fn stop(&self) {
-        self.shared.stop.store(true, Ordering::Release);
+        self.shared.request_stop();
     }
 
     /// Current gateway counters and per-backend health.
@@ -1065,33 +1087,6 @@ impl Drop for Gateway {
     fn drop(&mut self) {
         self.stop();
         self.join_threads();
-    }
-}
-
-fn accept_loop(
-    listener: &TcpListener,
-    shared: &Arc<Shared>,
-    handlers: &Arc<Mutex<Vec<thread::JoinHandle<()>>>>,
-) {
-    while !shared.stop.load(Ordering::Acquire) {
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                // Reap finished handlers so the vec doesn't grow without
-                // bound on long-lived gateways.
-                lock(handlers).retain(|h| !h.is_finished());
-                let shared = Arc::clone(shared);
-                let spawned = thread::Builder::new()
-                    .name("gateway-conn".to_owned())
-                    .spawn(move || handle_connection(stream, &shared));
-                if let Ok(h) = spawned {
-                    lock(handlers).push(h);
-                }
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                thread::sleep(POLL_INTERVAL);
-            }
-            Err(_) => thread::sleep(POLL_INTERVAL),
-        }
     }
 }
 

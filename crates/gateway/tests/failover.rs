@@ -369,3 +369,20 @@ fn recovered_shard_is_readmitted_with_registrations_replayed() {
     }
     gateway.shutdown();
 }
+
+/// An idle gateway's acceptor blocks in `accept`; `shutdown` must wake it
+/// and join the acceptor, the health poller and every handler within a
+/// second.
+#[test]
+fn idle_gateway_shuts_down_within_a_second() {
+    let backend = start_backend("127.0.0.1:0");
+    let gateway = start_gateway(vec![backend.local_addr().to_string()]);
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        gateway.shutdown();
+        let _ = tx.send(());
+    });
+    rx.recv_timeout(Duration::from_secs(1))
+        .expect("idle gateway did not shut down within 1 s");
+    backend.shutdown();
+}

@@ -10,7 +10,7 @@ use std::collections::HashSet;
 /// Table III) while GNN layers still aggregate each node's own state.
 ///
 /// Undirected datasets store both edge directions explicitly.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Graph {
     num_nodes: usize,
     feat_dim: usize,

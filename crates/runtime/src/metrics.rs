@@ -73,6 +73,13 @@ pub struct HistogramSnapshot {
     pub max_us: u64,
 }
 
+revelio_core::wire_struct!(HistogramSnapshot {
+    buckets: [u64; NUM_BUCKETS],
+    count: u64,
+    total_us: u64,
+    max_us: u64,
+});
+
 impl HistogramSnapshot {
     /// Mean latency in microseconds (0 when empty).
     pub fn mean_us(&self) -> u64 {
@@ -190,6 +197,13 @@ pub struct SizeHistogramSnapshot {
     pub total: u64,
     pub max: u64,
 }
+
+revelio_core::wire_struct!(SizeHistogramSnapshot {
+    buckets: [u64; NUM_SIZE_BUCKETS],
+    count: u64,
+    total: u64,
+    max: u64,
+});
 
 impl SizeHistogramSnapshot {
     /// Mean observed size ×1000 (fixed-point, 0 when empty) — keeps the
@@ -363,6 +377,33 @@ pub struct MetricsSnapshot {
     /// Distribution of fused-batch widths.
     pub batch_size: SizeHistogramSnapshot,
 }
+
+// The wire order predates the struct's field grouping: the counters come
+// first, then the histograms, then the store and batch counters.
+revelio_core::wire_struct!(MetricsSnapshot {
+    jobs_submitted: u64,
+    jobs_started: u64,
+    jobs_completed: u64,
+    jobs_degraded: u64,
+    jobs_failed: u64,
+    jobs_rejected: u64,
+    queue_depth: u64,
+    cache_hits: u64,
+    cache_misses: u64,
+    epochs_total: u64,
+    queue_wait: HistogramSnapshot,
+    prep_latency: HistogramSnapshot,
+    explain_latency: HistogramSnapshot,
+    phase_extraction: HistogramSnapshot,
+    phase_flow_index: HistogramSnapshot,
+    phase_optimize: HistogramSnapshot,
+    phase_readout: HistogramSnapshot,
+    store_hits: u64,
+    store_misses: u64,
+    batches: u64,
+    batched_jobs: u64,
+    batch_size: SizeHistogramSnapshot,
+});
 
 impl MetricsSnapshot {
     /// Cache hit rate in `[0, 1]` (0 when the cache was never probed).

@@ -5,8 +5,9 @@
 //! funnels decoded requests into the [`revelio_runtime::Runtime`] worker
 //! pool ([`server`]), and a small client library with retry/backoff
 //! ([`client`]). Everything is `std`-only — the transport is plain TCP,
-//! the codec hand-rolled and validated, the concurrency model
-//! thread-per-connection over the runtime's fixed worker pool.
+//! the codec the workspace's one [`revelio_core::wire::Codec`], the
+//! concurrency model thread-per-connection over the runtime's fixed worker
+//! pool.
 //!
 //! ```no_run
 //! use revelio_server::{Client, Server, ServerConfig};
@@ -27,7 +28,7 @@ pub mod wire;
 pub use client::{Client, ClientConfig, ClientError};
 pub use server::{read_frame_cancellable, Server, ServerConfig, ServerStartError, POLL_INTERVAL};
 pub use wire::{
-    ErrorKind, ExplainRequest, GatewayBackendStats, GatewayStats, Request, Response,
+    ErrorKind, ExplainRequest, GatewayBackendStats, GatewayStats, MaskKey, Request, Response,
     ServedExplanation, ServerStats, WireError, WireEvent, WireEventKind, WireExplanationSummary,
     WireStoredExplanation, WireTiming, WireTrace, DEFAULT_MAX_FRAME_LEN, MAGIC, PROTOCOL_VERSION,
 };

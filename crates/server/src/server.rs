@@ -1,10 +1,10 @@
 //! The blocking TCP server: acceptor + per-connection handler threads over
 //! the explanation runtime.
 //!
-//! Concurrency model: one acceptor thread polls a non-blocking listener;
-//! each accepted connection gets its own handler thread that decodes
-//! frames, submits jobs to the shared [`Runtime`] worker pool, and writes
-//! responses. Parallelism of the *explanations* is bounded by the pool's
+//! Concurrency model: one acceptor thread blocks in `accept` (see
+//! [`accept_loop`]); each accepted connection gets its own handler thread
+//! that decodes frames, submits jobs to the shared [`Runtime`] worker
+//! pool, and writes responses. Parallelism of the *explanations* is bounded by the pool's
 //! worker count, not the connection count, and admission control bounds
 //! the number of jobs in flight: an `Explain` arriving past
 //! [`ServerConfig::max_in_flight`] is answered with [`Response::Busy`]
@@ -16,7 +16,7 @@
 //! before returning the final stats.
 
 use std::io::Read;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread;
@@ -31,12 +31,12 @@ use revelio_runtime::{
     ExplainJob, Histogram, JobError, ModelHandle, Runtime, RuntimeBootError, RuntimeConfig,
     RuntimeConfigError, TraceMiss,
 };
-use revelio_store::{ExplanationRecord, ExplanationSummary, LogStore, Store, StoreError};
+use revelio_store::{ExplanationRecord, LogStore, Store, StoreError};
 use revelio_trace::{hex_trace_id, AssembledTrace, Sampler};
 
 use crate::wire::{
-    parse_header, write_frame, ErrorKind, ExplainRequest, Request, Response, ServedExplanation,
-    ServerStats, WireError, WireExplanationSummary, WireStoredExplanation, WireTiming, WireTrace,
+    check_payload, parse_header, write_frame, ErrorKind, ExplainRequest, Request, Response,
+    ServedExplanation, ServerStats, WireError, WireStoredExplanation, WireTiming, WireTrace,
     DEFAULT_MAX_FRAME_LEN, HEADER_LEN, PROTOCOL_VERSION,
 };
 
@@ -109,6 +109,8 @@ struct WireCounters {
 struct Shared {
     runtime: Runtime,
     stop: AtomicBool,
+    /// The listener's address, connected to once to wake the acceptor.
+    addr: SocketAddr,
     counters: WireCounters,
     /// Wire model id → runtime handle.
     models: Mutex<Vec<ModelHandle>>,
@@ -122,6 +124,13 @@ struct Shared {
 }
 
 impl Shared {
+    /// Raises the stop flag and, the first time, wakes the acceptor.
+    fn request_stop(&self) {
+        if !self.stop.swap(true, Ordering::AcqRel) {
+            wake_acceptor(self.addr);
+        }
+    }
+
     fn stats(&self) -> ServerStats {
         let c = &self.counters;
         ServerStats {
@@ -177,11 +186,11 @@ impl Server {
         let models = runtime.model_handles();
         let listener = TcpListener::bind(&cfg.addr)?;
         let local_addr = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
         let sampler = Sampler::new(cfg.trace_sample_rate, 0x7265_7665_6c69_6f21);
         let shared = Arc::new(Shared {
             runtime,
             stop: AtomicBool::new(false),
+            addr: local_addr,
             counters: WireCounters::default(),
             models: Mutex::new(models),
             store,
@@ -194,7 +203,11 @@ impl Server {
             let handlers = Arc::clone(&handlers);
             thread::Builder::new()
                 .name("revelio-acceptor".to_owned())
-                .spawn(move || accept_loop(&listener, &shared, &handlers))?
+                .spawn(move || {
+                    accept_loop(&listener, &shared.stop, |stream| {
+                        spawn_handler(stream, &shared, &handlers);
+                    });
+                })?
         };
         Ok(Server {
             shared,
@@ -218,7 +231,7 @@ impl Server {
     /// Requests shutdown without blocking: stops accepting and tells
     /// handlers to exit at the next frame boundary.
     pub fn stop(&self) {
-        self.shared.stop.store(true, Ordering::Release);
+        self.shared.request_stop();
     }
 
     /// Current unified wire + runtime stats.
@@ -307,57 +320,71 @@ impl From<StoreError> for ServerStartError {
     }
 }
 
-fn accept_loop(
-    listener: &TcpListener,
-    shared: &Arc<Shared>,
-    handlers: &Arc<Mutex<Vec<thread::JoinHandle<()>>>>,
-) {
-    while !shared.stop.load(Ordering::Acquire) {
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                shared
-                    .counters
-                    .connections_accepted
-                    .fetch_add(1, Ordering::Relaxed);
-                shared
-                    .counters
-                    .connections_active
-                    .fetch_add(1, Ordering::Relaxed);
-                let conn_shared = Arc::clone(shared);
-                let spawn = thread::Builder::new()
-                    .name("revelio-conn".to_owned())
-                    .spawn(move || {
-                        handle_connection(stream, &conn_shared);
-                        conn_shared
-                            .counters
-                            .connections_active
-                            .fetch_sub(1, Ordering::Relaxed);
-                    });
-                match spawn {
-                    Ok(h) => {
-                        if let Ok(mut hs) = handlers.lock() {
-                            // Reap finished handlers so a long-lived server
-                            // with many short connections does not hoard
-                            // JoinHandles; dropping a finished handle just
-                            // detaches an already-dead thread.
-                            hs.retain(|h| !h.is_finished());
-                            hs.push(h);
-                        }
-                    }
-                    Err(_) => {
-                        // Thread spawn failed (resource exhaustion); the
-                        // stream drops and the peer sees a reset.
-                        shared
-                            .counters
-                            .connections_active
-                            .fetch_sub(1, Ordering::Relaxed);
-                    }
-                }
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                thread::sleep(POLL_INTERVAL);
-            }
+/// Runs a blocking accept loop until `stop` is raised, handing every
+/// accepted connection to `on_conn`. The flag is checked after each
+/// `accept` returns, so whoever raises it must then call
+/// [`wake_acceptor`] with the listener's address to unblock the pending
+/// `accept`; the connection that wakes the loop is dropped unserved. Both
+/// the backend server and the gateway accept through this loop.
+pub fn accept_loop(listener: &TcpListener, stop: &AtomicBool, mut on_conn: impl FnMut(TcpStream)) {
+    loop {
+        let accepted = listener.accept();
+        if stop.load(Ordering::Acquire) {
+            return;
+        }
+        match accepted {
+            Ok((stream, _peer)) => on_conn(stream),
+            // Resource exhaustion (EMFILE, …): back off instead of spinning.
             Err(_) => thread::sleep(POLL_INTERVAL),
+        }
+    }
+}
+
+/// Unblocks an [`accept_loop`] listening on `addr` by connecting to it
+/// once; an unspecified bind address (`0.0.0.0` / `::`) is reached over
+/// loopback.
+pub fn wake_acceptor(mut addr: SocketAddr) {
+    if addr.ip().is_unspecified() {
+        addr.set_ip(match addr {
+            SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+            SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+        });
+    }
+    let _ = TcpStream::connect_timeout(&addr, Duration::from_secs(1));
+}
+
+fn spawn_handler(
+    stream: TcpStream,
+    shared: &Arc<Shared>,
+    handlers: &Mutex<Vec<thread::JoinHandle<()>>>,
+) {
+    let c = &shared.counters;
+    c.connections_accepted.fetch_add(1, Ordering::Relaxed);
+    c.connections_active.fetch_add(1, Ordering::Relaxed);
+    let conn_shared = Arc::clone(shared);
+    let spawn = thread::Builder::new()
+        .name("revelio-conn".to_owned())
+        .spawn(move || {
+            handle_connection(stream, &conn_shared);
+            conn_shared
+                .counters
+                .connections_active
+                .fetch_sub(1, Ordering::Relaxed);
+        });
+    match spawn {
+        Ok(h) => {
+            if let Ok(mut hs) = handlers.lock() {
+                // Reap finished handlers so a long-lived server with many
+                // short connections does not hoard JoinHandles; dropping a
+                // finished handle just detaches an already-dead thread.
+                hs.retain(|h| !h.is_finished());
+                hs.push(h);
+            }
+        }
+        // Thread spawn failed (resource exhaustion); the stream drops and
+        // the peer sees a reset.
+        Err(_) => {
+            c.connections_active.fetch_sub(1, Ordering::Relaxed);
         }
     }
 }
@@ -397,84 +424,74 @@ fn read_frame_polling(
 /// raised while no frame is in progress) and `Ok(Some((payload,
 /// frame_len)))` on success, where `frame_len` counts header + payload
 /// bytes for accounting. A frame that *started* is given `read_timeout` to
-/// finish even after `stop` is raised. This is the building block behind
-/// both the backend server's connection loop and the gateway's; callers
-/// must have set a short socket read timeout (else `stop` is only polled
-/// at that cadence).
+/// finish even after `stop` is raised. The header is validated with
+/// [`parse_header`] before the payload is read straight into its buffer.
+/// This is the building block behind both the backend server's connection
+/// loop and the gateway's; callers must have set a short socket read
+/// timeout (else `stop` is only polled at that cadence).
 pub fn read_frame_cancellable(
     stream: &mut TcpStream,
     max_len: usize,
     read_timeout: Duration,
     stop: &AtomicBool,
 ) -> Result<Option<(Vec<u8>, usize)>, WireError> {
-    let mut buf: Vec<u8> = Vec::with_capacity(HEADER_LEN);
-    let mut chunk = [0u8; 64 * 1024];
-    let mut started_at: Option<Instant> = None;
-    let mut need = HEADER_LEN;
-    let mut expected_crc = 0u32;
-    let mut header_parsed = false;
+    let mut started: Option<Instant> = None;
+    let mut header = [0u8; HEADER_LEN];
+    if !fill_polling(stream, &mut header, &mut started, read_timeout, stop)? {
+        return Ok(None);
+    }
+    let (len, expected_crc) = parse_header(&header, max_len)?;
+    let mut payload = vec![0u8; len];
+    fill_polling(stream, &mut payload, &mut started, read_timeout, stop)?;
+    check_payload(&payload, expected_crc)?;
+    Ok(Some((payload, HEADER_LEN + len)))
+}
 
-    loop {
-        if let Some(t0) = started_at {
-            if t0.elapsed() > read_timeout {
+/// Fills `buf` from `stream`. `started` marks the frame's first byte: until
+/// it arrives, EOF or a raised `stop` is a clean end (`Ok(false)`); after
+/// it, the frame must complete within `read_timeout`.
+fn fill_polling(
+    stream: &mut TcpStream,
+    buf: &mut [u8],
+    started: &mut Option<Instant>,
+    read_timeout: Duration,
+    stop: &AtomicBool,
+) -> Result<bool, WireError> {
+    let mut filled = 0;
+    while filled < buf.len() {
+        match started {
+            Some(t0) if t0.elapsed() > read_timeout => {
                 return Err(WireError::Io(std::io::Error::new(
                     std::io::ErrorKind::TimedOut,
                     "frame did not complete within the read timeout",
                 )));
             }
-        } else if stop.load(Ordering::Acquire) {
-            return Ok(None);
+            None if stop.load(Ordering::Acquire) => return Ok(false),
+            _ => {}
         }
-        let want = (need - buf.len()).min(chunk.len());
-        match stream.read(&mut chunk[..want]) {
+        match stream.read(&mut buf[filled..]) {
+            Ok(0) if started.is_none() => return Ok(false),
             Ok(0) => {
-                return if buf.is_empty() {
-                    Ok(None)
-                } else {
-                    Err(WireError::Io(std::io::Error::new(
-                        std::io::ErrorKind::UnexpectedEof,
-                        "connection closed mid-frame",
-                    )))
-                };
+                return Err(WireError::Io(std::io::Error::new(
+                    std::io::ErrorKind::UnexpectedEof,
+                    "connection closed mid-frame",
+                )));
             }
             Ok(n) => {
-                if started_at.is_none() {
-                    started_at = Some(Instant::now());
-                }
-                buf.extend_from_slice(&chunk[..n]);
-                if !header_parsed && buf.len() == HEADER_LEN {
-                    let mut header = [0u8; HEADER_LEN];
-                    header.copy_from_slice(&buf);
-                    let (len, crc) = parse_header(&header, max_len)?;
-                    header_parsed = true;
-                    expected_crc = crc;
-                    need = HEADER_LEN + len;
-                    if len == 0 {
-                        // Fall through to the completion check below.
-                    }
-                }
-                if header_parsed && buf.len() == need {
-                    let payload = buf.split_off(HEADER_LEN);
-                    let got = crate::wire::crc32(&payload);
-                    if got != expected_crc {
-                        return Err(WireError::ChecksumMismatch {
-                            expected: expected_crc,
-                            got,
-                        });
-                    }
-                    return Ok(Some((payload, need)));
-                }
+                started.get_or_insert_with(Instant::now);
+                filled += n;
             }
             Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                continue;
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+                if matches!(
+                    e.kind(),
+                    std::io::ErrorKind::WouldBlock
+                        | std::io::ErrorKind::TimedOut
+                        | std::io::ErrorKind::Interrupted
+                ) => {}
             Err(e) => return Err(WireError::Io(e)),
         }
     }
+    Ok(true)
 }
 
 fn handle_connection(mut stream: TcpStream, shared: &Shared) {
@@ -584,7 +601,7 @@ fn serve_request(request: Request, shared: &Shared, t0: Instant) -> (Response, b
         }
         Request::AssembledTrace { hi, lo } => (serve_assembled(shared, hi, lo), false),
         Request::Shutdown => {
-            shared.stop.store(true, Ordering::Release);
+            shared.request_stop();
             (Response::ShutdownAck, true)
         }
         Request::FetchExplanation(job_id, _context) => (fetch_explanation(shared, job_id), false),
@@ -643,7 +660,7 @@ fn list_explanations(shared: &Shared) -> Response {
         return no_store_response();
     };
     match store.list_explanations() {
-        Ok(list) => Response::ExplanationList(list.iter().map(wire_summary).collect()),
+        Ok(list) => Response::ExplanationList(list),
         Err(e) => store_read_error(&e),
     }
 }
@@ -663,18 +680,6 @@ fn wire_stored(r: ExplanationRecord) -> WireStoredExplanation {
         prep_us: r.phases.prep_us,
         explain_us: r.phases.explain_us,
         has_mask: r.mask.is_some(),
-    }
-}
-
-fn wire_summary(s: &ExplanationSummary) -> WireExplanationSummary {
-    WireExplanationSummary {
-        job_id: s.job_id,
-        model: s.key.model_id,
-        graph_id: s.key.graph_id,
-        target: s.key.target,
-        layers: s.key.layers,
-        degraded: s.degraded,
-        has_mask: s.has_mask,
     }
 }
 

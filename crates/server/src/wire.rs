@@ -18,48 +18,37 @@
 //! corruption that TCP's own checksum misses (proxies, truncated writes
 //! replayed from buggy peers).
 //!
-//! Payloads are typed [`Request`] / [`Response`] values encoded with the
-//! serde-free primitives from [`revelio_core::wire`]; every enum tag and
-//! length is validated on decode, so a malformed payload is a typed
-//! [`WireError`] — never a panic or an unbounded allocation.
+//! A payload is one tag byte naming the [`Request`] / [`Response`] variant,
+//! followed by the variant's fields. Every message struct states its byte
+//! layout once, as a [`Codec`] impl over the shared primitives of
+//! [`revelio_core::wire`] — the same codec the store's log records use, so
+//! a stored explanation summary and a `ListExplanations` entry are one
+//! type with one layout. The layouts are byte-identical to every earlier
+//! build speaking protocol v6. Every enum tag and length is validated on
+//! decode, so a malformed payload is a typed [`WireError`] — never a panic
+//! or an unbounded allocation.
 
 use std::io::{Read, Write};
 
 use revelio_core::wire::{
-    put_bool, put_f32, put_f32s, put_opt_u64, put_str, put_u16, put_u32, put_u64, put_u8,
-    ControlSpec, WireDecodeError, WireReader,
+    put_slice, put_str, put_u32, put_u8, Codec, ControlSpec, WireDecodeError, WireReader,
 };
-use revelio_core::{Degradation, Objective};
+use revelio_core::{wire_enum, wire_struct, Degradation, Objective};
 use revelio_eval::Effort;
-use revelio_gnn::{GnnConfig, GnnKind, Task};
+use revelio_gnn::GnnConfig;
 use revelio_graph::{Graph, Target};
 use revelio_runtime::prometheus::{push_counter, push_gauge, push_histogram, render_metrics};
-use revelio_runtime::{
-    HistogramSnapshot, MetricsSnapshot, SizeHistogramSnapshot, BATCH_SIZE_BUCKETS,
-    LATENCY_BUCKETS_US,
-};
-use revelio_trace::{AssembledSpan, AssembledTrace, Event, EventKind, Phase, Trace, TraceContext};
+use revelio_runtime::{HistogramSnapshot, MetricsSnapshot};
+use revelio_trace::{AssembledTrace, Event, EventKind, Phase, Trace, TraceContext};
+
+pub use revelio_core::wire::crc32;
+pub use revelio_store::{ExplanationSummary as WireExplanationSummary, MaskKey};
 
 /// Frame magic: the first four bytes of every frame.
 pub const MAGIC: [u8; 4] = *b"RVLO";
 
-/// Wire protocol version; bumped on any incompatible layout change.
-///
-/// History: v1 — initial protocol; v2 — observability (`ControlSpec` trace
-/// toggle, `Stats` metrics extended with phase histograms and the epoch
-/// counter, `Trace` request/response, `trace_id` on served explanations);
-/// v3 — persistence (`ControlSpec` warm-start toggle, store hit/miss
-/// counters in `Stats`, `FetchExplanation` / `ListExplanations`
-/// request/response pairs over the server's persistent store);
-/// v4 — batched optimisation (batch counters and the batch-size histogram
-/// appended to the `Stats` metrics tail);
-/// v5 — sharding gateway (an optional [`GatewayStats`] tail on the `Stats`
-/// response carrying per-backend health, routing counters, and the fleet
-/// rollup; absent on plain `revelio-serve` answers);
-/// v6 — distributed tracing (an optional [`TraceContext`] on `Explain` /
-/// `Trace` / `FetchExplanation`, the `AssembledTrace` request/response
-/// pair, the `UnknownTrace` error kind, and trace sampling counters
-/// appended to the `Stats` tail).
+/// Wire protocol version; bumped on any incompatible layout change (the
+/// version history is in DESIGN.md §9).
 pub const PROTOCOL_VERSION: u16 = 6;
 
 /// Frame header length in bytes (magic + version + length + checksum).
@@ -78,9 +67,6 @@ pub const MAX_WIRE_NODES: usize = 1 << 24;
 /// registration with millions of parameters, small enough that a hostile
 /// length field cannot exhaust memory.
 pub const DEFAULT_MAX_FRAME_LEN: usize = 32 * 1024 * 1024;
-
-const NUM_BUCKETS: usize = LATENCY_BUCKETS_US.len() + 1;
-const NUM_SIZE_BUCKETS: usize = BATCH_SIZE_BUCKETS.len() + 1;
 
 /// Everything that can go wrong speaking the protocol.
 #[derive(Debug)]
@@ -174,39 +160,6 @@ impl WireError {
 }
 
 // ---------------------------------------------------------------------------
-// CRC-32 (IEEE 802.3), table-driven, computed at compile time.
-// ---------------------------------------------------------------------------
-
-const CRC_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
-    let mut i = 0;
-    while i < 256 {
-        let mut c = i as u32;
-        let mut k = 0;
-        while k < 8 {
-            c = if c & 1 != 0 {
-                0xEDB8_8320 ^ (c >> 1)
-            } else {
-                c >> 1
-            };
-            k += 1;
-        }
-        table[i] = c;
-        i += 1;
-    }
-    table
-};
-
-/// CRC-32 (IEEE) of `data`.
-pub fn crc32(data: &[u8]) -> u32 {
-    let mut c = 0xFFFF_FFFFu32;
-    for &b in data {
-        c = CRC_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
-    }
-    c ^ 0xFFFF_FFFF
-}
-
-// ---------------------------------------------------------------------------
 // Frame I/O.
 // ---------------------------------------------------------------------------
 
@@ -283,14 +236,17 @@ pub fn read_frame<R: Read>(
     let (len, expected_crc) = parse_header(&header, max_len)?;
     let mut payload = vec![0u8; len];
     r.read_exact(&mut payload)?;
-    let got = crc32(&payload);
-    if got != expected_crc {
-        return Err(WireError::ChecksumMismatch {
-            expected: expected_crc,
-            got,
-        });
-    }
+    check_payload(&payload, expected_crc)?;
     Ok(Some((payload, HEADER_LEN + len)))
+}
+
+/// Verifies a received payload against the checksum its header announced.
+pub(crate) fn check_payload(payload: &[u8], expected: u32) -> Result<(), WireError> {
+    let got = crc32(payload);
+    if got != expected {
+        return Err(WireError::ChecksumMismatch { expected, got });
+    }
+    Ok(())
 }
 
 // ---------------------------------------------------------------------------
@@ -298,7 +254,7 @@ pub fn read_frame<R: Read>(
 // ---------------------------------------------------------------------------
 
 /// One explanation request as it crosses the wire.
-#[derive(Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ExplainRequest {
     /// Model id returned by a prior `RegisterModel`.
     pub model: u32,
@@ -323,6 +279,39 @@ pub struct ExplainRequest {
     /// journals its fragment under the context's `trace_lo` so it can be
     /// fetched back by global trace id.
     pub context: Option<TraceContext>,
+}
+
+/// Cheapest possible wire graph: three counts, an empty feature vector,
+/// and two absent labels.
+const GRAPH_MIN_LEN: usize = 3 * 4 + 4 + 1 + 1;
+
+impl Codec for ExplainRequest {
+    const MIN_LEN: usize =
+        4 + 8 + 2 + 1 + 1 + Target::MIN_LEN + ControlSpec::MIN_LEN + GRAPH_MIN_LEN + 1;
+    fn encode(&self, out: &mut Vec<u8>) {
+        self.model.encode(out);
+        self.graph_id.encode(out);
+        self.method.encode(out);
+        self.objective.encode(out);
+        self.effort.encode(out);
+        self.target.encode(out);
+        self.control.encode(out);
+        encode_graph(out, &self.graph);
+        self.context.encode(out);
+    }
+    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireDecodeError> {
+        Ok(ExplainRequest {
+            model: u32::decode(r)?,
+            graph_id: u64::decode(r)?,
+            method: String::decode(r)?,
+            objective: Objective::decode(r)?,
+            effort: Effort::decode(r)?,
+            target: Target::decode(r)?,
+            control: ControlSpec::decode(r)?,
+            graph: decode_graph(r)?,
+            context: Option::decode(r)?,
+        })
+    }
 }
 
 /// A client → server message.
@@ -394,34 +383,16 @@ pub enum ErrorKind {
     UnknownTrace,
 }
 
-impl ErrorKind {
-    fn to_u8(self) -> u8 {
-        match self {
-            ErrorKind::UnknownModel => 0,
-            ErrorKind::UnknownMethod => 1,
-            ErrorKind::GroupLevelMethod => 2,
-            ErrorKind::Malformed => 3,
-            ErrorKind::Internal => 4,
-            ErrorKind::ShuttingDown => 5,
-            ErrorKind::NoStore => 6,
-            ErrorKind::UnknownTrace => 7,
-        }
-    }
-
-    fn from_u8(v: u8) -> Result<ErrorKind, WireDecodeError> {
-        Ok(match v {
-            0 => ErrorKind::UnknownModel,
-            1 => ErrorKind::UnknownMethod,
-            2 => ErrorKind::GroupLevelMethod,
-            3 => ErrorKind::Malformed,
-            4 => ErrorKind::Internal,
-            5 => ErrorKind::ShuttingDown,
-            6 => ErrorKind::NoStore,
-            7 => ErrorKind::UnknownTrace,
-            _ => return Err(WireDecodeError::Invalid("error kind tag")),
-        })
-    }
-}
+wire_enum!(ErrorKind, "error kind tag" {
+    ErrorKind::UnknownModel = 0,
+    ErrorKind::UnknownMethod = 1,
+    ErrorKind::GroupLevelMethod = 2,
+    ErrorKind::Malformed = 3,
+    ErrorKind::Internal = 4,
+    ErrorKind::ShuttingDown = 5,
+    ErrorKind::NoStore = 6,
+    ErrorKind::UnknownTrace = 7,
+});
 
 /// Per-request wall-clock timing, echoed back to the client.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -435,6 +406,13 @@ pub struct WireTiming {
     /// Decode → response encode, as measured by the server (µs).
     pub total_us: u64,
 }
+
+wire_struct!(WireTiming {
+    queue_us: u64,
+    prep_us: u64,
+    explain_us: u64,
+    total_us: u64,
+});
 
 /// A served explanation as it crosses the wire.
 #[derive(Debug, Clone, PartialEq)]
@@ -455,6 +433,15 @@ pub struct ServedExplanation {
     /// the id to cite in a follow-up [`Request::Trace`].
     pub trace_id: Option<u64>,
 }
+
+wire_struct!(ServedExplanation {
+    edge_scores: Vec<f32>,
+    layer_edge_scores: Option<Vec<Vec<f32>>>,
+    flow_scores: Option<Vec<f32>>,
+    degradation: Degradation,
+    timing: WireTiming,
+    trace_id: Option<u64>,
+});
 
 /// A persisted explanation as it crosses the wire: the stored answer plus
 /// the key it was recorded under. Converged-mask parameters stay
@@ -492,24 +479,21 @@ pub struct WireStoredExplanation {
     pub has_mask: bool,
 }
 
-/// One entry of a `ListExplanations` answer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WireExplanationSummary {
-    /// Job id to cite in a follow-up [`Request::FetchExplanation`].
-    pub job_id: u64,
-    /// Wire model id the job ran against.
-    pub model: u32,
-    /// Caller-assigned graph id.
-    pub graph_id: u64,
-    /// What was explained.
-    pub target: Target,
-    /// GNN layer count `L` of the serving model.
-    pub layers: u32,
-    /// Whether the stored answer was degraded.
-    pub degraded: bool,
-    /// Whether the record carries a converged mask.
-    pub has_mask: bool,
-}
+wire_struct!(WireStoredExplanation {
+    job_id: u64,
+    model: u32,
+    graph_id: u64,
+    target: Target,
+    layers: u32,
+    edge_scores: Vec<f32>,
+    layer_edge_scores: Option<Vec<Vec<f32>>>,
+    flow_scores: Option<Vec<f32>>,
+    degradation: Degradation,
+    queue_us: u64,
+    prep_us: u64,
+    explain_us: u64,
+    has_mask: bool,
+});
 
 /// One point-in-time unified metrics report: wire-level counters folded
 /// together with the runtime's registry.
@@ -688,8 +672,22 @@ pub struct GatewayBackendStats {
     pub jobs_completed: u64,
 }
 
-/// Gateway-level counters riding as an optional tail on the `Stats`
-/// response (protocol v5). Plain `revelio-serve` never attaches one.
+wire_struct!(GatewayBackendStats {
+    addr: String,
+    healthy: bool,
+    consecutive_failures: u32,
+    forwarded: u64,
+    errors: u64,
+    busy: u64,
+    health_checks: u64,
+    cache_hits: u64,
+    cache_misses: u64,
+    jobs_completed: u64,
+});
+
+/// Gateway-level counters, carried by the `Stats` response when the
+/// answering process is a gateway. Plain `revelio-serve` never attaches
+/// them.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct GatewayStats {
     /// Explain requests routed to a single owner via the ring.
@@ -842,66 +840,13 @@ impl GatewayStats {
     }
 }
 
-/// Cheapest possible [`GatewayBackendStats`] encoding: empty address
-/// (4-byte length prefix), flag, failure count, seven u64 counters. Used
-/// to bound a hostile backend count before allocation.
-const BACKEND_MIN_LEN: usize = 4 + 1 + 4 + 7 * 8;
-
-fn encode_gateway_stats(out: &mut Vec<u8>, g: &GatewayStats) {
-    put_u64(out, g.routed);
-    put_u64(out, g.fanout);
-    put_u64(out, g.rerouted);
-    put_u64(out, g.scatter);
-    put_u32(out, g.backends.len() as u32);
-    for b in &g.backends {
-        put_str(out, &b.addr);
-        put_bool(out, b.healthy);
-        put_u32(out, b.consecutive_failures);
-        put_u64(out, b.forwarded);
-        put_u64(out, b.errors);
-        put_u64(out, b.busy);
-        put_u64(out, b.health_checks);
-        put_u64(out, b.cache_hits);
-        put_u64(out, b.cache_misses);
-        put_u64(out, b.jobs_completed);
-    }
-}
-
-fn decode_gateway_stats(r: &mut WireReader<'_>) -> Result<GatewayStats, WireDecodeError> {
-    let routed = r.u64()?;
-    let fanout = r.u64()?;
-    let rerouted = r.u64()?;
-    let scatter = r.u64()?;
-    let n = r.u32()? as usize;
-    if r.remaining() < n.saturating_mul(BACKEND_MIN_LEN) {
-        return Err(WireDecodeError::Truncated {
-            needed: n.saturating_mul(BACKEND_MIN_LEN),
-            remaining: r.remaining(),
-        });
-    }
-    let mut backends = Vec::with_capacity(n);
-    for _ in 0..n {
-        backends.push(GatewayBackendStats {
-            addr: r.str()?,
-            healthy: r.bool()?,
-            consecutive_failures: r.u32()?,
-            forwarded: r.u64()?,
-            errors: r.u64()?,
-            busy: r.u64()?,
-            health_checks: r.u64()?,
-            cache_hits: r.u64()?,
-            cache_misses: r.u64()?,
-            jobs_completed: r.u64()?,
-        });
-    }
-    Ok(GatewayStats {
-        routed,
-        fanout,
-        rerouted,
-        scatter,
-        backends,
-    })
-}
+wire_struct!(GatewayStats {
+    routed: u64,
+    fanout: u64,
+    rerouted: u64,
+    scatter: u64,
+    backends: Vec<GatewayBackendStats>,
+});
 
 /// A server → client message.
 pub enum Response {
@@ -931,9 +876,9 @@ pub enum Response {
         /// Human-readable detail.
         message: String,
     },
-    /// Answer to `Stats`: the unified wire + runtime report, plus a
-    /// gateway tail when the answering process is a `revelio-gateway`
-    /// (plain `revelio-serve` always answers `None`).
+    /// Answer to `Stats`: the unified wire + runtime report, plus the
+    /// gateway's counters when the answering process is a
+    /// `revelio-gateway` (plain `revelio-serve` always answers `None`).
     Stats(Box<ServerStats>, Option<Box<GatewayStats>>),
     /// Answer to `Shutdown`; the connection closes after this frame.
     ShutdownAck,
@@ -956,26 +901,23 @@ pub enum Response {
 // Graph codec.
 // ---------------------------------------------------------------------------
 
+/// Appends a graph: node, feature and edge counts, the edge list, the
+/// feature matrix as a `Vec<f32>`, then the optional node labels
+/// (`Option<Vec<u32>>`) and graph label (`Option<u64>`).
 fn encode_graph(out: &mut Vec<u8>, g: &Graph) {
-    put_u32(out, g.num_nodes() as u32);
-    put_u32(out, g.feat_dim() as u32);
-    put_u32(out, g.num_edges() as u32);
+    for n in [g.num_nodes(), g.feat_dim(), g.num_edges()] {
+        put_u32(out, n as u32);
+    }
     for &(s, d) in g.edges() {
         put_u32(out, s);
         put_u32(out, d);
     }
-    put_f32s(out, g.features());
-    match g.node_labels() {
-        Some(labels) => {
-            put_u8(out, 1);
-            put_u32(out, labels.len() as u32);
-            for &l in labels {
-                put_u32(out, l as u32);
-            }
-        }
-        None => put_u8(out, 0),
-    }
-    put_opt_u64(out, g.graph_label().map(|l| l as u64));
+    put_slice(out, g.features());
+    let labels = g
+        .node_labels()
+        .map(|l| l.iter().map(|&v| v as u32).collect::<Vec<_>>());
+    labels.encode(out);
+    g.graph_label().map(|l| l as u64).encode(out);
 }
 
 fn decode_graph(r: &mut WireReader<'_>) -> Result<Graph, WireDecodeError> {
@@ -990,22 +932,12 @@ fn decode_graph(r: &mut WireReader<'_>) -> Result<Graph, WireDecodeError> {
     // follows the edge list. Checking both *before* `Graph::builder` keeps
     // a ~30-byte frame from declaring dimensions that force a
     // multi-gigabyte zero-fill inside the builder.
-    let edge_bytes = num_edges
-        .checked_mul(8)
-        .ok_or(WireDecodeError::Invalid("edge count overflows usize"))?;
-    let feat_bytes = num_nodes
-        .checked_mul(feat_dim)
-        .and_then(|n| n.checked_mul(4))
-        .ok_or(WireDecodeError::Invalid("feature matrix size overflow"))?;
-    let needed = edge_bytes
-        .checked_add(feat_bytes)
-        .ok_or(WireDecodeError::Invalid("graph payload size overflow"))?;
-    if r.remaining() < needed {
-        return Err(WireDecodeError::Truncated {
-            needed,
-            remaining: r.remaining(),
-        });
-    }
+    let feat_len = num_nodes.saturating_mul(feat_dim);
+    r.require(
+        num_edges
+            .saturating_mul(8)
+            .saturating_add(feat_len.saturating_mul(4)),
+    )?;
     let mut b = Graph::builder(num_nodes, feat_dim);
     for _ in 0..num_edges {
         let s = r.u32()? as usize;
@@ -1021,209 +953,23 @@ fn decode_graph(r: &mut WireReader<'_>) -> Result<Graph, WireDecodeError> {
         }
         b.edge(s, d);
     }
-    let features = r.f32s()?;
-    let expected = num_nodes
-        .checked_mul(feat_dim)
-        .ok_or(WireDecodeError::Invalid("feature matrix size overflow"))?;
-    if features.len() != expected {
+    let features = Vec::<f32>::decode(r)?;
+    if features.len() != feat_len {
         return Err(WireDecodeError::Invalid("feature matrix length mismatch"));
     }
-    if expected > 0 {
+    if feat_len > 0 {
         b.all_features(features);
     }
-    match r.u8()? {
-        0 => {}
-        1 => {
-            let n = r.u32()? as usize;
-            if n != num_nodes {
-                return Err(WireDecodeError::Invalid("node label count mismatch"));
-            }
-            let label_bytes = n
-                .checked_mul(4)
-                .ok_or(WireDecodeError::Invalid("node label size overflow"))?;
-            if r.remaining() < label_bytes {
-                return Err(WireDecodeError::Truncated {
-                    needed: label_bytes,
-                    remaining: r.remaining(),
-                });
-            }
-            let mut labels = Vec::with_capacity(n);
-            for _ in 0..n {
-                labels.push(r.u32()? as usize);
-            }
-            b.node_labels(labels);
+    if let Some(labels) = Option::<Vec<u32>>::decode(r)? {
+        if labels.len() != num_nodes {
+            return Err(WireDecodeError::Invalid("node label count mismatch"));
         }
-        _ => return Err(WireDecodeError::Invalid("node label tag")),
+        b.node_labels(labels.into_iter().map(|l| l as usize).collect());
     }
-    if let Some(l) = r.opt_u64()? {
+    if let Some(l) = Option::<u64>::decode(r)? {
         b.graph_label(l as usize);
     }
     Ok(b.build())
-}
-
-fn encode_target(out: &mut Vec<u8>, t: Target) {
-    match t {
-        Target::Graph => put_u8(out, 0),
-        Target::Node(n) => {
-            put_u8(out, 1);
-            put_u64(out, n as u64);
-        }
-    }
-}
-
-fn decode_target(r: &mut WireReader<'_>) -> Result<Target, WireDecodeError> {
-    match r.u8()? {
-        0 => Ok(Target::Graph),
-        1 => Ok(Target::Node(r.u64()? as usize)),
-        _ => Err(WireDecodeError::Invalid("target tag")),
-    }
-}
-
-fn encode_gnn_config(out: &mut Vec<u8>, c: &GnnConfig) {
-    put_u8(
-        out,
-        match c.kind {
-            GnnKind::Gcn => 0,
-            GnnKind::Gin => 1,
-            GnnKind::Gat => 2,
-        },
-    );
-    put_u8(
-        out,
-        match c.task {
-            Task::NodeClassification => 0,
-            Task::GraphClassification => 1,
-        },
-    );
-    put_u32(out, c.in_dim as u32);
-    put_u32(out, c.hidden_dim as u32);
-    put_u32(out, c.num_classes as u32);
-    put_u32(out, c.num_layers as u32);
-    put_u32(out, c.heads as u32);
-    put_u64(out, c.seed);
-}
-
-fn decode_gnn_config(r: &mut WireReader<'_>) -> Result<GnnConfig, WireDecodeError> {
-    let kind = match r.u8()? {
-        0 => GnnKind::Gcn,
-        1 => GnnKind::Gin,
-        2 => GnnKind::Gat,
-        _ => return Err(WireDecodeError::Invalid("gnn kind tag")),
-    };
-    let task = match r.u8()? {
-        0 => Task::NodeClassification,
-        1 => Task::GraphClassification,
-        _ => return Err(WireDecodeError::Invalid("task tag")),
-    };
-    Ok(GnnConfig {
-        kind,
-        task,
-        in_dim: r.u32()? as usize,
-        hidden_dim: r.u32()? as usize,
-        num_classes: r.u32()? as usize,
-        num_layers: r.u32()? as usize,
-        heads: r.u32()? as usize,
-        seed: r.u64()?,
-    })
-}
-
-fn encode_histogram(out: &mut Vec<u8>, h: &HistogramSnapshot) {
-    for b in h.buckets {
-        put_u64(out, b);
-    }
-    put_u64(out, h.count);
-    put_u64(out, h.total_us);
-    put_u64(out, h.max_us);
-}
-
-fn decode_histogram(r: &mut WireReader<'_>) -> Result<HistogramSnapshot, WireDecodeError> {
-    let mut buckets = [0u64; NUM_BUCKETS];
-    for b in &mut buckets {
-        *b = r.u64()?;
-    }
-    Ok(HistogramSnapshot {
-        buckets,
-        count: r.u64()?,
-        total_us: r.u64()?,
-        max_us: r.u64()?,
-    })
-}
-
-fn encode_metrics(out: &mut Vec<u8>, m: &MetricsSnapshot) {
-    put_u64(out, m.jobs_submitted);
-    put_u64(out, m.jobs_started);
-    put_u64(out, m.jobs_completed);
-    put_u64(out, m.jobs_degraded);
-    put_u64(out, m.jobs_failed);
-    put_u64(out, m.jobs_rejected);
-    put_u64(out, m.queue_depth);
-    put_u64(out, m.cache_hits);
-    put_u64(out, m.cache_misses);
-    put_u64(out, m.epochs_total);
-    encode_histogram(out, &m.queue_wait);
-    encode_histogram(out, &m.prep_latency);
-    encode_histogram(out, &m.explain_latency);
-    encode_histogram(out, &m.phase_extraction);
-    encode_histogram(out, &m.phase_flow_index);
-    encode_histogram(out, &m.phase_optimize);
-    encode_histogram(out, &m.phase_readout);
-    // v3: store counters ride at the tail so the layout stays append-only.
-    put_u64(out, m.store_hits);
-    put_u64(out, m.store_misses);
-    // v4: batch counters and the batch-size histogram, appended after the
-    // v3 tail.
-    put_u64(out, m.batches);
-    put_u64(out, m.batched_jobs);
-    encode_size_histogram(out, &m.batch_size);
-}
-
-fn encode_size_histogram(out: &mut Vec<u8>, h: &SizeHistogramSnapshot) {
-    for b in h.buckets {
-        put_u64(out, b);
-    }
-    put_u64(out, h.count);
-    put_u64(out, h.total);
-    put_u64(out, h.max);
-}
-
-fn decode_size_histogram(r: &mut WireReader<'_>) -> Result<SizeHistogramSnapshot, WireDecodeError> {
-    let mut buckets = [0u64; NUM_SIZE_BUCKETS];
-    for b in &mut buckets {
-        *b = r.u64()?;
-    }
-    Ok(SizeHistogramSnapshot {
-        buckets,
-        count: r.u64()?,
-        total: r.u64()?,
-        max: r.u64()?,
-    })
-}
-
-fn decode_metrics(r: &mut WireReader<'_>) -> Result<MetricsSnapshot, WireDecodeError> {
-    Ok(MetricsSnapshot {
-        jobs_submitted: r.u64()?,
-        jobs_started: r.u64()?,
-        jobs_completed: r.u64()?,
-        jobs_degraded: r.u64()?,
-        jobs_failed: r.u64()?,
-        jobs_rejected: r.u64()?,
-        queue_depth: r.u64()?,
-        cache_hits: r.u64()?,
-        cache_misses: r.u64()?,
-        epochs_total: r.u64()?,
-        queue_wait: decode_histogram(r)?,
-        prep_latency: decode_histogram(r)?,
-        explain_latency: decode_histogram(r)?,
-        phase_extraction: decode_histogram(r)?,
-        phase_flow_index: decode_histogram(r)?,
-        phase_optimize: decode_histogram(r)?,
-        phase_readout: decode_histogram(r)?,
-        store_hits: r.u64()?,
-        store_misses: r.u64()?,
-        batches: r.u64()?,
-        batched_jobs: r.u64()?,
-        batch_size: decode_size_histogram(r)?,
-    })
 }
 
 // ---------------------------------------------------------------------------
@@ -1362,21 +1108,18 @@ const EV_CACHE_PROBE: u8 = 3;
 const EV_DEADLINE_HIT: u8 = 4;
 const EV_NOTE: u8 = 5;
 
-fn encode_trace(out: &mut Vec<u8>, t: &WireTrace) {
-    put_u64(out, t.id);
-    put_u64(out, t.dropped);
-    put_u32(out, t.events.len() as u32);
-    for e in &t.events {
-        put_u64(out, e.at_ns);
-        match &e.kind {
+impl Codec for WireEventKind {
+    const MIN_LEN: usize = 2;
+    fn encode(&self, out: &mut Vec<u8>) {
+        match self {
             WireEventKind::SpanStart { phase } => {
                 put_u8(out, EV_SPAN_START);
-                put_u8(out, phase.to_u8());
+                phase.encode(out);
             }
             WireEventKind::SpanEnd { phase, dur_ns } => {
                 put_u8(out, EV_SPAN_END);
-                put_u8(out, phase.to_u8());
-                put_u64(out, *dur_ns);
+                phase.encode(out);
+                dur_ns.encode(out);
             }
             WireEventKind::Epoch {
                 index,
@@ -1384,17 +1127,17 @@ fn encode_trace(out: &mut Vec<u8>, t: &WireTrace) {
                 grad_norm,
             } => {
                 put_u8(out, EV_EPOCH);
-                put_u32(out, *index);
-                put_f32(out, *loss);
-                put_f32(out, *grad_norm);
+                index.encode(out);
+                loss.encode(out);
+                grad_norm.encode(out);
             }
             WireEventKind::CacheProbe { hit } => {
                 put_u8(out, EV_CACHE_PROBE);
-                put_bool(out, *hit);
+                hit.encode(out);
             }
             WireEventKind::DeadlineHit { epoch } => {
                 put_u8(out, EV_DEADLINE_HIT);
-                put_u32(out, *epoch);
+                epoch.encode(out);
             }
             WireEventKind::Note(s) => {
                 put_u8(out, EV_NOTE);
@@ -1404,33 +1147,13 @@ fn encode_trace(out: &mut Vec<u8>, t: &WireTrace) {
             }
         }
     }
-}
-
-fn decode_phase(r: &mut WireReader<'_>) -> Result<Phase, WireDecodeError> {
-    Phase::from_u8(r.u8()?).ok_or(WireDecodeError::Invalid("phase tag"))
-}
-
-fn decode_trace(r: &mut WireReader<'_>) -> Result<WireTrace, WireDecodeError> {
-    let id = r.u64()?;
-    let dropped = r.u64()?;
-    let n = r.u32()? as usize;
-    // Every event costs at least 9 bytes (timestamp + kind tag); a hostile
-    // count is rejected before the Vec is allocated.
-    if r.remaining() < n.saturating_mul(9) {
-        return Err(WireDecodeError::Truncated {
-            needed: n.saturating_mul(9),
-            remaining: r.remaining(),
-        });
-    }
-    let mut events = Vec::with_capacity(n);
-    for _ in 0..n {
-        let at_ns = r.u64()?;
-        let kind = match r.u8()? {
+    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireDecodeError> {
+        Ok(match r.u8()? {
             EV_SPAN_START => WireEventKind::SpanStart {
-                phase: decode_phase(r)?,
+                phase: Phase::decode(r)?,
             },
             EV_SPAN_END => WireEventKind::SpanEnd {
-                phase: decode_phase(r)?,
+                phase: Phase::decode(r)?,
                 dur_ns: r.u64()?,
             },
             EV_EPOCH => WireEventKind::Epoch {
@@ -1442,227 +1165,23 @@ fn decode_trace(r: &mut WireReader<'_>) -> Result<WireTrace, WireDecodeError> {
             EV_DEADLINE_HIT => WireEventKind::DeadlineHit { epoch: r.u32()? },
             EV_NOTE => WireEventKind::Note(r.str()?),
             _ => return Err(WireDecodeError::Invalid("trace event tag")),
-        };
-        events.push(WireEvent { at_ns, kind });
+        })
     }
-    Ok(WireTrace {
-        id,
-        dropped,
-        events,
-    })
 }
+
+wire_struct!(WireEvent {
+    at_ns: u64,
+    kind: WireEventKind,
+});
+
+wire_struct!(WireTrace {
+    id: u64,
+    dropped: u64,
+    events: Vec<WireEvent>,
+});
 
 // ---------------------------------------------------------------------------
-// Trace-context and assembled-trace codecs (protocol v6).
-// ---------------------------------------------------------------------------
-
-fn encode_opt_context(out: &mut Vec<u8>, c: &Option<TraceContext>) {
-    match c {
-        Some(c) => {
-            put_u8(out, 1);
-            put_u64(out, c.trace_hi);
-            put_u64(out, c.trace_lo);
-            put_u64(out, c.parent_span);
-            put_bool(out, c.sampled);
-        }
-        None => put_u8(out, 0),
-    }
-}
-
-fn decode_opt_context(r: &mut WireReader<'_>) -> Result<Option<TraceContext>, WireDecodeError> {
-    match r.u8()? {
-        0 => Ok(None),
-        1 => Ok(Some(TraceContext {
-            trace_hi: r.u64()?,
-            trace_lo: r.u64()?,
-            parent_span: r.u64()?,
-            sampled: r.bool()?,
-        })),
-        _ => Err(WireDecodeError::Invalid("trace context tag")),
-    }
-}
-
-/// Cheapest possible [`AssembledSpan`] encoding: lane index, empty name
-/// (4-byte length prefix), start, duration. Bounds a hostile span count
-/// before allocation.
-const ASSEMBLED_SPAN_MIN_LEN: usize = 4 + 4 + 8 + 8;
-
-fn encode_assembled(out: &mut Vec<u8>, t: &AssembledTrace) {
-    put_u64(out, t.trace_hi);
-    put_u64(out, t.trace_lo);
-    put_u64(out, t.dropped);
-    put_u32(out, t.lanes.len() as u32);
-    for lane in &t.lanes {
-        put_str(out, lane);
-    }
-    put_u32(out, t.spans.len() as u32);
-    for s in &t.spans {
-        put_u32(out, s.lane);
-        put_str(out, &s.name);
-        put_u64(out, s.start_us);
-        put_u64(out, s.dur_us);
-    }
-}
-
-fn decode_assembled(r: &mut WireReader<'_>) -> Result<AssembledTrace, WireDecodeError> {
-    let trace_hi = r.u64()?;
-    let trace_lo = r.u64()?;
-    let dropped = r.u64()?;
-    let n_lanes = r.u32()? as usize;
-    // Each lane costs at least its own 4-byte length prefix.
-    if r.remaining() < n_lanes.saturating_mul(4) {
-        return Err(WireDecodeError::Truncated {
-            needed: n_lanes.saturating_mul(4),
-            remaining: r.remaining(),
-        });
-    }
-    let mut lanes = Vec::with_capacity(n_lanes);
-    for _ in 0..n_lanes {
-        lanes.push(r.str()?);
-    }
-    let n_spans = r.u32()? as usize;
-    if r.remaining() < n_spans.saturating_mul(ASSEMBLED_SPAN_MIN_LEN) {
-        return Err(WireDecodeError::Truncated {
-            needed: n_spans.saturating_mul(ASSEMBLED_SPAN_MIN_LEN),
-            remaining: r.remaining(),
-        });
-    }
-    let mut spans = Vec::with_capacity(n_spans);
-    for _ in 0..n_spans {
-        let lane = r.u32()?;
-        if lane as usize >= n_lanes {
-            return Err(WireDecodeError::Invalid("span lane index out of range"));
-        }
-        spans.push(AssembledSpan {
-            lane,
-            name: r.str()?,
-            start_us: r.u64()?,
-            dur_us: r.u64()?,
-        });
-    }
-    Ok(AssembledTrace {
-        trace_hi,
-        trace_lo,
-        lanes,
-        spans,
-        dropped,
-    })
-}
-
-// ---------------------------------------------------------------------------
-// Stored-explanation codecs.
-// ---------------------------------------------------------------------------
-
-fn encode_stored_explanation(out: &mut Vec<u8>, e: &WireStoredExplanation) {
-    put_u64(out, e.job_id);
-    put_u32(out, e.model);
-    put_u64(out, e.graph_id);
-    encode_target(out, e.target);
-    put_u32(out, e.layers);
-    put_f32s(out, &e.edge_scores);
-    match &e.layer_edge_scores {
-        Some(layers) => {
-            put_u8(out, 1);
-            put_u32(out, layers.len() as u32);
-            for l in layers {
-                put_f32s(out, l);
-            }
-        }
-        None => put_u8(out, 0),
-    }
-    match &e.flow_scores {
-        Some(scores) => {
-            put_u8(out, 1);
-            put_f32s(out, scores);
-        }
-        None => put_u8(out, 0),
-    }
-    e.degradation.encode(out);
-    put_u64(out, e.queue_us);
-    put_u64(out, e.prep_us);
-    put_u64(out, e.explain_us);
-    put_bool(out, e.has_mask);
-}
-
-fn decode_stored_explanation(
-    r: &mut WireReader<'_>,
-) -> Result<WireStoredExplanation, WireDecodeError> {
-    let job_id = r.u64()?;
-    let model = r.u32()?;
-    let graph_id = r.u64()?;
-    let target = decode_target(r)?;
-    let layers = r.u32()?;
-    let edge_scores = r.f32s()?;
-    let layer_edge_scores = match r.u8()? {
-        0 => None,
-        1 => {
-            let n = r.u32()? as usize;
-            // Each layer costs at least its own 4-byte length prefix.
-            if r.remaining() < n.saturating_mul(4) {
-                return Err(WireDecodeError::Truncated {
-                    needed: n.saturating_mul(4),
-                    remaining: r.remaining(),
-                });
-            }
-            let mut lists = Vec::with_capacity(n);
-            for _ in 0..n {
-                lists.push(r.f32s()?);
-            }
-            Some(lists)
-        }
-        _ => return Err(WireDecodeError::Invalid("layer scores tag")),
-    };
-    let flow_scores = match r.u8()? {
-        0 => None,
-        1 => Some(r.f32s()?),
-        _ => return Err(WireDecodeError::Invalid("flow scores tag")),
-    };
-    Ok(WireStoredExplanation {
-        job_id,
-        model,
-        graph_id,
-        target,
-        layers,
-        edge_scores,
-        layer_edge_scores,
-        flow_scores,
-        degradation: Degradation::decode(r)?,
-        queue_us: r.u64()?,
-        prep_us: r.u64()?,
-        explain_us: r.u64()?,
-        has_mask: r.bool()?,
-    })
-}
-
-/// Cheapest possible [`WireExplanationSummary`] encoding: job id + model +
-/// graph id + target tag + layers + two flags. Used to bound a hostile
-/// list count before allocation.
-const SUMMARY_MIN_LEN: usize = 8 + 4 + 8 + 1 + 4 + 1 + 1;
-
-fn encode_summary(out: &mut Vec<u8>, s: &WireExplanationSummary) {
-    put_u64(out, s.job_id);
-    put_u32(out, s.model);
-    put_u64(out, s.graph_id);
-    encode_target(out, s.target);
-    put_u32(out, s.layers);
-    put_bool(out, s.degraded);
-    put_bool(out, s.has_mask);
-}
-
-fn decode_summary(r: &mut WireReader<'_>) -> Result<WireExplanationSummary, WireDecodeError> {
-    Ok(WireExplanationSummary {
-        job_id: r.u64()?,
-        model: r.u32()?,
-        graph_id: r.u64()?,
-        target: decode_target(r)?,
-        layers: r.u32()?,
-        degraded: r.bool()?,
-        has_mask: r.bool()?,
-    })
-}
-
-// ---------------------------------------------------------------------------
-// Request / Response codecs.
+// Request / Response: a tag byte, then the variant's fields.
 // ---------------------------------------------------------------------------
 
 const REQ_PING: u8 = 0;
@@ -1678,122 +1197,52 @@ const REQ_ASSEMBLED_TRACE: u8 = 8;
 impl Request {
     /// Encodes the request as a frame payload.
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::new();
+        let mut out = vec![self.tag()];
         match self {
-            Request::Ping => put_u8(&mut out, REQ_PING),
             Request::RegisterModel { config, state } => {
-                put_u8(&mut out, REQ_REGISTER_MODEL);
-                encode_gnn_config(&mut out, config);
-                put_u32(&mut out, state.len() as u32);
-                for param in state {
-                    put_f32s(&mut out, param);
-                }
+                config.encode(&mut out);
+                state.encode(&mut out);
             }
-            Request::Explain(e) => {
-                put_u8(&mut out, REQ_EXPLAIN);
-                put_u32(&mut out, e.model);
-                put_u64(&mut out, e.graph_id);
-                put_str(&mut out, &e.method);
-                put_u8(
-                    &mut out,
-                    match e.objective {
-                        Objective::Factual => 0,
-                        Objective::Counterfactual => 1,
-                    },
-                );
-                put_u8(
-                    &mut out,
-                    match e.effort {
-                        Effort::Quick => 0,
-                        Effort::Paper => 1,
-                    },
-                );
-                encode_target(&mut out, e.target);
-                e.control.encode(&mut out);
-                encode_graph(&mut out, &e.graph);
-                // v6: the trace context rides after the graph so the
-                // layout stays append-only.
-                encode_opt_context(&mut out, &e.context);
+            Request::Explain(e) => e.encode(&mut out),
+            Request::Trace(id, ctx) | Request::FetchExplanation(id, ctx) => {
+                id.encode(&mut out);
+                ctx.encode(&mut out);
             }
-            Request::Stats => put_u8(&mut out, REQ_STATS),
-            Request::Shutdown => put_u8(&mut out, REQ_SHUTDOWN),
-            Request::Trace(id, ctx) => {
-                put_u8(&mut out, REQ_TRACE);
-                put_u64(&mut out, *id);
-                encode_opt_context(&mut out, ctx);
-            }
-            Request::FetchExplanation(id, ctx) => {
-                put_u8(&mut out, REQ_FETCH_EXPLANATION);
-                put_u64(&mut out, *id);
-                encode_opt_context(&mut out, ctx);
-            }
-            Request::ListExplanations => put_u8(&mut out, REQ_LIST_EXPLANATIONS),
-            Request::AssembledTrace { hi, lo } => {
-                put_u8(&mut out, REQ_ASSEMBLED_TRACE);
-                put_u64(&mut out, *hi);
-                put_u64(&mut out, *lo);
-            }
+            Request::AssembledTrace { hi, lo } => [*hi, *lo].encode(&mut out),
+            Request::Ping | Request::Stats | Request::Shutdown | Request::ListExplanations => {}
         }
         out
+    }
+
+    fn tag(&self) -> u8 {
+        match self {
+            Request::Ping => REQ_PING,
+            Request::RegisterModel { .. } => REQ_REGISTER_MODEL,
+            Request::Explain(_) => REQ_EXPLAIN,
+            Request::Stats => REQ_STATS,
+            Request::Shutdown => REQ_SHUTDOWN,
+            Request::Trace(..) => REQ_TRACE,
+            Request::FetchExplanation(..) => REQ_FETCH_EXPLANATION,
+            Request::ListExplanations => REQ_LIST_EXPLANATIONS,
+            Request::AssembledTrace { .. } => REQ_ASSEMBLED_TRACE,
+        }
     }
 
     /// Decodes a frame payload into a request, requiring full consumption.
     pub fn decode(payload: &[u8]) -> Result<Request, WireDecodeError> {
         let mut r = WireReader::new(payload);
+        let r = &mut r;
         let req = match r.u8()? {
             REQ_PING => Request::Ping,
-            REQ_REGISTER_MODEL => {
-                let config = decode_gnn_config(&mut r)?;
-                let n = r.u32()? as usize;
-                // Each parameter is at least a 4-byte length prefix.
-                if r.remaining() < n.saturating_mul(4) {
-                    return Err(WireDecodeError::Truncated {
-                        needed: n.saturating_mul(4),
-                        remaining: r.remaining(),
-                    });
-                }
-                let mut state = Vec::with_capacity(n);
-                for _ in 0..n {
-                    state.push(r.f32s()?);
-                }
-                Request::RegisterModel { config, state }
-            }
-            REQ_EXPLAIN => {
-                let model = r.u32()?;
-                let graph_id = r.u64()?;
-                let method = r.str()?;
-                let objective = match r.u8()? {
-                    0 => Objective::Factual,
-                    1 => Objective::Counterfactual,
-                    _ => return Err(WireDecodeError::Invalid("objective tag")),
-                };
-                let effort = match r.u8()? {
-                    0 => Effort::Quick,
-                    1 => Effort::Paper,
-                    _ => return Err(WireDecodeError::Invalid("effort tag")),
-                };
-                let target = decode_target(&mut r)?;
-                let control = ControlSpec::decode(&mut r)?;
-                let graph = decode_graph(&mut r)?;
-                let context = decode_opt_context(&mut r)?;
-                Request::Explain(ExplainRequest {
-                    model,
-                    graph_id,
-                    method,
-                    objective,
-                    effort,
-                    target,
-                    control,
-                    graph,
-                    context,
-                })
-            }
+            REQ_REGISTER_MODEL => Request::RegisterModel {
+                config: GnnConfig::decode(r)?,
+                state: Vec::decode(r)?,
+            },
+            REQ_EXPLAIN => Request::Explain(ExplainRequest::decode(r)?),
             REQ_STATS => Request::Stats,
             REQ_SHUTDOWN => Request::Shutdown,
-            REQ_TRACE => Request::Trace(r.u64()?, decode_opt_context(&mut r)?),
-            REQ_FETCH_EXPLANATION => {
-                Request::FetchExplanation(r.u64()?, decode_opt_context(&mut r)?)
-            }
+            REQ_TRACE => Request::Trace(r.u64()?, Option::decode(r)?),
+            REQ_FETCH_EXPLANATION => Request::FetchExplanation(r.u64()?, Option::decode(r)?),
             REQ_LIST_EXPLANATIONS => Request::ListExplanations,
             REQ_ASSEMBLED_TRACE => Request::AssembledTrace {
                 hi: r.u64()?,
@@ -1821,228 +1270,106 @@ const RESP_ASSEMBLED: u8 = 10;
 impl Response {
     /// Encodes the response as a frame payload.
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::new();
+        let mut out = vec![self.tag()];
         match self {
-            Response::Pong { version } => {
-                put_u8(&mut out, RESP_PONG);
-                put_u16(&mut out, *version);
-            }
-            Response::ModelRegistered { model } => {
-                put_u8(&mut out, RESP_MODEL_REGISTERED);
-                put_u32(&mut out, *model);
-            }
-            Response::Explained(e) => {
-                put_u8(&mut out, RESP_EXPLAINED);
-                put_f32s(&mut out, &e.edge_scores);
-                match &e.layer_edge_scores {
-                    Some(layers) => {
-                        put_u8(&mut out, 1);
-                        put_u32(&mut out, layers.len() as u32);
-                        for l in layers {
-                            put_f32s(&mut out, l);
-                        }
-                    }
-                    None => put_u8(&mut out, 0),
-                }
-                match &e.flow_scores {
-                    Some(scores) => {
-                        put_u8(&mut out, 1);
-                        put_f32s(&mut out, scores);
-                    }
-                    None => put_u8(&mut out, 0),
-                }
-                e.degradation.encode(&mut out);
-                put_u64(&mut out, e.timing.queue_us);
-                put_u64(&mut out, e.timing.prep_us);
-                put_u64(&mut out, e.timing.explain_us);
-                put_u64(&mut out, e.timing.total_us);
-                put_opt_u64(&mut out, e.trace_id);
-            }
+            Response::Pong { version } => version.encode(&mut out),
+            Response::ModelRegistered { model } => model.encode(&mut out),
+            Response::Explained(e) => e.encode(&mut out),
             Response::Busy { in_flight, limit } => {
-                put_u8(&mut out, RESP_BUSY);
-                put_u32(&mut out, *in_flight);
-                put_u32(&mut out, *limit);
+                in_flight.encode(&mut out);
+                limit.encode(&mut out);
             }
             Response::Error { kind, message } => {
-                put_u8(&mut out, RESP_ERROR);
-                put_u8(&mut out, kind.to_u8());
+                kind.encode(&mut out);
                 // Error detail is bounded so a pathological panic message
                 // cannot blow the frame cap.
                 let msg: String = message.chars().take(512).collect();
                 put_str(&mut out, &msg);
             }
             Response::Stats(s, gateway) => {
-                put_u8(&mut out, RESP_STATS);
-                put_u64(&mut out, s.connections_accepted);
-                put_u64(&mut out, s.connections_active);
-                put_u64(&mut out, s.bytes_in);
-                put_u64(&mut out, s.bytes_out);
-                put_u64(&mut out, s.requests);
-                put_u64(&mut out, s.shed);
-                put_u64(&mut out, s.protocol_errors);
-                encode_histogram(&mut out, &s.request_latency);
-                encode_metrics(&mut out, &s.runtime);
-                // v5: the optional gateway tail rides after the runtime
-                // metrics so the layout stays append-only.
-                match gateway {
-                    Some(g) => {
-                        put_u8(&mut out, 1);
-                        encode_gateway_stats(&mut out, g);
-                    }
-                    None => put_u8(&mut out, 0),
-                }
-                // v6: trace sampling counters, appended after the gateway
-                // tail.
-                put_u64(&mut out, s.trace_sampled);
-                put_u64(&mut out, s.trace_dropped);
+                [
+                    s.connections_accepted,
+                    s.connections_active,
+                    s.bytes_in,
+                    s.bytes_out,
+                    s.requests,
+                    s.shed,
+                    s.protocol_errors,
+                ]
+                .encode(&mut out);
+                s.request_latency.encode(&mut out);
+                s.runtime.encode(&mut out);
+                gateway.encode(&mut out);
+                [s.trace_sampled, s.trace_dropped].encode(&mut out);
             }
-            Response::ShutdownAck => put_u8(&mut out, RESP_SHUTDOWN_ACK),
-            Response::Trace(t) => {
-                put_u8(&mut out, RESP_TRACE);
-                match t {
-                    Some(t) => {
-                        put_u8(&mut out, 1);
-                        encode_trace(&mut out, t);
-                    }
-                    None => put_u8(&mut out, 0),
-                }
-            }
-            Response::Assembled(t) => {
-                put_u8(&mut out, RESP_ASSEMBLED);
-                encode_assembled(&mut out, t);
-            }
-            Response::Explanation(e) => {
-                put_u8(&mut out, RESP_EXPLANATION);
-                match e {
-                    Some(e) => {
-                        put_u8(&mut out, 1);
-                        encode_stored_explanation(&mut out, e);
-                    }
-                    None => put_u8(&mut out, 0),
-                }
-            }
-            Response::ExplanationList(list) => {
-                put_u8(&mut out, RESP_EXPLANATION_LIST);
-                put_u32(&mut out, list.len() as u32);
-                for s in list {
-                    encode_summary(&mut out, s);
-                }
-            }
+            Response::ShutdownAck => {}
+            Response::Trace(t) => t.encode(&mut out),
+            Response::Assembled(t) => t.encode(&mut out),
+            Response::Explanation(e) => e.encode(&mut out),
+            Response::ExplanationList(list) => list.encode(&mut out),
         }
         out
+    }
+
+    fn tag(&self) -> u8 {
+        match self {
+            Response::Pong { .. } => RESP_PONG,
+            Response::ModelRegistered { .. } => RESP_MODEL_REGISTERED,
+            Response::Explained(_) => RESP_EXPLAINED,
+            Response::Busy { .. } => RESP_BUSY,
+            Response::Error { .. } => RESP_ERROR,
+            Response::Stats(..) => RESP_STATS,
+            Response::ShutdownAck => RESP_SHUTDOWN_ACK,
+            Response::Trace(_) => RESP_TRACE,
+            Response::Explanation(_) => RESP_EXPLANATION,
+            Response::ExplanationList(_) => RESP_EXPLANATION_LIST,
+            Response::Assembled(_) => RESP_ASSEMBLED,
+        }
     }
 
     /// Decodes a frame payload into a response, requiring full consumption.
     pub fn decode(payload: &[u8]) -> Result<Response, WireDecodeError> {
         let mut r = WireReader::new(payload);
+        let r = &mut r;
         let resp = match r.u8()? {
             RESP_PONG => Response::Pong { version: r.u16()? },
             RESP_MODEL_REGISTERED => Response::ModelRegistered { model: r.u32()? },
-            RESP_EXPLAINED => {
-                let edge_scores = r.f32s()?;
-                let layer_edge_scores = match r.u8()? {
-                    0 => None,
-                    1 => {
-                        let n = r.u32()? as usize;
-                        if r.remaining() < n.saturating_mul(4) {
-                            return Err(WireDecodeError::Truncated {
-                                needed: n.saturating_mul(4),
-                                remaining: r.remaining(),
-                            });
-                        }
-                        let mut layers = Vec::with_capacity(n);
-                        for _ in 0..n {
-                            layers.push(r.f32s()?);
-                        }
-                        Some(layers)
-                    }
-                    _ => return Err(WireDecodeError::Invalid("layer scores tag")),
-                };
-                let flow_scores = match r.u8()? {
-                    0 => None,
-                    1 => Some(r.f32s()?),
-                    _ => return Err(WireDecodeError::Invalid("flow scores tag")),
-                };
-                let degradation = Degradation::decode(&mut r)?;
-                let timing = WireTiming {
-                    queue_us: r.u64()?,
-                    prep_us: r.u64()?,
-                    explain_us: r.u64()?,
-                    total_us: r.u64()?,
-                };
-                let trace_id = r.opt_u64()?;
-                Response::Explained(ServedExplanation {
-                    edge_scores,
-                    layer_edge_scores,
-                    flow_scores,
-                    degradation,
-                    timing,
-                    trace_id,
-                })
-            }
+            RESP_EXPLAINED => Response::Explained(ServedExplanation::decode(r)?),
             RESP_BUSY => Response::Busy {
                 in_flight: r.u32()?,
                 limit: r.u32()?,
             },
             RESP_ERROR => Response::Error {
-                kind: ErrorKind::from_u8(r.u8()?)?,
+                kind: ErrorKind::decode(r)?,
                 message: r.str()?,
             },
             RESP_STATS => {
-                let s = ServerStats {
-                    connections_accepted: r.u64()?,
-                    connections_active: r.u64()?,
-                    bytes_in: r.u64()?,
-                    bytes_out: r.u64()?,
-                    requests: r.u64()?,
-                    shed: r.u64()?,
-                    protocol_errors: r.u64()?,
-                    request_latency: decode_histogram(&mut r)?,
-                    // The v6 trace counters ride *after* the optional
-                    // gateway tail; filled in below.
-                    trace_sampled: 0,
-                    trace_dropped: 0,
-                    runtime: decode_metrics(&mut r)?,
+                let [connections_accepted, connections_active, bytes_in, bytes_out, requests, shed, protocol_errors] =
+                    <[u64; 7]>::decode(r)?;
+                let request_latency = HistogramSnapshot::decode(r)?;
+                let runtime = MetricsSnapshot::decode(r)?;
+                let gateway = Option::decode(r)?;
+                let [trace_sampled, trace_dropped] = <[u64; 2]>::decode(r)?;
+                let stats = ServerStats {
+                    connections_accepted,
+                    connections_active,
+                    bytes_in,
+                    bytes_out,
+                    requests,
+                    shed,
+                    protocol_errors,
+                    request_latency,
+                    trace_sampled,
+                    trace_dropped,
+                    runtime,
                 };
-                let gateway = match r.u8()? {
-                    0 => None,
-                    1 => Some(Box::new(decode_gateway_stats(&mut r)?)),
-                    _ => return Err(WireDecodeError::Invalid("gateway stats tag")),
-                };
-                let s = ServerStats {
-                    trace_sampled: r.u64()?,
-                    trace_dropped: r.u64()?,
-                    ..s
-                };
-                Response::Stats(Box::new(s), gateway)
+                Response::Stats(Box::new(stats), gateway)
             }
             RESP_SHUTDOWN_ACK => Response::ShutdownAck,
-            RESP_TRACE => Response::Trace(match r.u8()? {
-                0 => None,
-                1 => Some(Box::new(decode_trace(&mut r)?)),
-                _ => return Err(WireDecodeError::Invalid("trace option tag")),
-            }),
-            RESP_ASSEMBLED => Response::Assembled(Box::new(decode_assembled(&mut r)?)),
-            RESP_EXPLANATION => Response::Explanation(match r.u8()? {
-                0 => None,
-                1 => Some(Box::new(decode_stored_explanation(&mut r)?)),
-                _ => return Err(WireDecodeError::Invalid("explanation option tag")),
-            }),
-            RESP_EXPLANATION_LIST => {
-                let n = r.u32()? as usize;
-                // A hostile count is rejected before the Vec is allocated.
-                if r.remaining() < n.saturating_mul(SUMMARY_MIN_LEN) {
-                    return Err(WireDecodeError::Truncated {
-                        needed: n.saturating_mul(SUMMARY_MIN_LEN),
-                        remaining: r.remaining(),
-                    });
-                }
-                let mut list = Vec::with_capacity(n);
-                for _ in 0..n {
-                    list.push(decode_summary(&mut r)?);
-                }
-                Response::ExplanationList(list)
-            }
+            RESP_TRACE => Response::Trace(Option::decode(r)?),
+            RESP_ASSEMBLED => Response::Assembled(Box::decode(r)?),
+            RESP_EXPLANATION => Response::Explanation(Option::decode(r)?),
+            RESP_EXPLANATION_LIST => Response::ExplanationList(Vec::decode(r)?),
             _ => return Err(WireDecodeError::Invalid("response tag")),
         };
         r.expect_end()?;
@@ -2054,6 +1381,8 @@ impl Response {
 #[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
+    use revelio_core::wire::put_u64;
+    use revelio_trace::AssembledSpan;
 
     #[test]
     fn crc32_matches_known_vectors() {
@@ -2615,19 +1944,23 @@ mod tests {
         let list = vec![
             WireExplanationSummary {
                 job_id: 1,
-                model: 0,
-                graph_id: 7,
-                target: Target::Graph,
-                layers: 2,
+                key: MaskKey {
+                    model_id: 0,
+                    graph_id: 7,
+                    target: Target::Graph,
+                    layers: 2,
+                },
                 degraded: false,
                 has_mask: true,
             },
             WireExplanationSummary {
                 job_id: 9,
-                model: 1,
-                graph_id: 8,
-                target: Target::Node(3),
-                layers: 3,
+                key: MaskKey {
+                    model_id: 1,
+                    graph_id: 8,
+                    target: Target::Node(3),
+                    layers: 3,
+                },
                 degraded: true,
                 has_mask: false,
             },

@@ -662,3 +662,24 @@ fn connect_with_retry_reaches_a_late_server() {
     client.ping().expect("ping");
     server_thread.join().expect("server thread").shutdown();
 }
+
+/// An idle server's acceptor blocks in `accept`; `shutdown` must wake it
+/// and join every thread within a second, also when the listener is bound
+/// to the unspecified address (the wake-up then connects over loopback).
+#[test]
+fn idle_server_shuts_down_within_a_second() {
+    for addr in ["127.0.0.1:0", "0.0.0.0:0"] {
+        let server = Server::start(ServerConfig {
+            addr: addr.to_owned(),
+            ..Default::default()
+        })
+        .expect("server starts");
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            server.shutdown();
+            let _ = tx.send(());
+        });
+        rx.recv_timeout(Duration::from_secs(1))
+            .unwrap_or_else(|_| panic!("idle server on {addr} did not shut down within 1 s"));
+    }
+}

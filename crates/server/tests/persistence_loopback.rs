@@ -108,9 +108,9 @@ fn restart_restores_models_and_serves_pre_restart_explanations() {
             .expect("explain");
         let list = client.list_explanations().expect("list");
         assert_eq!(list.len(), 1, "one stored explanation: {list:?}");
-        assert_eq!(list[0].model, 0);
-        assert_eq!(list[0].graph_id, 1);
-        assert_eq!(list[0].target, Target::Node(2));
+        assert_eq!(list[0].key.model_id, 0);
+        assert_eq!(list[0].key.graph_id, 1);
+        assert_eq!(list[0].key.target, Target::Node(2));
         assert!(list[0].has_mask, "REVELIO records a converged mask");
         let fetched = client
             .fetch_explanation(list[0].job_id)

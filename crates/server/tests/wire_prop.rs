@@ -1,22 +1,42 @@
 //! Property tests for the wire codec: round-trips on arbitrary messages,
 //! and rejection (never a panic, never silent corruption) for truncated,
-//! corrupted, oversized, and wrong-version frames.
+//! corrupted, oversized, and wrong-version frames. Every generated message
+//! value also runs through [`check_codec`], the property every `Codec`
+//! holds (round trip, every strict prefix rejected, a trailing byte
+//! rejected).
 
 #![allow(clippy::unwrap_used)]
 
 use proptest::prelude::*;
 
-use revelio_core::wire::ControlSpec;
+use revelio_core::wire::{check_codec, Codec, ControlSpec};
 use revelio_core::{Degradation, Objective};
 use revelio_eval::Effort;
 use revelio_graph::{Graph, Target};
+use revelio_runtime::HistogramSnapshot;
 use revelio_server::wire::{
-    crc32, encode_frame, read_frame, ExplainRequest, Request, Response, ServedExplanation,
-    ServerStats, WireError, WireTiming, HEADER_LEN, PROTOCOL_VERSION,
+    crc32, encode_frame, read_frame, ErrorKind, ExplainRequest, GatewayBackendStats, GatewayStats,
+    MaskKey, Request, Response, ServedExplanation, ServerStats, WireError, WireEvent,
+    WireEventKind, WireExplanationSummary, WireStoredExplanation, WireTiming, WireTrace,
+    HEADER_LEN, PROTOCOL_VERSION,
 };
-use revelio_trace::TraceContext;
+use revelio_trace::{AssembledSpan, AssembledTrace, Phase, TraceContext};
 
 const METHODS: [&str; 4] = ["REVELIO", "FlowX", "GNNExplainer", "GradCAM"];
+
+/// Fails the case when `value` breaks the shared codec property.
+fn holds<T: Codec + PartialEq + std::fmt::Debug>(value: &T) {
+    if let Err(violation) = check_codec(value) {
+        panic!("{violation}");
+    }
+}
+
+/// A short string over ASCII and multi-byte characters.
+fn text(seed: &[u64]) -> String {
+    seed.iter()
+        .map(|&v| ['a', 'Z', '7', ':', 'é', '✓'][(v % 6) as usize])
+        .collect()
+}
 
 /// Builds a valid graph from raw generated material, skipping edges that
 /// would violate the builder's invariants.
@@ -77,6 +97,7 @@ proptest! {
                 sampled: variant & 1 == 1,
             }),
         };
+        holds(&req);
         let payload = Request::Explain(req.clone()).encode();
         let back = match Request::decode(&payload).unwrap() {
             Request::Explain(e) => e,
@@ -136,6 +157,7 @@ proptest! {
         match resp {
             // Compare bit patterns so a NaN score would also round-trip.
             Response::Explained(orig) => {
+                holds(&orig);
                 let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
                 prop_assert_eq!(bits(&back.edge_scores), bits(&orig.edge_scores));
                 prop_assert_eq!(back.flow_scores.is_some(), orig.flow_scores.is_some());
@@ -166,6 +188,7 @@ proptest! {
         s.runtime.jobs_completed = jobs[1];
         s.runtime.jobs_rejected = jobs[2];
         s.runtime.cache_hits = jobs[3];
+        holds(&s.runtime);
         let payload = Response::Stats(Box::new(s), None).encode();
         match Response::decode(&payload).unwrap() {
             Response::Stats(back, gateway) => {
@@ -220,12 +243,179 @@ proptest! {
     }
 
     #[test]
+    fn every_message_codec_holds_the_codec_property(
+        nums in prop::collection::vec(0u64..u64::MAX, 12),
+        scores in prop::collection::vec(-1.0e20f32..1.0e20, 0..6),
+        shape in (0usize..3, 0usize..4, 0u8..=255),
+    ) {
+        let (lists, count, flags) = shape;
+        let bit = |i: u8| flags & (1 << i) != 0;
+        let target = if bit(0) { Target::Node(nums[0] as usize) } else { Target::Graph };
+        let degradation = Degradation {
+            deadline_hit: bit(1),
+            epochs_run: (nums[1] % 600) as usize,
+            epochs_planned: 600,
+            flows_dropped: nums[2],
+        };
+        let layer_scores = bit(2).then(|| vec![scores.clone(); lists]);
+        let flow_scores = bit(3).then(|| scores.clone());
+        let timing = WireTiming {
+            queue_us: nums[3],
+            prep_us: nums[4],
+            explain_us: nums[5],
+            total_us: nums[6],
+        };
+        holds(&timing);
+        holds(&ServedExplanation {
+            edge_scores: scores.clone(),
+            layer_edge_scores: layer_scores.clone(),
+            flow_scores: flow_scores.clone(),
+            degradation,
+            timing,
+            trace_id: bit(4).then_some(nums[7]),
+        });
+        holds(&WireStoredExplanation {
+            job_id: nums[0],
+            model: nums[1] as u32,
+            graph_id: nums[2],
+            target,
+            layers: 3,
+            edge_scores: scores.clone(),
+            layer_edge_scores: layer_scores,
+            flow_scores,
+            degradation,
+            queue_us: nums[3],
+            prep_us: nums[4],
+            explain_us: nums[5],
+            has_mask: bit(5),
+        });
+        holds(&WireExplanationSummary {
+            job_id: nums[8],
+            key: MaskKey {
+                model_id: nums[9] as u32,
+                graph_id: nums[10],
+                target,
+                layers: (nums[11] % 4) as u32,
+            },
+            degraded: bit(6),
+            has_mask: bit(7),
+        });
+        let backend = |i: usize| GatewayBackendStats {
+            addr: text(&nums[i..i + count]),
+            healthy: bit(i as u8 % 8),
+            consecutive_failures: nums[i] as u32,
+            forwarded: nums[i + 1],
+            errors: nums[i + 2],
+            busy: nums[i + 3],
+            health_checks: nums[i + 4],
+            cache_hits: nums[i + 5],
+            cache_misses: nums[i + 6],
+            jobs_completed: nums[i + 7],
+        };
+        holds(&backend(0));
+        holds(&GatewayStats {
+            routed: nums[0],
+            fanout: nums[1],
+            rerouted: nums[2],
+            scatter: nums[3],
+            backends: (0..count).map(backend).collect(),
+        });
+        let phase = Phase::from_u8(flags % 4).unwrap();
+        let kinds = [
+            WireEventKind::SpanStart { phase },
+            WireEventKind::SpanEnd { phase, dur_ns: nums[0] },
+            WireEventKind::Epoch {
+                index: nums[1] as u32,
+                loss: scores.first().copied().unwrap_or(0.5),
+                grad_norm: scores.last().copied().unwrap_or(-0.0),
+            },
+            WireEventKind::CacheProbe { hit: bit(0) },
+            WireEventKind::DeadlineHit { epoch: nums[2] as u32 },
+            WireEventKind::Note(text(&nums[..count])),
+        ];
+        let events: Vec<WireEvent> = kinds
+            .into_iter()
+            .zip(&nums)
+            .map(|(kind, &at_ns)| WireEvent { at_ns, kind })
+            .collect();
+        for e in &events {
+            holds(&e.kind);
+            holds(e);
+        }
+        holds(&WireTrace {
+            id: nums[3],
+            dropped: nums[4],
+            events: events[..count].to_vec(),
+        });
+        let lanes: Vec<String> = (0..count.max(1)).map(|i| text(&nums[i..i + 3])).collect();
+        let spans: Vec<AssembledSpan> = (0..count)
+            .map(|i| AssembledSpan {
+                lane: (nums[i] % lanes.len() as u64) as u32,
+                name: text(&nums[i + 1..i + 1 + count]),
+                start_us: nums[i + 2],
+                dur_us: nums[i + 3],
+            })
+            .collect();
+        for span in &spans {
+            holds(span);
+        }
+        holds(&AssembledTrace {
+            trace_hi: nums[5],
+            trace_lo: nums[6],
+            lanes,
+            spans,
+            dropped: nums[7],
+        });
+        holds(&TraceContext {
+            trace_hi: nums[8],
+            trace_lo: nums[9],
+            parent_span: nums[10],
+            sampled: bit(1),
+        });
+        holds(&ControlSpec {
+            deadline_ms: bit(2).then_some(nums[11]),
+            max_flows: nums[0],
+            shrink_on_overflow: bit(3),
+            trace: bit(4),
+            warm_start: bit(5),
+        });
+        holds(&degradation);
+        holds(&target);
+        let mut h = HistogramSnapshot::default();
+        for (b, &v) in h.buckets.iter_mut().zip(nums.iter().cycle().skip(count)) {
+            *b = v;
+        }
+        h.count = nums[1];
+        holds(&h);
+    }
+
+    #[test]
     fn random_payload_bytes_never_panic_the_decoders(
         bytes in prop::collection::vec(0u8..=255, 0..200),
     ) {
         let _ = Request::decode(&bytes);
         let _ = Response::decode(&bytes);
     }
+}
+
+/// Every byte a one-byte enum decodes from re-encodes to itself and holds
+/// the codec property; the other bytes are typed errors.
+#[test]
+fn every_enum_tag_holds_the_codec_property() {
+    fn tags<T: Codec + PartialEq + std::fmt::Debug>() -> usize {
+        (0..=u8::MAX)
+            .filter_map(|b| T::from_bytes(&[b]).ok().map(|v| (b, v)))
+            .inspect(|(b, v)| {
+                assert_eq!(v.to_bytes(), vec![*b]);
+                holds(v);
+            })
+            .count()
+    }
+    assert_eq!(tags::<Objective>(), 2);
+    assert_eq!(tags::<Effort>(), 2);
+    assert_eq!(tags::<ErrorKind>(), 8);
+    assert_eq!(tags::<Phase>(), 4);
+    assert_eq!(tags::<bool>(), 2);
 }
 
 #[test]

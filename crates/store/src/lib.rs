@@ -42,13 +42,14 @@ mod records;
 use std::fmt;
 
 pub use crate::log::{
-    crc32, CompactionStats, LogStore, RecoveryReport, FILE_MAGIC, FORMAT_VERSION, HEADER_LEN,
+    CompactionStats, LogStore, RecoveryReport, FILE_MAGIC, FORMAT_VERSION, HEADER_LEN,
     MAX_RECORD_LEN, RECORD_HEADER_LEN,
 };
 pub use crate::records::{
     fingerprint_model, ExplanationRecord, ExplanationSummary, FlowsRecord, MaskHit, MaskKey,
     ModelRecord, PhaseSummary, StoredMask,
 };
+pub use revelio_core::wire::crc32;
 
 /// Error raised by store operations.
 #[derive(Debug)]

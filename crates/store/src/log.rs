@@ -31,6 +31,7 @@ use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
 use revelio_check::sync::Mutex;
+use revelio_core::wire::crc32;
 use revelio_graph::Target;
 
 use crate::records::{
@@ -57,38 +58,6 @@ pub const MAX_RECORD_LEN: u32 = 64 << 20;
 const REC_MODEL: u8 = 1;
 const REC_FLOWS: u8 = 2;
 const REC_EXPLANATION: u8 = 3;
-
-/// CRC-32 (IEEE) lookup table, built at compile time — same polynomial as
-/// the network frame checksum, computed independently so the store has no
-/// dependency on the server crate.
-const CRC_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
-    let mut i = 0;
-    while i < 256 {
-        let mut c = i as u32;
-        let mut bit = 0;
-        while bit < 8 {
-            c = if c & 1 != 0 {
-                0xEDB8_8320 ^ (c >> 1)
-            } else {
-                c >> 1
-            };
-            bit += 1;
-        }
-        table[i] = c;
-        i += 1;
-    }
-    table
-};
-
-/// CRC-32 (IEEE) of `bytes`.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut c = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        c = CRC_TABLE[((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
-    }
-    c ^ 0xFFFF_FFFF
-}
 
 /// What [`LogStore::open`] found while replaying the log.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -240,12 +209,7 @@ impl LogStore {
         let records_after = live.len() as u64;
         for span in live {
             let payload = read_span(&mut inner.file, span)?;
-            let mut frame = Vec::with_capacity(RECORD_HEADER_LEN as usize + payload.len());
-            frame.push(span.kind);
-            frame.extend_from_slice(&span.len.to_le_bytes());
-            frame.extend_from_slice(&span.crc.to_le_bytes());
-            frame.extend_from_slice(&payload);
-            tmp.write_all(&frame)?;
+            tmp.write_all(&record_frame(span.kind, span.crc, &payload))?;
         }
         tmp.sync_all()?;
         drop(tmp);
@@ -430,15 +394,21 @@ fn replay(path: PathBuf, mut file: File) -> Result<Inner, StoreError> {
     })
 }
 
+/// One on-disk record: kind, payload length, CRC, payload.
+fn record_frame(kind: u8, crc: u32, payload: &[u8]) -> Vec<u8> {
+    let mut frame = Vec::with_capacity(RECORD_HEADER_LEN as usize + payload.len());
+    frame.push(kind);
+    frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    frame.extend_from_slice(&crc.to_le_bytes());
+    frame.extend_from_slice(payload);
+    frame
+}
+
 fn append(inner: &mut Inner, kind: u8, payload: &[u8]) -> Result<Span, StoreError> {
     debug_assert!(payload.len() <= MAX_RECORD_LEN as usize);
     let crc = crc32(payload);
     let len = payload.len() as u32;
-    let mut frame = Vec::with_capacity(RECORD_HEADER_LEN as usize + payload.len());
-    frame.push(kind);
-    frame.extend_from_slice(&len.to_le_bytes());
-    frame.extend_from_slice(&crc.to_le_bytes());
-    frame.extend_from_slice(payload);
+    let frame = record_frame(kind, crc, payload);
     inner.file.seek(SeekFrom::Start(inner.end))?;
     inner.file.write_all(&frame)?;
     let span = Span {

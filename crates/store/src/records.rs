@@ -1,21 +1,21 @@
-//! Record vocabulary and codecs for the persistent store.
+//! Record vocabulary and layouts for the persistent store.
 //!
 //! Three record kinds flow through the log: model registrations
 //! ([`ModelRecord`]), capped flow enumerations ([`FlowsRecord`]), and
 //! finished explanations ([`ExplanationRecord`] — scores, degradation, the
 //! phase summary, and the converged mask that seeds warm-started
-//! re-optimisation). Every codec is built on the same hand-rolled
-//! little-endian primitives as the network wire format
-//! ([`revelio_core::wire`]): length prefixes are validated against the
-//! bytes actually present *before* any allocation, and every decode ends
-//! with an [`expect_end`](WireReader::expect_end) tripwire at the record
-//! boundary.
+//! re-optimisation). Each record states its byte layout once, as a
+//! [`wire_struct!`](revelio_core::wire_struct) field list over the same
+//! [`Codec`] the network frames use, so a record and the wire message
+//! that carries it (an [`ExplanationSummary`] is also a `ListExplanations`
+//! entry) cannot drift apart. The layouts are byte-identical to format v1
+//! logs written before the shared codec existed. Length prefixes are
+//! validated against the bytes actually present *before* any allocation,
+//! and a record decode must consume its whole payload.
 
-use revelio_core::wire::{
-    put_bool, put_f32s, put_u32, put_u32s, put_u64, put_u8, WireDecodeError, WireReader,
-};
-use revelio_core::{ConvergedMask, Degradation};
-use revelio_gnn::{GnnConfig, GnnKind, Task};
+use revelio_core::wire::{Codec, WireDecodeError};
+use revelio_core::{wire_struct, ConvergedMask, Degradation};
+use revelio_gnn::GnnConfig;
 use revelio_graph::Target;
 
 /// A registered model: wire-assigned id, content fingerprint, and the full
@@ -155,7 +155,8 @@ pub fn fingerprint_model(config: &GnnConfig, state: &[Vec<f32>]) -> u64 {
             h = h.wrapping_mul(PRIME);
         }
     };
-    eat(&[kind_tag(config.kind), task_tag(config.task)]);
+    eat(&config.kind.to_bytes());
+    eat(&config.task.to_bytes());
     for v in [
         config.in_dim as u64,
         config.hidden_dim as u64,
@@ -176,298 +177,100 @@ pub fn fingerprint_model(config: &GnnConfig, state: &[Vec<f32>]) -> u64 {
 }
 
 // ---------------------------------------------------------------------------
-// Shared sub-codecs.
+// Record layouts.
 // ---------------------------------------------------------------------------
 
-fn kind_tag(kind: GnnKind) -> u8 {
-    match kind {
-        GnnKind::Gcn => 0,
-        GnnKind::Gin => 1,
-        GnnKind::Gat => 2,
-    }
-}
+wire_struct!(ModelRecord {
+    model_id: u32,
+    fingerprint: u64,
+    config: GnnConfig,
+    state: Vec<Vec<f32>>,
+});
 
-fn task_tag(task: Task) -> u8 {
-    match task {
-        Task::NodeClassification => 0,
-        Task::GraphClassification => 1,
-    }
-}
+wire_struct!(MaskKey {
+    model_id: u32,
+    graph_id: u64,
+    target: Target,
+    layers: u32,
+});
 
-fn put_target(out: &mut Vec<u8>, target: Target) {
-    match target {
-        Target::Graph => put_u8(out, 0),
-        Target::Node(n) => {
-            put_u8(out, 1);
-            put_u64(out, n as u64);
+wire_struct!(FlowsRecord {
+    graph_id: u64,
+    target: Target,
+    layers: u32,
+    max_flows: u64,
+    layer_edge_count: u32,
+    flow_edges: Vec<u32>,
+    dropped: u64,
+} check FlowsRecord::check);
+
+wire_struct!(PhaseSummary {
+    queue_us: u64,
+    prep_us: u64,
+    explain_us: u64,
+});
+
+wire_struct!(ExplanationRecord {
+    job_id: u64,
+    key: MaskKey,
+    model_fingerprint: u64,
+    edge_scores: Vec<f32>,
+    layer_edge_scores: Option<Vec<Vec<f32>>>,
+    flow_scores: Option<Vec<f32>>,
+    degradation: Degradation,
+    phases: PhaseSummary,
+    mask: Option<StoredMask>,
+});
+
+wire_struct!(ExplanationSummary {
+    job_id: u64,
+    key: MaskKey,
+    degraded: bool,
+    has_mask: bool,
+});
+
+/// Whole-payload entry points: a log record holds exactly one record.
+macro_rules! record_payload {
+    ($($ty:ident),+) => {$(
+        impl $ty {
+            /// Appends the record payload to `out`.
+            pub fn encode(&self, out: &mut Vec<u8>) {
+                Codec::encode(self, out);
+            }
+
+            /// Decodes a payload written by `encode`, consuming the whole
+            /// buffer.
+            pub fn decode(bytes: &[u8]) -> Result<$ty, WireDecodeError> {
+                Codec::from_bytes(bytes)
+            }
         }
-    }
+    )+};
 }
 
-fn read_target(r: &mut WireReader<'_>) -> Result<Target, WireDecodeError> {
-    match r.u8()? {
-        0 => Ok(Target::Graph),
-        1 => Ok(Target::Node(r.u64()? as usize)),
-        _ => Err(WireDecodeError::Invalid("target tag")),
-    }
-}
-
-fn put_config(out: &mut Vec<u8>, config: &GnnConfig) {
-    put_u8(out, kind_tag(config.kind));
-    put_u8(out, task_tag(config.task));
-    put_u32(out, config.in_dim as u32);
-    put_u32(out, config.hidden_dim as u32);
-    put_u32(out, config.num_classes as u32);
-    put_u32(out, config.num_layers as u32);
-    put_u32(out, config.heads as u32);
-    put_u64(out, config.seed);
-}
-
-fn read_config(r: &mut WireReader<'_>) -> Result<GnnConfig, WireDecodeError> {
-    let kind = match r.u8()? {
-        0 => GnnKind::Gcn,
-        1 => GnnKind::Gin,
-        2 => GnnKind::Gat,
-        _ => return Err(WireDecodeError::Invalid("gnn kind tag")),
-    };
-    let task = match r.u8()? {
-        0 => Task::NodeClassification,
-        1 => Task::GraphClassification,
-        _ => return Err(WireDecodeError::Invalid("task tag")),
-    };
-    Ok(GnnConfig {
-        kind,
-        task,
-        in_dim: r.u32()? as usize,
-        hidden_dim: r.u32()? as usize,
-        num_classes: r.u32()? as usize,
-        num_layers: r.u32()? as usize,
-        heads: r.u32()? as usize,
-        seed: r.u64()?,
-    })
-}
-
-fn put_f32_lists(out: &mut Vec<u8>, lists: &[Vec<f32>]) {
-    put_u32(out, lists.len() as u32);
-    for list in lists {
-        put_f32s(out, list);
-    }
-}
-
-/// Reads a `u32`-counted sequence of `f32` vectors, bounding the count by
-/// the bytes actually present (each vector needs at least its own 4-byte
-/// length prefix) before any allocation.
-fn read_f32_lists(r: &mut WireReader<'_>) -> Result<Vec<Vec<f32>>, WireDecodeError> {
-    let n = r.u32()? as usize;
-    let floor = n
-        .checked_mul(4)
-        .ok_or(WireDecodeError::Invalid("list count overflows usize"))?;
-    if r.remaining() < floor {
-        return Err(WireDecodeError::Truncated {
-            needed: floor,
-            remaining: r.remaining(),
-        });
-    }
-    let mut lists = Vec::with_capacity(n);
-    for _ in 0..n {
-        lists.push(r.f32s()?);
-    }
-    Ok(lists)
-}
-
-fn put_opt_f32s(out: &mut Vec<u8>, vs: Option<&[f32]>) {
-    match vs {
-        Some(vs) => {
-            put_bool(out, true);
-            put_f32s(out, vs);
-        }
-        None => put_bool(out, false),
-    }
-}
-
-fn read_opt_f32s(r: &mut WireReader<'_>) -> Result<Option<Vec<f32>>, WireDecodeError> {
-    Ok(if r.bool()? { Some(r.f32s()?) } else { None })
-}
-
-// ---------------------------------------------------------------------------
-// Record codecs.
-// ---------------------------------------------------------------------------
-
-impl ModelRecord {
-    /// Appends the record payload to `out`.
-    pub fn encode(&self, out: &mut Vec<u8>) {
-        put_u32(out, self.model_id);
-        put_u64(out, self.fingerprint);
-        put_config(out, &self.config);
-        put_f32_lists(out, &self.state);
-    }
-
-    /// Decodes a payload written by [`ModelRecord::encode`], consuming the
-    /// whole buffer.
-    pub fn decode(bytes: &[u8]) -> Result<ModelRecord, WireDecodeError> {
-        let mut r = WireReader::new(bytes);
-        let rec = ModelRecord {
-            model_id: r.u32()?,
-            fingerprint: r.u64()?,
-            config: read_config(&mut r)?,
-            state: read_f32_lists(&mut r)?,
-        };
-        r.expect_end()?;
-        Ok(rec)
-    }
-}
-
-impl MaskKey {
-    fn encode(&self, out: &mut Vec<u8>) {
-        put_u32(out, self.model_id);
-        put_u64(out, self.graph_id);
-        put_target(out, self.target);
-        put_u32(out, self.layers);
-    }
-
-    fn decode(r: &mut WireReader<'_>) -> Result<MaskKey, WireDecodeError> {
-        Ok(MaskKey {
-            model_id: r.u32()?,
-            graph_id: r.u64()?,
-            target: read_target(r)?,
-            layers: r.u32()?,
-        })
-    }
-}
+record_payload!(ModelRecord, FlowsRecord, ExplanationRecord);
 
 impl FlowsRecord {
-    /// Appends the record payload to `out`.
-    pub fn encode(&self, out: &mut Vec<u8>) {
-        put_u64(out, self.graph_id);
-        put_target(out, self.target);
-        put_u32(out, self.layers);
-        put_u64(out, self.max_flows);
-        put_u32(out, self.layer_edge_count);
-        put_u32s(out, &self.flow_edges);
-        put_u64(out, self.dropped);
-    }
-
-    /// Decodes a payload written by [`FlowsRecord::encode`], consuming the
-    /// whole buffer. The layer-edge table must divide evenly into `layers`
-    /// and reference only edges below `layer_edge_count`.
-    pub fn decode(bytes: &[u8]) -> Result<FlowsRecord, WireDecodeError> {
-        let mut r = WireReader::new(bytes);
-        let rec = FlowsRecord {
-            graph_id: r.u64()?,
-            target: read_target(&mut r)?,
-            layers: r.u32()?,
-            max_flows: r.u64()?,
-            layer_edge_count: r.u32()?,
-            flow_edges: r.u32s()?,
-            dropped: r.u64()?,
-        };
-        r.expect_end()?;
-        if rec.layers == 0 {
+    /// The layer-edge table must divide evenly into `layers` and reference
+    /// only edges below `layer_edge_count`.
+    fn check(&self) -> Result<(), WireDecodeError> {
+        if self.layers == 0 {
             return Err(WireDecodeError::Invalid("flow record with zero layers"));
         }
-        if !rec.flow_edges.len().is_multiple_of(rec.layers as usize) {
+        if !self.flow_edges.len().is_multiple_of(self.layers as usize) {
             return Err(WireDecodeError::Invalid(
                 "flow edge table not a multiple of the layer count",
             ));
         }
-        if rec.flow_edges.iter().any(|&e| e >= rec.layer_edge_count) {
+        if self.flow_edges.iter().any(|&e| e >= self.layer_edge_count) {
             return Err(WireDecodeError::Invalid(
                 "flow edge id out of incidence range",
             ));
         }
-        Ok(rec)
+        Ok(())
     }
-}
-
-fn encode_mask(mask: &StoredMask, out: &mut Vec<u8>) {
-    put_f32s(out, &mask.mask_params);
-    put_f32_lists(out, &mask.layer_weights);
-    put_u32s(out, &mask.selected);
-}
-
-fn decode_mask(r: &mut WireReader<'_>) -> Result<StoredMask, WireDecodeError> {
-    Ok(StoredMask {
-        mask_params: r.f32s()?,
-        layer_weights: read_f32_lists(r)?,
-        selected: r.u32s()?,
-    })
 }
 
 impl ExplanationRecord {
-    /// Appends the record payload to `out`.
-    pub fn encode(&self, out: &mut Vec<u8>) {
-        put_u64(out, self.job_id);
-        self.key.encode(out);
-        put_u64(out, self.model_fingerprint);
-        put_f32s(out, &self.edge_scores);
-        match &self.layer_edge_scores {
-            Some(lists) => {
-                put_bool(out, true);
-                put_f32_lists(out, lists);
-            }
-            None => put_bool(out, false),
-        }
-        put_opt_f32s(out, self.flow_scores.as_deref());
-        self.degradation.encode(out);
-        put_u64(out, self.phases.queue_us);
-        put_u64(out, self.phases.prep_us);
-        put_u64(out, self.phases.explain_us);
-        match &self.mask {
-            Some(mask) => {
-                put_bool(out, true);
-                encode_mask(mask, out);
-            }
-            None => put_bool(out, false),
-        }
-    }
-
-    /// Decodes a payload written by [`ExplanationRecord::encode`],
-    /// consuming the whole buffer. A present mask must align with its own
-    /// selection (one parameter per selected flow).
-    pub fn decode(bytes: &[u8]) -> Result<ExplanationRecord, WireDecodeError> {
-        let mut r = WireReader::new(bytes);
-        let job_id = r.u64()?;
-        let key = MaskKey::decode(&mut r)?;
-        let model_fingerprint = r.u64()?;
-        let edge_scores = r.f32s()?;
-        let layer_edge_scores = if r.bool()? {
-            Some(read_f32_lists(&mut r)?)
-        } else {
-            None
-        };
-        let flow_scores = read_opt_f32s(&mut r)?;
-        let degradation = Degradation::decode(&mut r)?;
-        let phases = PhaseSummary {
-            queue_us: r.u64()?,
-            prep_us: r.u64()?,
-            explain_us: r.u64()?,
-        };
-        let mask = if r.bool()? {
-            Some(decode_mask(&mut r)?)
-        } else {
-            None
-        };
-        r.expect_end()?;
-        if let Some(m) = &mask {
-            if m.mask_params.len() != m.selected.len() {
-                return Err(WireDecodeError::Invalid(
-                    "mask parameters misaligned with selection",
-                ));
-            }
-        }
-        Ok(ExplanationRecord {
-            job_id,
-            key,
-            model_fingerprint,
-            edge_scores,
-            layer_edge_scores,
-            flow_scores,
-            degradation,
-            phases,
-            mask,
-        })
-    }
-
     /// The in-memory listing entry for this record.
     pub fn summary(&self) -> ExplanationSummary {
         ExplanationSummary {
@@ -482,6 +285,8 @@ impl ExplanationRecord {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use revelio_core::wire::{put_u32, put_u64};
+    use revelio_gnn::{GnnKind, Task};
 
     fn config() -> GnnConfig {
         GnnConfig::standard(GnnKind::Gcn, Task::NodeClassification, 4, 3, 11)
@@ -618,7 +423,7 @@ mod tests {
         let mut buf = Vec::new();
         put_u32(&mut buf, 3);
         put_u64(&mut buf, 0);
-        put_config(&mut buf, &config());
+        config().encode(&mut buf);
         put_u32(&mut buf, u32::MAX / 2);
         assert!(matches!(
             ModelRecord::decode(&buf),

@@ -1,13 +1,15 @@
 //! Property tests for the store record codecs, mirroring the wire-codec
 //! suite: round-trips on arbitrary records, and rejection (never a panic,
 //! never silent corruption) for truncated, corrupted, and
-//! hostile-length payloads.
+//! hostile-length payloads. Every generated record (and every layout
+//! nested in one) also runs through [`check_codec`], the property every
+//! `Codec` holds.
 
 #![allow(clippy::unwrap_used)]
 
 use proptest::prelude::*;
 
-use revelio_core::wire::put_u32;
+use revelio_core::wire::{check_codec, put_u32, Codec};
 use revelio_core::Degradation;
 use revelio_gnn::{GnnConfig, GnnKind, Task};
 use revelio_graph::Target;
@@ -37,6 +39,13 @@ fn config_from(bits: u64) -> GnnConfig {
     }
 }
 
+/// Fails the case when `value` breaks the shared codec property.
+fn holds<T: Codec + PartialEq + std::fmt::Debug>(value: &T) {
+    if let Err(violation) = check_codec(value) {
+        panic!("{violation}");
+    }
+}
+
 fn target_from(bits: u64) -> Target {
     if bits & 1 == 0 {
         Target::Graph
@@ -61,6 +70,8 @@ proptest! {
             config: config_from(bits),
             state: state.clone(),
         };
+        holds(&rec);
+        holds(&rec.config);
         let mut buf = Vec::new();
         rec.encode(&mut buf);
         let back = ModelRecord::decode(&buf).unwrap();
@@ -95,6 +106,8 @@ proptest! {
             flow_edges: raw_edges[..keep].to_vec(),
             dropped,
         };
+        holds(&rec);
+        holds(&rec.target);
         let mut buf = Vec::new();
         rec.encode(&mut buf);
         prop_assert_eq!(FlowsRecord::decode(&buf).unwrap(), rec);
@@ -143,6 +156,13 @@ proptest! {
                 layer_weights: vec![vec![0.54]],
             }),
         };
+        holds(&rec);
+        holds(&rec.key);
+        holds(&rec.phases);
+        holds(&rec.degradation);
+        holds(rec.mask.as_ref().unwrap());
+        holds(&rec.summary());
+        holds(&ExplanationRecord { mask: None, ..rec.clone() });
         let mut buf = Vec::new();
         rec.encode(&mut buf);
         prop_assert_eq!(ExplanationRecord::decode(&buf).unwrap(), rec);
@@ -219,6 +239,21 @@ proptest! {
                 .all(|&e| e < back.layer_edge_count));
         }
     }
+}
+
+#[test]
+fn config_tags_hold_the_codec_property() {
+    for b in 0..=u8::MAX {
+        if let Ok(kind) = GnnKind::from_bytes(&[b]) {
+            assert_eq!(kind.to_bytes(), vec![b]);
+            holds(&kind);
+        }
+        if let Ok(task) = Task::from_bytes(&[b]) {
+            assert_eq!(task.to_bytes(), vec![b]);
+            holds(&task);
+        }
+    }
+    assert!(GnnKind::from_bytes(&[3]).is_err() && Task::from_bytes(&[2]).is_err());
 }
 
 #[test]
