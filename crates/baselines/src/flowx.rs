@@ -75,14 +75,17 @@ impl FlowX {
         })
     }
 
-    /// Stage 1: Shapley-style marginal-contribution estimates per flow.
-    /// Stops sampling early (keeping the estimates accumulated so far) once
-    /// `deadline` expires.
+    /// Stage 1: Shapley-style marginal-contribution estimates per flow,
+    /// each sample propagated from `xw`, the model's
+    /// [`Gnn::input_transform`] of the instance features. Stops sampling
+    /// early (keeping the estimates accumulated so far) once `deadline`
+    /// expires.
     fn sample_marginals(
         &self,
         model: &Gnn,
         instance: &Instance,
         index: &FlowIndex,
+        xw: &Tensor,
         deadline: &Deadline,
     ) -> Vec<f32> {
         let cfg = &self.cfg;
@@ -134,7 +137,7 @@ impl FlowX {
                 })
                 .collect();
             let prob = model
-                .target_logits(&instance.mp, &instance.x, Some(&masks), instance.target)
+                .target_logits_from(&instance.mp, xw, Some(&masks), instance.target)
                 .log_softmax_rows()
                 .get(0, instance.class)
                 .exp();
@@ -195,7 +198,10 @@ impl Explainer for FlowX {
         };
         let ne = instance.mp.layer_edge_count();
 
-        let shapley = self.sample_marginals(model, instance, &index, &ctl.deadline);
+        // The first layer's `x · W` does not depend on the masks: one
+        // product serves every sample and every refinement epoch.
+        let xw = model.input_transform(&instance.x);
+        let shapley = self.sample_marginals(model, instance, &index, &xw, &ctl.deadline);
 
         // Stage 2: learning refinement, masks seeded from the estimates.
         let max_abs = shapley
@@ -217,7 +223,7 @@ impl Explainer for FlowX {
                 .map(|l| mask_params.sp_matvec(index.incidence(l)).sigmoid())
                 .collect();
             let lp_c = model
-                .target_logits(&instance.mp, &instance.x, Some(&masks), instance.target)
+                .target_logits_from(&instance.mp, &xw, Some(&masks), instance.target)
                 .log_softmax_rows()
                 .slice_cols(instance.class, instance.class + 1);
             let objective = match cfg.objective {

@@ -86,6 +86,8 @@ impl Explainer for GnnExplainer {
 
         let mask_params = uniform(ne, 1, 0.1, cfg.seed).requires_grad();
         let mut opt = Adam::new(vec![mask_params.clone()], cfg.lr);
+        // The first layer's `x · W` does not depend on the mask.
+        let xw = model.input_transform(&instance.x);
 
         for epoch in 0..cfg.epochs {
             if ctl.deadline.expired() {
@@ -96,8 +98,7 @@ impl Explainer for GnnExplainer {
             opt.zero_grad();
             let mask = mask_params.sigmoid();
             let masks: Vec<Tensor> = (0..layers).map(|_| mask.clone()).collect();
-            let logits =
-                model.target_logits(&instance.mp, &instance.x, Some(&masks), instance.target);
+            let logits = model.target_logits_from(&instance.mp, &xw, Some(&masks), instance.target);
             let lp_c = logits
                 .log_softmax_rows()
                 .slice_cols(instance.class, instance.class + 1);

@@ -3,6 +3,7 @@
 use revelio_core::{Explainer, Explanation};
 use revelio_gnn::{Gnn, Instance, Task};
 use revelio_graph::Target;
+use revelio_tensor::Tensor;
 
 /// GradCAM adapted to GNNs (Pope et al., 2019).
 ///
@@ -20,22 +21,26 @@ pub struct GradCam;
 /// scores the mean of its endpoint attributions (absolute value).
 pub struct DeepLift;
 
-/// Runs a forward pass, differentiates the explained class score, and
-/// returns (gradient w.r.t. `wrt`, data of `wrt`).
-fn class_gradient(model: &Gnn, instance: &Instance, wrt: &revelio_tensor::Tensor) -> Vec<f32> {
+/// The explained class score (`1 × 1`), from a forward pass on the
+/// features `x`.
+fn class_score(model: &Gnn, instance: &Instance, x: &Tensor) -> Tensor {
     let logits = match (model.config().task, instance.target) {
-        (Task::NodeClassification, Target::Node(v)) => model
-            .node_logits(&instance.mp, &instance.x, None)
-            .gather_rows(&[v]),
-        (Task::GraphClassification, Target::Graph) => {
-            model.graph_logits(&instance.mp, &instance.x, None)
+        (Task::NodeClassification, Target::Node(v)) => {
+            model.node_logits(&instance.mp, x, None).gather_rows(&[v])
         }
+        (Task::GraphClassification, Target::Graph) => model.graph_logits(&instance.mp, x, None),
         (task, target) => panic!("target {target:?} does not match task {task:?}"),
     };
-    let score = logits.slice_cols(instance.class, instance.class + 1);
-    wrt.zero_grad();
+    logits.slice_cols(instance.class, instance.class + 1)
+}
+
+/// The gradient of the explained class score w.r.t. the features `x`,
+/// which must be flagged with `requires_grad` or no gradient reaches it.
+fn class_gradient(model: &Gnn, instance: &Instance, x: &Tensor) -> Vec<f32> {
+    let score = class_score(model, instance, x);
+    x.zero_grad();
     score.backward();
-    wrt.grad_vec()
+    x.grad_vec()
 }
 
 fn node_heat_to_edge_scores(instance: &Instance, heat: &[f32]) -> Vec<f32> {
@@ -115,8 +120,12 @@ impl Explainer for DeepLift {
     }
 
     fn explain(&self, model: &Gnn, instance: &Instance) -> Explanation {
-        let grad = class_gradient(model, instance, &instance.x);
-        let x = instance.x.data();
+        // Differentiate w.r.t. a flagged copy of the features: flagging the
+        // instance's own `x` would make every later explainer of the
+        // instance pay for its gradient too.
+        let x = instance.x.detach().requires_grad();
+        let grad = class_gradient(model, instance, &x);
+        let x = x.data();
         let (n, f) = instance.x.shape();
         // Rescale rule with zero baseline: contribution = grad * (x - 0).
         let heat: Vec<f32> = (0..n)
@@ -172,6 +181,63 @@ mod tests {
         let exp = DeepLift.explain(&model, &inst);
         assert_eq!(exp.edge_scores.len(), inst.graph.num_edges());
         assert!(exp.edge_scores.iter().all(|s| s.is_finite() && *s >= 0.0));
+    }
+
+    /// [`setup`]'s model frozen, as explainers receive trained models.
+    fn frozen_setup() -> (Gnn, Instance) {
+        let (model, inst) = setup();
+        model.freeze();
+        (model, inst)
+    }
+
+    #[test]
+    fn deeplift_gradient_matches_finite_differences() {
+        let (model, inst) = frozen_setup();
+        let x = inst.x.detach().requires_grad();
+        let grad = class_gradient(&model, &inst, &x);
+        assert!(grad.iter().any(|g| *g != 0.0), "input gradient is all zero");
+        revelio_tensor::grad_check(
+            || class_score(&model, &inst, &x),
+            std::slice::from_ref(&x),
+            1e-2,
+            2e-2,
+        )
+        .expect("the class score's input gradient matches finite differences");
+        // The vector DeepLIFT consumes is that same gradient: compare it
+        // with central differences element by element.
+        let base = x.to_vec();
+        let eps = 1e-2;
+        for (i, &g) in grad.iter().enumerate() {
+            let mut probe = base.clone();
+            probe[i] = base[i] + eps;
+            x.set_data(&probe);
+            let plus = class_score(&model, &inst, &x).item();
+            probe[i] = base[i] - eps;
+            x.set_data(&probe);
+            let minus = class_score(&model, &inst, &x).item();
+            let numeric = (plus - minus) / (2.0 * eps);
+            let rel = (g - numeric).abs() / g.abs().max(numeric.abs()).max(1.0);
+            assert!(rel < 2e-2, "element {i}: analytic {g} vs numeric {numeric}");
+        }
+        x.set_data(&base);
+    }
+
+    #[test]
+    fn deeplift_scores_are_not_all_zero() {
+        let (model, inst) = frozen_setup();
+        let exp = DeepLift.explain(&model, &inst);
+        assert!(exp.edge_scores.iter().any(|s| *s > 0.0));
+        assert!(
+            !inst.x.has_grad(),
+            "the shared features must stay unflagged"
+        );
+    }
+
+    #[test]
+    fn gradcam_scores_are_not_all_zero() {
+        let (model, inst) = frozen_setup();
+        let exp = GradCam.explain(&model, &inst);
+        assert!(exp.edge_scores.iter().any(|s| *s > 0.0));
     }
 
     #[test]

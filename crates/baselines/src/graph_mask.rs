@@ -123,8 +123,8 @@ impl GraphMask {
         inputs
     }
 
-    fn masks_for(gates: &[GateNet], model: &Gnn, instance: &Instance) -> Vec<Tensor> {
-        Self::layer_inputs(model, instance)
+    fn masks_for(gates: &[GateNet], instance: &Instance, inputs: &[Tensor]) -> Vec<Tensor> {
+        inputs
             .iter()
             .zip(gates)
             .map(|(h, g)| g.gates(instance, h))
@@ -150,11 +150,23 @@ impl GraphMask {
         }
         let mut opt = Adam::new(params, cfg.lr);
 
+        // Per instance, everything the gates do not change: the layer
+        // inputs the gate networks read, and the first layer's `x · W`.
+        let prepared: Vec<(Vec<Tensor>, Tensor)> = instances
+            .iter()
+            .map(|inst| {
+                (
+                    Self::layer_inputs(model, inst),
+                    model.input_transform(&inst.x),
+                )
+            })
+            .collect();
+
         for _ in 0..cfg.epochs {
-            for inst in instances {
+            for (inst, (inputs, xw)) in instances.iter().zip(&prepared) {
                 opt.zero_grad();
-                let masks = Self::masks_for(&gates, model, inst);
-                let out = model.target_logits(&inst.mp, &inst.x, Some(&masks), inst.target);
+                let masks = Self::masks_for(&gates, inst, inputs);
+                let out = model.target_logits_from(&inst.mp, xw, Some(&masks), inst.target);
                 let lp_c = out
                     .log_softmax_rows()
                     .slice_cols(inst.class, inst.class + 1);
@@ -191,7 +203,7 @@ impl GraphMask {
         let gates = gates_ref.as_ref().ok_or(NotFitted {
             method: "GraphMask",
         })?;
-        let masks = Self::masks_for(gates, model, instance);
+        let masks = Self::masks_for(gates, instance, &Self::layer_inputs(model, instance));
         let mut layer_edge_scores: Vec<Vec<f32>> = masks.iter().map(Tensor::to_vec).collect();
         if self.cfg.objective == Objective::Counterfactual {
             for ls in &mut layer_edge_scores {

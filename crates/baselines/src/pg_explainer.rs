@@ -160,19 +160,20 @@ impl PgExplainer {
         let mut opt = Adam::new(mlp.params(), cfg.lr);
         let mut rng = SmallRng::seed_from_u64(cfg.seed ^ 0x96);
 
-        // Precompute embeddings and edge inputs per instance.
-        let prepared: Vec<Tensor> = instances
+        // Precompute embeddings and edge inputs per instance, and the first
+        // layer's mask-invariant `x · W`.
+        let prepared: Vec<(Tensor, Tensor)> = instances
             .iter()
             .map(|inst| {
                 let z = Self::embeddings(model, inst);
-                Self::edge_inputs(inst, &z)
+                (Self::edge_inputs(inst, &z), model.input_transform(&inst.x))
             })
             .collect();
 
         for epoch in 0..cfg.epochs {
             let t = epoch as f32 / cfg.epochs.max(1) as f32;
             let temp = cfg.temp_start * (cfg.temp_end / cfg.temp_start).powf(t);
-            for (inst, inputs) in instances.iter().zip(&prepared) {
+            for (inst, (inputs, xw)) in instances.iter().zip(&prepared) {
                 opt.zero_grad();
                 let logits = mlp.forward(inputs);
                 // Concrete relaxation: σ((logit + ln u − ln(1−u)) / τ).
@@ -185,7 +186,7 @@ impl PgExplainer {
                 let noise_t = Tensor::from_vec(noise, logits.rows(), 1);
                 let gate = logits.add(&noise_t).mul_scalar(1.0 / temp).sigmoid();
                 let masks: Vec<Tensor> = (0..model.num_layers()).map(|_| gate.clone()).collect();
-                let out = model.target_logits(&inst.mp, &inst.x, Some(&masks), inst.target);
+                let out = model.target_logits_from(&inst.mp, xw, Some(&masks), inst.target);
                 let lp_c = out
                     .log_softmax_rows()
                     .slice_cols(inst.class, inst.class + 1);

@@ -318,6 +318,9 @@ impl BatchedOptimizer {
             Some((mp, x)) => (mp, x),
             None => (&items[0].instance.mp, &items[0].instance.x),
         };
+        // The first layer's `x · W` does not depend on the masks: computed
+        // once here, propagated from every epoch.
+        let xw = model.input_transform(x);
         let e_total = mp.layer_edge_count();
         let (incidence, edge_item) = if b == 1 {
             (runs[0].incidence.clone(), None)
@@ -418,7 +421,7 @@ impl BatchedOptimizer {
         let build_loss = || {
             let masks = params.layer_masks(cfg, &incidence, edge_item.as_deref());
             let h = model
-                .forward_layers(mp, x, Some(&masks))
+                .forward_layers_from(mp, &xw, Some(&masks))
                 .pop()
                 .expect("at least one layer");
             let logp: Vec<Tensor> = match task {

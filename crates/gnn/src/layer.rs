@@ -157,6 +157,32 @@ impl Layer {
         gcn_norm: &Tensor,
         trailing_slope: Option<f32>,
     ) -> Tensor {
+        self.propagate(mp, &self.transform(h), mask, gcn_norm, trailing_slope)
+    }
+
+    /// The layer's first step, `h · W` (`W₁` for GIN): every architecture
+    /// transforms node features before gathering messages, and the result
+    /// depends on neither the graph nor the mask. Mask-learning loops
+    /// compute it once for the first layer and [`Layer::propagate`] from it
+    /// every epoch.
+    pub fn transform(&self, h: &Tensor) -> Tensor {
+        match self {
+            Layer::Gcn { weight, .. } | Layer::Gat { weight, .. } => h.matmul(weight),
+            Layer::Gin { w1, .. } => h.matmul(w1),
+        }
+    }
+
+    /// Everything of [`Layer::forward_fused`] after [`Layer::transform`]:
+    /// `hw` is `transform(h)`, and `forward_fused(mp, h, ..)` is exactly
+    /// `propagate(mp, &transform(h), ..)`.
+    pub fn propagate(
+        &self,
+        mp: &MpGraph,
+        hw: &Tensor,
+        mask: Option<&Tensor>,
+        gcn_norm: &Tensor,
+        trailing_slope: Option<f32>,
+    ) -> Tensor {
         let n = mp.num_nodes();
         if let Some(m) = mask {
             assert_eq!(
@@ -170,20 +196,19 @@ impl Layer {
             None => t.add_row_broadcast(bias),
         };
         match self {
-            Layer::Gcn { weight, bias } => {
-                let hw = h.matmul(weight);
+            Layer::Gcn { bias, .. } => {
                 let mut msgs = hw.gather_rows(mp.src()).mul_col_broadcast(gcn_norm);
                 if let Some(m) = mask {
                     msgs = msgs.mul_col_broadcast(m);
                 }
                 finish(msgs.scatter_add_rows(mp.dst(), n), bias)
             }
-            Layer::Gin { w1, b1, w2, b2 } => {
+            Layer::Gin { b1, w2, b2, .. } => {
                 // The first MLP matmul commutes with the (linear) sum
-                // aggregation, so transform before gathering: messages are
-                // then `out_dim` wide instead of `in_dim` wide — a large
-                // saving on high-dimensional inputs (e.g. Citeseer's 3703).
-                let hw = h.matmul(w1);
+                // aggregation, so `transform` applies it before gathering:
+                // messages are then `out_dim` wide instead of `in_dim` wide
+                // — a large saving on high-dimensional inputs (e.g.
+                // Citeseer's 3703).
                 let mut msgs = hw.gather_rows(mp.src());
                 if let Some(m) = mask {
                     msgs = msgs.mul_col_broadcast(m);
@@ -195,14 +220,13 @@ impl Layer {
                 finish(agg.bias_leaky_relu(b1, 0.01).matmul(w2), b2)
             }
             Layer::Gat {
-                weight,
                 bias,
                 att_src,
                 att_dst,
                 heads,
                 average_heads,
+                ..
             } => {
-                let hw = h.matmul(weight);
                 let head_dim = hw.cols() / heads;
                 let mut head_outs: Option<Tensor> = None;
                 for k in 0..*heads {

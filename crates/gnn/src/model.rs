@@ -149,6 +149,26 @@ impl Gnn {
         p
     }
 
+    /// Freezes the model for explaining: clears `requires_grad` on every
+    /// parameter and drops any accumulated gradient. A backward pass through
+    /// a frozen model differentiates only what the explainer learns (its
+    /// masks), never the weights. Training re-flags the parameters on entry
+    /// and freezes them again on exit.
+    pub fn freeze(&self) {
+        for p in self.params() {
+            p.set_requires_grad(false);
+            p.zero_grad();
+        }
+    }
+
+    /// Flags every parameter for gradient accumulation again (what
+    /// [`Gnn::new`] starts with).
+    pub(crate) fn unfreeze(&self) {
+        for p in self.params() {
+            p.set_requires_grad(true);
+        }
+    }
+
     /// The node feature matrix of `g` as a tensor.
     pub fn features_tensor(g: &Graph) -> Tensor {
         Tensor::from_vec(g.features().to_vec(), g.num_nodes(), g.feat_dim())
@@ -171,28 +191,46 @@ impl Gnn {
         x: &Tensor,
         masks: Option<&[Tensor]>,
     ) -> Vec<Tensor> {
+        self.forward_layers_from(mp, &self.input_transform(x), masks)
+    }
+
+    /// The first layer's [`Layer::transform`] of the features `x`: the
+    /// mask-invariant `x · W` that [`Gnn::forward_layers_from`] and
+    /// [`Gnn::target_logits_from`] start from. A mask-learning loop computes
+    /// it once and propagates from it every epoch.
+    pub fn input_transform(&self, x: &Tensor) -> Tensor {
+        self.layers[0].transform(x)
+    }
+
+    /// [`Gnn::forward_layers`] from the first layer's transformed input
+    /// `xw = input_transform(x)`; every later layer transforms its own
+    /// input.
+    pub fn forward_layers_from(
+        &self,
+        mp: &MpGraph,
+        xw: &Tensor,
+        masks: Option<&[Tensor]>,
+    ) -> Vec<Tensor> {
         if let Some(ms) = masks {
             assert_eq!(ms.len(), self.cfg.num_layers, "one mask per layer required");
         }
         let norm = Self::norm_tensor(mp);
-        let mut outs = Vec::with_capacity(self.cfg.num_layers);
-        let mut h = x.clone();
+        let mut outs: Vec<Tensor> = Vec::with_capacity(self.cfg.num_layers);
         for (l, layer) in self.layers.iter().enumerate() {
+            let hw = match outs.last() {
+                None => xw.clone(),
+                Some(h) => layer.transform(h),
+            };
             let mask = masks.map(|ms| &ms[l]);
             let is_last = l + 1 == self.cfg.num_layers;
             let keep_raw = is_last && self.cfg.task == Task::NodeClassification;
             // Leaky activation between layers: plain ReLU can kill every
             // unit at once under full-batch training (dying-ReLU), freezing
-            // the model at the class prior.
-            let out = if keep_raw {
-                layer.forward(mp, &h, mask, &norm)
-            } else {
-                // Fused into the layer's final bias add — bit-identical to
-                // `forward(..).leaky_relu(0.01)` but one pass over the matrix.
-                layer.forward_fused(mp, &h, mask, &norm, Some(0.01))
-            };
-            outs.push(out.clone());
-            h = out;
+            // the model at the class prior. It is fused into the layer's
+            // final bias add — bit-identical to `forward(..).leaky_relu(0.01)`
+            // but one pass over the matrix.
+            let slope = (!keep_raw).then_some(0.01);
+            outs.push(layer.propagate(mp, &hw, mask, &norm, slope));
         }
         outs
     }
@@ -240,11 +278,26 @@ impl Gnn {
         masks: Option<&[Tensor]>,
         target: Target,
     ) -> Tensor {
+        self.target_logits_from(mp, &self.input_transform(x), masks, target)
+    }
+
+    /// [`Gnn::target_logits`] from the first layer's transformed input
+    /// `xw = input_transform(x)`.
+    pub fn target_logits_from(
+        &self,
+        mp: &MpGraph,
+        xw: &Tensor,
+        masks: Option<&[Tensor]>,
+        target: Target,
+    ) -> Tensor {
+        let last = || {
+            self.forward_layers_from(mp, xw, masks)
+                .pop()
+                .expect("at least one layer")
+        };
         match (self.cfg.task, target) {
-            (Task::NodeClassification, Target::Node(v)) => {
-                self.node_logits(mp, x, masks).gather_rows(&[v])
-            }
-            (Task::GraphClassification, Target::Graph) => self.graph_logits(mp, x, masks),
+            (Task::NodeClassification, Target::Node(v)) => last().gather_rows(&[v]),
+            (Task::GraphClassification, Target::Graph) => self.readout_logits(&last()),
             (task, target) => panic!("target {target:?} does not match task {task:?}"),
         }
     }

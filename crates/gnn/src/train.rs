@@ -41,7 +41,8 @@ impl Default for TrainConfig {
 }
 
 /// Trains a node classifier full-batch on `g`, using cross-entropy over
-/// `train_idx`. Returns the final training loss.
+/// `train_idx`. Returns the final training loss. The model's parameters
+/// are trainable during the call and frozen ([`Gnn::freeze`]) after it.
 ///
 /// # Panics
 ///
@@ -54,6 +55,7 @@ pub fn train_node_classifier(
     cfg: &TrainConfig,
 ) -> f32 {
     assert_eq!(model.config().task, Task::NodeClassification);
+    model.unfreeze();
     let labels = g.node_labels().expect("node labels required for training");
     let targets: Vec<usize> = train_idx.iter().map(|&v| labels[v]).collect();
     let mp = MpGraph::new(g);
@@ -89,6 +91,7 @@ pub fn train_node_classifier(
             }
         }
     }
+    model.freeze();
     last_loss
 }
 
@@ -111,7 +114,8 @@ pub fn evaluate_node_accuracy(model: &Gnn, g: &Graph, idx: &[usize]) -> f64 {
 }
 
 /// Trains a graph classifier with minibatch gradient accumulation. Returns
-/// the mean loss of the final epoch.
+/// the mean loss of the final epoch. The model's parameters are trainable
+/// during the call and frozen ([`Gnn::freeze`]) after it.
 ///
 /// # Panics
 ///
@@ -124,6 +128,7 @@ pub fn train_graph_classifier(
     cfg: &TrainConfig,
 ) -> f32 {
     assert_eq!(model.config().task, Task::GraphClassification);
+    model.unfreeze();
     let prepared: Vec<(MpGraph, Tensor, usize)> = train_idx
         .iter()
         .map(|&i| {
@@ -177,6 +182,7 @@ pub fn train_graph_classifier(
             }
         }
     }
+    model.freeze();
     epoch_loss
 }
 

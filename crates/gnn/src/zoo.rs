@@ -126,7 +126,8 @@ impl ModelZoo {
 
     /// Loads the model cached under `key`, if present and well-formed and
     /// its config matches `expected` (so stale caches from changed
-    /// hyperparameters retrain instead of silently mismatching).
+    /// hyperparameters retrain instead of silently mismatching). The model
+    /// comes back frozen ([`Gnn::freeze`]), ready to explain.
     pub fn load(&self, key: &str, expected: &GnnConfig) -> Option<Gnn> {
         let text = fs::read_to_string(self.path(key)).ok()?;
         let (config, params) = from_json(&text)?;
@@ -144,6 +145,7 @@ impl ModelZoo {
             return None;
         }
         model.load_state(&params);
+        model.freeze();
         Some(model)
     }
 
@@ -158,13 +160,15 @@ impl ModelZoo {
     }
 
     /// Returns the cached model for `key`, or builds a fresh model with
-    /// `config`, trains it with `train`, caches and returns it.
+    /// `config`, trains it with `train`, caches and returns it, frozen
+    /// either way.
     pub fn get_or_train(&self, key: &str, config: GnnConfig, train: impl FnOnce(&Gnn)) -> Gnn {
         if let Some(m) = self.load(key, &config) {
             return m;
         }
         let model = Gnn::new(config);
         train(&model);
+        model.freeze();
         self.save(key, &model);
         model
     }

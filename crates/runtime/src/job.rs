@@ -10,7 +10,7 @@ use std::time::Duration;
 
 use revelio_check::sync::mpsc;
 
-use revelio_core::{Degradation, Explainer, Explanation, RevelioConfig};
+use revelio_core::{Degradation, Explainer, Explanation, Revelio, RevelioConfig};
 use revelio_gnn::{Gnn, GnnConfig};
 use revelio_graph::{Graph, Target};
 use revelio_trace::Trace;
@@ -47,10 +47,12 @@ impl ModelSpec {
         }
     }
 
-    /// Rebuilds the model (fresh tensors, identical weights).
+    /// Rebuilds the model (fresh tensors, identical weights), frozen for
+    /// explaining ([`Gnn::freeze`]).
     pub fn materialize(&self) -> Gnn {
         let model = Gnn::new(self.config.clone());
         model.load_state(&self.state);
+        model.freeze();
         model
     }
 
@@ -144,6 +146,9 @@ pub struct ExplainJob {
     /// [`RuntimeConfig::max_batch`]: crate::RuntimeConfig
     /// [`BatchedOptimizer`]: revelio_core::BatchedOptimizer
     /// [`BATCH_TOLERANCE`]: revelio_core::BATCH_TOLERANCE
+    ///
+    /// Set it through [`ExplainJob::with_batch_spec`], which installs the
+    /// matching explainer as well.
     pub batch_spec: Option<RevelioConfig>,
 }
 
@@ -217,12 +222,14 @@ impl ExplainJob {
     }
 
     /// Marks the job as a batchable REVELIO optimisation with the given
-    /// config (see [`ExplainJob::batch_spec`]). `make_explainer` should
-    /// build a `Revelio` with the *same* config, so the job answers the
-    /// same with or without the spec.
+    /// config (see [`ExplainJob::batch_spec`]) and replaces
+    /// `make_explainer` with a [`Revelio`] of that same config (seeded by
+    /// the job), so the spec and the factory cannot disagree.
     #[must_use]
     pub fn with_batch_spec(mut self, cfg: RevelioConfig) -> ExplainJob {
         self.batch_spec = Some(cfg);
+        self.make_explainer =
+            Box::new(move |seed| Box::new(Revelio::new(RevelioConfig { seed, ..cfg })));
         self
     }
 }
@@ -343,5 +350,51 @@ impl Ticket {
             Err(mpsc::TryRecvError::Empty) => Err(self),
             Err(mpsc::TryRecvError::Disconnected) => Ok(Err(JobError::Lost)),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use revelio_baselines::GradCam;
+    use revelio_gnn::{GnnKind, Instance, Task};
+
+    #[test]
+    fn batch_spec_installs_a_revelio_of_that_config() {
+        let mut b = Graph::builder(4, 2);
+        b.undirected_edge(0, 1)
+            .undirected_edge(1, 2)
+            .undirected_edge(2, 3);
+        b.node_features(1, &[1.0, 0.5]);
+        let graph = b.build();
+        let spec = RevelioConfig {
+            epochs: 7,
+            ..Default::default()
+        };
+        // A factory that disagrees with the spec is replaced, not kept.
+        let job = ExplainJob::flow_based(
+            graph.clone(),
+            Target::Node(1),
+            0,
+            1000,
+            Box::new(|_| Box::new(GradCam)),
+        )
+        .with_batch_spec(spec);
+        let explainer = (job.make_explainer)(11);
+        assert_eq!(explainer.name(), "REVELIO");
+
+        let model = Gnn::new(GnnConfig::standard(
+            GnnKind::Gcn,
+            Task::NodeClassification,
+            2,
+            2,
+            3,
+        ));
+        let instance = Instance::for_prediction(&model, graph, Target::Node(1));
+        let reference = Revelio::new(RevelioConfig { seed: 11, ..spec }).explain(&model, &instance);
+        assert_eq!(
+            explainer.explain(&model, &instance).edge_scores,
+            reference.edge_scores
+        );
     }
 }

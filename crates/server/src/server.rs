@@ -854,9 +854,15 @@ fn serve_explain(shared: &Shared, req: ExplainRequest, t0: Instant) -> Response 
             None
         },
         warm_start: req.control.warm_start,
-        // REVELIO requests advertise their config so the runtime can fuse
-        // compatible queued jobs into one optimize pass.
-        batch_spec: (method == "REVELIO").then(|| revelio_batch_config(req.objective, req.effort)),
+        batch_spec: None,
+    };
+    // REVELIO requests advertise their config so the runtime can fuse
+    // compatible queued jobs into one optimize pass; the spec installs the
+    // job's explainer too, so REVELIO's config is stated once.
+    let job = if method == "REVELIO" {
+        job.with_batch_spec(revelio_batch_config(req.objective, req.effort))
+    } else {
+        job
     };
     let ticket = match shared
         .runtime

@@ -153,6 +153,12 @@ impl Op {
 
     /// The tensors this operation reads (exposed for static tape analysis).
     pub fn parents(&self) -> Vec<Tensor> {
+        let (a, b) = self.operands();
+        std::iter::once(a).chain(b).cloned().collect()
+    }
+
+    /// The first operand and, for binary operations, the second.
+    pub(crate) fn operands(&self) -> (&Tensor, Option<&Tensor>) {
         match self {
             Op::Add(a, b)
             | Op::Sub(a, b)
@@ -165,7 +171,7 @@ impl Op {
             | Op::MulColBroadcast(a, b)
             | Op::ConcatCols(a, b)
             | Op::SigmoidScale(a, b)
-            | Op::BiasLeakyRelu(a, b, _) => vec![a.clone(), b.clone()],
+            | Op::BiasLeakyRelu(a, b, _) => (a, Some(b)),
             Op::Neg(a)
             | Op::AddScalar(a, _)
             | Op::MulScalar(a, _)
@@ -187,192 +193,221 @@ impl Op {
             | Op::SliceCols(a, _, _)
             | Op::SegmentSoftmax(a, _)
             | Op::SpMatVec(_, a)
-            | Op::SoftmaxXent(a, _) => vec![a.clone()],
+            | Op::SoftmaxXent(a, _) => (a, None),
         }
     }
 
-    /// Routes `grad_out` (the gradient w.r.t. `out`) to the parents.
+    /// Routes `grad_out` (the gradient w.r.t. `out`) to the parents that
+    /// need one (see [`Tensor::backward`]); a parent that needs none is
+    /// neither computed for nor written to. Every computed gradient is the
+    /// same sum in the same order whichever parents are skipped.
     pub(crate) fn backward(&self, out: &Tensor, grad_out: &[f32]) {
         match self {
             Op::Add(a, b) => {
-                a.accumulate_grad(grad_out);
-                b.accumulate_grad(grad_out);
+                for p in [a, b] {
+                    if p.needs_grad() {
+                        p.accumulate_grad(grad_out);
+                    }
+                }
             }
             Op::Sub(a, b) => {
-                a.accumulate_grad(grad_out);
-                let neg: Vec<f32> = grad_out.iter().map(|g| -g).collect();
-                b.accumulate_grad(&neg);
+                if a.needs_grad() {
+                    a.accumulate_grad(grad_out);
+                }
+                if b.needs_grad() {
+                    b.accumulate_grad_vec(grad_out.iter().map(|g| -g).collect());
+                }
             }
             Op::Mul(a, b) => {
-                let (ad, bd) = (a.data(), b.data());
-                let ga: Vec<f32> = grad_out.iter().zip(bd.iter()).map(|(g, b)| g * b).collect();
-                let gb: Vec<f32> = grad_out.iter().zip(ad.iter()).map(|(g, a)| g * a).collect();
-                drop((ad, bd));
-                a.accumulate_grad(&ga);
-                b.accumulate_grad(&gb);
+                if a.needs_grad() {
+                    let ga = grad_out
+                        .iter()
+                        .zip(b.data().iter())
+                        .map(|(g, b)| g * b)
+                        .collect();
+                    a.accumulate_grad_vec(ga);
+                }
+                if b.needs_grad() {
+                    let gb = grad_out
+                        .iter()
+                        .zip(a.data().iter())
+                        .map(|(g, a)| g * a)
+                        .collect();
+                    b.accumulate_grad_vec(gb);
+                }
             }
             Op::Div(a, b) => {
-                let (ad, bd) = (a.data(), b.data());
-                let ga: Vec<f32> = grad_out.iter().zip(bd.iter()).map(|(g, b)| g / b).collect();
-                let gb: Vec<f32> = grad_out
-                    .iter()
-                    .zip(ad.iter().zip(bd.iter()))
-                    .map(|(g, (a, b))| -g * a / (b * b))
-                    .collect();
-                drop((ad, bd));
-                a.accumulate_grad(&ga);
-                b.accumulate_grad(&gb);
+                if a.needs_grad() {
+                    let ga = grad_out
+                        .iter()
+                        .zip(b.data().iter())
+                        .map(|(g, b)| g / b)
+                        .collect();
+                    a.accumulate_grad_vec(ga);
+                }
+                if b.needs_grad() {
+                    let gb = grad_out
+                        .iter()
+                        .zip(a.data().iter().zip(b.data().iter()))
+                        .map(|(g, (a, b))| -g * a / (b * b))
+                        .collect();
+                    b.accumulate_grad_vec(gb);
+                }
             }
-            Op::Neg(a) => {
-                let g: Vec<f32> = grad_out.iter().map(|g| -g).collect();
-                a.accumulate_grad(&g);
-            }
+            Op::Neg(a) => a.accumulate_grad_vec(grad_out.iter().map(|g| -g).collect()),
             Op::AddScalar(a, _) => a.accumulate_grad(grad_out),
-            Op::MulScalar(a, s) => {
-                let g: Vec<f32> = grad_out.iter().map(|g| g * s).collect();
-                a.accumulate_grad(&g);
-            }
+            Op::MulScalar(a, s) => a.accumulate_grad_vec(grad_out.iter().map(|g| g * s).collect()),
             Op::MatMul(a, b) => {
                 let (m, k) = a.shape();
                 let (_, n) = b.shape();
-                // ga = g . b^T  (m x n) . (n x k)
-                let ga = kernels::matmul_nt(grad_out, m, n, &b.data(), k);
-                // gb = a^T . g  (k x m) . (m x n)
-                let gb = kernels::matmul_tn(&a.data(), m, k, grad_out, n);
-                a.accumulate_grad(&ga);
-                b.accumulate_grad(&gb);
+                if a.needs_grad() {
+                    // ga = g . b^T  (m x n) . (n x k)
+                    let ga = kernels::matmul_nt(grad_out, m, n, &b.data(), k);
+                    a.accumulate_grad_vec(ga);
+                }
+                if b.needs_grad() {
+                    // gb = a^T . g  (k x m) . (m x n)
+                    let gb = kernels::matmul_tn(&a.data(), m, k, grad_out, n);
+                    b.accumulate_grad_vec(gb);
+                }
             }
             Op::MatMulNt(a, b) => {
                 // out = a . b^T with a [m,n], b [k,n]; grad_out is [m,k].
                 let (m, n) = a.shape();
                 let (k, _) = b.shape();
-                // ga = g . b  (m x k) . (k x n)
-                let ga = kernels::matmul_nn(grad_out, m, k, &b.data(), n);
-                // gb = g^T . a  (k x m) . (m x n)
-                let gb = kernels::matmul_tn(grad_out, m, k, &a.data(), n);
-                a.accumulate_grad(&ga);
-                b.accumulate_grad(&gb);
+                if a.needs_grad() {
+                    // ga = g . b  (m x k) . (k x n)
+                    let ga = kernels::matmul_nn(grad_out, m, k, &b.data(), n);
+                    a.accumulate_grad_vec(ga);
+                }
+                if b.needs_grad() {
+                    // gb = g^T . a  (k x m) . (m x n)
+                    let gb = kernels::matmul_tn(grad_out, m, k, &a.data(), n);
+                    b.accumulate_grad_vec(gb);
+                }
             }
             Op::MatMulTn(a, b) => {
                 // out = a^T . b with a [m,k], b [m,n]; grad_out is [k,n].
                 let (m, k) = a.shape();
                 let (_, n) = b.shape();
-                // ga = b . g^T  (m x n) . (n x k)
-                let ga = kernels::matmul_nt(&b.data(), m, n, grad_out, k);
-                // gb = a . g  (m x k) . (k x n)
-                let gb = kernels::matmul_nn(&a.data(), m, k, grad_out, n);
-                a.accumulate_grad(&ga);
-                b.accumulate_grad(&gb);
+                if a.needs_grad() {
+                    // ga = b . g^T  (m x n) . (n x k)
+                    let ga = kernels::matmul_nt(&b.data(), m, n, grad_out, k);
+                    a.accumulate_grad_vec(ga);
+                }
+                if b.needs_grad() {
+                    // gb = a . g  (m x k) . (k x n)
+                    let gb = kernels::matmul_nn(&a.data(), m, k, grad_out, n);
+                    b.accumulate_grad_vec(gb);
+                }
             }
             Op::AddRowBroadcast(a, b) => {
-                a.accumulate_grad(grad_out);
-                let (m, n) = a.shape();
-                let mut gb = vec![0.0f32; n];
-                for i in 0..m {
-                    for j in 0..n {
-                        gb[j] += grad_out[i * n + j];
-                    }
+                if a.needs_grad() {
+                    a.accumulate_grad(grad_out);
                 }
-                b.accumulate_grad(&gb);
+                if b.needs_grad() {
+                    let (m, n) = a.shape();
+                    let mut gb = vec![0.0f32; n];
+                    for i in 0..m {
+                        for j in 0..n {
+                            gb[j] += grad_out[i * n + j];
+                        }
+                    }
+                    b.accumulate_grad_vec(gb);
+                }
             }
             Op::MulColBroadcast(a, b) => {
                 let (m, n) = a.shape();
-                let ad = a.data();
-                let bd = b.data();
-                let mut ga = vec![0.0f32; m * n];
-                let mut gb = vec![0.0f32; m];
-                for i in 0..m {
-                    let s = bd[i];
-                    for j in 0..n {
-                        let g = grad_out[i * n + j];
-                        ga[i * n + j] = g * s;
-                        gb[i] += g * ad[i * n + j];
+                if a.needs_grad() {
+                    let bd = b.data();
+                    let mut ga = vec![0.0f32; m * n];
+                    for i in 0..m {
+                        let s = bd[i];
+                        for j in 0..n {
+                            ga[i * n + j] = grad_out[i * n + j] * s;
+                        }
                     }
+                    drop(bd);
+                    a.accumulate_grad_vec(ga);
                 }
-                drop((ad, bd));
-                a.accumulate_grad(&ga);
-                b.accumulate_grad(&gb);
+                if b.needs_grad() {
+                    let ad = a.data();
+                    let mut gb = vec![0.0f32; m];
+                    for i in 0..m {
+                        for j in 0..n {
+                            gb[i] += grad_out[i * n + j] * ad[i * n + j];
+                        }
+                    }
+                    drop(ad);
+                    b.accumulate_grad_vec(gb);
+                }
             }
             Op::Relu(a) => {
-                let ad = a.data();
-                let g: Vec<f32> = grad_out
+                let g = grad_out
                     .iter()
-                    .zip(ad.iter())
+                    .zip(a.data().iter())
                     .map(|(g, x)| if *x > 0.0 { *g } else { 0.0 })
                     .collect();
-                drop(ad);
-                a.accumulate_grad(&g);
+                a.accumulate_grad_vec(g);
             }
             Op::LeakyRelu(a, slope) => {
-                let ad = a.data();
-                let g: Vec<f32> = grad_out
+                let g = grad_out
                     .iter()
-                    .zip(ad.iter())
+                    .zip(a.data().iter())
                     .map(|(g, x)| if *x > 0.0 { *g } else { g * slope })
                     .collect();
-                drop(ad);
-                a.accumulate_grad(&g);
+                a.accumulate_grad_vec(g);
             }
             Op::Tanh(a) => {
-                let od = out.data();
-                let g: Vec<f32> = grad_out
+                let g = grad_out
                     .iter()
-                    .zip(od.iter())
+                    .zip(out.data().iter())
                     .map(|(g, y)| g * (1.0 - y * y))
                     .collect();
-                drop(od);
-                a.accumulate_grad(&g);
+                a.accumulate_grad_vec(g);
             }
             Op::Sigmoid(a) => {
-                let od = out.data();
-                let g: Vec<f32> = grad_out
+                let g = grad_out
                     .iter()
-                    .zip(od.iter())
+                    .zip(out.data().iter())
                     .map(|(g, y)| g * y * (1.0 - y))
                     .collect();
-                drop(od);
-                a.accumulate_grad(&g);
+                a.accumulate_grad_vec(g);
             }
             Op::Exp(a) => {
-                let od = out.data();
-                let g: Vec<f32> = grad_out.iter().zip(od.iter()).map(|(g, y)| g * y).collect();
-                drop(od);
-                a.accumulate_grad(&g);
+                let g = grad_out
+                    .iter()
+                    .zip(out.data().iter())
+                    .map(|(g, y)| g * y)
+                    .collect();
+                a.accumulate_grad_vec(g);
             }
             Op::Ln(a) => {
-                let ad = a.data();
-                let g: Vec<f32> = grad_out.iter().zip(ad.iter()).map(|(g, x)| g / x).collect();
-                drop(ad);
-                a.accumulate_grad(&g);
+                let g = grad_out
+                    .iter()
+                    .zip(a.data().iter())
+                    .map(|(g, x)| g / x)
+                    .collect();
+                a.accumulate_grad_vec(g);
             }
             Op::Softplus(a) => {
-                let ad = a.data();
-                let g: Vec<f32> = grad_out
+                let g = grad_out
                     .iter()
-                    .zip(ad.iter())
+                    .zip(a.data().iter())
                     .map(|(g, x)| g * sigmoid_scalar(*x))
                     .collect();
-                drop(ad);
-                a.accumulate_grad(&g);
+                a.accumulate_grad_vec(g);
             }
             Op::ClampMin(a, min) => {
-                let ad = a.data();
-                let g: Vec<f32> = grad_out
+                let g = grad_out
                     .iter()
-                    .zip(ad.iter())
+                    .zip(a.data().iter())
                     .map(|(g, x)| if *x >= *min { *g } else { 0.0 })
                     .collect();
-                drop(ad);
-                a.accumulate_grad(&g);
+                a.accumulate_grad_vec(g);
             }
-            Op::SumAll(a) => {
-                let g = vec![grad_out[0]; a.len()];
-                a.accumulate_grad(&g);
-            }
-            Op::MeanAll(a) => {
-                let g = vec![grad_out[0] / a.len() as f32; a.len()];
-                a.accumulate_grad(&g);
-            }
+            Op::SumAll(a) => a.accumulate_grad_vec(vec![grad_out[0]; a.len()]),
+            Op::MeanAll(a) => a.accumulate_grad_vec(vec![grad_out[0] / a.len() as f32; a.len()]),
             Op::MeanRows(a) => {
                 let (m, n) = a.shape();
                 let inv = 1.0 / m as f32;
@@ -382,7 +417,7 @@ impl Op {
                         g[i * n + j] = grad_out[j] * inv;
                     }
                 }
-                a.accumulate_grad(&g);
+                a.accumulate_grad_vec(g);
             }
             Op::LogSoftmaxRows(a) => {
                 // d x = g - softmax(x) * sum_row(g); softmax = exp(out).
@@ -397,7 +432,7 @@ impl Op {
                     }
                 }
                 drop(od);
-                a.accumulate_grad(&g);
+                a.accumulate_grad_vec(g);
             }
             Op::NllLoss(a, targets) => {
                 let (m, n) = a.shape();
@@ -406,7 +441,7 @@ impl Op {
                 for (i, &t) in targets.iter().enumerate() {
                     g[i * n + t] = -scale;
                 }
-                a.accumulate_grad(&g);
+                a.accumulate_grad_vec(g);
             }
             Op::GatherRows(a, idx) => {
                 let n = a.cols();
@@ -416,7 +451,7 @@ impl Op {
                         g[src * n + j] += grad_out[i * n + j];
                     }
                 }
-                a.accumulate_grad(&g);
+                a.accumulate_grad_vec(g);
             }
             Op::ScatterAddRows(a, idx, _) => {
                 let n = a.cols();
@@ -426,7 +461,7 @@ impl Op {
                         g[i * n + j] = grad_out[dst * n + j];
                     }
                 }
-                a.accumulate_grad(&g);
+                a.accumulate_grad_vec(g);
             }
             Op::SliceCols(a, c0, _c1) => {
                 let (m, n) = a.shape();
@@ -437,20 +472,27 @@ impl Op {
                         g[i * n + c0 + j] = grad_out[i * w + j];
                     }
                 }
-                a.accumulate_grad(&g);
+                a.accumulate_grad_vec(g);
             }
             Op::ConcatCols(a, b) => {
                 let m = a.rows();
                 let (na, nb) = (a.cols(), b.cols());
                 let n = na + nb;
-                let mut ga = vec![0.0f32; m * na];
-                let mut gb = vec![0.0f32; m * nb];
-                for i in 0..m {
-                    ga[i * na..(i + 1) * na].copy_from_slice(&grad_out[i * n..i * n + na]);
-                    gb[i * nb..(i + 1) * nb].copy_from_slice(&grad_out[i * n + na..(i + 1) * n]);
+                if a.needs_grad() {
+                    let mut ga = vec![0.0f32; m * na];
+                    for i in 0..m {
+                        ga[i * na..(i + 1) * na].copy_from_slice(&grad_out[i * n..i * n + na]);
+                    }
+                    a.accumulate_grad_vec(ga);
                 }
-                a.accumulate_grad(&ga);
-                b.accumulate_grad(&gb);
+                if b.needs_grad() {
+                    let mut gb = vec![0.0f32; m * nb];
+                    for i in 0..m {
+                        gb[i * nb..(i + 1) * nb]
+                            .copy_from_slice(&grad_out[i * n + na..(i + 1) * n]);
+                    }
+                    b.accumulate_grad_vec(gb);
+                }
             }
             Op::SegmentSoftmax(a, segs) => {
                 // Per column c and segment S: ds_i = s_i * (g_i - sum_{j in S} s_j g_j).
@@ -472,7 +514,7 @@ impl Op {
                     }
                 }
                 drop(od);
-                a.accumulate_grad(&g);
+                a.accumulate_grad_vec(g);
             }
             Op::SpMatVec(mat, x) => {
                 let mut g = vec![0.0f32; x.len()];
@@ -483,37 +525,36 @@ impl Op {
                         }
                     }
                 }
-                x.accumulate_grad(&g);
+                x.accumulate_grad_vec(g);
             }
             Op::SigmoidScale(a, w) => {
                 // y = σ(a ⊙ w): dy/da = y(1-y)·w, dy/dw = y(1-y)·a, with the
                 // broadcast weight gradient summed in ascending element order
                 // (matching gather_rows' backward on the unfused chain).
                 let od = out.data();
-                let ad = a.data();
-                let wd = w.data();
-                let mut ga = vec![0.0f32; a.len()];
-                if w.len() == 1 {
-                    let wv = wd[0];
-                    let mut gw = 0.0f32;
-                    for i in 0..a.len() {
-                        let dy = grad_out[i] * od[i] * (1.0 - od[i]);
-                        ga[i] = dy * wv;
-                        gw += dy * ad[i];
-                    }
-                    drop((od, ad, wd));
-                    a.accumulate_grad(&ga);
-                    w.accumulate_grad(&[gw]);
-                } else {
-                    let mut gw = vec![0.0f32; a.len()];
-                    for i in 0..a.len() {
-                        let dy = grad_out[i] * od[i] * (1.0 - od[i]);
-                        ga[i] = dy * wd[i];
-                        gw[i] = dy * ad[i];
-                    }
-                    drop((od, ad, wd));
-                    a.accumulate_grad(&ga);
-                    w.accumulate_grad(&gw);
+                let dy = |i: usize| grad_out[i] * od[i] * (1.0 - od[i]);
+                let broadcast = w.len() == 1;
+                if a.needs_grad() {
+                    let wd = w.data();
+                    let ga = (0..a.len())
+                        .map(|i| dy(i) * if broadcast { wd[0] } else { wd[i] })
+                        .collect();
+                    drop(wd);
+                    a.accumulate_grad_vec(ga);
+                }
+                if w.needs_grad() {
+                    let ad = a.data();
+                    let gw = if broadcast {
+                        let mut gw = 0.0f32;
+                        for i in 0..a.len() {
+                            gw += dy(i) * ad[i];
+                        }
+                        vec![gw]
+                    } else {
+                        (0..a.len()).map(|i| dy(i) * ad[i]).collect()
+                    };
+                    drop(ad);
+                    w.accumulate_grad_vec(gw);
                 }
             }
             Op::BiasLeakyRelu(a, bias, slope) => {
@@ -521,19 +562,24 @@ impl Op {
                 // so the stored output doubles as the gradient gate.
                 let (m, n) = a.shape();
                 let od = out.data();
-                let mut ga = vec![0.0f32; m * n];
-                let mut gb = vec![0.0f32; n];
-                for i in 0..m {
-                    for j in 0..n {
-                        let g = grad_out[i * n + j];
-                        let gated = if od[i * n + j] > 0.0 { g } else { g * slope };
-                        ga[i * n + j] = gated;
-                        gb[j] += gated;
-                    }
-                }
+                let gated: Vec<f32> = grad_out
+                    .iter()
+                    .zip(od.iter())
+                    .map(|(g, y)| if *y > 0.0 { *g } else { g * slope })
+                    .collect();
                 drop(od);
-                a.accumulate_grad(&ga);
-                bias.accumulate_grad(&gb);
+                if bias.needs_grad() {
+                    let mut gb = vec![0.0f32; n];
+                    for i in 0..m {
+                        for j in 0..n {
+                            gb[j] += gated[i * n + j];
+                        }
+                    }
+                    bias.accumulate_grad_vec(gb);
+                }
+                if a.needs_grad() {
+                    a.accumulate_grad_vec(gated);
+                }
             }
             Op::SoftmaxXent(a, targets) => {
                 // gx = scale·(softmax − onehot), written exactly as the
@@ -555,7 +601,7 @@ impl Op {
                     }
                 }
                 drop(ad);
-                a.accumulate_grad(&g);
+                a.accumulate_grad_vec(g);
             }
         }
     }

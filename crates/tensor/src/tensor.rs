@@ -26,10 +26,14 @@ pub(crate) struct Inner {
     pub(crate) cols: usize,
     pub(crate) data: RefCell<Vec<f32>>,
     pub(crate) grad: RefCell<Option<Vec<f32>>>,
-    /// Leaf tensors flagged for gradient accumulation (model parameters,
-    /// explanation masks). Non-leaf tensors participate in backprop whenever
-    /// any ancestor requires a gradient.
+    /// Tensors flagged for gradient accumulation: leaves such as model
+    /// parameters and explanation masks, or an op output whose gradient is
+    /// to be retained.
     pub(crate) requires_grad: Cell<bool>,
+    /// Whether the running backward pass routes a gradient here: the tensor
+    /// is flagged or some ancestor is. Recomputed for every tensor a pass
+    /// visits, before any gradient moves.
+    pub(crate) needs_grad: Cell<bool>,
     pub(crate) op: Option<Op>,
 }
 
@@ -105,6 +109,7 @@ impl Tensor {
                 data: RefCell::new(data),
                 grad: RefCell::new(None),
                 requires_grad: Cell::new(false),
+                needs_grad: Cell::new(false),
                 op: None,
             }),
         }
@@ -120,6 +125,7 @@ impl Tensor {
                 data: RefCell::new(data),
                 grad: RefCell::new(None),
                 requires_grad: Cell::new(false),
+                needs_grad: Cell::new(false),
                 op: Some(op),
             }),
         }
@@ -127,13 +133,18 @@ impl Tensor {
 
     /// Flags this tensor for gradient accumulation and returns it.
     ///
-    /// Intended for leaf tensors (parameters, masks); calling it on a
-    /// non-leaf is harmless but has no additional effect because non-leaf
-    /// gradients are tracked automatically during [`Tensor::backward`].
+    /// Intended for leaf tensors (parameters, masks). Flagging an op output
+    /// makes [`Tensor::backward`] route a gradient to it and retain it.
     #[must_use]
     pub fn requires_grad(self) -> Self {
         self.inner.requires_grad.set(true);
         self
+    }
+
+    /// Sets or clears the gradient-accumulation flag in place (what
+    /// freezing and unfreezing a model's parameters toggle).
+    pub fn set_requires_grad(&self, on: bool) {
+        self.inner.requires_grad.set(on);
     }
 
     /// Whether this tensor accumulates gradients as a leaf.
@@ -290,12 +301,35 @@ impl Tensor {
         }
     }
 
+    /// [`Tensor::accumulate_grad`] for an owned buffer: the first gradient
+    /// a tensor receives is moved into its slot instead of copied.
+    pub(crate) fn accumulate_grad_vec(&self, g: Vec<f32>) {
+        let mut slot = self.inner.grad.borrow_mut();
+        match slot.as_mut() {
+            Some(existing) => {
+                for (e, v) in existing.iter_mut().zip(&g) {
+                    *e += v;
+                }
+            }
+            None => *slot = Some(g),
+        }
+    }
+
+    /// Whether the running backward pass routes a gradient to this tensor.
+    pub(crate) fn needs_grad(&self) -> bool {
+        self.inner.needs_grad.get()
+    }
+
     /// Runs reverse-mode differentiation from this tensor.
     ///
     /// The tensor must be a scalar (`1 × 1`); the seed gradient is `1.0`.
-    /// Gradients accumulate (are summed) into every leaf created with
-    /// [`Tensor::requires_grad`] and into intermediate nodes reachable from
-    /// them, so call [`Tensor::zero_grad`] on parameters between steps.
+    /// Gradients reach only the tensors flagged with
+    /// [`Tensor::requires_grad`] and the intermediates on a path to them:
+    /// a branch that leads to no flagged tensor (a constant input, a frozen
+    /// weight) is never differentiated, and an unflagged leaf never gets a
+    /// gradient. Flagged tensors accumulate (sum) across passes, so call
+    /// [`Tensor::zero_grad`] on parameters between steps; unflagged
+    /// intermediates keep no gradient after the pass.
     ///
     /// # Panics
     ///
@@ -310,12 +344,13 @@ impl Tensor {
     }
 
     /// Runs reverse-mode differentiation with an explicit seed gradient of
-    /// the same shape as `self`.
+    /// the same shape as `self` (see [`Tensor::backward`] for which tensors
+    /// receive gradients).
     pub fn backward_with_grad(&self, seed: Vec<f32>) {
         assert_eq!(seed.len(), self.len(), "seed gradient shape mismatch");
 
-        // Topological order over the op graph (parents before children when
-        // iterated in reverse).
+        // Topological order over the op graph: every tensor after its
+        // parents.
         let mut order: Vec<Tensor> = Vec::new();
         let mut visited: HashSet<u64> = HashSet::new();
         // Iterative DFS to avoid stack overflow on deep graphs (e.g. many
@@ -331,30 +366,52 @@ impl Tensor {
             }
             stack.push((t.clone(), true));
             if let Some(op) = &t.inner.op {
-                for p in op.parents() {
+                let (a, b) = op.operands();
+                for p in std::iter::once(a).chain(b) {
                     if !visited.contains(&p.inner.id) {
-                        stack.push((p, false));
+                        stack.push((p.clone(), false));
                     }
                 }
             }
         }
 
-        self.accumulate_grad(&seed);
+        // Decided here, not when the op was built, so a tensor flagged
+        // after the fact (GradCAM's feature map) still gets its gradient.
+        for t in &order {
+            let needs = t.inner.requires_grad.get() || t.inner.op.as_ref().is_some_and(feeds_grad);
+            t.inner.needs_grad.set(needs);
+        }
+        if !self.needs_grad() {
+            return;
+        }
+
+        self.accumulate_grad_vec(seed);
         for t in order.iter().rev() {
-            let Some(op) = &t.inner.op else { continue };
-            let grad_out = match t.inner.grad.borrow().clone() {
-                Some(g) => g,
-                None => continue,
+            // A flagged tensor whose ancestors need nothing (a leaf, or an
+            // op output flagged to retain its gradient) ends the walk.
+            let Some(op) = t.inner.op.as_ref().filter(|op| feeds_grad(op)) else {
+                continue;
             };
-            op.backward(t, &grad_out);
             // Match PyTorch semantics: intermediate (op-produced) tensors do
             // not retain gradients across passes unless explicitly flagged
-            // via `requires_grad()` (retain_grad). Leaves always accumulate.
-            if !t.inner.requires_grad.get() {
-                *t.inner.grad.borrow_mut() = None;
+            // via `requires_grad()` (retain_grad), so an unflagged one hands
+            // its buffer on instead of copying it.
+            let grad_out = if t.inner.requires_grad.get() {
+                t.inner.grad.borrow().clone()
+            } else {
+                t.inner.grad.borrow_mut().take()
+            };
+            if let Some(g) = grad_out {
+                op.backward(t, &g);
             }
         }
     }
+}
+
+/// Whether some operand of `op` needs a gradient in the running pass.
+fn feeds_grad(op: &Op) -> bool {
+    let (a, b) = op.operands();
+    a.needs_grad() || b.is_some_and(Tensor::needs_grad)
 }
 
 #[cfg(test)]
