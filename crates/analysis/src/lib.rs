@@ -6,7 +6,7 @@
 //!
 //! * **Symbolic shape inference** ([`audit_tape`]) — re-derives every node's
 //!   shape from its operands and flags broadcast/matmul mismatches, bad
-//!   gather/scatter indices, and malformed reductions.
+//!   gather/scatter/message-passing indices, and malformed reductions.
 //! * **Dead-gradient detection** ([`audit_tape_with_params`]) — finds
 //!   `requires_grad` leaves that are unreachable from the loss, i.e.
 //!   parameters that will silently never train (a detached mask is the
@@ -441,6 +441,42 @@ fn infer_shape(op: &Op) -> Result<(usize, usize), String> {
             }
             Ok((*n_out, n))
         }
+        Op::MessagePass {
+            x,
+            coef,
+            scale,
+            src,
+            dst,
+            n_out,
+        } => {
+            let (m, n) = x.shape();
+            let ne = src.len();
+            if dst.len() != ne {
+                return Err(format!(
+                    "message_pass has {ne} sources but {} destinations",
+                    dst.len()
+                ));
+            }
+            if let Some(&s) = src.iter().find(|&&s| s >= m) {
+                return Err(format!(
+                    "message_pass source {s} out of bounds for {m} rows"
+                ));
+            }
+            if let Some(&t) = dst.iter().find(|&&t| t >= *n_out) {
+                return Err(format!(
+                    "message_pass destination {t} out of bounds for {n_out} output rows"
+                ));
+            }
+            for (name, col) in [("coef", coef), ("scale", scale)] {
+                if let Some(col) = col.as_ref().filter(|c| c.shape() != (ne, 1)) {
+                    return Err(format!(
+                        "message_pass {name} must be [{ne},1] for {ne} edges, got {:?}",
+                        col.shape()
+                    ));
+                }
+            }
+            Ok((*n_out, n))
+        }
         Op::SliceCols(a, c0, c1) => {
             let (m, n) = a.shape();
             if !(c0 < c1 && *c1 <= n) {
@@ -767,7 +803,64 @@ mod tests {
         assert!(diags[0].message.contains("gather index 5"));
     }
 
+    #[test]
+    fn detects_message_pass_defects() {
+        use std::rc::Rc;
+        let pass = |src: Vec<usize>, dst: Vec<usize>, coef: Option<Tensor>| {
+            let op = Op::MessagePass {
+                x: Tensor::zeros(2, 3),
+                coef,
+                scale: Some(Tensor::zeros(2, 1)),
+                src: Rc::new(src),
+                dst: Rc::new(dst),
+                n_out: 4,
+            };
+            audit_tape(&Tensor::from_op_unchecked(vec![0.0; 12], 4, 3, op))
+        };
+        assert!(pass(vec![0, 1], vec![3, 0], None).is_empty());
+        for (diags, needle) in [
+            (
+                pass(vec![0, 1], vec![3], None),
+                "2 sources but 1 destinations",
+            ),
+            (
+                pass(vec![0, 5], vec![3, 0], None),
+                "source 5 out of bounds for 2 rows",
+            ),
+            (
+                pass(vec![0, 1], vec![4, 0], None),
+                "destination 4 out of bounds for 4",
+            ),
+            (
+                pass(vec![0, 1], vec![3, 0], Some(Tensor::zeros(1, 2))),
+                "coef must be [2,1]",
+            ),
+        ] {
+            assert_eq!(kinds(&diags), vec![DiagnosticKind::ShapeMismatch]);
+            assert!(diags[0].message.contains(needle), "{}", diags[0].message);
+        }
+    }
+
     // ---------------- tape: dead gradients ----------------
+
+    #[test]
+    fn a_mask_reached_through_the_third_operand_is_live() {
+        // Message passing's mask is its third operand, after `x` and `coef`.
+        let mask = Tensor::from_vec(vec![0.5, 0.5, 0.5], 3, 1).requires_grad();
+        let x = Tensor::from_vec(vec![1.0, 2.0], 2, 1);
+        let coef = Tensor::from_vec(vec![0.1, 0.2, 0.3], 3, 1);
+        let loss = x
+            .message_pass(&[0, 1, 1], &[1, 0, 1], 2, Some(&coef), Some(&mask))
+            .sum_all();
+        assert!(audit_tape_with_params(&loss, std::slice::from_ref(&mask)).is_empty());
+        let detached = x
+            .message_pass(&[0, 1, 1], &[1, 0, 1], 2, Some(&coef), Some(&mask.detach()))
+            .sum_all();
+        assert_eq!(
+            kinds(&audit_tape_with_params(&detached, &[mask])),
+            vec![DiagnosticKind::DetachedGradient]
+        );
+    }
 
     #[test]
     fn detects_detached_parameter() {

@@ -1,5 +1,5 @@
 //! Microbenchmarks of the tensor kernels underpinning training and mask
-//! learning: dense matmul, gather/scatter message passing, and the sparse
+//! learning: dense matmul, fused message passing, and the sparse
 //! flow-incidence matvec of Eq. 7.
 
 use std::sync::Arc;
@@ -21,18 +21,19 @@ fn bench_matmul(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_gather_scatter(c: &mut Criterion) {
-    let mut group = c.benchmark_group("gather_scatter");
+fn bench_message_pass(c: &mut Criterion) {
+    // The masked GCN layer's message step: gather, norm and mask scaling,
+    // and sum aggregation in one fused op.
+    let mut group = c.benchmark_group("message_pass");
     for &edges in &[1_000usize, 10_000] {
         let nodes = edges / 4;
         let h = Tensor::full(1.0, nodes, 32);
         let src: Vec<usize> = (0..edges).map(|e| e % nodes).collect();
         let dst: Vec<usize> = (0..edges).map(|e| (e * 7) % nodes).collect();
+        let norm = Tensor::full(0.25, edges, 1);
+        let mask = Tensor::full(0.5, edges, 1);
         group.bench_with_input(BenchmarkId::from_parameter(edges), &edges, |bench, _| {
-            bench.iter(|| {
-                let msgs = h.gather_rows(&src);
-                black_box(msgs.scatter_add_rows(&dst, nodes))
-            });
+            bench.iter(|| black_box(h.message_pass(&src, &dst, nodes, Some(&norm), Some(&mask))));
         });
     }
     group.finish();
@@ -77,7 +78,7 @@ fn bench_backward(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_matmul,
-    bench_gather_scatter,
+    bench_message_pass,
     bench_sp_matvec,
     bench_backward
 );

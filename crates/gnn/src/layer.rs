@@ -195,25 +195,19 @@ impl Layer {
             Some(s) => t.bias_leaky_relu(bias, s),
             None => t.add_row_broadcast(bias),
         };
+        // Gather, edge scaling (GCN norm or GAT attention, then the mask)
+        // and sum aggregation, fused: no `[|E|, d]` message matrix.
+        let pass =
+            |h: &Tensor, coef: Option<&Tensor>| h.message_pass(mp.src(), mp.dst(), n, coef, mask);
         match self {
-            Layer::Gcn { bias, .. } => {
-                let mut msgs = hw.gather_rows(mp.src()).mul_col_broadcast(gcn_norm);
-                if let Some(m) = mask {
-                    msgs = msgs.mul_col_broadcast(m);
-                }
-                finish(msgs.scatter_add_rows(mp.dst(), n), bias)
-            }
+            Layer::Gcn { bias, .. } => finish(pass(hw, Some(gcn_norm)), bias),
             Layer::Gin { b1, w2, b2, .. } => {
                 // The first MLP matmul commutes with the (linear) sum
                 // aggregation, so `transform` applies it before gathering:
                 // messages are then `out_dim` wide instead of `in_dim` wide
                 // — a large saving on high-dimensional inputs (e.g.
                 // Citeseer's 3703).
-                let mut msgs = hw.gather_rows(mp.src());
-                if let Some(m) = mask {
-                    msgs = msgs.mul_col_broadcast(m);
-                }
-                let agg = msgs.scatter_add_rows(mp.dst(), n);
+                let agg = pass(hw, None);
                 // Leaky slope avoids whole-layer dying-ReLU collapse, which
                 // full-batch training on constant-feature graphs provokes
                 // (the original uses batch norm for the same reason).
@@ -238,11 +232,7 @@ impl Layer {
                         .add(&a_dst.gather_rows(mp.dst()))
                         .leaky_relu(0.2);
                     let att = logits.segment_softmax(mp.dst());
-                    let mut msgs = hw_k.gather_rows(mp.src()).mul_col_broadcast(&att);
-                    if let Some(m) = mask {
-                        msgs = msgs.mul_col_broadcast(m);
-                    }
-                    let agg = msgs.scatter_add_rows(mp.dst(), n);
+                    let agg = pass(&hw_k, Some(&att));
                     head_outs = Some(match head_outs {
                         None => agg,
                         Some(prev) => {

@@ -5,7 +5,7 @@
 //! reverse-mode gradients of **all** model parameters and of a per-layer
 //! edge mask are compared against central differences. This exercises the
 //! complete layer stack — linear transforms, message passing
-//! (`gather_rows` / `scatter_add_rows` / GCN normalisation), GAT attention
+//! (the fused `message_pass` with GCN normalisation), GAT attention
 //! (`segment_softmax`), mask gating, and the inter-layer activation.
 
 #![allow(clippy::unwrap_used)]

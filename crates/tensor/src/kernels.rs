@@ -26,10 +26,11 @@
 //!   `-0.0` — impossible here because the equivalence suite and all
 //!   production tensors exclude `-0.0` coefficients and underflowing
 //!   products. Adding `±0.0` to anything else is the identity.
-//! * `nt` widens to eight *independent* accumulator chains (one per output
-//!   column); each chain is the reference dot product verbatim, the win is
-//!   instruction-level parallelism on what is otherwise a latency-bound
-//!   serial dependency.
+//! * `nt` is `nn` on a transposed `b`: `a · bᵀ` transposes the `k×n` right
+//!   operand (in the engine a weight matrix of a few thousand floats at
+//!   most) and runs the `nn` register tile. Element `(i, j)` is then the
+//!   dot product of `a`'s row `i` with `b`'s row `j` in one ascending
+//!   accumulator, exactly the reference chain.
 //!
 //! The inner loops run over fixed-size arrays and fixed-width slices so
 //! LLVM can prove the trip count and emit vector code without `unsafe`
@@ -43,9 +44,6 @@ pub const ROW_BLOCK: usize = 4;
 /// vector lane group, so a `ROW_BLOCK × LANES` tile is four vector
 /// registers of accumulators.
 pub const LANES: usize = 8;
-
-/// Accumulator-chain width for the `nt` kernel.
-pub const NT_WIDTH: usize = 8;
 
 /// Reference `a (m×k) · b (k×n)`, all row-major, ikj loop order.
 pub fn matmul_nn_naive(a: &[f32], m: usize, k: usize, b: &[f32], n: usize) -> Vec<f32> {
@@ -163,37 +161,18 @@ pub fn matmul_nn(a: &[f32], m: usize, k: usize, b: &[f32], n: usize) -> Vec<f32>
     out
 }
 
-/// Blocked `a (m×n) · bᵀ` (`b` is `k×n`): eight independent dot-product
-/// chains per step. Each chain accumulates in the reference order, so the
-/// result is bit-identical to [`matmul_nt_naive`].
+/// Blocked `a (m×n) · bᵀ` (`b` is `k×n`): transposes `b` to `n×k` and
+/// runs [`matmul_nn`]. Every output element keeps one accumulator over
+/// ascending `p`, so the result is bit-identical to [`matmul_nt_naive`] for
+/// finite inputs.
 pub fn matmul_nt(a: &[f32], m: usize, n: usize, b: &[f32], k: usize) -> Vec<f32> {
-    let mut out = vec![0.0f32; m * k];
-    for i in 0..m {
-        let arow = &a[i * n..(i + 1) * n];
-        let orow = &mut out[i * k..(i + 1) * k];
-        let mut j = 0;
-        while j + NT_WIDTH <= k {
-            let rows: [&[f32]; NT_WIDTH] =
-                core::array::from_fn(|t| &b[(j + t) * n..(j + t + 1) * n]);
-            let mut acc = [0.0f32; NT_WIDTH];
-            for (p, &av) in arow.iter().enumerate() {
-                for t in 0..NT_WIDTH {
-                    acc[t] += av * rows[t][p];
-                }
-            }
-            orow[j..j + NT_WIDTH].copy_from_slice(&acc);
-            j += NT_WIDTH;
-        }
-        for (jj, o) in orow.iter_mut().enumerate().skip(j) {
-            let brow = &b[jj * n..(jj + 1) * n];
-            let mut acc = 0.0f32;
-            for (av, bv) in arow.iter().zip(brow) {
-                acc += av * bv;
-            }
-            *o = acc;
+    let mut bt = vec![0.0f32; n * k];
+    for (j, brow) in b.chunks_exact(n.max(1)).enumerate() {
+        for (p, &v) in brow.iter().enumerate() {
+            bt[p * k + j] = v;
         }
     }
-    out
+    matmul_nn(a, m, n, &bt, k)
 }
 
 /// Blocked `aᵀ · b` (`a` is `m×k`, `b` is `m×n`): a `ROW_BLOCK × LANES`

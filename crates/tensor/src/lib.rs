@@ -9,7 +9,10 @@
 //! * dense matmul, elementwise arithmetic, row/column broadcasts,
 //! * ReLU / LeakyReLU / tanh / sigmoid / exp / ln / softplus activations,
 //! * row-wise log-softmax and NLL loss,
-//! * `gather_rows` / `scatter_add_rows` (message passing),
+//! * `message_pass`: gather, per-edge scaling (normalisation or attention,
+//!   then the Eq. 6 edge mask) and sum aggregation fused into one op,
+//!   bit-identical to the `gather_rows` → `mul_col_broadcast` →
+//!   `scatter_add_rows` chain, which stays public as its reference,
 //! * `segment_softmax` (GAT attention normalised per destination node),
 //! * sparse-binary × dense matvec (the flow-incidence transform of Eq. 7),
 //! * sum / mean reductions and column slicing / concatenation.

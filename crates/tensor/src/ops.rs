@@ -96,6 +96,17 @@ pub enum Op {
     GatherRows(Tensor, Rc<Vec<usize>>),
     /// `out[idx[i], :] += in[i, :]`, output has `n_out` rows.
     ScatterAddRows(Tensor, Rc<Vec<usize>>, usize),
+    /// Fused message passing: `out[dst[e], :] += (x[src[e], :] · coef[e]) ·
+    /// scale[e]` over ascending `e`, output `[n_out, cols]`; a missing
+    /// `coef` or `scale` is a factor of one.
+    MessagePass {
+        x: Tensor,
+        coef: Option<Tensor>,
+        scale: Option<Tensor>,
+        src: Rc<Vec<usize>>,
+        dst: Rc<Vec<usize>>,
+        n_out: usize,
+    },
     SliceCols(Tensor, usize, usize),
     ConcatCols(Tensor, Tensor),
     /// Column-independent softmax within row segments (GAT attention).
@@ -141,6 +152,7 @@ impl Op {
             Op::NllLoss(..) => "nll_loss",
             Op::GatherRows(..) => "gather_rows",
             Op::ScatterAddRows(..) => "scatter_add_rows",
+            Op::MessagePass { .. } => "message_pass",
             Op::SliceCols(..) => "slice_cols",
             Op::ConcatCols(..) => "concat_cols",
             Op::SegmentSoftmax(..) => "segment_softmax",
@@ -153,12 +165,13 @@ impl Op {
 
     /// The tensors this operation reads (exposed for static tape analysis).
     pub fn parents(&self) -> Vec<Tensor> {
-        let (a, b) = self.operands();
-        std::iter::once(a).chain(b).cloned().collect()
+        self.operands().into_iter().flatten().cloned().collect()
     }
 
-    /// The first operand and, for binary operations, the second.
-    pub(crate) fn operands(&self) -> (&Tensor, Option<&Tensor>) {
+    /// The operands in order: the first, then up to two more (binary ops
+    /// fill the second slot, message passing its optional `coef` and
+    /// `scale`).
+    pub(crate) fn operands(&self) -> [Option<&Tensor>; 3] {
         match self {
             Op::Add(a, b)
             | Op::Sub(a, b)
@@ -171,7 +184,8 @@ impl Op {
             | Op::MulColBroadcast(a, b)
             | Op::ConcatCols(a, b)
             | Op::SigmoidScale(a, b)
-            | Op::BiasLeakyRelu(a, b, _) => (a, Some(b)),
+            | Op::BiasLeakyRelu(a, b, _) => [Some(a), Some(b), None],
+            Op::MessagePass { x, coef, scale, .. } => [Some(x), coef.as_ref(), scale.as_ref()],
             Op::Neg(a)
             | Op::AddScalar(a, _)
             | Op::MulScalar(a, _)
@@ -193,7 +207,7 @@ impl Op {
             | Op::SliceCols(a, _, _)
             | Op::SegmentSoftmax(a, _)
             | Op::SpMatVec(_, a)
-            | Op::SoftmaxXent(a, _) => (a, None),
+            | Op::SoftmaxXent(a, _) => [Some(a), None, None],
         }
     }
 
@@ -306,14 +320,7 @@ impl Op {
                     a.accumulate_grad(grad_out);
                 }
                 if b.needs_grad() {
-                    let (m, n) = a.shape();
-                    let mut gb = vec![0.0f32; n];
-                    for i in 0..m {
-                        for j in 0..n {
-                            gb[j] += grad_out[i * n + j];
-                        }
-                    }
-                    b.accumulate_grad_vec(gb);
+                    b.accumulate_grad_vec(column_sums(grad_out, a.cols()));
                 }
             }
             Op::MulColBroadcast(a, b) => {
@@ -453,6 +460,61 @@ impl Op {
                 }
                 a.accumulate_grad_vec(g);
             }
+            Op::MessagePass {
+                x,
+                coef,
+                scale,
+                src,
+                dst,
+                ..
+            } => {
+                // Each gradient rounds as the unfused gather → coef → scale
+                // → scatter chain does: `scale`'s dots the upstream row with
+                // the coef-scaled message, `coef`'s dots the scale-weighted
+                // upstream row with the gathered one (both over ascending
+                // columns), and `x`'s adds `(g·scale)·coef` into a zeroed
+                // buffer in ascending edge order.
+                let d = x.cols();
+                let xd = x.data();
+                let cd = coef.as_ref().map(Tensor::data);
+                let sd = scale.as_ref().map(Tensor::data);
+                let (cs, ss) = (cd.as_deref(), sd.as_deref());
+                if let Some(scale) = scale.as_ref().filter(|t| t.needs_grad()) {
+                    let gs = edge_dots(
+                        &xd,
+                        grad_out,
+                        d,
+                        src,
+                        dst,
+                        |e| factor(cs, e),
+                        |g, x, c| g * (x * c),
+                    );
+                    scale.accumulate_grad_vec(gs);
+                }
+                if let Some(coef) = coef.as_ref().filter(|t| t.needs_grad()) {
+                    let gc = edge_dots(
+                        &xd,
+                        grad_out,
+                        d,
+                        src,
+                        dst,
+                        |e| factor(ss, e),
+                        |g, x, s| (g * s) * x,
+                    );
+                    coef.accumulate_grad_vec(gc);
+                }
+                if x.needs_grad() {
+                    let mut gx = vec![0.0f32; x.len()];
+                    for (e, (&s, &t)) in src.iter().zip(dst.iter()).enumerate() {
+                        let (w, c) = (factor(ss, e), factor(cs, e));
+                        let gr = &grad_out[t * d..(t + 1) * d];
+                        for (o, g) in gx[s * d..(s + 1) * d].iter_mut().zip(gr) {
+                            *o += (g * w) * c;
+                        }
+                    }
+                    x.accumulate_grad_vec(gx);
+                }
+            }
             Op::ScatterAddRows(a, idx, _) => {
                 let n = a.cols();
                 let mut g = vec![0.0f32; a.len()];
@@ -560,7 +622,6 @@ impl Op {
             Op::BiasLeakyRelu(a, bias, slope) => {
                 // With slope >= 0, `out > 0` iff the pre-activation was > 0,
                 // so the stored output doubles as the gradient gate.
-                let (m, n) = a.shape();
                 let od = out.data();
                 let gated: Vec<f32> = grad_out
                     .iter()
@@ -569,13 +630,7 @@ impl Op {
                     .collect();
                 drop(od);
                 if bias.needs_grad() {
-                    let mut gb = vec![0.0f32; n];
-                    for i in 0..m {
-                        for j in 0..n {
-                            gb[j] += gated[i * n + j];
-                        }
-                    }
-                    bias.accumulate_grad_vec(gb);
+                    bias.accumulate_grad_vec(column_sums(&gated, a.cols()));
                 }
                 if a.needs_grad() {
                     a.accumulate_grad_vec(gated);
@@ -610,6 +665,62 @@ impl Op {
 #[inline]
 fn sigmoid_scalar(x: f32) -> f32 {
     1.0 / (1.0 + (-x).exp())
+}
+
+/// Edge `e`'s factor from an optional `[|E|, 1]` column; a missing one is
+/// `1.0`, and multiplying by `1.0` is exact, so an absent `coef` or
+/// `scale` rounds exactly as the chain without that step.
+#[inline]
+fn factor(col: Option<&Vec<f32>>, e: usize) -> f32 {
+    col.map_or(1.0, |v| v[e])
+}
+
+/// Per-edge dot products `Σ_j term(g[dst[e], j], x[src[e], j], factor(e))`,
+/// each one accumulator from `0.0` over ascending `j`.
+fn edge_dots(
+    x: &[f32],
+    g: &[f32],
+    d: usize,
+    src: &[usize],
+    dst: &[usize],
+    factor: impl Fn(usize) -> f32,
+    term: impl Fn(f32, f32, f32) -> f32,
+) -> Vec<f32> {
+    src.iter()
+        .zip(dst)
+        .enumerate()
+        .map(|(e, (&s, &t))| {
+            let f = factor(e);
+            let mut acc = 0.0f32;
+            for (&gv, &xv) in g[t * d..(t + 1) * d].iter().zip(&x[s * d..(s + 1) * d]) {
+                acc += term(gv, xv, f);
+            }
+            acc
+        })
+        .collect()
+}
+
+/// `f(x, b)` over a row-major `[m, n]` matrix and a `[1, n]` row, walking
+/// row chunks so no element pays an index division.
+fn map_row_broadcast(d: &[f32], row: &[f32], f: impl Fn(f32, f32) -> f32) -> Vec<f32> {
+    let mut out = Vec::with_capacity(d.len());
+    // A zero-width matrix is empty; `max(1)` keeps the chunk size legal.
+    for chunk in d.chunks_exact(row.len().max(1)) {
+        out.extend(chunk.iter().zip(row).map(|(&x, &b)| f(x, b)));
+    }
+    out
+}
+
+/// Column sums of a row-major `[m, n]` matrix, each summed over ascending
+/// rows from `0.0`.
+fn column_sums(d: &[f32], n: usize) -> Vec<f32> {
+    let mut out = vec![0.0f32; n];
+    for chunk in d.chunks_exact(n.max(1)) {
+        for (o, v) in out.iter_mut().zip(chunk) {
+            *o += v;
+        }
+    }
+    out
 }
 
 macro_rules! elementwise_binary {
@@ -889,21 +1000,14 @@ impl Tensor {
             "bias_leaky_relu: bias must be [1,{n}]"
         );
         assert!(slope >= 0.0, "bias_leaky_relu: slope must be non-negative");
-        let bd = bias.data();
-        let data: Vec<f32> = self
-            .data()
-            .iter()
-            .enumerate()
-            .map(|(i, x)| {
-                let v = x + bd[i % n];
-                if v > 0.0 {
-                    v
-                } else {
-                    v * slope
-                }
-            })
-            .collect();
-        drop(bd);
+        let data = map_row_broadcast(&self.data(), &bias.data(), |x, b| {
+            let v = x + b;
+            if v > 0.0 {
+                v
+            } else {
+                v * slope
+            }
+        });
         Tensor::new_from_op(
             data,
             m,
@@ -958,14 +1062,7 @@ impl Tensor {
             (1, n),
             "add_row_broadcast: bias must be [1,{n}]"
         );
-        let bd = bias.data();
-        let data: Vec<f32> = self
-            .data()
-            .iter()
-            .enumerate()
-            .map(|(i, x)| x + bd[i % n])
-            .collect();
-        drop(bd);
+        let data = map_row_broadcast(&self.data(), &bias.data(), |x, b| x + b);
         Tensor::new_from_op(data, m, n, Op::AddRowBroadcast(self.clone(), bias.clone()))
     }
 
@@ -1008,18 +1105,11 @@ impl Tensor {
     pub fn mean_rows(&self) -> Tensor {
         let (m, n) = self.shape();
         assert!(m > 0, "mean_rows on empty tensor");
-        let d = self.data();
-        let mut out = vec![0.0f32; n];
-        for i in 0..m {
-            for j in 0..n {
-                out[j] += d[i * n + j];
-            }
-        }
+        let mut out = column_sums(&self.data(), n);
         let inv = 1.0 / m as f32;
         for v in &mut out {
             *v *= inv;
         }
-        drop(d);
         Tensor::new_from_op(out, 1, n, Op::MeanRows(self.clone()))
     }
 
@@ -1131,6 +1221,82 @@ impl Tensor {
             n_out,
             n,
             Op::ScatterAddRows(self.clone(), Rc::new(idx.to_vec()), n_out),
+        )
+    }
+
+    /// Fused message passing over `|E| = src.len()` edges into a fresh
+    /// `[n_out, cols]` tensor: `out[dst[e], :] += (self[src[e], :] · coef[e])
+    /// · scale[e]` in ascending `e`, with no `[|E|, cols]` intermediate.
+    /// `coef` (GCN normalisation, GAT attention) and `scale` (the layer-edge
+    /// mask of Eq. 6) are `[|E|, 1]`; a missing one is a factor of one.
+    ///
+    /// Forward value and every gradient are bit-identical to the unfused
+    /// chain `gather_rows(src)`, `mul_col_broadcast(coef)`,
+    /// `mul_col_broadcast(scale)`, `scatter_add_rows(dst, n_out)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `src` and `dst` differ in length, an index is out of
+    /// bounds (`src` against `self`'s rows, `dst` against `n_out`), or
+    /// `coef`/`scale` is not `[|E|, 1]`.
+    pub fn message_pass(
+        &self,
+        src: &[usize],
+        dst: &[usize],
+        n_out: usize,
+        coef: Option<&Tensor>,
+        scale: Option<&Tensor>,
+    ) -> Tensor {
+        let (m, d) = self.shape();
+        let ne = src.len();
+        assert_eq!(
+            dst.len(),
+            ne,
+            "message_pass: {ne} sources but {} destinations",
+            dst.len()
+        );
+        if let Some(s) = src.iter().find(|&&s| s >= m) {
+            panic!("message_pass: source {s} out of bounds for {m} rows");
+        }
+        if let Some(t) = dst.iter().find(|&&t| t >= n_out) {
+            panic!("message_pass: destination {t} out of bounds for {n_out} rows");
+        }
+        for (name, col) in [("coef", coef), ("scale", scale)] {
+            if let Some(col) = col {
+                assert_eq!(
+                    col.shape(),
+                    (ne, 1),
+                    "message_pass: {name} must be [{ne},1]"
+                );
+            }
+        }
+        let xd = self.data();
+        let cd = coef.map(Tensor::data);
+        let sd = scale.map(Tensor::data);
+        let (cs, ss) = (cd.as_deref(), sd.as_deref());
+        let mut out = vec![0.0f32; n_out * d];
+        for (e, (&s, &t)) in src.iter().zip(dst).enumerate() {
+            let (c, w) = (factor(cs, e), factor(ss, e));
+            for (o, x) in out[t * d..(t + 1) * d]
+                .iter_mut()
+                .zip(&xd[s * d..(s + 1) * d])
+            {
+                *o += (x * c) * w;
+            }
+        }
+        drop((xd, cd, sd));
+        Tensor::new_from_op(
+            out,
+            n_out,
+            d,
+            Op::MessagePass {
+                x: self.clone(),
+                coef: coef.cloned(),
+                scale: scale.cloned(),
+                src: Rc::new(src.to_vec()),
+                dst: Rc::new(dst.to_vec()),
+                n_out,
+            },
         )
     }
 

@@ -366,8 +366,7 @@ impl Tensor {
             }
             stack.push((t.clone(), true));
             if let Some(op) = &t.inner.op {
-                let (a, b) = op.operands();
-                for p in std::iter::once(a).chain(b) {
+                for p in op.operands().into_iter().flatten() {
                     if !visited.contains(&p.inner.id) {
                         stack.push((p.clone(), false));
                     }
@@ -410,8 +409,7 @@ impl Tensor {
 
 /// Whether some operand of `op` needs a gradient in the running pass.
 fn feeds_grad(op: &Op) -> bool {
-    let (a, b) = op.operands();
-    a.needs_grad() || b.is_some_and(Tensor::needs_grad)
+    op.operands().into_iter().flatten().any(Tensor::needs_grad)
 }
 
 #[cfg(test)]

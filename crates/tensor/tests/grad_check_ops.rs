@@ -289,6 +289,27 @@ fn grad_gather_rows() {
 }
 
 #[test]
+fn grad_message_pass() {
+    let x = leaf_a();
+    // Four edges: a repeated source row, two edges into output row 2 and
+    // none into row 3.
+    let coef = Tensor::from_vec(vec![0.7, -1.3, 0.4, 1.1], 4, 1).requires_grad();
+    let scale = Tensor::from_vec(vec![0.9, 0.35, -0.6, 1.5], 4, 1).requires_grad();
+    check(
+        || {
+            weighted_sum(&x.message_pass(
+                &[1, 0, 0, 1],
+                &[0, 2, 2, 1],
+                4,
+                Some(&coef),
+                Some(&scale),
+            ))
+        },
+        &[x.clone(), coef.clone(), scale.clone()],
+    );
+}
+
+#[test]
 fn grad_scatter_add_rows() {
     let a = leaf_a();
     // Both rows collide in output row 1; output row 0 stays empty.

@@ -2,9 +2,9 @@
 //!
 //! The blocked `matmul_nn/nt/tn` kernels claim bit-identity with the naive
 //! reference loops; the fused ops (`sigmoid_scale`, `bias_leaky_relu`,
-//! `softmax_xent`) claim bit-identity with their unfused chains in both the
-//! forward value and the gradient. Proptest drives shapes through every
-//! blocking remainder case (rows % 4, cols % 8/64, nt width % 8) with
+//! `softmax_xent`, `message_pass`) claim bit-identity with their unfused
+//! chains in both the forward value and the gradient. Proptest drives
+//! shapes through every blocking remainder case (rows % 4, cols % 8) with
 //! coefficient grids that include exact zeros, so the zero-skip paths are
 //! covered too. Values come from a quarter-integer grid in `[-4, 4]`: finite,
 //! no `-0.0`, and no products that underflow — the regime the kernels'
@@ -189,5 +189,70 @@ proptest! {
         fused.backward();
         unfused.backward();
         prop_assert_eq!(bits(&a.grad_vec()), bits(&a2.grad_vec()));
+    }
+
+    #[test]
+    fn message_pass_matches_unfused_chain(
+        x_rows in 1usize..7,
+        d in 0usize..6,
+        n_out in 1usize..7,
+        edges in 0usize..12,
+        ends in prop::collection::vec((0usize..7, 0usize..7), 12),
+        qs in prop::collection::vec(0i32..1000, 7 * 6 + 12 * 2 + 7 * 6),
+    ) {
+        // Random endpoints repeat edges and leave output rows without
+        // in-edges; `edges == 0` is in range.
+        let src: Vec<usize> = ends[..edges].iter().map(|&(s, _)| s % x_rows).collect();
+        let dst: Vec<usize> = ends[..edges].iter().map(|&(_, t)| t % n_out).collect();
+        // Fused and unfused run the same float operations, so any finite
+        // values must match; off-grid values make every product round, so
+        // a reassociated product shows up in the bits.
+        let vals: Vec<f32> = grid(&qs)
+            .iter()
+            .zip(&qs)
+            .map(|(&v, &q)| v * (q as f32 * 0.731).sin())
+            .collect();
+        let (xv, rest) = vals.split_at(x_rows * d);
+        let (cv, rest) = rest.split_at(edges);
+        let (sv, rest) = rest.split_at(edges);
+        let upstream = Tensor::from_vec(rest[..n_out * d].to_vec(), n_out, d);
+
+        // Every presence combination of `coef`/`scale` under every
+        // needs-grad combination of the operands that are present.
+        for (has_coef, has_scale) in [(false, false), (true, false), (false, true), (true, true)] {
+            for flags in 0..8u8 {
+                let leaves = || {
+                    let leaf = |v: &[f32], rows, cols, bit: u8| {
+                        let t = Tensor::from_vec(v.to_vec(), rows, cols);
+                        if flags & bit != 0 { t.requires_grad() } else { t }
+                    };
+                    (leaf(xv, x_rows, d, 1), leaf(cv, edges, 1, 2), leaf(sv, edges, 1, 4))
+                };
+                let (x, c, s) = leaves();
+                let coef = has_coef.then_some(&c);
+                let scale = has_scale.then_some(&s);
+                let fused = x.message_pass(&src, &dst, n_out, coef, scale);
+
+                let (x2, c2, s2) = leaves();
+                let mut msgs = x2.gather_rows(&src);
+                if has_coef {
+                    msgs = msgs.mul_col_broadcast(&c2);
+                }
+                if has_scale {
+                    msgs = msgs.mul_col_broadcast(&s2);
+                }
+                let unfused = msgs.scatter_add_rows(&dst, n_out);
+
+                prop_assert_eq!(bits(&fused.to_vec()), bits(&unfused.to_vec()));
+
+                fused.mul(&upstream).sum_all().backward();
+                unfused.mul(&upstream).sum_all().backward();
+                for (a, b) in [(&x, &x2), (&c, &c2), (&s, &s2)] {
+                    prop_assert_eq!(a.has_grad(), b.has_grad());
+                    prop_assert_eq!(bits(&a.grad_vec()), bits(&b.grad_vec()));
+                }
+                prop_assert_eq!(x.has_grad(), flags & 1 != 0);
+            }
+        }
     }
 }

@@ -87,3 +87,38 @@ fn unflagged_intermediates_keep_no_gradient_after_the_pass() {
     assert!(!hidden.has_grad());
     assert!(m.has_grad());
 }
+
+#[test]
+fn a_flag_reached_only_through_the_third_operand_is_differentiated() {
+    // Message passing reads `x`, `coef` and `scale`; here only the mask
+    // behind `scale` is flagged.
+    let (x, _, m) = leaves(false, false);
+    let coef = Tensor::from_vec(vec![0.5, -1.0, 2.0, 0.25], 4, 1);
+    let pass = |x: &Tensor, coef: &Tensor, m: &Tensor| {
+        x.message_pass(
+            &[0, 2, 1, 2],
+            &[1, 1, 0, 2],
+            3,
+            Some(coef),
+            Some(&m.sigmoid()),
+        )
+        .tanh_t()
+        .sum_all()
+    };
+    pass(&x, &coef, &m).backward();
+    assert!(
+        m.has_grad(),
+        "the mask behind the third operand needs its gradient"
+    );
+    assert!(
+        !coef.has_grad(),
+        "an unflagged coef must not be differentiated"
+    );
+    assert!(!x.has_grad());
+
+    let (fx, _, fm) = leaves(true, false);
+    let fcoef = coef.detach().requires_grad();
+    pass(&fx, &fcoef, &fm).backward();
+    assert!(fx.has_grad() && fcoef.has_grad());
+    assert_eq!(bits(&m.grad_vec()), bits(&fm.grad_vec()));
+}
