@@ -1,8 +1,7 @@
 //! Kernel microbench: naive triple-loop matmuls vs the cache-blocked
 //! SIMD-friendly kernels that back the autograd engine, across the matrix
-//! shapes the GCN/GIN/GAT optimize loops actually hit. Writes
-//! `target/experiments/BENCH_kernels.json` (machine-readable; new fields
-//! are only ever added, never renamed).
+//! shapes the GCN/GIN/GAT optimize loops actually hit, printed as a table
+//! on stderr.
 //!
 //! ```text
 //! cargo run -p revelio-bench --release --bin kernels [--smoke] [--reps N]
@@ -15,11 +14,9 @@
 //! Timings are best-of-N minimums, so scheduler noise only ever inflates
 //! the loser, never deflates it.
 
-use std::fmt::Write as _;
 use std::hint::black_box;
 use std::time::Instant;
 
-use revelio_eval::experiments_dir;
 use revelio_tensor::kernels::{
     matmul_nn, matmul_nn_naive, matmul_nt, matmul_nt_naive, matmul_tn, matmul_tn_naive,
 };
@@ -32,22 +29,16 @@ const MARGIN: f64 = 1.05;
 /// (700 nodes, hidden 20).
 const REFERENCE_SHAPE: &str = "gcn_hidden";
 
-struct Args {
-    smoke: bool,
-    reps: usize,
-}
-
-fn parse_args() -> Args {
-    let mut args = Args {
-        smoke: false,
-        reps: 25,
-    };
+/// Timed repetitions per kernel: `--reps N`, or 5 under `--smoke`.
+fn parse_reps() -> usize {
+    let mut reps = 25;
+    let mut smoke = false;
     let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--smoke" => args.smoke = true,
+            "--smoke" => smoke = true,
             "--reps" => {
-                args.reps = it
+                reps = it
                     .next()
                     .and_then(|v| v.parse().ok())
                     .expect("--reps needs a number");
@@ -55,10 +46,11 @@ fn parse_args() -> Args {
             other => panic!("unknown argument: {other}"),
         }
     }
-    if args.smoke {
-        args.reps = 5;
+    if smoke {
+        5
+    } else {
+        reps
     }
-    args
 }
 
 /// A logical `(m × k) · (k × n)` product; the three kernel variants are
@@ -66,8 +58,6 @@ fn parse_args() -> Args {
 /// left backward (`grad · Bᵀ`), `tn` the right backward (`Aᵀ · grad`).
 struct Shape {
     name: &'static str,
-    /// Which model/phase hits this shape, for the JSON record.
-    role: &'static str,
     m: usize,
     k: usize,
     n: usize,
@@ -77,37 +67,37 @@ struct Shape {
 /// (700), the paper's GCN/GIN/GAT widths, and a batched-optimize stack
 /// (mask rows = flows pooled across a fused batch).
 const SHAPES: &[Shape] = &[
+    // GCN layer 1: features (700x10) x weights (10x20)
     Shape {
         name: "gcn_input",
-        role: "GCN layer 1: features (700x10) x weights (10x20)",
         m: 700,
         k: 10,
         n: 20,
     },
+    // GCN layer 2: hidden (700x20) x weights (20x20)
     Shape {
         name: "gcn_hidden",
-        role: "GCN layer 2: hidden (700x20) x weights (20x20)",
         m: 700,
         k: 20,
         n: 20,
     },
+    // GIN MLP: hidden (700x64) x weights (64x64)
     Shape {
         name: "gin_mlp",
-        role: "GIN MLP: hidden (700x64) x weights (64x64)",
         m: 700,
         k: 64,
         n: 64,
     },
+    // GAT multi-head: hidden (700x8) x concat heads (8x64)
     Shape {
         name: "gat_heads",
-        role: "GAT multi-head: hidden (700x8) x concat heads (8x64)",
         m: 700,
         k: 8,
         n: 64,
     },
+    // batched optimize: stacked flow messages (4096x20) x weights (20x20)
     Shape {
         name: "batched_mask",
-        role: "batched optimize: stacked flow messages (4096x20) x weights (20x20)",
         m: 4096,
         k: 20,
         n: 20,
@@ -147,7 +137,6 @@ fn best_of<F: FnMut() -> Vec<f32>>(reps: usize, mut f: F) -> f64 {
 
 struct Row {
     shape: &'static str,
-    role: &'static str,
     m: usize,
     k: usize,
     n: usize,
@@ -205,7 +194,6 @@ fn bench_shape(s: &Shape, reps: usize) -> Vec<Row> {
         .into_iter()
         .map(|(kernel, naive, blocked)| Row {
             shape: s.name,
-            role: s.role,
             m,
             k,
             n,
@@ -218,11 +206,11 @@ fn bench_shape(s: &Shape, reps: usize) -> Vec<Row> {
 }
 
 fn main() {
-    let args = parse_args();
+    let reps = parse_reps();
 
     let mut rows = Vec::new();
     for s in SHAPES {
-        for row in bench_shape(s, args.reps) {
+        for row in bench_shape(s, reps) {
             eprintln!(
                 "{:>13} {:>2}  {:4}x{:<2}x{:<2}  naive {:>9.1}us  blocked {:>9.1}us  x{:.2}",
                 row.shape,
@@ -237,35 +225,6 @@ fn main() {
             rows.push(row);
         }
     }
-
-    let mut json = String::new();
-    json.push_str("{\n");
-    let _ = writeln!(json, "  \"benchmark\": \"revelio-tensor kernels\",");
-    let _ = writeln!(json, "  \"smoke\": {},", args.smoke);
-    let _ = writeln!(json, "  \"reps\": {},", args.reps);
-    let _ = writeln!(
-        json,
-        "  \"timing\": \"best-of-reps minimum, microseconds\","
-    );
-    let _ = writeln!(json, "  \"reference_shape\": \"{REFERENCE_SHAPE}\",");
-    let _ = writeln!(json, "  \"margin\": {MARGIN},");
-    json.push_str("  \"rows\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        let _ = write!(
-            json,
-            "    {{\"shape\": \"{}\", \"role\": \"{}\", \"m\": {}, \"k\": {}, \
-             \"n\": {}, \"kernel\": \"{}\", \"naive_us\": {:.2}, \
-             \"blocked_us\": {:.2}, \"speedup\": {:.3}}}",
-            r.shape, r.role, r.m, r.k, r.n, r.kernel, r.naive_us, r.blocked_us, r.speedup
-        );
-        json.push_str(if i + 1 < rows.len() { ",\n" } else { "\n" });
-    }
-    json.push_str("  ]\n}\n");
-
-    let path = experiments_dir().join("BENCH_kernels.json");
-    std::fs::write(&path, &json).expect("write BENCH_kernels.json");
-    println!("{json}");
-    println!("written to {}", path.display());
 
     // CI gate: the blocked nn kernel must not lose to the naive one on the
     // reference shape. Best-of-N minimums plus the margin absorb scheduler

@@ -1,853 +1,203 @@
-//! Load generator for `revelio-server`: drives the wire protocol over
-//! loopback at several client-concurrency levels and writes
-//! `target/experiments/BENCH_server.json` (machine-readable; new fields
-//! are only ever added, never renamed).
+//! Cross-process smoke client for `revelio-serve` and `revelio-gateway`.
 //!
 //! ```text
-//! cargo run -p revelio-bench --release --bin loadgen [--smoke] \
-//!     [--addr HOST:PORT] [--requests N] [--levels 1,2,4,8] \
-//!     [--max-in-flight N] [--seed S] [--shutdown] [--fetch-newest] \
-//!     [--trace-sample RATE]
+//! cargo run -p revelio-bench --release --bin loadgen -- \
+//!     --addr HOST:PORT [--shutdown] [--fetch-newest]
 //! ```
 //!
-//! Without `--addr`, a server is started in-process on a free loopback
-//! port (self-contained benchmark). With `--addr`, an already-running
-//! `revelio-serve` is driven instead — that is the CI smoke path:
-//! `revelio-serve &` + `loadgen --smoke --addr ... --shutdown` proves the
-//! binary protocol end to end across processes.
+//! Connects to an already-running server (or gateway), pings it,
+//! registers the [`serving_workload`] model and drives
+//! [`REQUESTS_PER_CLIENT`] explanations per client at each of
+//! [`CLIENT_LEVELS`] concurrent clients, retrying on `Busy`. It exits
+//! non-zero if any request ultimately fails or the server reports
+//! protocol errors, and prints one result line otherwise. This measures
+//! nothing: serving speed is `refbench`'s job.
 //!
-//! `--fetch-newest` is a standalone check instead of a load run: connect,
-//! list the server's persisted explanations, fetch the newest by job id,
-//! and fail (non-zero exit) if the store is empty or the record does not
-//! come back. Paired with `revelio-serve --store`, running it *after a
-//! server restart* proves crash recovery end to end.
+//! `--fetch-newest` replaces the load with a store check: list the
+//! server's persisted explanations, fetch the newest by job id, and fail
+//! if the store is absent or empty or the record does not come back.
+//! Run against a *restarted* `revelio-serve --store`, it proves crash
+//! recovery end to end.
 //!
-//! `--gateway` is a comparison mode instead of a load run: the same
-//! repeated-key workload is driven against (a) one direct in-process
-//! backend and (b) a `revelio-gateway` over three in-process shards, and
-//! cache hit-rates plus client-side p50/p99 land in
-//! `target/experiments/BENCH_gateway.json`. The run fails if the gateway
-//! hit-rate strays more than five points from the direct one — that is
-//! the locality property consistent hashing exists to preserve.
-//!
-//! `--trace-sample RATE` appends a distributed-tracing pass after the
-//! concurrency levels: requests are head-sampled client-side at `RATE`,
-//! sampled ones carry a generated trace context over the wire, and their
-//! *assembled* traces are fetched straight back. Per-phase p50/p90/p99
-//! reconstructed from those traces land in a `tracing` section of
-//! `BENCH_server.json`, alongside the measured cost of the sampler's off
-//! path (ns/op over one million rate-zero decisions) and a same-workload
-//! repeat delta that bounds the noise floor.
-//!
-//! Every client thread ships `Busy`-aware retries, so shed requests are
-//! *counted* but still served eventually; the run fails (non-zero exit)
-//! if any request ultimately errors or the server reports protocol
-//! errors.
+//! `--shutdown` asks the server to shut down once the run is over, even
+//! if the run failed, so a CI `wait` on the server never hangs.
 
-use std::fmt::Write as _;
+use std::net::SocketAddr;
 use std::process::ExitCode;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use revelio_bench::{available_workers, serving_workload};
+use revelio_bench::serving_workload;
 use revelio_core::wire::ControlSpec;
 use revelio_core::Objective;
 use revelio_eval::Effort;
 use revelio_graph::{Graph, Target};
-use revelio_runtime::{HistogramSnapshot, RuntimeConfig};
-use revelio_server::{
-    Client, ClientConfig, ClientError, ExplainRequest, Server, ServerConfig, ServerStats,
-};
+use revelio_server::{Client, ClientConfig, ExplainRequest};
+
+const USAGE: &str = "usage: loadgen --addr HOST:PORT [--shutdown] [--fetch-newest]";
+
+/// Explanations each client requests per level.
+const REQUESTS_PER_CLIENT: usize = 4;
+
+/// Concurrent client counts, driven in turn.
+const CLIENT_LEVELS: [usize; 2] = [1, 2];
 
 struct Args {
-    smoke: bool,
-    addr: Option<String>,
-    requests: usize,
-    levels: Vec<usize>,
-    max_in_flight: usize,
-    seed: u64,
+    addr: SocketAddr,
     shutdown: bool,
     fetch_newest: bool,
-    gateway: bool,
-    trace_sample: f64,
 }
 
-const USAGE: &str = "usage: loadgen [--smoke] [--addr HOST:PORT] [--requests N] \
-[--levels 1,2,4] [--max-in-flight N] [--seed S] [--shutdown] [--fetch-newest] [--gateway] \
-[--trace-sample RATE]";
-
-fn parse_args() -> Args {
-    let mut args = Args {
-        smoke: false,
-        addr: None,
-        requests: 16,
-        levels: vec![1, 2, 4, 8],
-        max_in_flight: 64,
-        seed: 42,
-        shutdown: false,
-        fetch_newest: false,
-        gateway: false,
-        trace_sample: 0.0,
-    };
-    let mut it = std::env::args().skip(1);
-    while let Some(a) = it.next() {
+/// `None` on any flag outside the three, or a missing or unparsable
+/// `--addr`.
+fn parse_args(mut argv: impl Iterator<Item = String>) -> Option<Args> {
+    let (mut addr, mut shutdown, mut fetch_newest) = (None, false, false);
+    while let Some(a) = argv.next() {
         match a.as_str() {
-            "--smoke" => args.smoke = true,
-            "--shutdown" => args.shutdown = true,
-            "--fetch-newest" => args.fetch_newest = true,
-            "--gateway" => args.gateway = true,
-            "--addr" => args.addr = Some(it.next().expect(USAGE)),
-            "--requests" => {
-                args.requests = it.next().and_then(|v| v.parse().ok()).expect(USAGE);
-            }
-            "--max-in-flight" => {
-                args.max_in_flight = it.next().and_then(|v| v.parse().ok()).expect(USAGE);
-            }
-            "--seed" => {
-                args.seed = it.next().and_then(|v| v.parse().ok()).expect(USAGE);
-            }
-            "--trace-sample" => {
-                args.trace_sample = it.next().and_then(|v| v.parse().ok()).expect(USAGE);
-                assert!(
-                    (0.0..=1.0).contains(&args.trace_sample),
-                    "--trace-sample must be in 0..=1"
-                );
-            }
-            "--levels" => {
-                args.levels = it
-                    .next()
-                    .expect(USAGE)
-                    .split(',')
-                    .map(|v| v.trim().parse().expect("--levels: not a number"))
-                    .collect();
-            }
-            other => panic!("unknown argument: {other}\n{USAGE}"),
+            "--addr" => addr = Some(argv.next()?.parse().ok()?),
+            "--shutdown" => shutdown = true,
+            "--fetch-newest" => fetch_newest = true,
+            _ => return None,
         }
     }
-    if args.smoke {
-        args.requests = 4;
-        args.levels = vec![1, 2];
-    }
-    assert!(
-        !args.levels.is_empty(),
-        "--levels must name at least one level"
-    );
-    args
+    Some(Args {
+        addr: addr?,
+        shutdown,
+        fetch_newest,
+    })
 }
 
-struct LevelResult {
-    clients: usize,
-    requests: usize,
-    seconds: f64,
-    per_sec: f64,
-    busy_answers: u64,
-    degraded: u64,
-    failures: u64,
-}
-
-/// Drives `requests` explanations per client from `clients` parallel
-/// connections. Every request retries on `Busy`/transient errors; a
-/// request that still fails after the budget counts as a failure.
-fn drive_level(
-    addr: std::net::SocketAddr,
-    model_id: u32,
-    graphs: &[Graph],
-    clients: usize,
-    requests: usize,
-) -> LevelResult {
-    let busy_answers = Arc::new(AtomicU64::new(0));
-    let degraded = Arc::new(AtomicU64::new(0));
-    let failures = Arc::new(AtomicU64::new(0));
-    let start = Instant::now();
-    std::thread::scope(|scope| {
-        for c in 0..clients {
-            let busy_answers = Arc::clone(&busy_answers);
-            let degraded = Arc::clone(&degraded);
-            let failures = Arc::clone(&failures);
-            scope.spawn(move || {
-                let cfg = ClientConfig {
-                    max_attempts: 12,
-                    backoff_base: Duration::from_millis(5),
-                    ..Default::default()
-                };
-                let mut client = match Client::connect_with_retry(addr, cfg) {
-                    Ok(cl) => cl,
-                    Err(_) => {
-                        failures.fetch_add(requests as u64, Ordering::Relaxed);
-                        return;
-                    }
-                };
-                for r in 0..requests {
-                    // Distinct graphs/ids per (client, request): the server
-                    // must enumerate flows per job rather than ride one
-                    // cache entry.
-                    let ix = (c * requests + r) % graphs.len();
-                    let req = ExplainRequest {
-                        model: model_id,
-                        graph_id: ix as u64,
-                        method: "REVELIO".to_owned(),
-                        objective: Objective::Factual,
-                        effort: Effort::Quick,
-                        target: Target::Node(2),
-                        control: ControlSpec::default(),
-                        graph: graphs[ix].clone(),
-                        context: None,
-                    };
-                    // Count Busy answers by probing once without retry,
-                    // then fall back to the retrying path.
-                    match client.explain(&req) {
-                        Ok(served) => {
-                            if served.degradation.is_degraded() {
-                                degraded.fetch_add(1, Ordering::Relaxed);
-                            }
-                        }
-                        Err(ClientError::Busy { .. }) => {
-                            busy_answers.fetch_add(1, Ordering::Relaxed);
-                            match client.explain_with_retry(&req) {
-                                Ok(served) => {
-                                    if served.degradation.is_degraded() {
-                                        degraded.fetch_add(1, Ordering::Relaxed);
-                                    }
-                                }
-                                Err(_) => {
-                                    failures.fetch_add(1, Ordering::Relaxed);
-                                }
-                            }
-                        }
-                        Err(_) => {
-                            failures.fetch_add(1, Ordering::Relaxed);
-                        }
-                    }
-                }
-            });
-        }
-    });
-    let seconds = start.elapsed().as_secs_f64();
-    let total = clients * requests;
-    LevelResult {
-        clients,
-        requests: total,
-        seconds,
-        per_sec: total as f64 / seconds.max(1e-9),
-        busy_answers: busy_answers.load(Ordering::Relaxed),
-        degraded: degraded.load(Ordering::Relaxed),
-        failures: failures.load(Ordering::Relaxed),
-    }
-}
-
-/// `--fetch-newest`: connect, list persisted explanations, fetch the one
-/// with the highest job id, and verify it carries scores. Run against a
-/// *restarted* `revelio-serve --store` this proves crash recovery over
-/// the wire (the record predates the serving process).
-fn fetch_newest(addr: std::net::SocketAddr, shutdown: bool) -> ExitCode {
-    let mut client = Client::connect_with_retry(
-        addr,
-        ClientConfig {
-            max_attempts: 20,
-            backoff_base: Duration::from_millis(25),
-            ..Default::default()
-        },
-    )
-    .expect("connect to server");
-    let list = client.list_explanations().expect("list explanations");
-    let rec = list.iter().max_by_key(|s| s.job_id).map(|newest| {
-        client
-            .fetch_explanation(newest.job_id)
-            .expect("fetch explanation")
-            .expect("listed job id must fetch")
-    });
-    // Shut down before reporting, so a failed check still tears the
-    // server down (a CI `wait` on the server must never hang).
-    if shutdown {
-        client.shutdown().expect("server acknowledged shutdown");
-    }
-    match rec {
-        None => {
-            eprintln!("fetch-newest: server's store holds no explanations");
-            ExitCode::FAILURE
-        }
-        Some(rec) if rec.edge_scores.is_empty() => {
-            eprintln!(
-                "fetch-newest: job {} came back without edge scores",
-                rec.job_id
-            );
-            ExitCode::FAILURE
-        }
-        Some(rec) => {
-            println!(
-                "fetch-newest: job {} (model {}, graph {}) served {} edge scores, has_mask={}",
-                rec.job_id,
-                rec.model,
-                rec.graph_id,
-                rec.edge_scores.len(),
-                rec.has_mask
-            );
-            ExitCode::SUCCESS
-        }
-    }
-}
-
-/// One scenario of the `--gateway` comparison: latency percentiles from
-/// client-observed wall clocks plus the serving side's cache counters.
-struct ScenarioResult {
-    requests: usize,
-    seconds: f64,
-    per_sec: f64,
-    p50_us: u64,
-    p99_us: u64,
-    cache_hits: u64,
-    cache_misses: u64,
-}
-
-impl ScenarioResult {
-    fn hit_rate(&self) -> f64 {
-        let total = self.cache_hits + self.cache_misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.cache_hits as f64 / total as f64
-        }
-    }
-
-    fn json(&self, label: &str) -> String {
-        format!(
-            "\"{label}\": {{\"requests\": {}, \"seconds\": {:.4}, \
-             \"explanations_per_sec\": {:.4}, \"p50_us\": {}, \"p99_us\": {}, \
-             \"cache_hits\": {}, \"cache_misses\": {}, \"cache_hit_rate\": {:.4}}}",
-            self.requests,
-            self.seconds,
-            self.per_sec,
-            self.p50_us,
-            self.p99_us,
-            self.cache_hits,
-            self.cache_misses,
-            self.hit_rate()
-        )
-    }
-}
-
-/// Drives the repeated-key workload against `addr` from one connection
-/// and returns client-side latencies; the caller supplies cache counters
-/// from whichever stats surface the scenario has.
-fn drive_repeated_keys(
-    addr: std::net::SocketAddr,
-    model_id: u32,
-    graphs: &[Graph],
-    repeats: usize,
-) -> (Vec<u64>, f64, u64) {
-    let mut client = Client::connect_with_retry(addr, ClientConfig::default())
-        .expect("connect for repeated-key workload");
-    let mut latencies_us = Vec::with_capacity(graphs.len() * repeats);
-    let mut failures = 0u64;
-    let start = Instant::now();
-    for _ in 0..repeats {
-        for (ix, graph) in graphs.iter().enumerate() {
-            let req = ExplainRequest {
-                model: model_id,
-                graph_id: ix as u64,
-                method: "REVELIO".to_owned(),
-                objective: Objective::Factual,
-                effort: Effort::Quick,
-                target: Target::Node(2),
-                control: ControlSpec::default(),
-                graph: graph.clone(),
-                context: None,
-            };
-            let t0 = Instant::now();
-            match client.explain_with_retry(&req) {
-                Ok(_) => latencies_us.push(t0.elapsed().as_micros() as u64),
-                Err(_) => failures += 1,
-            }
-        }
-    }
-    (latencies_us, start.elapsed().as_secs_f64(), failures)
-}
-
-/// What the `--trace-sample` pass measured; rendered as the `tracing`
-/// section of `BENCH_server.json`.
-struct TracingSummary {
-    rate: f64,
-    requests: usize,
-    sampled: usize,
-    assembled: usize,
-    /// Cost of one rate-zero sampling decision — the only code a
-    /// deployment with tracing off executes per request.
-    off_ns_per_op: u64,
-    /// Mean-latency delta between two identical *untraced* passes: the
-    /// noise floor any sampling-off overhead claim has to clear.
-    off_delta_us: f64,
-    /// Per span name: (p50, p90, p99, count) in µs from assembled traces.
-    phases: Vec<(String, u64, u64, u64, usize)>,
-}
-
-/// The `--trace-sample` pass: micro-benchmark the sampler's off path,
-/// bound run-to-run noise with a repeated untraced pass, then drive
-/// head-sampled traced requests and reconstruct per-phase percentiles
-/// from the assembled traces fetched back over the wire.
-fn tracing_pass(
-    addr: std::net::SocketAddr,
-    model_id: u32,
-    graphs: &[Graph],
-    rate: f64,
-    seed: u64,
-) -> TracingSummary {
-    use revelio_trace::{Sampler, TraceContext};
-
-    // (a) One million rate-zero decisions, timed. The off path must stay
-    // a field load plus a branch; ns/op lands in the report so a
-    // regression is visible in the benchmark artifact, not just in the
-    // unit-test bound.
-    let off = Sampler::new(0.0, seed);
-    let t0 = Instant::now();
-    let mut fired = 0u64;
-    for _ in 0..1_000_000u32 {
-        if off.sample() {
-            fired += 1;
-        }
-    }
-    assert_eq!(fired, 0, "rate-0 sampler must never fire");
-    let off_ns_per_op = (t0.elapsed().as_nanos() / 1_000_000) as u64;
-
-    let mut client = Client::connect_with_retry(
-        addr,
-        ClientConfig {
-            max_attempts: 12,
-            backoff_base: Duration::from_millis(5),
-            ..Default::default()
-        },
-    )
-    .expect("connect for tracing pass");
-
-    // (b) Two identical untraced passes; the delta between their means is
-    // measurement noise, since the executed path is byte-for-byte the same.
-    let run_untraced = |client: &mut Client| -> f64 {
-        let mut total_us = 0u64;
-        for (ix, graph) in graphs.iter().enumerate() {
-            let req = ExplainRequest {
-                model: model_id,
-                graph_id: ix as u64,
-                method: "REVELIO".to_owned(),
-                objective: Objective::Factual,
-                effort: Effort::Quick,
-                target: Target::Node(2),
-                control: ControlSpec::default(),
-                graph: graph.clone(),
-                context: None,
-            };
-            let t0 = Instant::now();
-            client.explain_with_retry(&req).expect("untraced request");
-            total_us += t0.elapsed().as_micros() as u64;
-        }
-        total_us as f64 / graphs.len().max(1) as f64
-    };
-    let mean_a = run_untraced(&mut client);
-    let mean_b = run_untraced(&mut client);
-    let off_delta_us = mean_b - mean_a;
-
-    // (c) Traced pass: head sampling client-side, sampled requests carry
-    // a generated context; each assembled trace is fetched immediately so
-    // retention churn cannot evict it first.
-    let sampler = Sampler::new(rate, seed);
-    let mut sampled = 0usize;
-    let mut assembled = 0usize;
-    let mut by_phase: std::collections::BTreeMap<String, Vec<u64>> = Default::default();
-    for (ix, graph) in graphs.iter().enumerate() {
-        let context = sampler
-            .sample()
-            .then(|| TraceContext::generate(seed, ix as u64));
-        let req = ExplainRequest {
-            model: model_id,
-            graph_id: ix as u64,
-            method: "REVELIO".to_owned(),
-            objective: Objective::Factual,
-            effort: Effort::Quick,
-            target: Target::Node(2),
-            control: ControlSpec::default(),
-            graph: graph.clone(),
-            context,
-        };
-        client.explain_with_retry(&req).expect("traced request");
-        let Some(ctx) = context else { continue };
-        sampled += 1;
-        if let Ok(trace) = client.assembled_trace(ctx.trace_hi, ctx.trace_lo) {
-            assembled += 1;
-            for span in &trace.spans {
-                by_phase
-                    .entry(span.name.clone())
-                    .or_default()
-                    .push(span.dur_us);
-            }
-        }
-    }
-    let phases = by_phase
-        .into_iter()
-        .map(|(name, mut v)| {
-            v.sort_unstable();
-            let (p50, p90, p99) = (
-                percentile(&v, 0.50),
-                percentile(&v, 0.90),
-                percentile(&v, 0.99),
-            );
-            (name, p50, p90, p99, v.len())
-        })
-        .collect();
-    TracingSummary {
-        rate,
-        requests: graphs.len() * 3,
-        sampled,
-        assembled,
-        off_ns_per_op,
-        off_delta_us,
-        phases,
-    }
-}
-
-fn percentile(sorted_us: &[u64], p: f64) -> u64 {
-    if sorted_us.is_empty() {
-        return 0;
-    }
-    let rank = ((sorted_us.len() as f64 - 1.0) * p).round() as usize;
-    sorted_us[rank.min(sorted_us.len() - 1)]
-}
-
-fn scenario_result(
-    latencies_us: Vec<u64>,
-    seconds: f64,
-    cache_hits: u64,
-    cache_misses: u64,
-) -> ScenarioResult {
-    let mut sorted = latencies_us;
-    sorted.sort_unstable();
-    ScenarioResult {
-        requests: sorted.len(),
-        seconds,
-        per_sec: sorted.len() as f64 / seconds.max(1e-9),
-        p50_us: percentile(&sorted, 0.50),
-        p99_us: percentile(&sorted, 0.99),
-        cache_hits,
-        cache_misses,
-    }
-}
-
-/// `--gateway`: same repeated-key workload against one direct backend vs
-/// a gateway over three in-process shards; writes `BENCH_gateway.json`
-/// and fails if consistent hashing lost more than five points of cache
-/// hit-rate.
-fn gateway_compare(args: &Args) -> ExitCode {
-    use revelio_gateway::{Gateway, GatewayConfig};
-
-    let distinct = if args.smoke { 6 } else { args.requests.max(12) };
-    let repeats = if args.smoke { 3 } else { 5 };
-    let (model, graphs) = serving_workload(distinct);
-    let backend_cfg = || ServerConfig {
-        runtime: RuntimeConfig {
-            workers: 1,
-            seed: args.seed,
-            ..Default::default()
-        },
-        max_in_flight: args.max_in_flight,
+/// Drives one client's share of a level; returns its failed requests.
+fn drive_client(addr: SocketAddr, model: u32, graphs: &[Graph], client_ix: usize) -> usize {
+    let cfg = ClientConfig {
+        max_attempts: 12,
+        backoff_base: Duration::from_millis(5),
         ..Default::default()
     };
-
-    // Scenario A: one backend, no gateway.
-    let direct = {
-        let server = Server::start(backend_cfg()).expect("start direct backend");
-        let mut admin = Client::connect(server.local_addr()).expect("connect to direct backend");
-        let model_id = admin.register_model(&model).expect("register (direct)");
-        let (lat, seconds, failures) =
-            drive_repeated_keys(server.local_addr(), model_id, &graphs, repeats);
-        assert_eq!(failures, 0, "direct scenario dropped requests");
-        let stats = admin.stats().expect("direct stats");
-        server.shutdown();
-        scenario_result(
-            lat,
-            seconds,
-            stats.runtime.cache_hits,
-            stats.runtime.cache_misses,
-        )
+    let Ok(mut client) = Client::connect_with_retry(addr, cfg) else {
+        return REQUESTS_PER_CLIENT;
     };
-
-    // Scenario B: three shards behind a gateway.
-    let (via_gateway, backends_json) = {
-        let servers: Vec<Server> = (0..3)
-            .map(|_| Server::start(backend_cfg()).expect("start shard"))
-            .collect();
-        let gateway = Gateway::start(GatewayConfig {
-            shards: servers.iter().map(|s| s.local_addr().to_string()).collect(),
-            ..GatewayConfig::default()
+    (0..REQUESTS_PER_CLIENT)
+        .filter(|r| {
+            // Distinct graphs and ids per (client, request): the server
+            // must enumerate flows per job rather than ride one cache entry.
+            let ix = (client_ix * REQUESTS_PER_CLIENT + r) % graphs.len();
+            let req = ExplainRequest {
+                model,
+                graph_id: ix as u64,
+                method: "REVELIO".to_owned(),
+                objective: Objective::Factual,
+                effort: Effort::Quick,
+                target: Target::Node(2),
+                control: ControlSpec::default(),
+                graph: graphs[ix].clone(),
+                context: None,
+            };
+            client.explain_with_retry(&req).is_err()
         })
-        .expect("start gateway");
-        let mut admin = Client::connect(gateway.local_addr()).expect("connect to gateway");
-        let model_id = admin.register_model(&model).expect("register (gateway)");
-        let (lat, seconds, failures) =
-            drive_repeated_keys(gateway.local_addr(), model_id, &graphs, repeats);
-        assert_eq!(failures, 0, "gateway scenario dropped requests");
-        let (merged, tail) = admin.stats_full().expect("gateway stats");
-        let tail = tail.expect("gateway must attach its stats tail");
-        let mut backends_json = String::from("[");
-        for (i, b) in tail.backends.iter().enumerate() {
-            let _ = write!(
-                backends_json,
-                "{}{{\"addr\": \"{}\", \"healthy\": {}, \"forwarded\": {}, \
-                 \"errors\": {}, \"busy\": {}}}",
-                if i > 0 { ", " } else { "" },
-                b.addr,
-                b.healthy,
-                b.forwarded,
-                b.errors,
-                b.busy
-            );
-        }
-        backends_json.push(']');
-        for s in &servers {
-            s.stop();
-        }
-        gateway.shutdown();
-        (
-            scenario_result(
-                lat,
-                seconds,
-                merged.runtime.cache_hits,
-                merged.runtime.cache_misses,
-            ),
-            backends_json,
-        )
-    };
+        .count()
+}
 
-    let delta = (direct.hit_rate() - via_gateway.hit_rate()).abs();
-    let mut json = String::new();
-    json.push_str("{\n");
-    let _ = writeln!(json, "  \"benchmark\": \"revelio-gateway loadgen\",");
-    let _ = writeln!(json, "  \"cores\": {},", available_workers());
-    let _ = writeln!(json, "  \"smoke\": {},", args.smoke);
-    let _ = writeln!(json, "  \"distinct_keys\": {distinct},");
-    let _ = writeln!(json, "  \"repeats\": {repeats},");
-    let _ = writeln!(json, "  \"shards\": 3,");
-    let _ = writeln!(json, "  \"seed\": {},", args.seed);
-    let _ = writeln!(json, "  {},", direct.json("direct"));
-    let _ = writeln!(json, "  {},", via_gateway.json("gateway"));
-    let _ = writeln!(json, "  \"cache_hit_rate_delta\": {delta:.4},");
-    let _ = writeln!(json, "  \"backends\": {backends_json}");
-    json.push_str("}\n");
-
-    let path = revelio_eval::experiments_dir().join("BENCH_gateway.json");
-    std::fs::write(&path, &json).expect("write BENCH_gateway.json");
-    println!("{json}");
-    println!("written to {}", path.display());
-
-    if delta > 0.05 {
-        eprintln!(
-            "loadgen --gateway: hit-rate delta {delta:.4} exceeds 0.05 \
-             (direct {:.4} vs gateway {:.4})",
-            direct.hit_rate(),
-            via_gateway.hit_rate()
-        );
-        return ExitCode::FAILURE;
+/// Pings, registers the model, drives every level and checks the
+/// server's protocol-error counter.
+fn smoke(admin: &mut Client, addr: SocketAddr) -> Result<String, String> {
+    // One graph per request of the widest level.
+    let (model, graphs) = serving_workload(2 * REQUESTS_PER_CLIENT);
+    admin.ping().map_err(|e| format!("ping: {e}"))?;
+    let model = admin
+        .register_model(&model)
+        .map_err(|e| format!("register model: {e}"))?;
+    let mut failures = 0;
+    for clients in CLIENT_LEVELS {
+        failures += std::thread::scope(|scope| {
+            let graphs = &graphs;
+            let handles: Vec<_> = (0..clients)
+                .map(|c| scope.spawn(move || drive_client(addr, model, graphs, c)))
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().unwrap_or(REQUESTS_PER_CLIENT))
+                .sum::<usize>()
+        });
     }
-    println!(
-        "loadgen --gateway: locality preserved (direct {:.4} vs gateway {:.4})",
-        direct.hit_rate(),
-        via_gateway.hit_rate()
-    );
-    ExitCode::SUCCESS
+    if failures > 0 {
+        return Err(format!("{failures} requests ultimately failed"));
+    }
+    let stats = admin.stats().map_err(|e| format!("stats: {e}"))?;
+    if stats.protocol_errors > 0 {
+        return Err(format!(
+            "server reported {} protocol errors",
+            stats.protocol_errors
+        ));
+    }
+    let served: usize = CLIENT_LEVELS.iter().map(|c| c * REQUESTS_PER_CLIENT).sum();
+    Ok(format!(
+        "all {served} requests served at {CLIENT_LEVELS:?} clients, {} shed, zero protocol errors",
+        stats.shed
+    ))
+}
+
+/// Fetches the newest persisted explanation and checks it carries scores.
+fn fetch_newest(admin: &mut Client) -> Result<String, String> {
+    let list = admin
+        .list_explanations()
+        .map_err(|e| format!("list explanations: {e}"))?;
+    let newest = list
+        .iter()
+        .map(|s| s.job_id)
+        .max()
+        .ok_or("the server's store holds no explanations")?;
+    let rec = admin
+        .fetch_explanation(newest)
+        .map_err(|e| format!("fetch job {newest}: {e}"))?
+        .ok_or_else(|| format!("listed job {newest} does not fetch"))?;
+    if rec.edge_scores.is_empty() {
+        return Err(format!("job {newest} came back without edge scores"));
+    }
+    Ok(format!(
+        "newest stored job {} (model {}, graph {}) fetched with {} edge scores, has_mask={}",
+        rec.job_id,
+        rec.model,
+        rec.graph_id,
+        rec.edge_scores.len(),
+        rec.has_mask
+    ))
 }
 
 fn main() -> ExitCode {
-    let args = parse_args();
-    if args.gateway {
-        return gateway_compare(&args);
-    }
-    if args.fetch_newest {
-        let addr = args
-            .addr
-            .as_deref()
-            .expect("--fetch-newest requires --addr")
-            .parse()
-            .expect("--addr must be HOST:PORT");
-        return fetch_newest(addr, args.shutdown);
-    }
-    let (model, graphs) = serving_workload(args.requests.max(8));
-
-    // Either drive an external server (--addr) or host one in-process.
-    let local_server = if args.addr.is_none() {
-        Some(
-            Server::start(ServerConfig {
-                runtime: RuntimeConfig {
-                    workers: available_workers(),
-                    seed: args.seed,
-                    ..Default::default()
-                },
-                max_in_flight: args.max_in_flight,
-                ..Default::default()
-            })
-            .expect("start in-process server"),
-        )
-    } else {
-        None
+    let Some(args) = parse_args(std::env::args().skip(1)) else {
+        eprintln!("{USAGE}");
+        return ExitCode::from(2);
     };
-    let addr: std::net::SocketAddr = match (&args.addr, &local_server) {
-        (Some(a), _) => a.parse().expect("--addr must be HOST:PORT"),
-        (None, Some(s)) => s.local_addr(),
-        (None, None) => unreachable!(),
+    let cfg = ClientConfig {
+        max_attempts: 20,
+        backoff_base: Duration::from_millis(25),
+        ..Default::default()
     };
-
-    let mut admin = Client::connect_with_retry(
-        addr,
-        ClientConfig {
-            max_attempts: 20,
-            backoff_base: Duration::from_millis(25),
-            ..Default::default()
-        },
-    )
-    .expect("connect to server");
-    admin.ping().expect("server did not answer ping");
-    let model_id = admin
-        .register_model(&model)
-        .expect("register model over wire");
-
-    let mut rows = Vec::new();
-    for &clients in &args.levels {
-        let r = drive_level(addr, model_id, &graphs, clients, args.requests);
-        eprintln!(
-            "clients={:>2}  requests={:>4}  {:.2}s  {:.2} explanations/sec  busy={} failures={}",
-            r.clients, r.requests, r.seconds, r.per_sec, r.busy_answers, r.failures
-        );
-        rows.push(r);
-    }
-
-    let tracing = (args.trace_sample > 0.0)
-        .then(|| tracing_pass(addr, model_id, &graphs, args.trace_sample, args.seed));
-    if let Some(t) = &tracing {
-        eprintln!(
-            "tracing: rate={:.2}  sampled={}/{}  assembled={}  off-path={} ns/op  noise={:+.1} µs",
-            t.rate,
-            t.sampled,
-            graphs.len(),
-            t.assembled,
-            t.off_ns_per_op,
-            t.off_delta_us
-        );
-    }
-
-    let stats: ServerStats = admin.stats().expect("fetch final stats");
-    let failures: u64 = rows.iter().map(|r| r.failures).sum();
-
-    if args.shutdown {
-        admin.shutdown().expect("server acknowledged shutdown");
-    }
-    if let Some(server) = local_server {
-        server.stop();
-        let final_stats = server.shutdown();
-        debug_assert_eq!(final_stats.protocol_errors, stats.protocol_errors);
-    }
-
-    let mut json = String::new();
-    json.push_str("{\n");
-    let _ = writeln!(json, "  \"benchmark\": \"revelio-server loadgen\",");
-    let _ = writeln!(json, "  \"cores\": {},", available_workers());
-    let _ = writeln!(json, "  \"smoke\": {},", args.smoke);
-    let _ = writeln!(json, "  \"external_server\": {},", args.addr.is_some());
-    let _ = writeln!(json, "  \"requests_per_client\": {},", args.requests);
-    // The seed steers the in-process runtime; against --addr it only
-    // records intent (the external server was seeded on its own CLI).
-    let _ = writeln!(json, "  \"seed\": {},", args.seed);
-    json.push_str("  \"levels\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        let _ = write!(
-            json,
-            "    {{\"clients\": {}, \"requests\": {}, \"seconds\": {:.4}, \
-             \"explanations_per_sec\": {:.4}, \"busy_answers\": {}, \
-             \"degraded\": {}, \"failures\": {}}}",
-            r.clients, r.requests, r.seconds, r.per_sec, r.busy_answers, r.degraded, r.failures
-        );
-        json.push_str(if i + 1 < rows.len() { ",\n" } else { "\n" });
-    }
-    json.push_str("  ],\n");
-    let _ = write!(
-        json,
-        "  \"server\": {{\"requests\": {}, \"shed\": {}, \"protocol_errors\": {}, \
-         \"bytes_in\": {}, \"bytes_out\": {}, \"jobs_completed\": {}, \
-         \"jobs_rejected\": {}, \"mean_request_us\": {}}}",
-        stats.requests,
-        stats.shed,
-        stats.protocol_errors,
-        stats.bytes_in,
-        stats.bytes_out,
-        stats.runtime.jobs_completed,
-        stats.runtime.jobs_rejected,
-        stats.request_latency.mean_us()
-    );
-    // Per-phase breakdown from the server's runtime registry, plus an
-    // estimate of pure wire time: request latency minus the runtime
-    // stages (saturating, since the means come from different counters).
-    let one = |name: &str, h: &HistogramSnapshot| {
-        format!(
-            "\"{name}\": {{\"count\": {}, \"mean_us\": {}, \"p50_us\": {}, \
-             \"p90_us\": {}, \"p99_us\": {}, \"max_us\": {}}}",
-            h.count,
-            h.mean_us(),
-            h.p50_us(),
-            h.p90_us(),
-            h.p99_us(),
-            h.max_us
-        )
-    };
-    let rt = &stats.runtime;
-    let wire_us = stats.request_latency.mean_us().saturating_sub(
-        rt.queue_wait
-            .mean_us()
-            .saturating_add(rt.prep_latency.mean_us())
-            .saturating_add(rt.explain_latency.mean_us()),
-    );
-    let _ = writeln!(
-        json,
-        ",\n  \"phases\": {{{}, {}, {}, {}, {}, {}, {}, \"wire_estimate_mean_us\": {wire_us}}}{}",
-        one("queue_wait", &rt.queue_wait),
-        one("prep", &rt.prep_latency),
-        one("extraction", &rt.phase_extraction),
-        one("flow_index", &rt.phase_flow_index),
-        one("optimize", &rt.phase_optimize),
-        one("readout", &rt.phase_readout),
-        one("explain", &rt.explain_latency),
-        if tracing.is_some() { "," } else { "" },
-    );
-    if let Some(t) = &tracing {
-        let mut phase_json = String::new();
-        for (i, (name, p50, p90, p99, count)) in t.phases.iter().enumerate() {
-            let _ = write!(
-                phase_json,
-                "{}\"{name}\": {{\"count\": {count}, \"p50_us\": {p50}, \
-                 \"p90_us\": {p90}, \"p99_us\": {p99}}}",
-                if i > 0 { ", " } else { "" },
-            );
+    let mut admin = match Client::connect_with_retry(args.addr, cfg) {
+        Ok(c) => c,
+        Err(e) => {
+            eprintln!("loadgen: connect to {}: {e}", args.addr);
+            return ExitCode::FAILURE;
         }
-        let _ = writeln!(
-            json,
-            "  \"tracing\": {{\"sample_rate\": {:.4}, \"requests\": {}, \"sampled\": {}, \
-             \"assembled\": {}, \"sampling_off_ns_per_op\": {}, \
-             \"sampling_off_delta_us\": {:.2}, \"phases\": {{{phase_json}}}}}",
-            t.rate, t.requests, t.sampled, t.assembled, t.off_ns_per_op, t.off_delta_us,
-        );
+    };
+    let mut outcome = if args.fetch_newest {
+        fetch_newest(&mut admin)
+    } else {
+        smoke(&mut admin, args.addr)
+    };
+    if args.shutdown {
+        if let Err(e) = admin.shutdown() {
+            outcome = outcome.and(Err(format!("shutdown: {e}")));
+        }
     }
-    json.push_str("}\n");
-
-    let path = revelio_eval::experiments_dir().join("BENCH_server.json");
-    std::fs::write(&path, &json).expect("write BENCH_server.json");
-    println!("{json}");
-    println!("written to {}", path.display());
-
-    if failures > 0 {
-        eprintln!("loadgen: {failures} requests ultimately failed");
-        return ExitCode::FAILURE;
+    match outcome {
+        Ok(line) => {
+            println!("loadgen: {line}");
+            ExitCode::SUCCESS
+        }
+        Err(e) => {
+            eprintln!("loadgen: {e}");
+            ExitCode::FAILURE
+        }
     }
-    if stats.protocol_errors > 0 {
-        eprintln!(
-            "loadgen: server reported {} protocol errors",
-            stats.protocol_errors
-        );
-        return ExitCode::FAILURE;
-    }
-    println!("loadgen: all requests served, zero protocol errors");
-    ExitCode::SUCCESS
 }

@@ -152,9 +152,9 @@ pub fn available_workers() -> usize {
     std::thread::available_parallelism().map_or(1, std::num::NonZero::get)
 }
 
-/// The synthetic serving workload shared by the `throughput` and `loadgen`
-/// benchmarks: a family of `n` small labelled graph variants and a model
-/// trained to classify their nodes. Variants differ in one chord so jobs
+/// The synthetic serving workload that the `loadgen` smoke client drives:
+/// a family of `n` small labelled graph variants and a model trained to
+/// classify their nodes. Variants differ in one chord so jobs
 /// with distinct `graph_id`s genuinely enumerate distinct flow sets.
 pub fn serving_workload(n: usize) -> (Gnn, Vec<revelio_graph::Graph>) {
     let graphs: Vec<revelio_graph::Graph> = (0..n)
