@@ -8,9 +8,10 @@
 //! ```
 //!
 //! `--smoke` shrinks repetitions for CI wiring checks. In every mode the
-//! process exits non-zero if the blocked `nn` kernel is slower than the
-//! naive reference on the GCN hidden-layer shape by more than a noise
-//! margin — this is the CI guard against a blocking-scheme regression.
+//! process exits non-zero if any blocked kernel (`nn`, `nt` or `tn`) is
+//! slower than its naive reference on the GCN hidden-layer shape by more
+//! than a noise margin — this is the CI guard against a blocking-scheme
+//! regression.
 //! Timings are best-of-N minimums, so scheduler noise only ever inflates
 //! the loser, never deflates it.
 
@@ -25,8 +26,11 @@ use revelio_tensor::kernels::{
 /// `naive * MARGIN` on the reference shape.
 const MARGIN: f64 = 1.05;
 
-/// The shape the CI check gates on: GCN hidden-layer forward on BA-Shapes
-/// (700 nodes, hidden 20).
+/// The shape the CI check gates all three kernels on: a GCN hidden layer
+/// on BA-Shapes (700 nodes, hidden 20), where each blocked kernel beats
+/// its naive loop by 1.5x or more. The gate leaves the other shapes
+/// alone: on `gcn_input` (`k` = 10) blocked `tn` only ties naive (0.99x
+/// on 2 vCPUs), so gating it would fail on noise, not on a regression.
 const REFERENCE_SHAPE: &str = "gcn_hidden";
 
 /// Timed repetitions per kernel: `--reps N`, or 5 under `--smoke`.
@@ -226,23 +230,28 @@ fn main() {
         }
     }
 
-    // CI gate: the blocked nn kernel must not lose to the naive one on the
+    // CI gate: no blocked kernel may lose to its naive one on the
     // reference shape. Best-of-N minimums plus the margin absorb scheduler
     // noise; a real blocking regression still trips it.
-    let reference = rows
-        .iter()
-        .find(|r| r.shape == REFERENCE_SHAPE && r.kernel == "nn")
-        .expect("reference shape benched");
-    if reference.blocked_us > reference.naive_us * MARGIN {
-        eprintln!(
-            "FAIL: blocked nn on {REFERENCE_SHAPE} ({:.1}us) slower than naive \
-             ({:.1}us) beyond the x{MARGIN} margin",
-            reference.blocked_us, reference.naive_us
-        );
+    let gated: Vec<&Row> = rows.iter().filter(|r| r.shape == REFERENCE_SHAPE).collect();
+    assert_eq!(gated.len(), 3, "reference shape benched for nn, nt and tn");
+    let mut failed = false;
+    for r in gated {
+        if r.blocked_us > r.naive_us * MARGIN {
+            eprintln!(
+                "FAIL: blocked {} on {REFERENCE_SHAPE} ({:.1}us) slower than naive \
+                 ({:.1}us) beyond the x{MARGIN} margin",
+                r.kernel, r.blocked_us, r.naive_us
+            );
+            failed = true;
+        } else {
+            eprintln!(
+                "check ok: blocked {} on {REFERENCE_SHAPE} is x{:.2} vs naive",
+                r.kernel, r.speedup
+            );
+        }
+    }
+    if failed {
         std::process::exit(1);
     }
-    eprintln!(
-        "check ok: blocked nn on {REFERENCE_SHAPE} is x{:.2} vs naive",
-        reference.speedup
-    );
 }

@@ -27,7 +27,7 @@ use std::fmt;
 
 use revelio_gnn::{GnnConfig, GnnKind, Task};
 use revelio_graph::Target;
-use revelio_trace::{AssembledSpan, AssembledTrace, Phase, TraceContext};
+use revelio_trace::{AssembledEvent, AssembledSpan, AssembledTrace, PointKind, TraceContext};
 
 use crate::control::{ConvergedMask, Degradation};
 use crate::explanation::Objective;
@@ -631,16 +631,6 @@ impl Codec for GnnConfig {
     }
 }
 
-impl Codec for Phase {
-    const MIN_LEN: usize = 1;
-    fn encode(&self, out: &mut Vec<u8>) {
-        put_u8(out, self.to_u8());
-    }
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireDecodeError> {
-        Phase::from_u8(r.u8()?).ok_or(WireDecodeError::Invalid("phase tag"))
-    }
-}
-
 wire_struct!(TraceContext {
     trace_hi: u64,
     trace_lo: u64,
@@ -655,18 +645,70 @@ wire_struct!(AssembledSpan {
     dur_us: u64,
 });
 
+impl Codec for PointKind {
+    const MIN_LEN: usize = 2;
+    fn encode(&self, out: &mut Vec<u8>) {
+        match self {
+            PointKind::Epoch {
+                index,
+                loss,
+                grad_norm,
+            } => {
+                put_u8(out, 0);
+                put_u32(out, *index);
+                put_f32(out, *loss);
+                put_f32(out, *grad_norm);
+            }
+            PointKind::CacheProbe { hit } => {
+                put_u8(out, 1);
+                put_bool(out, *hit);
+            }
+            PointKind::DeadlineHit { epoch } => {
+                put_u8(out, 2);
+                put_u32(out, *epoch);
+            }
+            PointKind::Note(s) => {
+                put_u8(out, 3);
+                put_str(out, s);
+            }
+        }
+    }
+    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireDecodeError> {
+        Ok(match r.u8()? {
+            0 => PointKind::Epoch {
+                index: r.u32()?,
+                loss: r.f32()?,
+                grad_norm: r.f32()?,
+            },
+            1 => PointKind::CacheProbe { hit: r.bool()? },
+            2 => PointKind::DeadlineHit { epoch: r.u32()? },
+            3 => PointKind::Note(r.str()?),
+            _ => return Err(WireDecodeError::Invalid("point event tag")),
+        })
+    }
+}
+
+wire_struct!(AssembledEvent {
+    lane: u32,
+    at_us: u64,
+    kind: PointKind,
+});
+
 wire_struct!(AssembledTrace {
     trace_hi: u64,
     trace_lo: u64,
     dropped: u64,
     lanes: Vec<String>,
     spans: Vec<AssembledSpan>,
-} check spans_on_lanes);
+    events: Vec<AssembledEvent>,
+} check on_lanes);
 
-/// Every span of an assembled trace sits on one of its lanes.
-fn spans_on_lanes(t: &AssembledTrace) -> Result<(), WireDecodeError> {
-    if t.spans.iter().any(|s| s.lane as usize >= t.lanes.len()) {
-        return Err(WireDecodeError::Invalid("span lane index out of range"));
+/// Every span and point event of an assembled trace sits on one of its
+/// lanes.
+fn on_lanes(t: &AssembledTrace) -> Result<(), WireDecodeError> {
+    let mut lanes = (t.spans.iter().map(|s| s.lane)).chain(t.events.iter().map(|e| e.lane));
+    if lanes.any(|lane| lane as usize >= t.lanes.len()) {
+        return Err(WireDecodeError::Invalid("lane index out of range"));
     }
     Ok(())
 }

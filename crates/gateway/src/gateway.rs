@@ -15,9 +15,12 @@
 //!   model id (its registration-log index) and keeps a per-backend id
 //!   map, so a backend whose own id space diverged (e.g. it was replayed
 //!   after a restart) is still addressed correctly.
-//! - `Trace` / `FetchExplanation` / `ListExplanations` **scatter**: job
-//!   ids are shard-local, so the gateway asks every healthy shard and
-//!   merges (first hit for point reads, id-sorted union for lists).
+//! - `FetchExplanation` / `ListExplanations` **scatter**: job ids are
+//!   shard-local, so the gateway asks every healthy shard and merges
+//!   (first hit for point reads, id-sorted union for lists).
+//! - `AssembledTrace` **assembles**: the gateway's own routing spans plus
+//!   the owning shard's fragment; an id the gateway never routed scatters
+//!   like a point read.
 //! - `Stats` **aggregates**: live per-backend stats merge into one
 //!   fleet-wide [`ServerStats`] with a [`GatewayStats`] tail.
 //! - `Shutdown` fans out to every healthy backend, then stops the
@@ -42,7 +45,7 @@ use revelio_server::wire::{
     ServerStats, WireExplanationSummary, DEFAULT_MAX_FRAME_LEN, PROTOCOL_VERSION,
 };
 use revelio_server::{Client, ClientConfig, ClientError};
-use revelio_trace::{hex_trace_id, AssembledSpan, AssembledTrace, Sampler, TraceContext};
+use revelio_trace::{AssembledSpan, AssembledTrace, Sampler, TraceContext};
 
 use crate::ring::{route_key, Ring};
 
@@ -287,17 +290,25 @@ const TRACE_SEED: u64 = 0x6761_7465_7761_7921;
 /// for the assembled trace.
 #[derive(Clone)]
 struct TraceRecord {
-    hi: u64,
-    lo: u64,
+    /// The gateway lane alone: route, checkouts, forwards, failover hops.
+    trace: AssembledTrace,
     /// Index of the backend that served the explain.
     owner: usize,
     /// µs offset of the successful forward on the route timeline; the
-    /// backend fragment is replayed anchored here, so its spans land
+    /// backend fragment is grafted anchored here, so its spans land
     /// inside the forward span instead of at the origin.
     anchor_us: u64,
-    /// Gateway-side spans (lane 0): route, checkouts, forwards, failover
-    /// hops.
-    spans: Vec<AssembledSpan>,
+}
+
+/// An assembled trace holding only the gateway's lane.
+fn gateway_lane(hi: u64, lo: u64, spans: Vec<AssembledSpan>) -> AssembledTrace {
+    AssembledTrace {
+        trace_hi: hi,
+        trace_lo: lo,
+        lanes: vec!["gateway".to_owned()],
+        spans,
+        ..AssembledTrace::default()
+    }
 }
 
 /// State shared between the acceptor, handlers, and the health poller.
@@ -451,8 +462,7 @@ impl Shared {
             Request::RegisterModel { config, state } => (self.register(config, state), false),
             Request::Explain(req) => (self.route_explain(req), false),
             Request::Stats => (self.aggregate_stats(), false),
-            Request::Trace(id, context) => (self.scatter_trace(id, context), false),
-            Request::AssembledTrace { hi, lo } => (self.assemble_trace(hi, lo), false),
+            Request::AssembledTrace(id) => (self.assemble_trace(id), false),
             Request::FetchExplanation(id, context) => (self.scatter_fetch(id, context), false),
             Request::ListExplanations => (self.scatter_list(), false),
             Request::Shutdown => {
@@ -664,11 +674,9 @@ impl Shared {
                 },
             );
             self.remember_trace(TraceRecord {
-                hi: ctx.trace_hi,
-                lo: ctx.trace_lo,
+                trace: gateway_lane(ctx.trace_hi, ctx.trace_lo, spans),
                 owner,
                 anchor_us,
-                spans,
             });
         }
         resp
@@ -678,80 +686,73 @@ impl Shared {
     /// a re-used id replaces its previous record).
     fn remember_trace(&self, rec: TraceRecord) {
         let mut buf = lock(&self.assembled);
-        buf.retain(|r| !(r.hi == rec.hi && r.lo == rec.lo));
+        let id = |r: &TraceRecord| (r.trace.trace_hi, r.trace.trace_lo);
+        buf.retain(|r| id(r) != id(&rec));
         while buf.len() >= ASSEMBLY_RETENTION {
             buf.pop_front();
         }
         buf.push_back(rec);
     }
 
-    /// Resolves a global (or `(0, 0)` = newest) trace id against the
-    /// assembly buffer, fetches the owning shard's fragment, and stitches
-    /// both into one cross-process trace: lane 0 is the gateway, lane 1
-    /// the shard, with backend spans anchored at the forward offset. A
-    /// shard whose fragment already aged out still yields the gateway
-    /// lane (with `dropped` untouched — the spans were never captured
-    /// here).
-    fn assemble_trace(&self, hi: u64, lo: u64) -> Response {
+    /// Resolves a trace id (`None` = the newest) against the assembly
+    /// buffer and stitches one cross-process trace: lane 0 is the
+    /// gateway, lane 1 the first healthy shard that retains the fragment
+    /// (the owner first), its spans and point events anchored at the
+    /// forward offset. An id the gateway never routed (a request traced
+    /// straight at a shard) is asked of every healthy shard, and a miss
+    /// everywhere is a typed [`ErrorKind::UnknownTrace`]; a routed trace
+    /// whose fragment aged out still yields the gateway lane.
+    fn assemble_trace(&self, id: Option<[u64; 2]>) -> Response {
         self.scatter.fetch_add(1, Ordering::Relaxed);
         let record = {
             let buf = lock(&self.assembled);
-            if hi == 0 && lo == 0 {
-                buf.back().cloned()
-            } else {
+            match id {
+                None => buf.back().cloned(),
                 // `hi == 0` matches on the low half alone — all a caller
                 // has when they only saw the `trace_id` echoed on an
                 // Explained response.
-                buf.iter()
+                Some([hi, lo]) => buf
+                    .iter()
                     .rev()
-                    .find(|r| r.lo == lo && (hi == 0 || r.hi == hi))
-                    .cloned()
+                    .find(|r| r.trace.trace_lo == lo && (hi == 0 || r.trace.trace_hi == hi))
+                    .cloned(),
             }
         };
-        let Some(rec) = record else {
-            return Response::Error {
-                kind: ErrorKind::UnknownTrace,
-                message: format!(
-                    "trace {} is not in the gateway's assembly window",
-                    hex_trace_id(hi, lo)
-                ),
-            };
+        let (mut out, owner, anchor_us) = match (record, id) {
+            (Some(r), _) => (r.trace, Some(r.owner), r.anchor_us),
+            (None, Some([hi, lo])) => (gateway_lane(hi, lo, Vec::new()), None, 0),
+            (None, None) => {
+                return Response::Error {
+                    kind: ErrorKind::UnknownTrace,
+                    message: "the gateway's assembly window is empty".to_owned(),
+                }
+            }
         };
-        let mut out = AssembledTrace {
-            trace_hi: rec.hi,
-            trace_lo: rec.lo,
-            lanes: vec!["gateway".to_owned()],
-            spans: rec.spans.clone(),
-            dropped: 0,
-        };
-        let b = &self.backends[rec.owner];
-        if b.is_healthy() {
-            match self.call(
-                b,
-                &Request::AssembledTrace {
-                    hi: rec.hi,
-                    lo: rec.lo,
-                },
-                self.cfg.backend_read_timeout,
-            ) {
-                Ok(Response::Assembled(frag)) => {
+        let req = Request::AssembledTrace(Some([out.trace_hi, out.trace_lo]));
+        let others = (0..self.backends.len()).filter(|&i| Some(i) != owner);
+        for i in owner.into_iter().chain(others) {
+            let b = &self.backends[i];
+            if !b.is_healthy() {
+                continue;
+            }
+            match self.call(b, &req, self.cfg.backend_read_timeout) {
+                Ok(Response::Assembled(mut frag)) => {
                     self.record_success(b);
-                    let lane = out.lanes.len() as u32;
-                    out.lanes.push(format!("shard-{} ({})", rec.owner, b.addr));
-                    for s in frag.spans {
-                        out.spans.push(AssembledSpan {
-                            lane,
-                            start_us: s.start_us.saturating_add(rec.anchor_us),
-                            ..s
-                        });
-                    }
-                    out.dropped += frag.dropped;
+                    frag.lanes.fill(format!("shard-{i} ({})", b.addr));
+                    out.graft(*frag, anchor_us);
+                    return Response::Assembled(Box::new(out));
                 }
                 Ok(_) => self.record_success(b),
                 Err(_) => self.record_failure(b),
             }
         }
-        Response::Assembled(Box::new(out))
+        if owner.is_some() {
+            return Response::Assembled(Box::new(out));
+        }
+        Response::Error {
+            kind: ErrorKind::UnknownTrace,
+            message: format!("no shard retains trace {}", out.hex_id()),
+        }
     }
 
     /// Merges live stats from every healthy backend and attaches the
@@ -785,48 +786,6 @@ impl Shared {
             .store(s.runtime.cache_misses, Ordering::Relaxed);
         b.jobs_completed
             .store(s.runtime.jobs_completed, Ordering::Relaxed);
-    }
-
-    /// Point read for one trace. A *global* trace id resolves through the
-    /// assembly buffer straight to its owning shard; ids the gateway never
-    /// routed (shard-local job ids) fall back to the fleet scatter. A
-    /// miss everywhere is a typed [`ErrorKind::UnknownTrace`], not an
-    /// empty result.
-    fn scatter_trace(&self, id: u64, context: Option<TraceContext>) -> Response {
-        self.scatter.fetch_add(1, Ordering::Relaxed);
-        let known_owner = lock(&self.assembled)
-            .iter()
-            .rev()
-            .find(|r| r.lo == id)
-            .map(|r| r.owner);
-        let targeted = known_owner.map(|o| &self.backends[o]);
-        let scan = targeted.into_iter().chain(
-            self.backends
-                .iter()
-                // Don't re-ask the owner during the fallback scatter.
-                .filter(|b| !std::ptr::eq(*b, targeted.map_or(std::ptr::null(), |t| t))),
-        );
-        for b in scan {
-            if !b.is_healthy() {
-                continue;
-            }
-            match self.call(
-                b,
-                &Request::Trace(id, context),
-                self.cfg.backend_read_timeout,
-            ) {
-                Ok(Response::Trace(Some(t))) => {
-                    self.record_success(b);
-                    return Response::Trace(Some(t));
-                }
-                Ok(_) => self.record_success(b),
-                Err(_) => self.record_failure(b),
-            }
-        }
-        Response::Error {
-            kind: ErrorKind::UnknownTrace,
-            message: format!("no shard retains a trace under id {id}"),
-        }
     }
 
     fn scatter_fetch(&self, id: u64, context: Option<TraceContext>) -> Response {

@@ -8,8 +8,10 @@
 //!   serving backend's extraction/optimize spans under one trace id,
 //!   with the failover hop visible as its own span;
 //! * the Chrome trace-event export round-trips a JSON parser check;
-//! * `Trace` through the gateway resolves a global id to the owning
-//!   shard, and an id nobody retains is a typed `UnknownTrace` error.
+//! * the backend lane carries the shard's per-epoch losses, a trace
+//!   recorded by a shard the gateway never routed to is still found by
+//!   its job id, and an id nobody retains is a typed `UnknownTrace`
+//!   error.
 
 #![allow(clippy::unwrap_used)]
 
@@ -144,7 +146,7 @@ fn traced_explain_with_failover_assembles_one_cross_process_trace() {
 
     // Fetch the assembled trace by the echoed id through the gateway.
     let assembled = client
-        .assembled_trace(0, trace_lo)
+        .assembled_trace(Some([0, trace_lo]))
         .expect("gateway assembles the trace");
     assert_eq!(assembled.trace_lo, trace_lo, "assembly keyed by trace id");
     assert!(assembled.trace_hi != 0, "gateway minted a 128-bit id");
@@ -202,14 +204,13 @@ fn traced_explain_with_failover_assembles_one_cross_process_trace() {
         assert!(chrome.contains(lane.as_str()), "lane {lane} not exported");
     }
 
-    // Satellite: `Trace` through the gateway resolves the global id to
-    // the owning shard's captured trace.
-    let raw = client.trace(trace_lo).expect("scatter trace succeeds");
-    let raw = raw.expect("owning shard retains the trace");
-    assert!(
-        !raw.events.is_empty(),
-        "owning shard's trace should carry events"
-    );
+    // The owning shard's per-epoch losses ride on its lane, and only
+    // there; the export plots them as a counter track.
+    let losses = assembled.losses(backend_lane);
+    assert_eq!(losses.len(), served.degradation.epochs_run);
+    assert!(losses.iter().all(|l| l.is_finite()), "{losses:?}");
+    assert!(assembled.losses(0).is_empty(), "the gateway runs no epochs");
+    assert!(chrome.contains("\"ph\":\"C\""), "no loss counter exported");
 
     for s in servers.iter_mut().filter_map(Option::take) {
         s.stop();
@@ -217,8 +218,9 @@ fn traced_explain_with_failover_assembles_one_cross_process_trace() {
     gateway.shutdown();
 }
 
-/// An id nobody retains is a typed `UnknownTrace` — both for assembly
-/// (gateway window miss) and for `Trace` scatter (fleet-wide miss).
+/// An id nobody retains is a typed `UnknownTrace` — after the gateway
+/// window misses and every shard misses too — and so is "newest" while
+/// the gateway has routed no traced request.
 #[test]
 fn unknown_trace_ids_are_typed_errors() {
     let (model, _graphs) = trained_model();
@@ -231,14 +233,66 @@ fn unknown_trace_ids_are_typed_errors() {
     let mut client = Client::connect(gateway.local_addr()).unwrap();
     client.register_model(&model).unwrap();
 
-    match client.assembled_trace(0, 0xdead_beef) {
-        Err(ClientError::Server { kind, .. }) => assert_eq!(kind, ErrorKind::UnknownTrace),
-        other => panic!("expected UnknownTrace assembling, got {other:?}"),
+    for id in [Some([0, 0xdead_beef]), None] {
+        match client.assembled_trace(id) {
+            Err(ClientError::Server { kind, .. }) => assert_eq!(kind, ErrorKind::UnknownTrace),
+            other => panic!("expected UnknownTrace for {id:?}, got {other:?}"),
+        }
     }
-    match client.trace(0xdead_beef) {
-        Err(ClientError::Server { kind, .. }) => assert_eq!(kind, ErrorKind::UnknownTrace),
-        other => panic!("expected UnknownTrace scattering, got {other:?}"),
+
+    for s in &servers {
+        s.stop();
     }
+    gateway.shutdown();
+}
+
+/// A request traced straight at one shard never passes the gateway, so
+/// its trace is journaled under the shard's job id and is absent from the
+/// gateway's window. Fetched through the gateway by that echoed id, the
+/// trace still comes back: the window miss falls back to asking the
+/// healthy shards.
+#[test]
+fn shard_local_trace_is_fetched_through_the_gateway_by_job_id() {
+    let (model, graphs) = trained_model();
+    let servers: Vec<Server> = (0..3).map(|_| start_backend()).collect();
+    let gateway = Gateway::start(GatewayConfig {
+        shards: servers.iter().map(|s| s.local_addr().to_string()).collect(),
+        ..GatewayConfig::default()
+    })
+    .expect("gateway starts");
+    let mut client = Client::connect(gateway.local_addr()).unwrap();
+    client.register_model(&model).unwrap();
+
+    // Shard 1, not the first one the fallback asks, serves the request.
+    let mut direct = Client::connect(servers[1].local_addr()).unwrap();
+    let local_model = direct.register_model(&model).unwrap();
+    let mut req = explain_request(local_model, &graphs[0], 0, Target::Node(2));
+    req.control = ControlSpec {
+        trace: true,
+        ..ControlSpec::default()
+    };
+    let served = direct.explain(&req).expect("direct traced explain");
+    let job_id = served.trace_id.expect("traced explain echoes its job id");
+
+    let assembled = client
+        .assembled_trace(Some([0, job_id]))
+        .expect("gateway finds the shard-local trace");
+    assert_eq!(assembled.trace_lo, job_id);
+    assert_eq!(assembled.lanes[0], "gateway");
+    assert_eq!(assembled.lanes.len(), 2, "{:?}", assembled.lanes);
+    assert!(
+        assembled.lanes[1].starts_with("shard-1 "),
+        "the lane of the shard that ran it: {:?}",
+        assembled.lanes
+    );
+    assert!(assembled.spans.iter().all(|s| s.lane == 1));
+    assert!(assembled.spans.iter().any(|s| s.name == "optimize"));
+    let losses = assembled.losses(1);
+    assert_eq!(losses.len(), served.degradation.epochs_run);
+    assert!(
+        !losses.is_empty(),
+        "the shard lane carries its epoch events"
+    );
 
     for s in &servers {
         s.stop();

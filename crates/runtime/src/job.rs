@@ -115,10 +115,10 @@ pub struct ExplainJob {
     /// Capture a structured execution trace: the worker attaches a
     /// ring-buffer collector, stores the finished [`Trace`] in
     /// [`JobOutput::trace`], and retains it for later retrieval via
-    /// [`Runtime::trace`]. Untraced jobs still feed the always-on phase
-    /// histograms.
+    /// [`Runtime::fetch_trace`]. Untraced jobs still feed the always-on
+    /// phase histograms.
     ///
-    /// [`Runtime::trace`]: crate::Runtime::trace
+    /// [`Runtime::fetch_trace`]: crate::Runtime::fetch_trace
     pub trace: bool,
     /// Overrides the id the captured trace is journaled and retained
     /// under. Distributed callers set this to the low half of a global
@@ -202,15 +202,6 @@ impl ExplainJob {
     #[must_use]
     pub fn with_trace(mut self) -> ExplainJob {
         self.trace = true;
-        self
-    }
-
-    /// Enables trace capture journaled under `key` instead of the job id
-    /// (the distributed-tracing path; see [`ExplainJob::trace_key`]).
-    #[must_use]
-    pub fn with_trace_key(mut self, key: u64) -> ExplainJob {
-        self.trace = true;
-        self.trace_key = Some(key);
         self
     }
 

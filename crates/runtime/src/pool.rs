@@ -45,7 +45,7 @@ use crate::trace_store::{TraceMiss, TraceStore};
 /// ~4000 epochs of per-epoch detail before drop-oldest kicks in.
 const TRACE_RING_CAPACITY: usize = 4096;
 
-/// Finished traces retained for [`Runtime::trace`] retrieval.
+/// Finished traces retained for [`Runtime::fetch_trace`] retrieval.
 const TRACE_RETENTION: usize = 128;
 
 /// Runtime construction parameters; [`RuntimeConfig::default`] matches
@@ -567,15 +567,9 @@ impl Runtime {
     }
 
     /// The retained trace of a finished traced job ([`ExplainJob::trace`]),
-    /// keyed by its job id. `None` if the job was untraced, has not
-    /// finished, or the trace was evicted from the bounded retention
-    /// window.
-    pub fn trace(&self, trace_id: u64) -> Option<Trace> {
-        self.shared.traces.get(TraceId(trace_id))
-    }
-
-    /// Like [`Runtime::trace`], but a miss says *why*: evicted from the
-    /// bounded retention window, or never retained under that id.
+    /// keyed by its job id (or its [`ExplainJob::trace_key`]). A miss says
+    /// *why*: evicted from the bounded retention window, or never
+    /// retained under that id (untraced, unfinished, or unknown).
     pub fn fetch_trace(&self, trace_id: u64) -> Result<Trace, TraceMiss> {
         self.shared.traces.fetch(TraceId(trace_id))
     }
@@ -952,7 +946,7 @@ fn finish_job(
         metrics.jobs_degraded.fetch_add(1, Ordering::Relaxed);
     }
     // Drain the journal into a plain trace: once into the bounded
-    // retention store (for Runtime::trace / the wire Trace request) and
+    // retention store (for Runtime::fetch_trace / the wire AssembledTrace request) and
     // once alongside the result.
     let trace = p.ring.zip(p.ctl.trace).map(|(r, tr)| r.drain(tr.id()));
     if let Some(t) = &trace {

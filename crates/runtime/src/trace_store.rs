@@ -82,17 +82,8 @@ impl TraceStore {
         inner.traces.push_back(trace);
     }
 
-    /// The retained trace with the given id, if it has not been evicted.
-    pub(crate) fn get(&self, id: TraceId) -> Option<Trace> {
-        lock(&self.traces)
-            .traces
-            .iter()
-            .find(|t| t.id == id)
-            .cloned()
-    }
-
-    /// Like [`TraceStore::get`], but a miss says *why*: evicted from the
-    /// bounded window, or never retained at all.
+    /// The retained trace with the given id; a miss says *why*: evicted
+    /// from the bounded window, or never retained at all.
     pub(crate) fn fetch(&self, id: TraceId) -> Result<Trace, TraceMiss> {
         let inner = lock(&self.traces);
         if let Some(t) = inner.traces.iter().find(|t| t.id == id) {
@@ -143,10 +134,10 @@ mod tests {
         store.push(trace(1));
         store.push(trace(2));
         store.push(trace(3));
-        assert!(store.get(TraceId(1)).is_none());
-        assert!(store.get(TraceId(2)).is_some());
-        assert!(store.get(TraceId(3)).is_some());
-        assert!(store.get(TraceId(9)).is_none());
+        assert!(store.fetch(TraceId(1)).is_err());
+        assert!(store.fetch(TraceId(2)).is_ok());
+        assert!(store.fetch(TraceId(3)).is_ok());
+        assert!(store.fetch(TraceId(9)).is_err());
     }
 
     #[test]
@@ -157,7 +148,7 @@ mod tests {
             dropped: 5,
             ..trace(1)
         });
-        let got = store.get(TraceId(1)).expect("retained");
+        let got = store.fetch(TraceId(1)).expect("retained");
         assert_eq!(got.dropped, 5);
     }
 
@@ -168,7 +159,7 @@ mod tests {
             store.push(trace(id));
         }
         let retained: Vec<u64> = (0..1_000)
-            .filter(|id| store.get(TraceId(*id)).is_some())
+            .filter(|id| store.fetch(TraceId(*id)).is_ok())
             .collect();
         assert_eq!(retained, vec![997, 998, 999]);
     }
@@ -184,9 +175,9 @@ mod tests {
         store.push(trace(1));
         store.push(trace(4));
         assert_eq!(store.fetch(TraceId(2)), Err(TraceMiss::Evicted));
-        assert!(store.get(TraceId(1)).is_some());
-        assert!(store.get(TraceId(3)).is_some());
-        assert!(store.get(TraceId(4)).is_some());
+        assert!(store.fetch(TraceId(1)).is_ok());
+        assert!(store.fetch(TraceId(3)).is_ok());
+        assert!(store.fetch(TraceId(4)).is_ok());
     }
 
     #[test]

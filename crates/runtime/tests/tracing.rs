@@ -113,7 +113,9 @@ fn traced_job_carries_consistent_per_phase_trace() {
     );
 
     // The finished trace is retained for later retrieval by id.
-    let stored = rt.trace(trace.id.0).expect("trace retained after the job");
+    let stored = rt
+        .fetch_trace(trace.id.0)
+        .expect("trace retained after the job");
     assert_eq!(stored.events.len(), trace.events.len());
     assert_eq!(stored.id, trace.id);
 }

@@ -28,8 +28,8 @@ struct Args {
     interval: Duration,
     once: bool,
     prometheus: bool,
-    /// `(hi, lo)` of the assembled trace to fetch; `(0, 0)` = newest.
-    trace: Option<(u64, u64)>,
+    /// The assembled trace to fetch: `Some(None)` = newest.
+    trace: Option<Option<[u64; 2]>>,
     chrome: Option<std::path::PathBuf>,
 }
 
@@ -38,19 +38,19 @@ const USAGE: &str = "usage: revelio-top [--addr HOST:PORT] [--interval-ms MS] [-
 
 /// Parses `--trace`'s argument: `newest`, a 32-hex-digit global id, or a
 /// decimal low half.
-fn parse_trace_id(s: &str) -> Result<(u64, u64), String> {
+fn parse_trace_id(s: &str) -> Result<Option<[u64; 2]>, String> {
     if s.eq_ignore_ascii_case("newest") {
-        return Ok((0, 0));
+        return Ok(None);
     }
     if s.len() == 32 {
         let hi = u64::from_str_radix(&s[..16], 16);
         let lo = u64::from_str_radix(&s[16..], 16);
         if let (Ok(hi), Ok(lo)) = (hi, lo) {
-            return Ok((hi, lo));
+            return Ok(Some([hi, lo]));
         }
     }
     s.parse::<u64>()
-        .map(|lo| (0, lo))
+        .map(|lo| Some([0, lo]))
         .map_err(|_| format!("--trace: {s:?} is neither `newest`, 32 hex digits, nor decimal"))
 }
 
@@ -116,8 +116,8 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    if let Some((hi, lo)) = args.trace {
-        let assembled = match client.assembled_trace(hi, lo) {
+    if let Some(id) = args.trace {
+        let assembled = match client.assembled_trace(id) {
             Ok(t) => t,
             Err(e) => {
                 eprintln!("revelio-top: trace fetch failed: {e}");

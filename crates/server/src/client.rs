@@ -10,7 +10,7 @@ use revelio_trace::AssembledTrace;
 use crate::wire::{
     read_frame, write_frame, ErrorKind, ExplainRequest, GatewayStats, Request, Response,
     ServedExplanation, ServerStats, WireError, WireExplanationSummary, WireStoredExplanation,
-    WireTrace, DEFAULT_MAX_FRAME_LEN,
+    DEFAULT_MAX_FRAME_LEN,
 };
 
 /// Client-side knobs; the defaults suit loopback and LAN serving.
@@ -278,25 +278,14 @@ impl Client {
         }
     }
 
-    /// Fetches the recorded trace for a completed job, or `None` if the id
-    /// is unknown or the trace has aged out of the server's retention
-    /// window. Pass the `trace_id` echoed on a traced
-    /// [`ServedExplanation`].
-    pub fn trace(&mut self, id: u64) -> Result<Option<WireTrace>, ClientError> {
-        match self.request(&Request::Trace(id, None))? {
-            Response::Trace(t) => Ok(t.map(|b| *b)),
-            other => Err(unexpected(&other, "expected Trace")),
-        }
-    }
-
-    /// Fetches the assembled cross-process trace for a global trace id
-    /// (`hi`/`lo` halves of the 128-bit id; `(0, 0)` asks for the newest
-    /// assembled trace the peer retains). Against a gateway this stitches
-    /// gateway + backend lanes; against a backend it is the single-lane
-    /// fragment. A retention miss surfaces as
-    /// [`ErrorKind::UnknownTrace`] inside [`ClientError::Server`].
-    pub fn assembled_trace(&mut self, hi: u64, lo: u64) -> Result<AssembledTrace, ClientError> {
-        match self.request(&Request::AssembledTrace { hi, lo })? {
+    /// Fetches an assembled trace: `Some([hi, lo])` names the 128-bit id
+    /// (`[0, trace_id]` for the id echoed on a traced
+    /// [`ServedExplanation`]), `None` the newest trace the peer retains.
+    /// Against a gateway this stitches gateway + backend lanes; against a
+    /// backend it is the single-lane fragment. A retention miss surfaces
+    /// as [`ErrorKind::UnknownTrace`] inside [`ClientError::Server`].
+    pub fn assembled_trace(&mut self, id: Option<[u64; 2]>) -> Result<AssembledTrace, ClientError> {
+        match self.request(&Request::AssembledTrace(id))? {
             Response::Assembled(t) => Ok(*t),
             other => Err(unexpected(&other, "expected Assembled")),
         }

@@ -29,6 +29,6 @@ pub use client::{Client, ClientConfig, ClientError};
 pub use server::{read_frame_cancellable, Server, ServerConfig, ServerStartError, POLL_INTERVAL};
 pub use wire::{
     ErrorKind, ExplainRequest, GatewayBackendStats, GatewayStats, MaskKey, Request, Response,
-    ServedExplanation, ServerStats, WireError, WireEvent, WireEventKind, WireExplanationSummary,
-    WireStoredExplanation, WireTiming, WireTrace, DEFAULT_MAX_FRAME_LEN, MAGIC, PROTOCOL_VERSION,
+    ServedExplanation, ServerStats, WireError, WireExplanationSummary, WireStoredExplanation,
+    WireTiming, DEFAULT_MAX_FRAME_LEN, MAGIC, PROTOCOL_VERSION,
 };

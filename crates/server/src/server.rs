@@ -36,7 +36,7 @@ use revelio_trace::{hex_trace_id, AssembledTrace, Sampler};
 
 use crate::wire::{
     check_payload, parse_header, write_frame, ErrorKind, ExplainRequest, Request, Response,
-    ServedExplanation, ServerStats, WireError, WireStoredExplanation, WireTiming, WireTrace,
+    ServedExplanation, ServerStats, WireError, WireStoredExplanation, WireTiming,
     DEFAULT_MAX_FRAME_LEN, HEADER_LEN, PROTOCOL_VERSION,
 };
 
@@ -566,9 +566,8 @@ fn serve_request(request: Request, shared: &Shared, t0: Instant) -> (Response, b
             request,
             // Read-only requests stay answerable during shutdown.
             Request::Stats
-                | Request::Trace(..)
                 | Request::FetchExplanation(..)
-                | Request::AssembledTrace { .. }
+                | Request::AssembledTrace(_)
                 | Request::ListExplanations
         )
     {
@@ -590,16 +589,7 @@ fn serve_request(request: Request, shared: &Shared, t0: Instant) -> (Response, b
         Request::RegisterModel { config, state } => (register_model(shared, config, &state), false),
         Request::Explain(req) => (serve_explain(shared, req, t0), false),
         Request::Stats => (Response::Stats(Box::new(shared.stats()), None), false),
-        Request::Trace(id, _context) => {
-            // Read-only, like `Stats`: still answered during shutdown so a
-            // client can fetch the trace of a job that just completed.
-            let trace = shared
-                .runtime
-                .trace(id)
-                .map(|t| Box::new(WireTrace::from(&t)));
-            (Response::Trace(trace), false)
-        }
-        Request::AssembledTrace { hi, lo } => (serve_assembled(shared, hi, lo), false),
+        Request::AssembledTrace(id) => (serve_assembled(shared, id), false),
         Request::Shutdown => {
             shared.request_stop();
             (Response::ShutdownAck, true)
@@ -611,14 +601,14 @@ fn serve_request(request: Request, shared: &Shared, t0: Instant) -> (Response, b
 
 /// Serves `AssembledTrace` on a backend: a single-lane assembly of the
 /// retained fragment (the gateway stitches multi-lane traces; asking a
-/// backend directly still yields a loadable chrome trace).
-fn serve_assembled(shared: &Shared, hi: u64, lo: u64) -> Response {
-    let fetched = if hi == 0 && lo == 0 {
-        // (0, 0) is the "newest" probe, mirroring `revelio-top --trace
-        // newest` against a single backend.
-        shared.runtime.newest_trace().ok_or(TraceMiss::Unknown)
-    } else {
-        shared.runtime.fetch_trace(lo)
+/// backend directly still yields a loadable chrome trace). The fragment
+/// is journaled under the low half alone: a propagated context's
+/// `trace_lo`, or the job id of a directly traced request.
+fn serve_assembled(shared: &Shared, id: Option<[u64; 2]>) -> Response {
+    let [hi, lo] = id.unwrap_or_default();
+    let fetched = match id {
+        Some(_) => shared.runtime.fetch_trace(lo),
+        None => shared.runtime.newest_trace().ok_or(TraceMiss::Unknown),
     };
     match fetched {
         Ok(t) => Response::Assembled(Box::new(AssembledTrace::from_fragment(

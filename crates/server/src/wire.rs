@@ -24,14 +24,14 @@
 //! [`revelio_core::wire`] — the same codec the store's log records use, so
 //! a stored explanation summary and a `ListExplanations` entry are one
 //! type with one layout. The layouts are byte-identical to every earlier
-//! build speaking protocol v6. Every enum tag and length is validated on
+//! build speaking protocol v7. Every enum tag and length is validated on
 //! decode, so a malformed payload is a typed [`WireError`] — never a panic
 //! or an unbounded allocation.
 
 use std::io::{Read, Write};
 
 use revelio_core::wire::{
-    put_slice, put_str, put_u32, put_u8, Codec, ControlSpec, WireDecodeError, WireReader,
+    put_slice, put_str, put_u32, Codec, ControlSpec, WireDecodeError, WireReader,
 };
 use revelio_core::{wire_enum, wire_struct, Degradation, Objective};
 use revelio_eval::Effort;
@@ -39,7 +39,7 @@ use revelio_gnn::GnnConfig;
 use revelio_graph::{Graph, Target};
 use revelio_runtime::prometheus::{push_counter, push_gauge, push_histogram, render_metrics};
 use revelio_runtime::{HistogramSnapshot, MetricsSnapshot};
-use revelio_trace::{AssembledTrace, Event, EventKind, Phase, Trace, TraceContext};
+use revelio_trace::{AssembledTrace, TraceContext};
 
 pub use revelio_core::wire::crc32;
 pub use revelio_store::{ExplanationSummary as WireExplanationSummary, MaskKey};
@@ -49,7 +49,7 @@ pub const MAGIC: [u8; 4] = *b"RVLO";
 
 /// Wire protocol version; bumped on any incompatible layout change (the
 /// version history is in DESIGN.md §9).
-pub const PROTOCOL_VERSION: u16 = 6;
+pub const PROTOCOL_VERSION: u16 = 7;
 
 /// Frame header length in bytes (magic + version + length + checksum).
 pub const HEADER_LEN: usize = 14;
@@ -333,11 +333,6 @@ pub enum Request {
     /// Begin graceful shutdown: the server acks, stops accepting, drains
     /// in-flight work, then exits.
     Shutdown,
-    /// Fetch the retained execution trace of a finished traced request, by
-    /// the `trace_id` echoed on its `Explained` response (for distributed
-    /// traces this is the context's `trace_lo`). The optional context
-    /// propagates the caller's own tracing metadata across hops.
-    Trace(u64, Option<TraceContext>),
     /// Fetch a persisted explanation from the server's store by runtime
     /// job id (ids survive restarts; see `ListExplanations` to discover
     /// them). Answered with `Explanation`. The optional context propagates
@@ -346,15 +341,11 @@ pub enum Request {
     /// List every explanation the server's store holds, newest last.
     /// Answered with `ExplanationList`.
     ListExplanations,
-    /// Fetch the assembled cross-process trace for a global 128-bit trace
-    /// id (`hi`/`lo` halves); `(0, 0)` asks for the newest assembled
-    /// trace. Answered with `Assembled` or an `UnknownTrace` error.
-    AssembledTrace {
-        /// High half of the global trace id (0 with `lo == 0` = newest).
-        hi: u64,
-        /// Low half of the global trace id.
-        lo: u64,
-    },
+    /// Fetch an assembled trace: `Some([hi, lo])` names the 128-bit trace
+    /// id (`[0, id]` for the `trace_id` echoed on an `Explained`
+    /// response), `None` asks for the newest trace the peer retains.
+    /// Answered with `Assembled` or an `UnknownTrace` error.
+    AssembledTrace(Option<[u64; 2]>),
 }
 
 /// Why the server refused or failed a request.
@@ -429,8 +420,8 @@ pub struct ServedExplanation {
     pub degradation: Degradation,
     /// Server-side timing breakdown.
     pub timing: WireTiming,
-    /// Set when the request asked for a trace ([`ControlSpec`]'s `trace`):
-    /// the id to cite in a follow-up [`Request::Trace`].
+    /// Set when the request was traced: the id to cite in a follow-up
+    /// [`Request::AssembledTrace`].
     pub trace_id: Option<u64>,
 }
 
@@ -882,9 +873,6 @@ pub enum Response {
     Stats(Box<ServerStats>, Option<Box<GatewayStats>>),
     /// Answer to `Shutdown`; the connection closes after this frame.
     ShutdownAck,
-    /// Answer to `Trace`: the retained trace, or `None` if the id is
-    /// unknown, the request was untraced, or the trace was evicted.
-    Trace(Option<Box<WireTrace>>),
     /// Answer to `AssembledTrace`: the stitched cross-process trace. A
     /// miss is a typed `Error { kind: UnknownTrace, .. }`, never an empty
     /// trace.
@@ -973,214 +961,6 @@ fn decode_graph(r: &mut WireReader<'_>) -> Result<Graph, WireDecodeError> {
 }
 
 // ---------------------------------------------------------------------------
-// Trace codec.
-// ---------------------------------------------------------------------------
-
-/// One trace event as it crosses the wire; mirrors
-/// [`revelio_trace::EventKind`] with `Note`'s static string owned.
-#[derive(Debug, Clone, PartialEq)]
-pub enum WireEventKind {
-    /// A phase began.
-    SpanStart {
-        /// Which phase.
-        phase: Phase,
-    },
-    /// A phase ended.
-    SpanEnd {
-        /// Which phase.
-        phase: Phase,
-        /// Phase duration in nanoseconds.
-        dur_ns: u64,
-    },
-    /// One optimisation epoch.
-    Epoch {
-        /// Epoch index.
-        index: u32,
-        /// Loss before the step.
-        loss: f32,
-        /// L2 norm of the mask gradient.
-        grad_norm: f32,
-    },
-    /// An artifact-cache probe.
-    CacheProbe {
-        /// Whether the artifact was resident.
-        hit: bool,
-    },
-    /// The deadline tripped before this epoch ran.
-    DeadlineHit {
-        /// Epoch at which the deadline was observed.
-        epoch: u32,
-    },
-    /// A free-form annotation.
-    Note(String),
-}
-
-/// One trace event: when (ns since the handle's epoch) and what.
-#[derive(Debug, Clone, PartialEq)]
-pub struct WireEvent {
-    /// Nanoseconds since the trace handle was created.
-    pub at_ns: u64,
-    /// What happened.
-    pub kind: WireEventKind,
-}
-
-/// A finished request trace as it crosses the wire.
-#[derive(Debug, Clone, PartialEq)]
-pub struct WireTrace {
-    /// The trace id (== the runtime job id).
-    pub id: u64,
-    /// Events lost to the journal's drop-oldest ring (0 = complete).
-    pub dropped: u64,
-    /// Resident events, oldest first.
-    pub events: Vec<WireEvent>,
-}
-
-impl From<&Trace> for WireTrace {
-    fn from(t: &Trace) -> WireTrace {
-        WireTrace {
-            id: t.id.0,
-            dropped: t.dropped,
-            events: t.events.iter().map(WireEvent::from).collect(),
-        }
-    }
-}
-
-impl From<&Event> for WireEvent {
-    fn from(e: &Event) -> WireEvent {
-        WireEvent {
-            at_ns: e.at_ns,
-            kind: match e.kind {
-                EventKind::SpanStart { phase } => WireEventKind::SpanStart { phase },
-                EventKind::SpanEnd { phase, dur_ns } => WireEventKind::SpanEnd { phase, dur_ns },
-                EventKind::Epoch {
-                    index,
-                    loss,
-                    grad_norm,
-                } => WireEventKind::Epoch {
-                    index,
-                    loss,
-                    grad_norm,
-                },
-                EventKind::CacheProbe { hit } => WireEventKind::CacheProbe { hit },
-                EventKind::DeadlineHit { epoch } => WireEventKind::DeadlineHit { epoch },
-                EventKind::Note(s) => WireEventKind::Note(s.to_owned()),
-            },
-        }
-    }
-}
-
-impl WireTrace {
-    /// Span-end durations summed per phase, in nanoseconds.
-    pub fn phase_ns(&self, phase: Phase) -> u64 {
-        self.events
-            .iter()
-            .filter_map(|e| match &e.kind {
-                WireEventKind::SpanEnd { phase: p, dur_ns } if *p == phase => Some(*dur_ns),
-                _ => None,
-            })
-            .sum()
-    }
-
-    /// Number of per-epoch events in the journal.
-    pub fn epoch_count(&self) -> usize {
-        self.events
-            .iter()
-            .filter(|e| matches!(e.kind, WireEventKind::Epoch { .. }))
-            .count()
-    }
-
-    /// Per-epoch losses, in journal order.
-    pub fn losses(&self) -> Vec<f32> {
-        self.events
-            .iter()
-            .filter_map(|e| match e.kind {
-                WireEventKind::Epoch { loss, .. } => Some(loss),
-                _ => None,
-            })
-            .collect()
-    }
-}
-
-const EV_SPAN_START: u8 = 0;
-const EV_SPAN_END: u8 = 1;
-const EV_EPOCH: u8 = 2;
-const EV_CACHE_PROBE: u8 = 3;
-const EV_DEADLINE_HIT: u8 = 4;
-const EV_NOTE: u8 = 5;
-
-impl Codec for WireEventKind {
-    const MIN_LEN: usize = 2;
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            WireEventKind::SpanStart { phase } => {
-                put_u8(out, EV_SPAN_START);
-                phase.encode(out);
-            }
-            WireEventKind::SpanEnd { phase, dur_ns } => {
-                put_u8(out, EV_SPAN_END);
-                phase.encode(out);
-                dur_ns.encode(out);
-            }
-            WireEventKind::Epoch {
-                index,
-                loss,
-                grad_norm,
-            } => {
-                put_u8(out, EV_EPOCH);
-                index.encode(out);
-                loss.encode(out);
-                grad_norm.encode(out);
-            }
-            WireEventKind::CacheProbe { hit } => {
-                put_u8(out, EV_CACHE_PROBE);
-                hit.encode(out);
-            }
-            WireEventKind::DeadlineHit { epoch } => {
-                put_u8(out, EV_DEADLINE_HIT);
-                epoch.encode(out);
-            }
-            WireEventKind::Note(s) => {
-                put_u8(out, EV_NOTE);
-                // Notes are static strings in the tracer; bound them anyway.
-                let s: String = s.chars().take(256).collect();
-                put_str(out, &s);
-            }
-        }
-    }
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireDecodeError> {
-        Ok(match r.u8()? {
-            EV_SPAN_START => WireEventKind::SpanStart {
-                phase: Phase::decode(r)?,
-            },
-            EV_SPAN_END => WireEventKind::SpanEnd {
-                phase: Phase::decode(r)?,
-                dur_ns: r.u64()?,
-            },
-            EV_EPOCH => WireEventKind::Epoch {
-                index: r.u32()?,
-                loss: r.f32()?,
-                grad_norm: r.f32()?,
-            },
-            EV_CACHE_PROBE => WireEventKind::CacheProbe { hit: r.bool()? },
-            EV_DEADLINE_HIT => WireEventKind::DeadlineHit { epoch: r.u32()? },
-            EV_NOTE => WireEventKind::Note(r.str()?),
-            _ => return Err(WireDecodeError::Invalid("trace event tag")),
-        })
-    }
-}
-
-wire_struct!(WireEvent {
-    at_ns: u64,
-    kind: WireEventKind,
-});
-
-wire_struct!(WireTrace {
-    id: u64,
-    dropped: u64,
-    events: Vec<WireEvent>,
-});
-
-// ---------------------------------------------------------------------------
 // Request / Response: a tag byte, then the variant's fields.
 // ---------------------------------------------------------------------------
 
@@ -1189,7 +969,7 @@ const REQ_REGISTER_MODEL: u8 = 1;
 const REQ_EXPLAIN: u8 = 2;
 const REQ_STATS: u8 = 3;
 const REQ_SHUTDOWN: u8 = 4;
-const REQ_TRACE: u8 = 5;
+// Tag 5, the job-id trace fetch of protocol v6, stays unassigned.
 const REQ_FETCH_EXPLANATION: u8 = 6;
 const REQ_LIST_EXPLANATIONS: u8 = 7;
 const REQ_ASSEMBLED_TRACE: u8 = 8;
@@ -1204,11 +984,11 @@ impl Request {
                 state.encode(&mut out);
             }
             Request::Explain(e) => e.encode(&mut out),
-            Request::Trace(id, ctx) | Request::FetchExplanation(id, ctx) => {
+            Request::FetchExplanation(id, ctx) => {
                 id.encode(&mut out);
                 ctx.encode(&mut out);
             }
-            Request::AssembledTrace { hi, lo } => [*hi, *lo].encode(&mut out),
+            Request::AssembledTrace(id) => id.encode(&mut out),
             Request::Ping | Request::Stats | Request::Shutdown | Request::ListExplanations => {}
         }
         out
@@ -1221,10 +1001,9 @@ impl Request {
             Request::Explain(_) => REQ_EXPLAIN,
             Request::Stats => REQ_STATS,
             Request::Shutdown => REQ_SHUTDOWN,
-            Request::Trace(..) => REQ_TRACE,
             Request::FetchExplanation(..) => REQ_FETCH_EXPLANATION,
             Request::ListExplanations => REQ_LIST_EXPLANATIONS,
-            Request::AssembledTrace { .. } => REQ_ASSEMBLED_TRACE,
+            Request::AssembledTrace(_) => REQ_ASSEMBLED_TRACE,
         }
     }
 
@@ -1241,13 +1020,9 @@ impl Request {
             REQ_EXPLAIN => Request::Explain(ExplainRequest::decode(r)?),
             REQ_STATS => Request::Stats,
             REQ_SHUTDOWN => Request::Shutdown,
-            REQ_TRACE => Request::Trace(r.u64()?, Option::decode(r)?),
             REQ_FETCH_EXPLANATION => Request::FetchExplanation(r.u64()?, Option::decode(r)?),
             REQ_LIST_EXPLANATIONS => Request::ListExplanations,
-            REQ_ASSEMBLED_TRACE => Request::AssembledTrace {
-                hi: r.u64()?,
-                lo: r.u64()?,
-            },
+            REQ_ASSEMBLED_TRACE => Request::AssembledTrace(Option::decode(r)?),
             _ => return Err(WireDecodeError::Invalid("request tag")),
         };
         r.expect_end()?;
@@ -1262,7 +1037,7 @@ const RESP_BUSY: u8 = 3;
 const RESP_ERROR: u8 = 4;
 const RESP_STATS: u8 = 5;
 const RESP_SHUTDOWN_ACK: u8 = 6;
-const RESP_TRACE: u8 = 7;
+// Tag 7, the job-id trace answer of protocol v6, stays unassigned.
 const RESP_EXPLANATION: u8 = 8;
 const RESP_EXPLANATION_LIST: u8 = 9;
 const RESP_ASSEMBLED: u8 = 10;
@@ -1303,7 +1078,6 @@ impl Response {
                 [s.trace_sampled, s.trace_dropped].encode(&mut out);
             }
             Response::ShutdownAck => {}
-            Response::Trace(t) => t.encode(&mut out),
             Response::Assembled(t) => t.encode(&mut out),
             Response::Explanation(e) => e.encode(&mut out),
             Response::ExplanationList(list) => list.encode(&mut out),
@@ -1320,7 +1094,6 @@ impl Response {
             Response::Error { .. } => RESP_ERROR,
             Response::Stats(..) => RESP_STATS,
             Response::ShutdownAck => RESP_SHUTDOWN_ACK,
-            Response::Trace(_) => RESP_TRACE,
             Response::Explanation(_) => RESP_EXPLANATION,
             Response::ExplanationList(_) => RESP_EXPLANATION_LIST,
             Response::Assembled(_) => RESP_ASSEMBLED,
@@ -1366,7 +1139,6 @@ impl Response {
                 Response::Stats(Box::new(stats), gateway)
             }
             RESP_SHUTDOWN_ACK => Response::ShutdownAck,
-            RESP_TRACE => Response::Trace(Option::decode(r)?),
             RESP_ASSEMBLED => Response::Assembled(Box::decode(r)?),
             RESP_EXPLANATION => Response::Explanation(Option::decode(r)?),
             RESP_EXPLANATION_LIST => Response::ExplanationList(Vec::decode(r)?),
@@ -1382,7 +1154,7 @@ impl Response {
 mod tests {
     use super::*;
     use revelio_core::wire::put_u64;
-    use revelio_trace::AssembledSpan;
+    use revelio_trace::{AssembledEvent, AssembledSpan, PointKind};
 
     #[test]
     fn crc32_matches_known_vectors() {
@@ -1444,17 +1216,19 @@ mod tests {
     fn old_protocol_version_rejected() {
         // Well-formed frames from earlier protocols must be refused: v3
         // extended ControlSpec and the Stats payload, v4 appended the
-        // batch counters, v5 appended the gateway tail, and v6 appended
-        // the trace context / sampling counters, so decoding an older
-        // payload with current codecs would misinterpret bytes.
-        for old in [1u16, 2, 3, 4, 5] {
+        // batch counters, v5 appended the gateway tail, v6 appended the
+        // trace context / sampling counters, and v7 replaced the job-id
+        // trace fetch with point events on the assembled trace, so
+        // decoding an older payload with current codecs would
+        // misinterpret bytes.
+        for old in [1u16, 2, 3, 4, 5, 6] {
             let mut frame = encode_frame(b"x", 1024).unwrap();
             frame[4..6].copy_from_slice(&old.to_le_bytes());
             let mut cursor = std::io::Cursor::new(frame);
             match read_frame(&mut cursor, 1024) {
                 Err(WireError::UnsupportedVersion { got, expected }) => {
                     assert_eq!(got, old);
-                    assert_eq!(expected, 6);
+                    assert_eq!(expected, 7);
                 }
                 other => panic!("v{old} frame was not refused: {other:?}"),
             }
@@ -1807,89 +1581,6 @@ mod tests {
     }
 
     #[test]
-    fn trace_request_and_response_round_trip() {
-        let payload = Request::Trace(42, None).encode();
-        match Request::decode(&payload).unwrap() {
-            Request::Trace(id, ctx) => {
-                assert_eq!(id, 42);
-                assert!(ctx.is_none());
-            }
-            _ => panic!("decoded the wrong variant"),
-        }
-
-        let ctx = TraceContext {
-            trace_hi: 1,
-            trace_lo: 2,
-            parent_span: 3,
-            sampled: false,
-        };
-        let payload = Request::Trace(2, Some(ctx)).encode();
-        match Request::decode(&payload).unwrap() {
-            Request::Trace(id, back) => {
-                assert_eq!(id, 2);
-                assert_eq!(back, Some(ctx));
-            }
-            _ => panic!("decoded the wrong variant"),
-        }
-
-        let trace = WireTrace {
-            id: 42,
-            dropped: 3,
-            events: vec![
-                WireEvent {
-                    at_ns: 10,
-                    kind: WireEventKind::SpanStart {
-                        phase: Phase::FlowIndex,
-                    },
-                },
-                WireEvent {
-                    at_ns: 60,
-                    kind: WireEventKind::SpanEnd {
-                        phase: Phase::FlowIndex,
-                        dur_ns: 50,
-                    },
-                },
-                WireEvent {
-                    at_ns: 70,
-                    kind: WireEventKind::CacheProbe { hit: false },
-                },
-                WireEvent {
-                    at_ns: 100,
-                    kind: WireEventKind::Epoch {
-                        index: 0,
-                        loss: 0.5,
-                        grad_norm: 1.25,
-                    },
-                },
-                WireEvent {
-                    at_ns: 120,
-                    kind: WireEventKind::DeadlineHit { epoch: 1 },
-                },
-                WireEvent {
-                    at_ns: 130,
-                    kind: WireEventKind::Note("flow-index-reused".to_owned()),
-                },
-            ],
-        };
-        let payload = Response::Trace(Some(Box::new(trace.clone()))).encode();
-        match Response::decode(&payload).unwrap() {
-            Response::Trace(Some(back)) => {
-                assert_eq!(*back, trace);
-                assert_eq!(back.epoch_count(), 1);
-                assert_eq!(back.losses(), vec![0.5]);
-                assert_eq!(back.phase_ns(Phase::FlowIndex), 50);
-            }
-            _ => panic!("decoded the wrong variant"),
-        }
-
-        let payload = Response::Trace(None).encode();
-        assert!(matches!(
-            Response::decode(&payload).unwrap(),
-            Response::Trace(None)
-        ));
-    }
-
-    #[test]
     fn stored_explanation_round_trips() {
         let payload = Request::FetchExplanation(77, None).encode();
         match Request::decode(&payload).unwrap() {
@@ -1983,25 +1674,13 @@ mod tests {
     }
 
     #[test]
-    fn hostile_trace_event_count_fails_before_allocation() {
-        let mut payload = vec![RESP_TRACE, 1];
-        put_u64(&mut payload, 1); // id
-        put_u64(&mut payload, 0); // dropped
-        put_u32(&mut payload, u32::MAX); // event count with no events
-        assert!(matches!(
-            Response::decode(&payload),
-            Err(WireDecodeError::Truncated { .. })
-        ));
-    }
-
-    #[test]
     fn assembled_trace_round_trips() {
-        let payload = Request::AssembledTrace { hi: 0, lo: 0 }.encode();
-        match Request::decode(&payload).unwrap() {
-            Request::AssembledTrace { hi, lo } => {
-                assert_eq!((hi, lo), (0, 0));
+        // The newest form and a job-id 0 lookup are distinct requests.
+        for id in [None, Some([0, 0]), Some([0xfeed, 7])] {
+            match Request::decode(&Request::AssembledTrace(id).encode()).unwrap() {
+                Request::AssembledTrace(back) => assert_eq!(back, id),
+                _ => panic!("decoded the wrong variant"),
             }
-            _ => panic!("decoded the wrong variant"),
         }
 
         let t = AssembledTrace {
@@ -2022,13 +1701,44 @@ mod tests {
                     dur_us: 2000,
                 },
             ],
+            events: vec![AssembledEvent {
+                lane: 1,
+                at_us: 900,
+                kind: PointKind::Epoch {
+                    index: 4,
+                    loss: f32::from_bits(0x7FC0_0001),
+                    grad_norm: 0.5,
+                },
+            }],
             dropped: 2,
         };
         let payload = Response::Assembled(Box::new(t.clone())).encode();
         match Response::decode(&payload).unwrap() {
-            Response::Assembled(back) => assert_eq!(*back, t),
+            // NaN != NaN, so compare the loss bits and the rest apart.
+            Response::Assembled(back) => {
+                assert_eq!(back.to_bytes(), t.to_bytes());
+                assert_eq!(back.spans, t.spans);
+                match back.events[0].kind {
+                    PointKind::Epoch { loss, .. } => assert_eq!(loss.to_bits(), 0x7FC0_0001),
+                    ref other => panic!("decoded {other:?}"),
+                }
+            }
             _ => panic!("decoded the wrong variant"),
         }
+    }
+
+    #[test]
+    fn retired_trace_tags_are_typed_errors() {
+        // Request tag 5 and response tag 7 were the job-id trace fetch.
+        let v6_request = [5, 42, 0, 0, 0, 0, 0, 0, 0, 0];
+        assert_eq!(
+            Request::decode(&v6_request).err(),
+            Some(WireDecodeError::Invalid("request tag"))
+        );
+        assert_eq!(
+            Response::decode(&[7, 0]).err(),
+            Some(WireDecodeError::Invalid("response tag"))
+        );
     }
 
     #[test]
@@ -2069,10 +1779,36 @@ mod tests {
         put_str(&mut payload, "route");
         put_u64(&mut payload, 0);
         put_u64(&mut payload, 0);
+        put_u32(&mut payload, 0); // no point events
         assert!(matches!(
             Response::decode(&payload),
             Err(WireDecodeError::Invalid(_))
         ));
+
+        // Hostile point-event count, then a point event on a missing lane.
+        let one_lane_no_spans = |events: u32| {
+            let mut payload = vec![RESP_ASSEMBLED];
+            [0u64, 0, 0].encode(&mut payload);
+            vec!["backend".to_owned()].encode(&mut payload);
+            put_u32(&mut payload, 0);
+            put_u32(&mut payload, events);
+            payload
+        };
+        assert!(matches!(
+            Response::decode(&one_lane_no_spans(u32::MAX)),
+            Err(WireDecodeError::Truncated { .. })
+        ));
+        let mut payload = one_lane_no_spans(1);
+        AssembledEvent {
+            lane: 1, // lane index out of range
+            at_us: 0,
+            kind: PointKind::CacheProbe { hit: true },
+        }
+        .encode(&mut payload);
+        assert_eq!(
+            Response::decode(&payload).err(),
+            Some(WireDecodeError::Invalid("lane index out of range"))
+        );
     }
 
     #[test]
@@ -2089,25 +1825,5 @@ mod tests {
             }
             _ => panic!("decoded the wrong variant"),
         }
-    }
-
-    #[test]
-    fn wire_trace_converts_from_runtime_trace() {
-        let t = Trace {
-            id: revelio_trace::TraceId(7),
-            dropped: 1,
-            events: vec![Event {
-                trace: revelio_trace::TraceId(7),
-                at_ns: 5,
-                kind: EventKind::SpanEnd {
-                    phase: Phase::Optimize,
-                    dur_ns: 99,
-                },
-            }],
-        };
-        let w = WireTrace::from(&t);
-        assert_eq!(w.id, 7);
-        assert_eq!(w.dropped, 1);
-        assert_eq!(w.phase_ns(Phase::Optimize), 99);
     }
 }

@@ -514,9 +514,10 @@ fn wire_stats_are_unified() {
     server.shutdown();
 }
 
-/// A traced explain over loopback TCP returns a retrievable trace whose
-/// per-phase spans are all present and whose epoch events agree with both
-/// the degradation report and the runtime's epoch counter delta.
+/// A traced explain over loopback TCP returns a retrievable assembled
+/// trace whose per-phase spans are all present and whose epoch events
+/// agree with both the degradation report and the runtime's epoch counter
+/// delta.
 #[test]
 fn traced_explain_returns_per_phase_spans() {
     let (model, graphs) = trained_model();
@@ -540,10 +541,10 @@ fn traced_explain_returns_per_phase_spans() {
     let after = client.stats().expect("stats after");
 
     let trace = client
-        .trace(trace_id)
-        .expect("trace request")
+        .assembled_trace(Some([0, trace_id]))
         .expect("trace retained on the server");
-    assert_eq!(trace.id, trace_id);
+    assert_eq!(trace.trace_lo, trace_id);
+    assert_eq!(trace.lanes.len(), 1, "a backend answers with its own lane");
     for phase in [
         Phase::Extraction,
         Phase::FlowIndex,
@@ -551,23 +552,24 @@ fn traced_explain_returns_per_phase_spans() {
         Phase::Readout,
     ] {
         assert!(
-            trace.phase_ns(phase) > 0,
+            trace.spans.iter().any(|s| s.name == phase.name()),
             "phase {} has no completed span",
             phase.name()
         );
     }
+    let losses = trace.losses(0);
     assert_eq!(
-        trace.epoch_count(),
+        losses.len(),
         served.degradation.epochs_run,
         "trace epoch events disagree with the degradation report"
     );
     assert_eq!(
-        trace.epoch_count() as u64,
+        losses.len() as u64,
         after.runtime.epochs_total - before.runtime.epochs_total,
         "trace epoch events disagree with the runtime counter delta"
     );
     assert!(
-        trace.losses().iter().all(|l| l.is_finite()),
+        losses.iter().all(|l| l.is_finite()),
         "non-finite loss in trace"
     );
 
@@ -582,11 +584,49 @@ fn traced_explain_returns_per_phase_spans() {
         .expect("untraced explain");
     assert!(untraced.trace_id.is_none());
 
-    // An unknown id answers None, not an error.
-    assert!(client
-        .trace(trace_id + 999)
-        .expect("unknown-trace request")
-        .is_none());
+    // An unknown id is a typed miss, not an empty trace.
+    match client.assembled_trace(Some([0, trace_id + 999])) {
+        Err(ClientError::Server { kind, .. }) => assert_eq!(kind, ErrorKind::UnknownTrace),
+        other => panic!("expected UnknownTrace, got {other:?}"),
+    }
+    server.shutdown();
+}
+
+/// A fresh server's first traced job has job id 0, and the trace id it
+/// echoes is that id. Fetching by it must return that job's trace even
+/// while a newer trace is retained: an id is never read as "newest",
+/// which has its own request form.
+#[test]
+fn first_traced_job_is_fetchable_by_its_echoed_id() {
+    let (model, graphs) = trained_model();
+    let server = start_server(1, 37, 8);
+    let mut client = Client::connect(server.local_addr()).expect("connect");
+    let model_id = client.register_model(&model).expect("register");
+    let traced = ControlSpec {
+        trace: true,
+        ..Default::default()
+    };
+    let mut served = Vec::new();
+    for (i, g) in graphs.iter().enumerate().take(2) {
+        let ex = explain_request(model_id, g, i as u64, traced);
+        served.push(client.explain(&ex).expect("traced explain"));
+    }
+    let first = served[0].trace_id.expect("first traced job echoes an id");
+    let newest = served[1].trace_id.expect("second traced job echoes an id");
+    assert_eq!(first, 0, "a fresh server's first job is job 0");
+
+    let by_id = client
+        .assembled_trace(Some([0, first]))
+        .expect("first trace retained");
+    assert_eq!(
+        by_id.trace_lo, first,
+        "fetched the trace named, not the newest"
+    );
+    assert_eq!(by_id.losses(0).len(), served[0].degradation.epochs_run);
+
+    let latest = client.assembled_trace(None).expect("newest trace");
+    assert_eq!(latest.trace_lo, newest);
+    assert_eq!(latest.losses(0).len(), served[1].degradation.epochs_run);
     server.shutdown();
 }
 

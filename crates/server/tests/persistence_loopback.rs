@@ -240,11 +240,11 @@ fn unknown_job_id_fetches_none() {
 }
 
 #[test]
-fn protocol_version_is_v6() {
+fn protocol_version_is_v7() {
     let path = temp_store();
     let server = start_server(&path);
     let mut client = Client::connect(server.local_addr()).expect("connect");
-    assert_eq!(client.ping().expect("ping"), 6);
+    assert_eq!(client.ping().expect("ping"), 7);
     server.shutdown();
     let _ = std::fs::remove_file(&path);
 }

@@ -1,5 +1,5 @@
 //! Golden byte layouts: every network frame payload and every store record
-//! must encode to exactly the bytes protocol v6 / store format v1 define.
+//! must encode to exactly the bytes protocol v7 / store format v1 define.
 //!
 //! The corpus below covers every `Request` and `Response` variant (the
 //! `Stats` answer with and without the gateway's counters) and the three
@@ -22,16 +22,18 @@ use revelio_graph::{Graph, Target};
 use revelio_runtime::{HistogramSnapshot, MetricsSnapshot, SizeHistogramSnapshot};
 use revelio_server::wire::{
     encode_frame, ErrorKind, ExplainRequest, GatewayBackendStats, GatewayStats, Request, Response,
-    ServedExplanation, ServerStats, WireEvent, WireEventKind, WireExplanationSummary,
-    WireStoredExplanation, WireTiming, WireTrace,
+    ServedExplanation, ServerStats, WireExplanationSummary, WireStoredExplanation, WireTiming,
 };
 use revelio_store::{
     fingerprint_model, ExplanationRecord, FlowsRecord, LogStore, MaskKey, ModelRecord,
     PhaseSummary, Store, StoredMask,
 };
-use revelio_trace::{AssembledSpan, AssembledTrace, Phase, TraceContext};
+use revelio_trace::{AssembledEvent, AssembledSpan, AssembledTrace, PointKind, TraceContext};
 
 /// FNV-1a 64 of every corpus entry, recorded from the pre-`Codec` encoders.
+/// The protocol v7 entries (`request.assembled_trace`, `response.pong`,
+/// `response.assembled`, `frame.ping`) were recomputed from bytes laid out
+/// by hand from the documented layouts, and agree with this build.
 const GOLDEN: &[(&str, u64)] = &[
     ("request.ping", 0xaf63bd4c8601b7df),
     ("request.register_model", 0xc788d661031e44ba),
@@ -39,13 +41,11 @@ const GOLDEN: &[(&str, u64)] = &[
     ("request.explain_bare", 0x72f9c023d6e88c62),
     ("request.stats", 0xaf63be4c8601b992),
     ("request.shutdown", 0xaf63b94c8601b113),
-    ("request.trace", 0x43760cafcb151e7e),
-    ("request.trace_with_context", 0x2807fff5937cba3a),
     ("request.fetch_explanation", 0x7cdfc38c0c9257dc),
     ("request.fetch_explanation_with_context", 0xd602c93610c06fe5),
     ("request.list_explanations", 0xaf63ba4c8601b2c6),
-    ("request.assembled_trace", 0xb1794feb35784b2d),
-    ("response.pong", 0xd938ae186bfddcc1),
+    ("request.assembled_trace", 0xc82c3cb3519f02ec),
+    ("response.pong", 0xd93548186bfaf998),
     ("response.model_registered", 0xb7fd70c7aa7db49f),
     ("response.explained_full", 0x30008c617e97e810),
     ("response.explained_bare", 0x862eb083800cc045),
@@ -53,9 +53,7 @@ const GOLDEN: &[(&str, u64)] = &[
     ("response.stats", 0xa75df0dacd33067f),
     ("response.stats_with_gateway", 0x9cfa613af387e7f9),
     ("response.shutdown_ack", 0xaf63bb4c8601b479),
-    ("response.trace", 0x9a79c3651c9b917b),
-    ("response.trace_missing", 0x08285607b4e2c672),
-    ("response.assembled", 0x207087230812db0a),
+    ("response.assembled", 0xec42d1cdbec734e3),
     ("response.explanation_full", 0xc7b76caa484891d0),
     ("response.explanation_bare", 0xc3cb0ef405fe0581),
     ("response.explanation_missing", 0x084db807b5028935),
@@ -69,7 +67,7 @@ const GOLDEN: &[(&str, u64)] = &[
     ("response.error.shutting_down", 0xb375f4d0bf2abdb0),
     ("response.error.no_store", 0x4e0923f069624538),
     ("response.error.unknown_trace", 0x1c5bbc22867db265),
-    ("frame.ping", 0x5d04fb5a28408e89),
+    ("frame.ping", 0xf9309056fbb49092),
     ("record.model", 0xf9fcd83c573508b4),
     ("record.flows", 0x08a92cfdcd920c16),
     ("record.explanation_full", 0x9fc7154cbeb91c08),
@@ -245,38 +243,6 @@ fn gateway_stats() -> GatewayStats {
     }
 }
 
-fn wire_trace() -> WireTrace {
-    let kinds = [
-        WireEventKind::SpanStart {
-            phase: Phase::FlowIndex,
-        },
-        WireEventKind::SpanEnd {
-            phase: Phase::Optimize,
-            dur_ns: 50,
-        },
-        WireEventKind::CacheProbe { hit: false },
-        WireEventKind::Epoch {
-            index: 3,
-            loss: 0.5,
-            grad_norm: -1.25,
-        },
-        WireEventKind::DeadlineHit { epoch: 9 },
-        WireEventKind::Note("flow-index-reused".to_owned()),
-    ];
-    WireTrace {
-        id: 42,
-        dropped: 3,
-        events: kinds
-            .into_iter()
-            .enumerate()
-            .map(|(i, kind)| WireEvent {
-                at_ns: 10 * i as u64 + 1,
-                kind,
-            })
-            .collect(),
-    }
-}
-
 fn assembled() -> AssembledTrace {
     AssembledTrace {
         trace_hi: 0xfeed,
@@ -296,6 +262,24 @@ fn assembled() -> AssembledTrace {
                 dur_us: 2000,
             },
         ],
+        events: [
+            PointKind::CacheProbe { hit: false },
+            PointKind::Epoch {
+                index: 3,
+                loss: 0.5,
+                grad_norm: -1.25,
+            },
+            PointKind::DeadlineHit { epoch: 9 },
+            PointKind::Note("flow-index-reused".to_owned()),
+        ]
+        .into_iter()
+        .enumerate()
+        .map(|(i, kind)| AssembledEvent {
+            lane: 1,
+            at_us: 600 + 10 * i as u64,
+            kind,
+        })
+        .collect(),
         dropped: 2,
     }
 }
@@ -416,11 +400,6 @@ fn requests() -> Vec<(&'static str, Request)> {
         ("request.explain_bare", Request::Explain(explain_bare)),
         ("request.stats", Request::Stats),
         ("request.shutdown", Request::Shutdown),
-        ("request.trace", Request::Trace(42, None)),
-        (
-            "request.trace_with_context",
-            Request::Trace(7, Some(context())),
-        ),
         (
             "request.fetch_explanation",
             Request::FetchExplanation(77, None),
@@ -432,17 +411,14 @@ fn requests() -> Vec<(&'static str, Request)> {
         ("request.list_explanations", Request::ListExplanations),
         (
             "request.assembled_trace",
-            Request::AssembledTrace {
-                hi: 0xfeed,
-                lo: 0xf00d,
-            },
+            Request::AssembledTrace(Some([0xfeed, 0xf00d])),
         ),
     ]
 }
 
 fn responses() -> Vec<(&'static str, Response)> {
     let mut out = vec![
-        ("response.pong", Response::Pong { version: 6 }),
+        ("response.pong", Response::Pong { version: 7 }),
         (
             "response.model_registered",
             Response::ModelRegistered { model: 3 },
@@ -490,11 +466,6 @@ fn responses() -> Vec<(&'static str, Response)> {
             Response::Stats(Box::new(server_stats()), Some(Box::new(gateway_stats()))),
         ),
         ("response.shutdown_ack", Response::ShutdownAck),
-        (
-            "response.trace",
-            Response::Trace(Some(Box::new(wire_trace()))),
-        ),
-        ("response.trace_missing", Response::Trace(None)),
         (
             "response.assembled",
             Response::Assembled(Box::new(assembled())),

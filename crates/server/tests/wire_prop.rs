@@ -9,18 +9,17 @@
 
 use proptest::prelude::*;
 
-use revelio_core::wire::{check_codec, Codec, ControlSpec};
+use revelio_core::wire::{check_codec, Codec, ControlSpec, WireDecodeError};
 use revelio_core::{Degradation, Objective};
 use revelio_eval::Effort;
 use revelio_graph::{Graph, Target};
 use revelio_runtime::HistogramSnapshot;
 use revelio_server::wire::{
     crc32, encode_frame, read_frame, ErrorKind, ExplainRequest, GatewayBackendStats, GatewayStats,
-    MaskKey, Request, Response, ServedExplanation, ServerStats, WireError, WireEvent,
-    WireEventKind, WireExplanationSummary, WireStoredExplanation, WireTiming, WireTrace,
-    HEADER_LEN, PROTOCOL_VERSION,
+    MaskKey, Request, Response, ServedExplanation, ServerStats, WireError, WireExplanationSummary,
+    WireStoredExplanation, WireTiming, HEADER_LEN, PROTOCOL_VERSION,
 };
-use revelio_trace::{AssembledSpan, AssembledTrace, Phase, TraceContext};
+use revelio_trace::{AssembledEvent, AssembledSpan, AssembledTrace, PointKind, TraceContext};
 
 const METHODS: [&str; 4] = ["REVELIO", "FlowX", "GNNExplainer", "GradCAM"];
 
@@ -320,33 +319,6 @@ proptest! {
             scatter: nums[3],
             backends: (0..count).map(backend).collect(),
         });
-        let phase = Phase::from_u8(flags % 4).unwrap();
-        let kinds = [
-            WireEventKind::SpanStart { phase },
-            WireEventKind::SpanEnd { phase, dur_ns: nums[0] },
-            WireEventKind::Epoch {
-                index: nums[1] as u32,
-                loss: scores.first().copied().unwrap_or(0.5),
-                grad_norm: scores.last().copied().unwrap_or(-0.0),
-            },
-            WireEventKind::CacheProbe { hit: bit(0) },
-            WireEventKind::DeadlineHit { epoch: nums[2] as u32 },
-            WireEventKind::Note(text(&nums[..count])),
-        ];
-        let events: Vec<WireEvent> = kinds
-            .into_iter()
-            .zip(&nums)
-            .map(|(kind, &at_ns)| WireEvent { at_ns, kind })
-            .collect();
-        for e in &events {
-            holds(&e.kind);
-            holds(e);
-        }
-        holds(&WireTrace {
-            id: nums[3],
-            dropped: nums[4],
-            events: events[..count].to_vec(),
-        });
         let lanes: Vec<String> = (0..count.max(1)).map(|i| text(&nums[i..i + 3])).collect();
         let spans: Vec<AssembledSpan> = (0..count)
             .map(|i| AssembledSpan {
@@ -359,13 +331,44 @@ proptest! {
         for span in &spans {
             holds(span);
         }
-        holds(&AssembledTrace {
+        let kinds = [
+            PointKind::Epoch {
+                index: nums[1] as u32,
+                loss: scores.first().copied().unwrap_or(0.5),
+                grad_norm: scores.last().copied().unwrap_or(-0.0),
+            },
+            PointKind::CacheProbe { hit: bit(0) },
+            PointKind::DeadlineHit { epoch: nums[2] as u32 },
+            PointKind::Note(text(&nums[..count])),
+        ];
+        // Rotate by the flag bits so every kind leads in some case.
+        let events: Vec<AssembledEvent> = (0..count + 1)
+            .map(|i| AssembledEvent {
+                lane: (nums[i + 4] % lanes.len() as u64) as u32,
+                at_us: nums[i + 5],
+                kind: kinds[(i + flags as usize) % kinds.len()].clone(),
+            })
+            .collect();
+        for e in &events {
+            holds(&e.kind);
+            holds(e);
+        }
+        let mut assembled = AssembledTrace {
             trace_hi: nums[5],
             trace_lo: nums[6],
             lanes,
             spans,
+            events,
             dropped: nums[7],
-        });
+        };
+        holds(&assembled);
+        // A point event off the lane list is a typed error, not a panic
+        // in whatever later renders the trace.
+        assembled.events[count].lane = assembled.lanes.len() as u32;
+        prop_assert_eq!(
+            AssembledTrace::from_bytes(&assembled.to_bytes()),
+            Err(WireDecodeError::Invalid("lane index out of range"))
+        );
         holds(&TraceContext {
             trace_hi: nums[8],
             trace_lo: nums[9],
@@ -414,7 +417,6 @@ fn every_enum_tag_holds_the_codec_property() {
     assert_eq!(tags::<Objective>(), 2);
     assert_eq!(tags::<Effort>(), 2);
     assert_eq!(tags::<ErrorKind>(), 8);
-    assert_eq!(tags::<Phase>(), 4);
     assert_eq!(tags::<bool>(), 2);
 }
 

@@ -15,7 +15,7 @@ use revelio_gnn::{GnnConfig, GnnKind, Task};
 use revelio_graph::Target;
 use revelio_store::{
     fingerprint_model, ExplanationRecord, FlowsRecord, LogStore, MaskKey, ModelRecord,
-    PhaseSummary, Store, StoreError, StoredMask, HEADER_LEN,
+    PhaseSummary, Store, StoreError, StoredMask, HEADER_LEN, RECORD_HEADER_LEN,
 };
 
 static NEXT_FILE: AtomicU64 = AtomicU64::new(0);
@@ -324,4 +324,114 @@ fn empty_store_lists_nothing() {
         .is_none());
     assert_eq!(std::fs::metadata(&path).unwrap().len(), HEADER_LEN);
     std::fs::remove_file(&path).unwrap();
+}
+
+/// What a reopened store holds, in the order the sweep's log commits it:
+/// the model, the flows, then explanations 1 and 2.
+fn recovered_prefix(store: &LogStore) -> usize {
+    let held = [
+        !store.models().unwrap().is_empty(),
+        !store.flows().unwrap().is_empty(),
+        store.explanation(1).unwrap().is_some(),
+        store.explanation(2).unwrap().is_some(),
+    ];
+    let prefix = held.iter().take_while(|h| **h).count();
+    assert!(
+        held[prefix..].iter().all(|h| !h),
+        "recovered {held:?}, not a prefix of the committed records"
+    );
+    prefix
+}
+
+/// Crash-point sweep: a 4-record log cut at every record boundary and at
+/// every byte of its final record, and separately with every payload byte
+/// of the final record flipped. Each damaged copy must reopen to exactly
+/// the committed records that are still whole, with equal contents, and
+/// the dropped tail physically removed.
+///
+/// Header bytes are not swept: the record CRC covers only the payload, so
+/// a flipped `kind` byte is not caught as a torn record.
+#[test]
+fn crash_point_sweep_recovers_exactly_a_prefix() {
+    let flows = FlowsRecord {
+        graph_id: 77,
+        target: Target::Node(2),
+        layers: 2,
+        max_flows: 1000,
+        layer_edge_count: 4,
+        flow_edges: vec![0, 1, 2, 3],
+        dropped: 0,
+    };
+    let model = model_record(0, vec![vec![1.0, 2.0]]);
+    let path = temp_log("sweep-source");
+    // `ends[k]` is the file length once `k` records are committed.
+    let mut ends = Vec::new();
+    {
+        let store = LogStore::open(&path).unwrap();
+        let len = || std::fs::metadata(&path).unwrap().len() as usize;
+        ends.push(len());
+        store.put_model(&model).unwrap();
+        ends.push(len());
+        store.put_flows(&flows).unwrap();
+        ends.push(len());
+        store.put_explanation(&explanation_record(1, 10)).unwrap();
+        ends.push(len());
+        store.put_explanation(&explanation_record(2, 11)).unwrap();
+        ends.push(len());
+    }
+    let log = std::fs::read(&path).unwrap();
+    std::fs::remove_file(&path).unwrap();
+    assert_eq!(ends[0], HEADER_LEN as usize);
+    assert_eq!(*ends.last().unwrap(), log.len());
+
+    let reopen = |bytes: &[u8], what: &str| {
+        let path = temp_log("sweep");
+        std::fs::write(&path, bytes).unwrap();
+        let store = LogStore::open(&path).unwrap_or_else(|e| panic!("{what}: open failed: {e}"));
+        let k = recovered_prefix(&store);
+        let report = store.recovery();
+        assert_eq!(report.records, k as u64, "{what}");
+        assert_eq!(
+            report.truncated_bytes,
+            (bytes.len() - ends[k]) as u64,
+            "{what}"
+        );
+        assert_eq!(
+            std::fs::metadata(&path).unwrap().len() as usize,
+            ends[k],
+            "{what}"
+        );
+        if k >= 1 {
+            assert_eq!(store.models().unwrap(), vec![model.clone()], "{what}");
+        }
+        if k >= 2 {
+            assert_eq!(store.flows().unwrap(), vec![flows.clone()], "{what}");
+        }
+        for (job, graph) in [(1, 10), (2, 11)].into_iter().take(k.saturating_sub(2)) {
+            let back = store.explanation(job).unwrap();
+            assert_eq!(back, Some(explanation_record(job, graph)), "{what}");
+        }
+        drop(store);
+        std::fs::remove_file(&path).unwrap();
+        k
+    };
+
+    let final_start = ends[3];
+    let cuts = ends.iter().copied().chain(final_start + 1..log.len());
+    for cut in cuts {
+        let expected = ends.iter().rposition(|&e| e <= cut).unwrap();
+        let got = reopen(&log[..cut], &format!("cut at byte {cut}"));
+        assert_eq!(got, expected, "cut at byte {cut}");
+    }
+    let payload_start = final_start + RECORD_HEADER_LEN as usize;
+    assert!(payload_start < log.len());
+    for at in payload_start..log.len() {
+        let mut bytes = log.clone();
+        bytes[at] ^= 0xFF;
+        let got = reopen(&bytes, &format!("flip at byte {at}"));
+        assert_eq!(
+            got, 3,
+            "flip at byte {at}: the final record must be dropped"
+        );
+    }
 }

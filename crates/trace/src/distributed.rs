@@ -159,8 +159,38 @@ pub struct AssembledSpan {
     pub dur_us: u64,
 }
 
-/// A cross-process trace: per-shard lanes of named, aligned spans.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
+/// What an [`AssembledEvent`] observed: a fragment's point events (its
+/// completed spans become [`AssembledSpan`]s).
+#[derive(Debug, Clone, PartialEq)]
+pub enum PointKind {
+    /// One optimisation epoch, as [`EventKind::Epoch`].
+    Epoch {
+        index: u32,
+        loss: f32,
+        grad_norm: f32,
+    },
+    /// A flow-index cache probe: was the artifact resident?
+    CacheProbe { hit: bool },
+    /// The deadline stopped the epoch loop after `epoch` epochs.
+    DeadlineHit { epoch: u32 },
+    /// A free-form annotation.
+    Note(String),
+}
+
+/// One instant of an [`AssembledTrace`]: a point event on one lane.
+#[derive(Debug, Clone, PartialEq)]
+pub struct AssembledEvent {
+    /// Index into [`AssembledTrace::lanes`].
+    pub lane: u32,
+    /// Microseconds from the assembled trace's origin.
+    pub at_us: u64,
+    /// What was observed.
+    pub kind: PointKind,
+}
+
+/// A cross-process trace: per-shard lanes of named, aligned spans and
+/// point events.
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct AssembledTrace {
     /// High half of the global 128-bit trace id.
     pub trace_hi: u64,
@@ -171,6 +201,8 @@ pub struct AssembledTrace {
     pub lanes: Vec<String>,
     /// All spans across all lanes (not necessarily sorted).
     pub spans: Vec<AssembledSpan>,
+    /// All point events across all lanes, in journal order per lane.
+    pub events: Vec<AssembledEvent>,
     /// Events lost to ring overwriting across the stitched fragments.
     pub dropped: u64,
 }
@@ -183,38 +215,85 @@ impl AssembledTrace {
 
     /// Builds a single-lane assembled trace from one process-local
     /// [`Trace`] fragment: every completed span (`SpanEnd`) becomes a
-    /// slice whose start is reconstructed as `at_ns - dur_ns`, shifted by
+    /// slice whose start is reconstructed as `at_ns - dur_ns`, and every
+    /// other event but `SpanStart` a point event, all shifted by
     /// `anchor_us` onto the assembler's clock.
     pub fn from_fragment(hi: u64, lo: u64, lane: &str, anchor_us: u64, frag: &Trace) -> Self {
         let mut out = AssembledTrace {
             trace_hi: hi,
             trace_lo: lo,
             lanes: vec![lane.to_owned()],
-            spans: Vec::new(),
-            dropped: 0,
+            dropped: frag.dropped,
+            ..AssembledTrace::default()
         };
-        out.push_fragment(0, anchor_us, frag);
+        for e in &frag.events {
+            let kind = match e.kind {
+                EventKind::SpanStart { .. } => continue,
+                EventKind::SpanEnd { phase, dur_ns } => {
+                    out.spans.push(AssembledSpan {
+                        lane: 0,
+                        name: phase.name().to_owned(),
+                        start_us: anchor_us + e.at_ns.saturating_sub(dur_ns) / 1_000,
+                        dur_us: dur_ns / 1_000,
+                    });
+                    continue;
+                }
+                EventKind::Epoch {
+                    index,
+                    loss,
+                    grad_norm,
+                } => PointKind::Epoch {
+                    index,
+                    loss,
+                    grad_norm,
+                },
+                EventKind::CacheProbe { hit } => PointKind::CacheProbe { hit },
+                EventKind::DeadlineHit { epoch } => PointKind::DeadlineHit { epoch },
+                EventKind::Note(s) => PointKind::Note(s.to_owned()),
+            };
+            out.events.push(AssembledEvent {
+                lane: 0,
+                at_us: anchor_us + e.at_ns / 1_000,
+                kind,
+            });
+        }
         out
     }
 
-    /// Appends one fragment's completed spans onto an existing lane.
-    pub fn push_fragment(&mut self, lane: u32, anchor_us: u64, frag: &Trace) {
-        for e in &frag.events {
-            if let EventKind::SpanEnd { phase, dur_ns } = e.kind {
-                let start_ns = e.at_ns.saturating_sub(dur_ns);
-                self.spans.push(AssembledSpan {
-                    lane,
-                    name: phase.name().to_owned(),
-                    start_us: anchor_us + start_ns / 1_000,
-                    dur_us: dur_ns / 1_000,
-                });
-            }
-        }
+    /// Appends every lane of `frag` (an assembly from another process)
+    /// after this trace's lanes, shifting its times by `anchor_us`.
+    pub fn graft(&mut self, frag: AssembledTrace, anchor_us: u64) {
+        let base = self.lanes.len() as u32;
+        self.lanes.extend(frag.lanes);
+        self.spans
+            .extend(frag.spans.into_iter().map(|s| AssembledSpan {
+                lane: base + s.lane,
+                start_us: s.start_us.saturating_add(anchor_us),
+                ..s
+            }));
+        self.events
+            .extend(frag.events.into_iter().map(|e| AssembledEvent {
+                lane: base + e.lane,
+                at_us: e.at_us.saturating_add(anchor_us),
+                ..e
+            }));
         self.dropped += frag.dropped;
     }
 
+    /// The per-epoch losses recorded on `lane`, in journal order.
+    pub fn losses(&self, lane: u32) -> Vec<f32> {
+        self.events
+            .iter()
+            .filter_map(|e| match e.kind {
+                PointKind::Epoch { loss, .. } if e.lane == lane => Some(loss),
+                _ => None,
+            })
+            .collect()
+    }
+
     /// Pretty-prints the trace as a per-lane tree with per-hop latencies.
-    /// Nesting follows interval containment within a lane.
+    /// Each lane's line carries its epoch count and final loss; nesting
+    /// follows interval containment within a lane.
     pub fn render_tree(&self) -> String {
         use std::fmt::Write as _;
         let mut out = String::new();
@@ -237,7 +316,9 @@ impl AssembledTrace {
                 .filter(|s| s.lane as usize == li)
                 .collect();
             spans.sort_by_key(|s| (s.start_us, std::cmp::Reverse(s.dur_us)));
-            let _ = writeln!(out, "{lane}");
+            let losses = self.losses(li as u32);
+            let last = losses.last().map_or("-".to_owned(), f32::to_string);
+            let _ = writeln!(out, "{lane} · {} epoch(s), final loss {last}", losses.len());
             // Containment stack: a span nests under the nearest earlier
             // span (same lane) whose interval covers it.
             let mut stack: Vec<(u64, u64)> = Vec::new();
@@ -267,41 +348,82 @@ impl AssembledTrace {
     /// Perfetto. Each lane becomes a process (`pid` = lane index, named
     /// via a `process_name` metadata event); spans are complete (`"X"`)
     /// slices with microsecond `ts`/`dur`, tagged with the hex trace id
-    /// in `args.trace`.
+    /// in `args.trace`. Epoch losses form a `loss` counter (`"C"`) track
+    /// per lane; every other point event is an instant (`"i"`). A
+    /// non-finite loss or gradient norm is written as a string (`"NaN"`,
+    /// `"inf"`), since JSON has no such numbers.
     pub fn chrome_trace_json(&self) -> String {
-        use std::fmt::Write as _;
         let id = self.hex_id();
-        let mut out = String::from("{\"traceEvents\":[");
-        let mut first = true;
-        for (li, lane) in self.lanes.iter().enumerate() {
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            let _ = write!(
-                out,
-                "{{\"ph\":\"M\",\"pid\":{li},\"tid\":0,\"name\":\"process_name\",\
-                 \"args\":{{\"name\":{}}}}}",
-                json_string(lane)
-            );
-        }
-        for s in &self.spans {
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            let _ = write!(
-                out,
+        let mut items: Vec<String> = self
+            .lanes
+            .iter()
+            .enumerate()
+            .map(|(li, lane)| {
+                format!(
+                    "{{\"ph\":\"M\",\"pid\":{li},\"tid\":0,\"name\":\"process_name\",\
+                     \"args\":{{\"name\":{}}}}}",
+                    json_string(lane)
+                )
+            })
+            .collect();
+        items.extend(self.spans.iter().map(|s| {
+            format!(
                 "{{\"ph\":\"X\",\"pid\":{},\"tid\":0,\"name\":{},\"ts\":{},\"dur\":{},\
                  \"args\":{{\"trace\":\"{id}\"}}}}",
                 s.lane,
                 json_string(&s.name),
                 s.start_us,
                 s.dur_us
-            );
+            )
+        }));
+        for e in &self.events {
+            let (name, args) = match &e.kind {
+                PointKind::Epoch {
+                    index,
+                    loss,
+                    grad_norm,
+                } => {
+                    items.push(format!(
+                        "{{\"ph\":\"C\",\"pid\":{},\"tid\":0,\"ts\":{},\"name\":\"loss\",\
+                         \"args\":{{\"loss\":{}}}}}",
+                        e.lane,
+                        e.at_us,
+                        json_f32(*loss)
+                    ));
+                    let grad_norm = json_f32(*grad_norm);
+                    (
+                        "epoch",
+                        format!("{{\"index\":{index},\"grad_norm\":{grad_norm}}}"),
+                    )
+                }
+                PointKind::CacheProbe { hit } => ("cache probe", format!("{{\"hit\":{hit}}}")),
+                PointKind::DeadlineHit { epoch } => {
+                    ("deadline hit", format!("{{\"epoch\":{epoch}}}"))
+                }
+                PointKind::Note(note) => (note.as_str(), "{}".to_owned()),
+            };
+            items.push(format!(
+                "{{\"ph\":\"i\",\"s\":\"t\",\"pid\":{},\"tid\":0,\"ts\":{},\"name\":{},\
+                 \"args\":{args}}}",
+                e.lane,
+                e.at_us,
+                json_string(name)
+            ));
         }
-        out.push_str("],\"displayTimeUnit\":\"ms\"}");
-        out
+        format!(
+            "{{\"traceEvents\":[{}],\"displayTimeUnit\":\"ms\"}}",
+            items.join(",")
+        )
+    }
+}
+
+/// A JSON value for `v`: the number when finite, else its name as a
+/// string.
+fn json_f32(v: f32) -> String {
+    if v.is_finite() {
+        v.to_string()
+    } else {
+        json_string(&v.to_string())
     }
 }
 
@@ -538,19 +660,42 @@ mod tests {
 
     fn fragment() -> Trace {
         // A hand-built fragment: extraction 100µs at t=50µs, optimize
-        // 2000µs at t=200µs.
-        let span = |phase, at_us: u64, dur_us: u64| Event {
+        // 2000µs at t=200µs with two epochs inside, a cache probe and a
+        // deadline trip.
+        let event = |at_us: u64, kind| Event {
             trace: TraceId(9),
             at_ns: at_us * 1_000,
-            kind: EventKind::SpanEnd {
-                phase,
-                dur_ns: dur_us * 1_000,
-            },
+            kind,
+        };
+        let span = |phase, at_us: u64, dur_us: u64| {
+            event(
+                at_us,
+                EventKind::SpanEnd {
+                    phase,
+                    dur_ns: dur_us * 1_000,
+                },
+            )
+        };
+        let epoch = |index, loss| EventKind::Epoch {
+            index,
+            loss,
+            grad_norm: 0.5,
         };
         Trace {
             id: TraceId(9),
             events: vec![
+                event(50, EventKind::CacheProbe { hit: false }),
                 span(Phase::Extraction, 150, 100),
+                event(
+                    200,
+                    EventKind::SpanStart {
+                        phase: Phase::Optimize,
+                    },
+                ),
+                event(300, epoch(0, 0.75)),
+                event(900, epoch(1, 0.25)),
+                event(2100, EventKind::DeadlineHit { epoch: 2 }),
+                event(2150, EventKind::Note("flow-index-reused")),
                 span(Phase::Optimize, 2200, 2000),
             ],
             dropped: 1,
@@ -570,20 +715,69 @@ mod tests {
     }
 
     #[test]
+    fn fragment_point_events_ride_on_their_lane() {
+        let t = AssembledTrace::from_fragment(1, 2, "shard-0", 1000, &fragment());
+        let kinds: Vec<&PointKind> = t.events.iter().map(|e| &e.kind).collect();
+        assert_eq!(
+            kinds,
+            [
+                &PointKind::CacheProbe { hit: false },
+                &PointKind::Epoch {
+                    index: 0,
+                    loss: 0.75,
+                    grad_norm: 0.5
+                },
+                &PointKind::Epoch {
+                    index: 1,
+                    loss: 0.25,
+                    grad_norm: 0.5
+                },
+                &PointKind::DeadlineHit { epoch: 2 },
+                &PointKind::Note("flow-index-reused".to_owned()),
+            ],
+            "every event but the spans, in journal order"
+        );
+        assert!(t.events.iter().all(|e| e.lane == 0));
+        assert_eq!(t.events[1].at_us, 1300);
+        assert_eq!(t.losses(0), vec![0.75, 0.25]);
+        assert!(t.losses(1).is_empty());
+    }
+
+    #[test]
+    fn graft_shifts_lanes_and_times() {
+        let mut t = AssembledTrace {
+            lanes: vec!["gateway".to_owned()],
+            ..AssembledTrace::default()
+        };
+        let frag = AssembledTrace::from_fragment(1, 2, "shard-0", 0, &fragment());
+        t.graft(frag.clone(), 40);
+        assert_eq!(t.lanes, vec!["gateway".to_owned(), "shard-0".to_owned()]);
+        assert_eq!(t.dropped, 1);
+        assert!(t.spans.iter().all(|s| s.lane == 1));
+        assert_eq!(t.spans[0].start_us, frag.spans[0].start_us + 40);
+        assert!(t.events.iter().all(|e| e.lane == 1));
+        assert_eq!(t.events[1].at_us, frag.events[1].at_us + 40);
+        assert_eq!(t.losses(1), frag.losses(0));
+    }
+
+    #[test]
     fn chrome_export_is_valid_json_with_lane_processes() {
         let mut t = AssembledTrace {
             trace_hi: 0xabcd,
             trace_lo: 0x1234,
-            lanes: vec!["gateway".to_owned(), "shard \"1\"\n".to_owned()],
+            lanes: vec!["gateway".to_owned()],
             spans: vec![AssembledSpan {
                 lane: 0,
                 name: "route".to_owned(),
                 start_us: 0,
                 dur_us: 2500,
             }],
-            dropped: 0,
+            ..AssembledTrace::default()
         };
-        t.push_fragment(1, 40, &fragment());
+        t.graft(
+            AssembledTrace::from_fragment(0, 0, "shard \"1\"\n", 40, &fragment()),
+            0,
+        );
         let json = t.chrome_trace_json();
         validate_json(&json).unwrap();
         assert!(json.contains("\"traceEvents\""));
@@ -591,6 +785,44 @@ mod tests {
         assert!(json.contains(&t.hex_id()));
         assert!(json.contains("\"pid\":1"));
         assert!(json.contains("shard \\\"1\\\"\\n"));
+        assert_eq!(
+            json.matches("\"ph\":\"C\"").count(),
+            2,
+            "one loss sample per epoch"
+        );
+        assert!(json.contains("\"name\":\"loss\",\"args\":{\"loss\":0.75}"));
+        for instant in [
+            "\"epoch\"",
+            "\"cache probe\"",
+            "\"deadline hit\"",
+            "\"flow-index-reused\"",
+        ] {
+            assert!(json.contains(instant), "missing instant {instant}");
+        }
+    }
+
+    #[test]
+    fn chrome_export_stays_valid_json_on_non_finite_numbers() {
+        for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+            let t = AssembledTrace {
+                lanes: vec!["backend".to_owned()],
+                events: vec![AssembledEvent {
+                    lane: 0,
+                    at_us: 7,
+                    kind: PointKind::Epoch {
+                        index: 0,
+                        loss: bad,
+                        grad_norm: bad,
+                    },
+                }],
+                ..AssembledTrace::default()
+            };
+            let json = t.chrome_trace_json();
+            if let Err(e) = validate_json(&json) {
+                panic!("{bad} loss broke the export ({e}):\n{json}");
+            }
+            assert!(json.contains(&format!("\"loss\":\"{bad}\"")), "{json}");
+        }
     }
 
     #[test]
@@ -613,7 +845,7 @@ mod tests {
                     dur_us: 800,
                 },
             ],
-            dropped: 0,
+            ..AssembledTrace::default()
         };
         let tree = t.render_tree();
         let route_line = tree.lines().find(|l| l.contains("route")).unwrap();
@@ -624,6 +856,28 @@ mod tests {
         let indent = |l: &str| l.len() - l.trim_start().len();
         assert!(indent(fwd_line) > indent(route_line));
         assert!(tree.contains("1000"));
+    }
+
+    #[test]
+    fn render_tree_prints_each_lane_with_its_epochs_and_final_loss() {
+        let mut t = AssembledTrace {
+            lanes: vec!["gateway".to_owned()],
+            ..AssembledTrace::default()
+        };
+        t.graft(
+            AssembledTrace::from_fragment(0, 9, "shard-0", 0, &fragment()),
+            0,
+        );
+        let tree = t.render_tree();
+        let lane_lines: Vec<&str> = tree.lines().filter(|l| l.contains("epoch(s)")).collect();
+        assert_eq!(
+            lane_lines,
+            vec![
+                "gateway · 0 epoch(s), final loss -",
+                "shard-0 · 2 epoch(s), final loss 0.25"
+            ],
+            "{tree}"
+        );
     }
 
     #[test]

@@ -50,7 +50,8 @@
 pub mod distributed;
 
 pub use distributed::{
-    hex_trace_id, validate_json, AssembledSpan, AssembledTrace, Sampler, TraceContext,
+    hex_trace_id, validate_json, AssembledEvent, AssembledSpan, AssembledTrace, PointKind, Sampler,
+    TraceContext,
 };
 
 use revelio_check::sync::atomic::{AtomicU64, Ordering};
@@ -103,27 +104,6 @@ impl Phase {
             Phase::Optimize => "optimize",
             Phase::Readout => "readout",
         }
-    }
-
-    /// Stable wire tag.
-    pub fn to_u8(self) -> u8 {
-        match self {
-            Phase::Extraction => 0,
-            Phase::FlowIndex => 1,
-            Phase::Optimize => 2,
-            Phase::Readout => 3,
-        }
-    }
-
-    /// Inverse of [`Phase::to_u8`]; `None` for unknown tags.
-    pub fn from_u8(v: u8) -> Option<Phase> {
-        Some(match v {
-            0 => Phase::Extraction,
-            1 => Phase::FlowIndex,
-            2 => Phase::Optimize,
-            3 => Phase::Readout,
-            _ => return None,
-        })
     }
 }
 
@@ -613,14 +593,5 @@ mod tests {
             Arc::new(NoopCollector) as Arc<dyn Collector>,
         );
         assert!(!quiet.enabled());
-    }
-
-    #[test]
-    fn phase_tags_round_trip() {
-        for p in Phase::ALL {
-            assert_eq!(Phase::from_u8(p.to_u8()), Some(p));
-            assert!(!p.name().is_empty());
-        }
-        assert_eq!(Phase::from_u8(200), None);
     }
 }
