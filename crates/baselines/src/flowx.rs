@@ -76,10 +76,9 @@ impl FlowX {
     }
 
     /// Stage 1: Shapley-style marginal-contribution estimates per flow,
-    /// each sample propagated from `xw`, the model's
-    /// [`Gnn::input_transform`] of the instance features. Stops sampling
-    /// early (keeping the estimates accumulated so far) once `deadline`
-    /// expires.
+    /// each sample propagated from `xw`, the instance's
+    /// [`Instance::input_transform`]. Stops sampling early (keeping the
+    /// estimates accumulated so far) once `deadline` expires.
     fn sample_marginals(
         &self,
         model: &Gnn,
@@ -200,7 +199,7 @@ impl Explainer for FlowX {
 
         // The first layer's `x · W` does not depend on the masks: one
         // product serves every sample and every refinement epoch.
-        let xw = model.input_transform(&instance.x);
+        let xw = instance.input_transform(model);
         let shapley = self.sample_marginals(model, instance, &index, &xw, &ctl.deadline);
 
         // Stage 2: learning refinement, masks seeded from the estimates.

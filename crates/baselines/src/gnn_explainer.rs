@@ -87,7 +87,7 @@ impl Explainer for GnnExplainer {
         let mask_params = uniform(ne, 1, 0.1, cfg.seed).requires_grad();
         let mut opt = Adam::new(vec![mask_params.clone()], cfg.lr);
         // The first layer's `x · W` does not depend on the mask.
-        let xw = model.input_transform(&instance.x);
+        let xw = instance.input_transform(model);
 
         for epoch in 0..cfg.epochs {
             if ctl.deadline.expired() {

@@ -154,12 +154,7 @@ impl GraphMask {
         // inputs the gate networks read, and the first layer's `x · W`.
         let prepared: Vec<(Vec<Tensor>, Tensor)> = instances
             .iter()
-            .map(|inst| {
-                (
-                    Self::layer_inputs(model, inst),
-                    model.input_transform(&inst.x),
-                )
-            })
+            .map(|inst| (Self::layer_inputs(model, inst), inst.input_transform(model)))
             .collect();
 
         for _ in 0..cfg.epochs {

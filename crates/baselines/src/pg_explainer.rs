@@ -166,7 +166,7 @@ impl PgExplainer {
             .iter()
             .map(|inst| {
                 let z = Self::embeddings(model, inst);
-                (Self::edge_inputs(inst, &z), model.input_transform(&inst.x))
+                (Self::edge_inputs(inst, &z), inst.input_transform(model))
             })
             .collect();
 

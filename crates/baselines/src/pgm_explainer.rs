@@ -71,7 +71,7 @@ impl Explainer for PgmExplainer {
         let mut rng = SmallRng::seed_from_u64(cfg.seed);
 
         // Per-feature column means, the perturbation fill value.
-        let feats = instance.graph.features();
+        let feats = instance.graph.features().to_dense();
         let mut mean = vec![0.0f32; f];
         for v in 0..n {
             for j in 0..f {
@@ -90,7 +90,7 @@ impl Explainer for PgmExplainer {
             if !perturbed.iter().any(|&p| p) {
                 continue;
             }
-            let mut new_feats = feats.to_vec();
+            let mut new_feats = feats.clone();
             for (v, &p) in perturbed.iter().enumerate() {
                 if p {
                     new_feats[v * f..(v + 1) * f].copy_from_slice(&mean);

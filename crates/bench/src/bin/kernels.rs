@@ -11,7 +11,10 @@
 //! process exits non-zero if any blocked kernel (`nn`, `nt` or `tn`) is
 //! slower than its naive reference on the GCN hidden-layer shape by more
 //! than a noise margin — this is the CI guard against a blocking-scheme
-//! regression.
+//! regression. A last row, `cora_input`, times the CSR first-layer product
+//! (`matmul_csr`) against the dense blocked `matmul_nn` on a Cora-sim
+//! request's features (1.3% non-zero), and the process also exits non-zero
+//! unless the CSR product wins by at least `CSR_MIN_SPEEDUP`.
 //! Timings are best-of-N minimums, so scheduler noise only ever inflates
 //! the loser, never deflates it.
 
@@ -19,8 +22,9 @@ use std::hint::black_box;
 use std::time::Instant;
 
 use revelio_tensor::kernels::{
-    matmul_nn, matmul_nn_naive, matmul_nt, matmul_nt_naive, matmul_tn, matmul_tn_naive,
+    matmul_csr, matmul_nn, matmul_nn_naive, matmul_nt, matmul_nt_naive, matmul_tn, matmul_tn_naive,
 };
+use revelio_tensor::CsrMatrix;
 
 /// Noise margin for the CI check: blocked must not be slower than
 /// `naive * MARGIN` on the reference shape.
@@ -32,6 +36,11 @@ const MARGIN: f64 = 1.05;
 /// alone: on `gcn_input` (`k` = 10) blocked `tn` only ties naive (0.99x
 /// on 2 vCPUs), so gating it would fail on noise, not on a regression.
 const REFERENCE_SHAPE: &str = "gcn_hidden";
+
+/// The CSR gate: on `cora_input` the sparse product must beat the dense
+/// blocked kernel by at least this factor. At 1.3% density it does ~75x
+/// less arithmetic, so a CSR path that fell back to dense work trips it.
+const CSR_MIN_SPEEDUP: f64 = 5.0;
 
 /// Timed repetitions per kernel: `--reps N`, or 5 under `--smoke`.
 fn parse_reps() -> usize {
@@ -209,6 +218,40 @@ fn bench_shape(s: &Shape, reps: usize) -> Vec<Row> {
         .collect()
 }
 
+/// The first-layer product of a Cora-sim request: 61 nodes × 1433
+/// bag-of-words columns (18 words per node, ~1.3% non-zero) times the
+/// 1433 × 32 input weight, as CSR × dense against the dense blocked
+/// kernel, after asserting the two agree bit for bit.
+fn bench_cora_input(reps: usize) -> Row {
+    let (m, k, n, words) = (61, 1433, 32, 18);
+    let mut a = vec![0.0f32; m * k];
+    let picks = fill(m * words, 4);
+    for (i, row) in a.chunks_exact_mut(k).enumerate() {
+        for w in 0..words {
+            row[(picks[i * words + w] * k as f32) as usize % k] = 1.0;
+        }
+    }
+    let b = fill(k * n, 5);
+    let csr = CsrMatrix::from_dense(&a, m, k);
+    assert_eq!(
+        matmul_csr(&csr, &b, n),
+        matmul_nn(&a, m, k, &b, n),
+        "cora_input: CSR product diverged from the blocked kernel"
+    );
+    let dense = best_of(reps, || matmul_nn(&a, m, k, &b, n));
+    let sparse = best_of(reps, || matmul_csr(&csr, &b, n));
+    Row {
+        shape: "cora_input",
+        m,
+        k,
+        n,
+        kernel: "csr",
+        naive_us: dense * 1e6,
+        blocked_us: sparse * 1e6,
+        speedup: dense / sparse.max(1e-12),
+    }
+}
+
 fn main() {
     let reps = parse_reps();
 
@@ -230,6 +273,12 @@ fn main() {
         }
     }
 
+    let csr = bench_cora_input(reps);
+    eprintln!(
+        "{:>13} {:>2}  {:4}x{:<4}x{:<2}  dense {:>9.1}us  csr {:>9.1}us  x{:.2}",
+        csr.shape, csr.kernel, csr.m, csr.k, csr.n, csr.naive_us, csr.blocked_us, csr.speedup
+    );
+
     // CI gate: no blocked kernel may lose to its naive one on the
     // reference shape. Best-of-N minimums plus the margin absorb scheduler
     // noise; a real blocking regression still trips it.
@@ -250,6 +299,19 @@ fn main() {
                 r.kernel, r.speedup
             );
         }
+    }
+    if csr.speedup < CSR_MIN_SPEEDUP {
+        eprintln!(
+            "FAIL: CSR product on cora_input is x{:.2} vs dense blocked, below \
+             the x{CSR_MIN_SPEEDUP} floor",
+            csr.speedup
+        );
+        failed = true;
+    } else {
+        eprintln!(
+            "check ok: CSR product on cora_input is x{:.2} vs dense blocked",
+            csr.speedup
+        );
     }
     if failed {
         std::process::exit(1);

@@ -37,7 +37,7 @@ use std::sync::Arc;
 
 use revelio_gnn::{Gnn, Instance, Task};
 use revelio_graph::{FlowIndex, Graph, MpGraph, Target};
-use revelio_tensor::{uniform, Adam, BinCsr, Optimizer, Tensor};
+use revelio_tensor::{uniform, Adam, BinCsr, CsrMatrix, Optimizer, Tensor};
 use revelio_trace::{EventKind, Phase, Span, TraceHandle};
 
 use crate::control::{ControlledExplanation, ConvergedMask, Degradation, ExplainControl};
@@ -316,11 +316,11 @@ impl BatchedOptimizer {
         let union = (b > 1).then(|| union_graph(items, &node_off));
         let (mp, x) = match &union {
             Some((mp, x)) => (mp, x),
-            None => (&items[0].instance.mp, &items[0].instance.x),
+            None => (&items[0].instance.mp, items[0].instance.graph.features()),
         };
         // The first layer's `x · W` does not depend on the masks: computed
-        // once here, propagated from every epoch.
-        let xw = model.input_transform(x);
+        // once here from the CSR features, propagated from every epoch.
+        let xw = model.input_transform_sparse(x);
         let e_total = mp.layer_edge_count();
         let (incidence, edge_item) = if b == 1 {
             (runs[0].incidence.clone(), None)
@@ -699,7 +699,12 @@ impl BatchedOptimizer {
                     Params::fresh(Tensor::zeros(nf, 1), cfg.layer_weight, layers, vec![0, nf]);
                 let masks = probe.layer_masks(cfg, &full, None);
                 let lp_c = model
-                    .target_logits(&instance.mp, &instance.x, Some(&masks), instance.target)
+                    .target_logits_from(
+                        &instance.mp,
+                        &instance.input_transform(model),
+                        Some(&masks),
+                        instance.target,
+                    )
                     .log_softmax_rows()
                     .slice_cols(instance.class, instance.class + 1);
                 lp_c.neg().backward();
@@ -749,16 +754,17 @@ impl BatchedOptimizer {
 }
 
 /// The disjoint union of every item's graph: its message-passing view and
-/// feature tensor. Per-item node/edge ids shift by their offsets; degrees
-/// (hence the GCN normalisation) are unchanged.
+/// its CSR features, the items' rows stacked in item order. Per-item
+/// node/edge ids shift by their offsets; degrees (hence the GCN
+/// normalisation) are unchanged.
 ///
 /// # Panics
 ///
 /// Panics if the items' feature widths differ.
-fn union_graph(items: &[ControlledItem<'_>], node_off: &[usize]) -> (MpGraph, Tensor) {
+fn union_graph(items: &[ControlledItem<'_>], node_off: &[usize]) -> (MpGraph, CsrMatrix) {
     let feat_dim = items[0].instance.graph.feat_dim();
     let mut gb = Graph::builder(node_off[items.len()], feat_dim);
-    let mut feats = Vec::with_capacity(node_off[items.len()] * feat_dim);
+    let mut feats = Vec::with_capacity(items.len());
     for (it, &off) in items.iter().zip(node_off) {
         let g = &it.instance.graph;
         assert_eq!(
@@ -769,11 +775,9 @@ fn union_graph(items: &[ControlledItem<'_>], node_off: &[usize]) -> (MpGraph, Te
         for &(s, d) in g.edges() {
             gb.edge(off + s as usize, off + d as usize);
         }
-        feats.extend_from_slice(g.features());
+        feats.push(g.features());
     }
-    gb.all_features(feats);
-    let union = gb.build();
-    (MpGraph::new(&union), Gnn::features_tensor(&union))
+    (MpGraph::new(&gb.build()), CsrMatrix::vstack(&feats))
 }
 
 /// Edge scores: Eq. 3 with `f = max` — an edge is as important as the

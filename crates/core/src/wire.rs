@@ -71,8 +71,12 @@ impl std::error::Error for WireDecodeError {}
 // CRC-32 (IEEE 802.3), shared by the frame header and the store log.
 // ---------------------------------------------------------------------------
 
-const CRC_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
+/// Slicing-by-8 lookup tables: `CRC_TABLES[0]` is the classic bytewise
+/// table of the reflected IEEE polynomial, and `CRC_TABLES[k][b]` is the
+/// CRC of byte `b` followed by `k` zero bytes, so eight table lookups
+/// advance the register by eight input bytes at once.
+const CRC_TABLES: [[u32; 256]; 8] = {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -85,18 +89,47 @@ const CRC_TABLE: [u32; 256] = {
             };
             k += 1;
         }
-        table[i] = c;
+        tables[0][i] = c;
         i += 1;
     }
-    table
+    let mut i = 0;
+    while i < 256 {
+        let mut t = 1;
+        while t < 8 {
+            let prev = tables[t - 1][i];
+            tables[t][i] = tables[0][(prev & 0xFF) as usize] ^ (prev >> 8);
+            t += 1;
+        }
+        i += 1;
+    }
+    tables
 };
 
 /// CRC-32 (IEEE) of `data`: the checksum of every network frame payload
 /// and every store log record.
+///
+/// Slicing-by-8: each 8-byte block is folded into the register with eight
+/// independent table lookups instead of eight dependent ones, then the
+/// tail runs bytewise. The values are those of the bytewise loop.
 pub fn crc32(data: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
+    let byte = |v: u32, shift: u32| ((v >> shift) & 0xFF) as usize;
     let mut c = 0xFFFF_FFFFu32;
-    for &b in data {
-        c = CRC_TABLE[((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
+    let mut blocks = data.chunks_exact(8);
+    for b in &mut blocks {
+        let lo = c ^ u32::from_le_bytes([b[0], b[1], b[2], b[3]]);
+        let hi = u32::from_le_bytes([b[4], b[5], b[6], b[7]]);
+        c = t[7][byte(lo, 0)]
+            ^ t[6][byte(lo, 8)]
+            ^ t[5][byte(lo, 16)]
+            ^ t[4][byte(lo, 24)]
+            ^ t[3][byte(hi, 0)]
+            ^ t[2][byte(hi, 8)]
+            ^ t[1][byte(hi, 16)]
+            ^ t[0][byte(hi, 24)];
+    }
+    for &b in blocks.remainder() {
+        c = t[0][byte(c ^ u32::from(b), 0)] ^ (c >> 8);
     }
     c ^ 0xFFFF_FFFF
 }
@@ -716,6 +749,44 @@ fn on_lanes(t: &AssembledTrace) -> Result<(), WireDecodeError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The bytewise CRC-32 loop: the reference the slicing-by-8 [`crc32`]
+    /// must agree with.
+    fn crc32_bytewise(data: &[u8]) -> u32 {
+        let mut c = 0xFFFF_FFFFu32;
+        for &b in data {
+            c = CRC_TABLES[0][((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
+        }
+        c ^ 0xFFFF_FFFF
+    }
+
+    #[test]
+    fn crc32_matches_the_ieee_check_value() {
+        for f in [crc32, crc32_bytewise] {
+            assert_eq!(f(b"123456789"), 0xCBF4_3926);
+            assert_eq!(f(b""), 0);
+        }
+        // A large buffer runs many blocks plus a tail.
+        let big: Vec<u8> = (0..100_003u32).map(|i| (i * 31 % 251) as u8).collect();
+        assert_eq!(crc32(&big), crc32_bytewise(&big));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn slicing_by_8_crc32_equals_the_bytewise_loop(
+            bytes in prop::collection::vec(0u8..=255, 0..72),
+            start in 0usize..8,
+        ) {
+            // Lengths 0..64 from every start offset: every tail length,
+            // and blocks that begin unaligned in the buffer.
+            let data = &bytes[start.min(bytes.len())..];
+            let data = &data[..data.len().min(64)];
+            prop_assert_eq!(crc32(data), crc32_bytewise(data));
+        }
+    }
 
     #[test]
     fn primitive_round_trip() {

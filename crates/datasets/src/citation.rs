@@ -96,19 +96,21 @@ fn generate(spec: &CitationSpec, seed: u64) -> NodeDataset {
         })
         .collect();
 
-    let mut features = vec![0.0f32; n * spec.feat_dim];
+    // One dense row at a time: the graph keeps only its non-zeros.
+    let mut row = vec![0.0f32; spec.feat_dim];
     for v in 0..n {
         let topic = &topics[labels[v]];
+        row.fill(0.0);
         for _ in 0..spec.words_per_node {
             let w = if rng.gen_bool(spec.topic_fidelity) {
                 topic[rng.gen_range(0..topic.len())]
             } else {
                 rng.gen_range(0..spec.feat_dim)
             };
-            features[v * spec.feat_dim + w] = 1.0;
+            row[w] = 1.0;
         }
+        b.node_features(v, &row);
     }
-    b.all_features(features);
     b.node_labels(labels);
 
     NodeDataset {
@@ -238,9 +240,10 @@ mod tests {
     #[test]
     fn features_are_sparse_binary_and_class_informative() {
         let d = cora_sim(2);
-        let f = d.graph.features();
+        let f = d.graph.features().to_dense();
         assert!(f.iter().all(|&x| x == 0.0 || x == 1.0));
         let nnz = f.iter().filter(|&&x| x != 0.0).count();
+        assert_eq!(nnz, d.graph.features().nnz());
         let per_node = nnz as f64 / d.graph.num_nodes() as f64;
         assert!(per_node > 5.0 && per_node < 25.0, "nnz/node = {per_node}");
     }

@@ -285,7 +285,7 @@ mod tests {
                 let tu = g.feature_row(u as usize);
                 let tv = g.feature_row(v as usize);
                 let is_no = |row: &[f32]| row[NITROGEN] == 1.0 || row[OXYGEN] == 1.0;
-                assert!(is_no(tu) || is_no(tv));
+                assert!(is_no(&tu) || is_no(&tv));
             }
         }
     }

@@ -99,7 +99,7 @@ fn degree_augmented(g: Graph) -> Graph {
     let n = g.num_nodes();
     let f = g.feat_dim();
     assert!(f >= 3, "degree augmentation needs at least 3 feature dims");
-    let mut feats = g.features().to_vec();
+    let mut feats = g.features().to_dense();
     let mut deg = vec![0.0f32; n];
     for &(s, _) in g.edges() {
         deg[s as usize] += 1.0;

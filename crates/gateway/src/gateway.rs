@@ -463,7 +463,7 @@ impl Shared {
             Request::Explain(req) => (self.route_explain(req), false),
             Request::Stats => (self.aggregate_stats(), false),
             Request::AssembledTrace(id) => (self.assemble_trace(id), false),
-            Request::FetchExplanation(id, context) => (self.scatter_fetch(id, context), false),
+            Request::FetchExplanation(id) => (self.scatter_fetch(id), false),
             Request::ListExplanations => (self.scatter_list(), false),
             Request::Shutdown => {
                 // Stop the fleet first (best-effort), then ourselves; the
@@ -788,7 +788,7 @@ impl Shared {
             .store(s.runtime.jobs_completed, Ordering::Relaxed);
     }
 
-    fn scatter_fetch(&self, id: u64, context: Option<TraceContext>) -> Response {
+    fn scatter_fetch(&self, id: u64) -> Response {
         self.scatter.fetch_add(1, Ordering::Relaxed);
         let mut last_error: Option<Response> = None;
         let mut any_negative = false;
@@ -798,7 +798,7 @@ impl Shared {
             }
             match self.call(
                 b,
-                &Request::FetchExplanation(id, context),
+                &Request::FetchExplanation(id),
                 self.cfg.backend_read_timeout,
             ) {
                 Ok(Response::Explanation(Some(e))) => {

@@ -16,7 +16,10 @@ pub struct Instance {
     pub graph: Graph,
     /// Cached message-passing view of `graph`.
     pub mp: MpGraph,
-    /// Cached feature tensor of `graph`.
+    /// Feature tensor of `graph`, materialised dense from its CSR form for
+    /// the explainers that perturb or differentiate the input. The
+    /// first-layer transform runs from the CSR form instead
+    /// ([`Instance::input_transform`]).
     pub x: Tensor,
     /// What is being predicted.
     pub target: Target,
@@ -29,16 +32,31 @@ pub struct Instance {
 impl Instance {
     /// Builds an instance explaining the model's own prediction on
     /// `(graph, target)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the graph's feature width is not the model's input width.
     pub fn for_prediction(model: &Gnn, graph: Graph, target: Target) -> Instance {
-        let probs = model.predict_probs(&graph, target);
+        let mp = MpGraph::new(&graph);
+        let probs = model.predict_probs_on(&mp, &graph, target);
         let class = crate::model::argmax(&probs);
-        Self::for_class(graph, target, class, probs)
+        Self::with_mp(graph, mp, target, class, probs)
     }
 
     /// Builds an instance explaining a specific class, with precomputed
     /// original probabilities.
     pub fn for_class(graph: Graph, target: Target, class: usize, orig_probs: Vec<f32>) -> Instance {
         let mp = MpGraph::new(&graph);
+        Self::with_mp(graph, mp, target, class, orig_probs)
+    }
+
+    fn with_mp(
+        graph: Graph,
+        mp: MpGraph,
+        target: Target,
+        class: usize,
+        orig_probs: Vec<f32>,
+    ) -> Instance {
         let x = Gnn::features_tensor(&graph);
         Instance {
             graph,
@@ -48,6 +66,13 @@ impl Instance {
             class,
             orig_probs,
         }
+    }
+
+    /// The first layer's `x · W` of this instance, computed from the CSR
+    /// features ([`Gnn::input_transform_sparse`]); bit-identical to
+    /// `model.input_transform(&self.x)`.
+    pub fn input_transform(&self, model: &Gnn) -> Tensor {
+        model.input_transform_sparse(self.graph.features())
     }
 
     /// The model's probability of the explained class on the original graph.

@@ -6,7 +6,7 @@
 //! [`MpGraph`]: the stored directed edges plus one self-loop per node.
 
 use revelio_graph::MpGraph;
-use revelio_tensor::{glorot_uniform, Tensor};
+use revelio_tensor::{glorot_uniform, CsrMatrix, Tensor};
 
 /// A single GNN layer.
 pub enum Layer {
@@ -169,6 +169,16 @@ impl Layer {
         match self {
             Layer::Gcn { weight, .. } | Layer::Gat { weight, .. } => h.matmul(weight),
             Layer::Gin { w1, .. } => h.matmul(w1),
+        }
+    }
+
+    /// [`Layer::transform`] of sparse features: `x · W` by
+    /// [`Tensor::csr_matmul`], bit-identical to `transform` of the dense
+    /// `x`.
+    pub fn transform_sparse(&self, x: &CsrMatrix) -> Tensor {
+        match self {
+            Layer::Gcn { weight, .. } | Layer::Gat { weight, .. } => Tensor::csr_matmul(x, weight),
+            Layer::Gin { w1, .. } => Tensor::csr_matmul(x, w1),
         }
     }
 

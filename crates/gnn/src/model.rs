@@ -1,7 +1,7 @@
 //! The [`Gnn`] model: a stack of message-passing layers with task heads.
 
 use revelio_graph::{Graph, MpGraph, Target};
-use revelio_tensor::{glorot_uniform, Tensor};
+use revelio_tensor::{glorot_uniform, CsrMatrix, Tensor};
 
 use crate::layer::Layer;
 
@@ -169,9 +169,10 @@ impl Gnn {
         }
     }
 
-    /// The node feature matrix of `g` as a tensor.
+    /// The node feature matrix of `g` as a dense tensor (materialised from
+    /// the graph's CSR form).
     pub fn features_tensor(g: &Graph) -> Tensor {
-        Tensor::from_vec(g.features().to_vec(), g.num_nodes(), g.feat_dim())
+        Tensor::from_vec(g.features().to_dense(), g.num_nodes(), g.feat_dim())
     }
 
     /// The GCN normalisation vector of `mp` as a constant tensor.
@@ -200,6 +201,14 @@ impl Gnn {
     /// it once and propagates from it every epoch.
     pub fn input_transform(&self, x: &Tensor) -> Tensor {
         self.layers[0].transform(x)
+    }
+
+    /// [`Gnn::input_transform`] of features held sparse: the CSR product
+    /// of [`Layer::transform_sparse`], bit-identical to the dense
+    /// `input_transform` of `x.to_dense()`. Explainers start from it so the
+    /// dense feature matrix is never multiplied.
+    pub fn input_transform_sparse(&self, x: &CsrMatrix) -> Tensor {
+        self.layers[0].transform_sparse(x)
     }
 
     /// [`Gnn::forward_layers`] from the first layer's transformed input
@@ -304,9 +313,14 @@ impl Gnn {
 
     /// Class probabilities for an explanation target.
     pub fn predict_probs(&self, g: &Graph, target: Target) -> Vec<f32> {
-        let mp = MpGraph::new(g);
-        let x = Self::features_tensor(g);
-        self.target_logits(&mp, &x, None, target)
+        self.predict_probs_on(&MpGraph::new(g), g, target)
+    }
+
+    /// [`Gnn::predict_probs`] on `g` with its message-passing view `mp`
+    /// already built. The first layer runs from the CSR features.
+    pub(crate) fn predict_probs_on(&self, mp: &MpGraph, g: &Graph, target: Target) -> Vec<f32> {
+        let xw = self.input_transform_sparse(g.features());
+        self.target_logits_from(mp, &xw, None, target)
             .log_softmax_rows()
             .to_vec()
             .iter()

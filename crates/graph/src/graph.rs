@@ -2,7 +2,15 @@
 
 use std::collections::HashSet;
 
-/// A directed graph with dense node features.
+use revelio_tensor::CsrMatrix;
+
+/// A directed graph with sparse node features.
+///
+/// Features are held in one CSR form ([`CsrMatrix`], `[num_nodes,
+/// feat_dim]`) that stores only non-zero entries: the bag-of-words rows of
+/// the citation datasets are ~1.3% non-zero. The builder still takes dense
+/// rows; `features().to_dense()` materialises the dense matrix for the
+/// callers that need one (training, perturbation baselines).
 ///
 /// Edges are directed and self-loops are *not* stored here — the
 /// message-passing view ([`crate::MpGraph`]) adds them, matching the paper's
@@ -13,9 +21,8 @@ use std::collections::HashSet;
 #[derive(Debug, Clone, PartialEq)]
 pub struct Graph {
     num_nodes: usize,
-    feat_dim: usize,
     edges: Vec<(u32, u32)>,
-    features: Vec<f32>,
+    features: CsrMatrix,
     node_labels: Option<Vec<usize>>,
     graph_label: Option<usize>,
 }
@@ -29,7 +36,7 @@ impl Graph {
             feat_dim,
             edges: Vec::new(),
             seen: HashSet::new(),
-            features: vec![0.0; num_nodes * feat_dim],
+            rows: vec![Vec::new(); num_nodes],
             node_labels: None,
             graph_label: None,
         }
@@ -47,7 +54,7 @@ impl Graph {
 
     /// Feature dimensionality.
     pub fn feat_dim(&self) -> usize {
-        self.feat_dim
+        self.features.cols()
     }
 
     /// The directed edge list; index into it is the *original edge id* used
@@ -56,14 +63,14 @@ impl Graph {
         &self.edges
     }
 
-    /// Row-major `[num_nodes, feat_dim]` feature matrix.
-    pub fn features(&self) -> &[f32] {
+    /// The `[num_nodes, feat_dim]` feature matrix in CSR form.
+    pub fn features(&self) -> &CsrMatrix {
         &self.features
     }
 
-    /// The feature row of one node.
-    pub fn feature_row(&self, node: usize) -> &[f32] {
-        &self.features[node * self.feat_dim..(node + 1) * self.feat_dim]
+    /// The feature row of one node, materialised dense.
+    pub fn feature_row(&self, node: usize) -> Vec<f32> {
+        self.features.dense_row(node)
     }
 
     /// Per-node labels, if this is a node-classification graph.
@@ -112,7 +119,6 @@ impl Graph {
         }
         Graph {
             num_nodes: self.num_nodes,
-            feat_dim: self.feat_dim,
             edges,
             features: self.features.clone(),
             node_labels: self.node_labels.clone(),
@@ -120,7 +126,24 @@ impl Graph {
         }
     }
 
-    /// Replaces the feature matrix (used by perturbation-based baselines).
+    /// This graph with its feature matrix replaced by `features`, already
+    /// in CSR form (the wire decoder, subgraph extraction).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `features` is not `[num_nodes, feat_dim]`.
+    pub fn with_sparse_features(mut self, features: CsrMatrix) -> Graph {
+        assert_eq!(
+            (features.rows(), features.cols()),
+            (self.num_nodes, self.feat_dim()),
+            "with_sparse_features: shape mismatch"
+        );
+        self.features = features;
+        self
+    }
+
+    /// Replaces the feature matrix with a row-major dense one (used by
+    /// perturbation-based baselines).
     ///
     /// # Panics
     ///
@@ -128,12 +151,15 @@ impl Graph {
     pub fn with_features(&self, features: Vec<f32>) -> Graph {
         assert_eq!(
             features.len(),
-            self.num_nodes * self.feat_dim,
+            self.num_nodes * self.feat_dim(),
             "with_features: length mismatch"
         );
         Graph {
-            features,
-            ..self.clone()
+            num_nodes: self.num_nodes,
+            edges: self.edges.clone(),
+            features: CsrMatrix::from_dense(&features, self.num_nodes, self.feat_dim()),
+            node_labels: self.node_labels.clone(),
+            graph_label: self.graph_label,
         }
     }
 }
@@ -144,7 +170,9 @@ pub struct GraphBuilder {
     feat_dim: usize,
     edges: Vec<(u32, u32)>,
     seen: HashSet<(u32, u32)>,
-    features: Vec<f32>,
+    /// Per node, the non-zero `(column, value)` entries in ascending column
+    /// order; empty rows allocate nothing.
+    rows: Vec<Vec<(u32, f32)>>,
     node_labels: Option<Vec<usize>>,
     graph_label: Option<usize>,
 }
@@ -181,21 +209,29 @@ impl GraphBuilder {
         self.seen.contains(&(src as u32, dst as u32))
     }
 
-    /// Sets one node's feature row.
+    /// Sets one node's feature row, given densely; only its non-zero
+    /// entries are kept.
     pub fn node_features(&mut self, node: usize, feats: &[f32]) -> &mut Self {
         assert_eq!(feats.len(), self.feat_dim, "feature row length mismatch");
-        self.features[node * self.feat_dim..(node + 1) * self.feat_dim].copy_from_slice(feats);
+        self.rows[node] = feats
+            .iter()
+            .enumerate()
+            .filter(|&(_, &v)| v != 0.0)
+            .map(|(c, &v)| (c as u32, v))
+            .collect();
         self
     }
 
-    /// Sets the full feature matrix at once.
+    /// Sets the full row-major feature matrix at once.
     pub fn all_features(&mut self, feats: Vec<f32>) -> &mut Self {
         assert_eq!(
             feats.len(),
             self.num_nodes * self.feat_dim,
             "feature matrix length mismatch"
         );
-        self.features = feats;
+        for (v, row) in feats.chunks_exact(self.feat_dim.max(1)).enumerate() {
+            self.node_features(v, row);
+        }
         self
     }
 
@@ -214,11 +250,26 @@ impl GraphBuilder {
 
     /// Finalises the graph.
     pub fn build(&mut self) -> Graph {
+        let nnz = self.rows.iter().map(Vec::len).sum();
+        let mut row_ptr = Vec::with_capacity(self.num_nodes + 1);
+        let mut col_idx = Vec::with_capacity(nnz);
+        let mut values = Vec::with_capacity(nnz);
+        row_ptr.push(0);
+        for row in std::mem::take(&mut self.rows) {
+            for (c, v) in row {
+                col_idx.push(c);
+                values.push(v);
+            }
+            row_ptr.push(col_idx.len());
+        }
+        let features =
+            CsrMatrix::try_from_parts(self.num_nodes, self.feat_dim, row_ptr, col_idx, values)
+                .expect("builder rows are ascending, in range and non-zero");
+        self.rows = vec![Vec::new(); self.num_nodes];
         Graph {
             num_nodes: self.num_nodes,
-            feat_dim: self.feat_dim,
             edges: std::mem::take(&mut self.edges),
-            features: std::mem::take(&mut self.features),
+            features,
             node_labels: self.node_labels.take(),
             graph_label: self.graph_label,
         }

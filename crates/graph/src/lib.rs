@@ -23,4 +23,6 @@ mod subgraph;
 pub use flows::{count_flows, CappedFlows, FlowIndex, FlowPartsError, Target, TooManyFlows};
 pub use graph::{Graph, GraphBuilder};
 pub use mp::MpGraph;
+/// The CSR form [`Graph`] holds its node features in.
+pub use revelio_tensor::CsrMatrix;
 pub use subgraph::{khop_subgraph, KhopSubgraph};

@@ -76,11 +76,7 @@ pub fn khop_subgraph(g: &Graph, target: usize, hops: usize) -> KhopSubgraph {
         new_id[v] = i;
     }
 
-    let feat_dim = g.feat_dim();
-    let mut b = Graph::builder(nodes.len(), feat_dim);
-    for (i, &v) in nodes.iter().enumerate() {
-        b.node_features(i, g.feature_row(v));
-    }
+    let mut b = Graph::builder(nodes.len(), g.feat_dim());
     let mut edge_origin = Vec::new();
     for (eid, &(s, d)) in g.edges().iter().enumerate() {
         let (s, d) = (s as usize, d as usize);
@@ -97,7 +93,9 @@ pub fn khop_subgraph(g: &Graph, target: usize, hops: usize) -> KhopSubgraph {
     }
 
     KhopSubgraph {
-        graph: b.build(),
+        graph: b
+            .build()
+            .with_sparse_features(g.features().select_rows(&nodes)),
         target: new_id[target],
         nodes,
         edge_origin,

@@ -25,7 +25,7 @@ use revelio_check::sync::{mpsc, thread, Arc, Mutex, MutexGuard};
 use revelio_core::{
     BatchedOptimizer, ControlledExplanation, ControlledItem, Deadline, ExplainControl, ExplainError,
 };
-use revelio_gnn::{Gnn, Instance};
+use revelio_gnn::{Gnn, GnnConfig, Instance};
 use revelio_graph::FlowIndex;
 use revelio_store::{
     ExplanationRecord, FlowsRecord, MaskKey, ModelRecord, PhaseSummary, Store, StoreError,
@@ -409,6 +409,14 @@ impl Runtime {
         handle
     }
 
+    /// The architecture of the model behind `handle`, or `None` for a
+    /// handle this runtime never issued.
+    pub fn model_config(&self, handle: ModelHandle) -> Option<GnnConfig> {
+        lock(&self.shared.models)
+            .get(handle.0)
+            .map(|spec| spec.config().clone())
+    }
+
     /// Handles for every registered model, in registration (= recovery)
     /// order. After [`Runtime::try_with_config_and_store`] these are the
     /// pre-restart handles.
@@ -747,9 +755,20 @@ fn serve_group(state: &mut WorkerState, shared: &Shared, group: Vec<QueuedJob>) 
         .entry(handle.0)
         .or_insert_with(|| spec.materialize());
 
+    // Prep runs under `catch_unwind` like the explain call: a panic there
+    // (say, a graph the model cannot read) fails only its own job and
+    // leaves the worker serving.
     let prepped: Vec<PreppedJob> = group
         .into_iter()
-        .filter_map(|q| prep_job(shared, &spec, model, q))
+        .filter_map(|q| {
+            let tx = q.result_tx.clone();
+            catch_unwind(AssertUnwindSafe(|| prep_job(shared, &spec, model, q))).unwrap_or_else(
+                |payload| {
+                    fail(&tx, JobError::Panicked(panic_message(payload.as_ref())));
+                    None
+                },
+            )
+        })
         .collect();
     if prepped.is_empty() {
         return;
@@ -794,17 +813,20 @@ fn serve_group(state: &mut WorkerState, shared: &Shared, group: Vec<QueuedJob>) 
         Ok(Err(ExplainError::TooManyFlows(e))) => JobError::TooManyFlows {
             dropped: e.found.saturating_sub(e.max as u64),
         },
-        Err(payload) => JobError::Panicked(
-            payload
-                .downcast_ref::<&str>()
-                .map(|s| (*s).to_owned())
-                .or_else(|| payload.downcast_ref::<String>().cloned())
-                .unwrap_or_else(|| "unknown panic".to_owned()),
-        ),
+        Err(payload) => JobError::Panicked(panic_message(payload.as_ref())),
     };
     for p in prepped {
         fail(&p.result_tx, failure.clone());
     }
+}
+
+/// The message a caught panic carried.
+fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    payload
+        .downcast_ref::<&str>()
+        .map(|s| (*s).to_owned())
+        .or_else(|| payload.downcast_ref::<String>().cloned())
+        .unwrap_or_else(|| "unknown panic".to_owned())
 }
 
 /// A job's prep stage: instance forward pass, flow artifacts (cache probe,

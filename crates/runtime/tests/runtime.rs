@@ -264,6 +264,44 @@ fn panicking_job_does_not_kill_worker() {
     assert_eq!(m.jobs_completed, 1);
 }
 
+/// A panic in a job's prep stage (here: a graph the model cannot read)
+/// fails that job alone; the sole worker lives on and serves the next one.
+#[test]
+fn panicking_prep_fails_only_its_job() {
+    let (model, graphs) = trained_model();
+    let rt = Runtime::new(1);
+    let handle = rt.register_model(&model);
+    let mut b = Graph::builder(3, 5);
+    b.undirected_edge(0, 1).undirected_edge(1, 2);
+    b.node_features(1, &[1.0, 0.0, 0.0, 2.0, 0.0]);
+    let too_wide = ExplainJob::flow_based(
+        b.build(),
+        Target::Node(1),
+        0,
+        100_000,
+        Box::new(revelio_factory(3)),
+    );
+    match rt.submit(handle, too_wide).wait() {
+        Err(JobError::Panicked(msg)) => assert!(msg.contains("shape mismatch"), "{msg}"),
+        other => panic!("expected a prep panic, got {:?}", other.map(|_| ())),
+    }
+    let ok = rt.submit(
+        handle,
+        ExplainJob::flow_based(
+            graphs[1].clone(),
+            Target::Node(2),
+            1,
+            100_000,
+            Box::new(revelio_factory(3)),
+        ),
+    );
+    assert!(ok.wait().is_ok());
+    assert_eq!(rt.alive_workers(), 1);
+    let m = rt.metrics();
+    assert_eq!(m.jobs_failed, 1);
+    assert_eq!(m.jobs_completed, 1);
+}
+
 /// Two jobs against the same `(graph_id, target, L)` share one cached flow
 /// index: the second job is a cache hit.
 #[test]

@@ -299,7 +299,7 @@ impl Client {
         &mut self,
         job_id: u64,
     ) -> Result<Option<WireStoredExplanation>, ClientError> {
-        match self.request(&Request::FetchExplanation(job_id, None))? {
+        match self.request(&Request::FetchExplanation(job_id))? {
             Response::Explanation(e) => Ok(e.map(|b| *b)),
             other => Err(unexpected(&other, "expected Explanation")),
         }

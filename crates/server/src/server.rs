@@ -594,7 +594,7 @@ fn serve_request(request: Request, shared: &Shared, t0: Instant) -> (Response, b
             shared.request_stop();
             (Response::ShutdownAck, true)
         }
-        Request::FetchExplanation(job_id, _context) => (fetch_explanation(shared, job_id), false),
+        Request::FetchExplanation(job_id) => (fetch_explanation(shared, job_id), false),
         Request::ListExplanations => (list_explanations(shared), false),
     }
 }
@@ -792,6 +792,18 @@ fn serve_explain(shared: &Shared, req: ExplainRequest, t0: Instant) -> Response 
             kind: ErrorKind::GroupLevelMethod,
             message: format!(
                 "{method} trains over instance groups and cannot be served per-request"
+            ),
+        };
+    }
+    // A graph the model cannot read is refused here, before it is queued.
+    let in_dim = shared.runtime.model_config(handle).map_or(0, |c| c.in_dim);
+    if req.graph.feat_dim() != in_dim {
+        return Response::Error {
+            kind: ErrorKind::Malformed,
+            message: format!(
+                "graph has {} features per node, model {} reads {in_dim}",
+                req.graph.feat_dim(),
+                req.model,
             ),
         };
     }

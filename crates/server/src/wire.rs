@@ -24,19 +24,17 @@
 //! [`revelio_core::wire`] — the same codec the store's log records use, so
 //! a stored explanation summary and a `ListExplanations` entry are one
 //! type with one layout. The layouts are byte-identical to every earlier
-//! build speaking protocol v7. Every enum tag and length is validated on
+//! build speaking protocol v8. Every enum tag and length is validated on
 //! decode, so a malformed payload is a typed [`WireError`] — never a panic
 //! or an unbounded allocation.
 
 use std::io::{Read, Write};
 
-use revelio_core::wire::{
-    put_slice, put_str, put_u32, Codec, ControlSpec, WireDecodeError, WireReader,
-};
+use revelio_core::wire::{put_str, put_u32, Codec, ControlSpec, WireDecodeError, WireReader};
 use revelio_core::{wire_enum, wire_struct, Degradation, Objective};
 use revelio_eval::Effort;
 use revelio_gnn::GnnConfig;
-use revelio_graph::{Graph, Target};
+use revelio_graph::{CsrMatrix, Graph, Target};
 use revelio_runtime::prometheus::{push_counter, push_gauge, push_histogram, render_metrics};
 use revelio_runtime::{HistogramSnapshot, MetricsSnapshot};
 use revelio_trace::{AssembledTrace, TraceContext};
@@ -49,19 +47,28 @@ pub const MAGIC: [u8; 4] = *b"RVLO";
 
 /// Wire protocol version; bumped on any incompatible layout change (the
 /// version history is in DESIGN.md §9).
-pub const PROTOCOL_VERSION: u16 = 7;
+pub const PROTOCOL_VERSION: u16 = 8;
 
 /// Frame header length in bytes (magic + version + length + checksum).
 pub const HEADER_LEN: usize = 14;
 
 /// Upper bound on the node count a wire graph may declare.
 ///
-/// A frame can justify at most `max_frame_len / 4` feature values or edge
-/// endpoints, so any feature-bearing graph that fits a default frame has
-/// well under 2^24 nodes; the cap keeps a featureless hostile frame from
-/// declaring billions of nodes and forcing huge per-node allocations
-/// downstream of the decoder.
+/// Each node costs four bytes of row offset in the CSR feature block, so a
+/// default frame carries well under 2^24 nodes. The cap refuses a larger
+/// declaration from the three header counts alone, before the edge list is
+/// read, so even a raised frame cap cannot force billions of per-node
+/// allocations downstream of the decoder.
 pub const MAX_WIRE_NODES: usize = 1 << 24;
+
+/// Upper bound on the dense shape `num_nodes × feat_dim` of a wire graph:
+/// what a dense feature matrix in a default-size frame could carry
+/// (`DEFAULT_MAX_FRAME_LEN / 4` values).
+///
+/// CSR bytes scale with the non-zero entries only, so a tiny frame could
+/// otherwise declare a huge matrix that the explainers' dense copy
+/// (`Instance::x`) would then allocate.
+pub const MAX_WIRE_FEATURE_ENTRIES: usize = DEFAULT_MAX_FRAME_LEN / 4;
 
 /// Default cap on one frame's payload (32 MiB) — enough for a model
 /// registration with millions of parameters, small enough that a hostile
@@ -281,9 +288,9 @@ pub struct ExplainRequest {
     pub context: Option<TraceContext>,
 }
 
-/// Cheapest possible wire graph: three counts, an empty feature vector,
-/// and two absent labels.
-const GRAPH_MIN_LEN: usize = 3 * 4 + 4 + 1 + 1;
+/// Cheapest possible wire graph: three counts, a zero entry count, the
+/// one row offset of a node-less matrix, and two absent labels.
+const GRAPH_MIN_LEN: usize = 3 * 4 + 4 + 4 + 1 + 1;
 
 impl Codec for ExplainRequest {
     const MIN_LEN: usize =
@@ -335,9 +342,8 @@ pub enum Request {
     Shutdown,
     /// Fetch a persisted explanation from the server's store by runtime
     /// job id (ids survive restarts; see `ListExplanations` to discover
-    /// them). Answered with `Explanation`. The optional context propagates
-    /// the caller's tracing metadata.
-    FetchExplanation(u64, Option<TraceContext>),
+    /// them). Answered with `Explanation`.
+    FetchExplanation(u64),
     /// List every explanation the server's store holds, newest last.
     /// Answered with `ExplanationList`.
     ListExplanations,
@@ -889,10 +895,17 @@ pub enum Response {
 // Graph codec.
 // ---------------------------------------------------------------------------
 
-/// Appends a graph: node, feature and edge counts, the edge list, the
-/// feature matrix as a `Vec<f32>`, then the optional node labels
-/// (`Option<Vec<u32>>`) and graph label (`Option<u64>`).
+/// Appends a graph: node, feature and edge counts, the edge list, the CSR
+/// feature matrix, then the optional node labels (`Option<Vec<u32>>`) and
+/// graph label (`Option<u64>`).
+///
+/// The feature block is the entry count `nnz` (`u32`), `num_nodes + 1`
+/// row offsets (`u32`, from 0 up to `nnz`), then `nnz` column indices
+/// (`u32`, strictly ascending within a row) and `nnz` values (`f32`, never
+/// zero).
 fn encode_graph(out: &mut Vec<u8>, g: &Graph) {
+    let f = g.features();
+    out.reserve(16 + 8 * g.num_edges() + 4 * f.row_ptr().len() + 8 * f.nnz());
     for n in [g.num_nodes(), g.feat_dim(), g.num_edges()] {
         put_u32(out, n as u32);
     }
@@ -900,7 +913,16 @@ fn encode_graph(out: &mut Vec<u8>, g: &Graph) {
         put_u32(out, s);
         put_u32(out, d);
     }
-    put_slice(out, g.features());
+    put_u32(out, f.nnz() as u32);
+    for &o in f.row_ptr() {
+        put_u32(out, o as u32);
+    }
+    for &c in f.col_idx() {
+        put_u32(out, c);
+    }
+    for &v in f.values() {
+        put_u32(out, v.to_bits());
+    }
     let labels = g
         .node_labels()
         .map(|l| l.iter().map(|&v| v as u32).collect::<Vec<_>>());
@@ -915,16 +937,22 @@ fn decode_graph(r: &mut WireReader<'_>) -> Result<Graph, WireDecodeError> {
     if num_nodes > MAX_WIRE_NODES {
         return Err(WireDecodeError::Invalid("node count exceeds wire limit"));
     }
+    // CSR bytes do not bound the dense shape, so it is capped
+    // outright: a tiny frame must not declare a matrix that a later dense
+    // materialisation (`Instance::x`, training) would have to allocate.
+    if num_nodes.saturating_mul(feat_dim) > MAX_WIRE_FEATURE_ENTRIES {
+        return Err(WireDecodeError::Invalid(
+            "feature matrix exceeds wire limit",
+        ));
+    }
     // Every declared quantity must still be present in the payload: each
-    // edge costs 8 bytes and the `num_nodes x feat_dim` feature matrix
-    // follows the edge list. Checking both *before* `Graph::builder` keeps
-    // a ~30-byte frame from declaring dimensions that force a
-    // multi-gigabyte zero-fill inside the builder.
-    let feat_len = num_nodes.saturating_mul(feat_dim);
+    // edge costs 8 bytes, and the `nnz` count and `num_nodes + 1` row
+    // offsets follow the edge list. Checking *before* `Graph::builder`
+    // keeps a ~30-byte frame from forcing per-node allocations.
     r.require(
         num_edges
             .saturating_mul(8)
-            .saturating_add(feat_len.saturating_mul(4)),
+            .saturating_add(num_nodes.saturating_add(2).saturating_mul(4)),
     )?;
     let mut b = Graph::builder(num_nodes, feat_dim);
     for _ in 0..num_edges {
@@ -941,13 +969,20 @@ fn decode_graph(r: &mut WireReader<'_>) -> Result<Graph, WireDecodeError> {
         }
         b.edge(s, d);
     }
-    let features = Vec::<f32>::decode(r)?;
-    if features.len() != feat_len {
-        return Err(WireDecodeError::Invalid("feature matrix length mismatch"));
+    let nnz = r.u32()? as usize;
+    if nnz > num_nodes * feat_dim {
+        return Err(WireDecodeError::Invalid(
+            "feature entry count exceeds the matrix",
+        ));
     }
-    if feat_len > 0 {
-        b.all_features(features);
-    }
+    r.require((num_nodes + 1) * 4 + nnz * 8)?;
+    let row_ptr = (0..=num_nodes)
+        .map(|_| r.u32().map(|o| o as usize))
+        .collect::<Result<Vec<_>, _>>()?;
+    let col_idx = (0..nnz).map(|_| r.u32()).collect::<Result<Vec<_>, _>>()?;
+    let values = (0..nnz).map(|_| r.f32()).collect::<Result<Vec<_>, _>>()?;
+    let features = CsrMatrix::try_from_parts(num_nodes, feat_dim, row_ptr, col_idx, values)
+        .map_err(|e| WireDecodeError::Invalid(e.as_str()))?;
     if let Some(labels) = Option::<Vec<u32>>::decode(r)? {
         if labels.len() != num_nodes {
             return Err(WireDecodeError::Invalid("node label count mismatch"));
@@ -957,7 +992,7 @@ fn decode_graph(r: &mut WireReader<'_>) -> Result<Graph, WireDecodeError> {
     if let Some(l) = Option::<u64>::decode(r)? {
         b.graph_label(l as usize);
     }
-    Ok(b.build())
+    Ok(b.build().with_sparse_features(features))
 }
 
 // ---------------------------------------------------------------------------
@@ -984,10 +1019,7 @@ impl Request {
                 state.encode(&mut out);
             }
             Request::Explain(e) => e.encode(&mut out),
-            Request::FetchExplanation(id, ctx) => {
-                id.encode(&mut out);
-                ctx.encode(&mut out);
-            }
+            Request::FetchExplanation(id) => id.encode(&mut out),
             Request::AssembledTrace(id) => id.encode(&mut out),
             Request::Ping | Request::Stats | Request::Shutdown | Request::ListExplanations => {}
         }
@@ -1001,7 +1033,7 @@ impl Request {
             Request::Explain(_) => REQ_EXPLAIN,
             Request::Stats => REQ_STATS,
             Request::Shutdown => REQ_SHUTDOWN,
-            Request::FetchExplanation(..) => REQ_FETCH_EXPLANATION,
+            Request::FetchExplanation(_) => REQ_FETCH_EXPLANATION,
             Request::ListExplanations => REQ_LIST_EXPLANATIONS,
             Request::AssembledTrace(_) => REQ_ASSEMBLED_TRACE,
         }
@@ -1020,7 +1052,7 @@ impl Request {
             REQ_EXPLAIN => Request::Explain(ExplainRequest::decode(r)?),
             REQ_STATS => Request::Stats,
             REQ_SHUTDOWN => Request::Shutdown,
-            REQ_FETCH_EXPLANATION => Request::FetchExplanation(r.u64()?, Option::decode(r)?),
+            REQ_FETCH_EXPLANATION => Request::FetchExplanation(r.u64()?),
             REQ_LIST_EXPLANATIONS => Request::ListExplanations,
             REQ_ASSEMBLED_TRACE => Request::AssembledTrace(Option::decode(r)?),
             _ => return Err(WireDecodeError::Invalid("request tag")),
@@ -1217,18 +1249,18 @@ mod tests {
         // Well-formed frames from earlier protocols must be refused: v3
         // extended ControlSpec and the Stats payload, v4 appended the
         // batch counters, v5 appended the gateway tail, v6 appended the
-        // trace context / sampling counters, and v7 replaced the job-id
-        // trace fetch with point events on the assembled trace, so
-        // decoding an older payload with current codecs would
-        // misinterpret bytes.
-        for old in [1u16, 2, 3, 4, 5, 6] {
+        // trace context / sampling counters, v7 replaced the job-id
+        // trace fetch with point events on the assembled trace, and v8
+        // ships graph features in CSR form, so decoding an older payload
+        // with current codecs would misinterpret bytes.
+        for old in [1u16, 2, 3, 4, 5, 6, 7] {
             let mut frame = encode_frame(b"x", 1024).unwrap();
             frame[4..6].copy_from_slice(&old.to_le_bytes());
             let mut cursor = std::io::Cursor::new(frame);
             match read_frame(&mut cursor, 1024) {
                 Err(WireError::UnsupportedVersion { got, expected }) => {
                     assert_eq!(got, old);
-                    assert_eq!(expected, 7);
+                    assert_eq!(expected, 8);
                 }
                 other => panic!("v{old} frame was not refused: {other:?}"),
             }
@@ -1326,12 +1358,27 @@ mod tests {
             Err(WireDecodeError::Truncated { .. })
         ));
 
-        // A tiny frame declaring a feature matrix of 2^31 x 4: rejected
-        // before the builder zero-fills it (would be a 32 GB allocation).
+        // A tiny frame declaring a 2^20 x 2^12 feature matrix: above the
+        // dense-shape cap, refused from the counts alone (its dense copy
+        // would be a 16 GB allocation).
         let mut buf = Vec::new();
         put_u32(&mut buf, 1 << 20); // nodes (within the node cap)
         put_u32(&mut buf, 1 << 12); // feat_dim
         put_u32(&mut buf, 0); // edges
+        let mut r = WireReader::new(&buf);
+        assert!(matches!(
+            decode_graph(&mut r),
+            Err(WireDecodeError::Invalid(
+                "feature matrix exceeds wire limit"
+            ))
+        ));
+
+        // Within the cap, the 2^20 + 1 row offsets must be present before
+        // the builder allocates per node.
+        let mut buf = Vec::new();
+        put_u32(&mut buf, 1 << 20);
+        put_u32(&mut buf, 4);
+        put_u32(&mut buf, 0);
         let mut r = WireReader::new(&buf);
         assert!(matches!(
             decode_graph(&mut r),
@@ -1582,12 +1629,9 @@ mod tests {
 
     #[test]
     fn stored_explanation_round_trips() {
-        let payload = Request::FetchExplanation(77, None).encode();
+        let payload = Request::FetchExplanation(77).encode();
         match Request::decode(&payload).unwrap() {
-            Request::FetchExplanation(id, ctx) => {
-                assert_eq!(id, 77);
-                assert!(ctx.is_none());
-            }
+            Request::FetchExplanation(id) => assert_eq!(id, 77),
             _ => panic!("decoded the wrong variant"),
         }
 

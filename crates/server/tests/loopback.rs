@@ -485,6 +485,50 @@ fn typed_refusals() {
     server.shutdown();
 }
 
+/// A graph whose feature width is not the model's input width is refused
+/// as `Malformed` before it is queued, and the server goes on explaining.
+#[test]
+fn wrong_feature_width_is_refused_and_serving_continues() {
+    let (model, graphs) = trained_model();
+    let server = Server::start(ServerConfig::default()).expect("server starts");
+    let mut client = Client::connect(server.local_addr()).expect("connect");
+    let model_id = client.register_model(&model).expect("register");
+
+    let mut b = Graph::builder(5, 3);
+    b.undirected_edge(0, 1)
+        .undirected_edge(1, 2)
+        .undirected_edge(2, 3);
+    b.node_features(2, &[1.0, 0.0, 0.5]);
+    let wide = b.build();
+    match client.explain(&explain_request(model_id, &wide, 9, ControlSpec::default())) {
+        Err(ClientError::Server { kind, message }) => {
+            assert_eq!(kind, ErrorKind::Malformed);
+            assert!(message.contains("3 features per node"), "{message}");
+        }
+        other => panic!("expected a Malformed refusal, got {other:?}"),
+    }
+
+    for (i, g) in graphs.iter().enumerate().take(2) {
+        let served = client
+            .explain(&explain_request(
+                model_id,
+                g,
+                i as u64,
+                ControlSpec::default(),
+            ))
+            .expect("a valid request after the refusal");
+        assert_eq!(served.edge_scores.len(), g.num_edges());
+    }
+    let stats = client.stats().expect("stats");
+    assert_eq!(
+        stats.runtime.jobs_submitted, 2,
+        "the refusal was never queued"
+    );
+    assert_eq!(stats.runtime.jobs_completed, 2);
+    assert_eq!(stats.runtime.jobs_failed, 0);
+    server.shutdown();
+}
+
 /// `Stats` over the wire reflects the work done and folds wire counters
 /// together with the runtime registry.
 #[test]

@@ -199,7 +199,7 @@ fn store_reads_stay_answerable_during_shutdown() {
     // Stats/Trace instead of `ShuttingDown`).
     let mut sock = std::net::TcpStream::connect(server.local_addr()).expect("raw connect");
     let frame = revelio_server::wire::encode_frame(
-        &revelio_server::Request::FetchExplanation(list[0].job_id, None).encode(),
+        &revelio_server::Request::FetchExplanation(list[0].job_id).encode(),
         revelio_server::DEFAULT_MAX_FRAME_LEN,
     )
     .expect("encode");
@@ -240,11 +240,11 @@ fn unknown_job_id_fetches_none() {
 }
 
 #[test]
-fn protocol_version_is_v7() {
+fn protocol_version_is_v8() {
     let path = temp_store();
     let server = start_server(&path);
     let mut client = Client::connect(server.local_addr()).expect("connect");
-    assert_eq!(client.ping().expect("ping"), 7);
+    assert_eq!(client.ping().expect("ping"), 8);
     server.shutdown();
     let _ = std::fs::remove_file(&path);
 }

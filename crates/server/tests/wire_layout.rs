@@ -1,5 +1,5 @@
 //! Golden byte layouts: every network frame payload and every store record
-//! must encode to exactly the bytes protocol v7 / store format v1 define.
+//! must encode to exactly the bytes protocol v8 / store format v1 define.
 //!
 //! The corpus below covers every `Request` and `Response` variant (the
 //! `Stats` answer with and without the gateway's counters) and the three
@@ -31,21 +31,22 @@ use revelio_store::{
 use revelio_trace::{AssembledEvent, AssembledSpan, AssembledTrace, PointKind, TraceContext};
 
 /// FNV-1a 64 of every corpus entry, recorded from the pre-`Codec` encoders.
-/// The protocol v7 entries (`request.assembled_trace`, `response.pong`,
-/// `response.assembled`, `frame.ping`) were recomputed from bytes laid out
-/// by hand from the documented layouts, and agree with this build.
+/// Entries a protocol bump changed were recomputed from bytes laid out by
+/// hand from the documented layouts, and agree with this build: v7's
+/// `request.assembled_trace` and `response.assembled`, and v8's explain
+/// requests (CSR graph features), `request.fetch_explanation` (no trace
+/// context), `response.pong` and `frame.ping`.
 const GOLDEN: &[(&str, u64)] = &[
     ("request.ping", 0xaf63bd4c8601b7df),
     ("request.register_model", 0xc788d661031e44ba),
-    ("request.explain_full", 0xe0b6fdf47cd04384),
-    ("request.explain_bare", 0x72f9c023d6e88c62),
+    ("request.explain_full", 0xb759a7f7e810d8ee),
+    ("request.explain_bare", 0x2fee4385e05a7fc2),
     ("request.stats", 0xaf63be4c8601b992),
     ("request.shutdown", 0xaf63b94c8601b113),
-    ("request.fetch_explanation", 0x7cdfc38c0c9257dc),
-    ("request.fetch_explanation_with_context", 0xd602c93610c06fe5),
+    ("request.fetch_explanation", 0x6598320f08db42b4),
     ("request.list_explanations", 0xaf63ba4c8601b2c6),
     ("request.assembled_trace", 0xc82c3cb3519f02ec),
-    ("response.pong", 0xd93548186bfaf998),
+    ("response.pong", 0xd931e2186bf8166f),
     ("response.model_registered", 0xb7fd70c7aa7db49f),
     ("response.explained_full", 0x30008c617e97e810),
     ("response.explained_bare", 0x862eb083800cc045),
@@ -67,7 +68,7 @@ const GOLDEN: &[(&str, u64)] = &[
     ("response.error.shutting_down", 0xb375f4d0bf2abdb0),
     ("response.error.no_store", 0x4e0923f069624538),
     ("response.error.unknown_trace", 0x1c5bbc22867db265),
-    ("frame.ping", 0xf9309056fbb49092),
+    ("frame.ping", 0x4e10ad850fc2b1db),
     ("record.model", 0xf9fcd83c573508b4),
     ("record.flows", 0x08a92cfdcd920c16),
     ("record.explanation_full", 0x9fc7154cbeb91c08),
@@ -400,14 +401,7 @@ fn requests() -> Vec<(&'static str, Request)> {
         ("request.explain_bare", Request::Explain(explain_bare)),
         ("request.stats", Request::Stats),
         ("request.shutdown", Request::Shutdown),
-        (
-            "request.fetch_explanation",
-            Request::FetchExplanation(77, None),
-        ),
-        (
-            "request.fetch_explanation_with_context",
-            Request::FetchExplanation(1, Some(context())),
-        ),
+        ("request.fetch_explanation", Request::FetchExplanation(77)),
         ("request.list_explanations", Request::ListExplanations),
         (
             "request.assembled_trace",
@@ -418,7 +412,7 @@ fn requests() -> Vec<(&'static str, Request)> {
 
 fn responses() -> Vec<(&'static str, Response)> {
     let mut out = vec![
-        ("response.pong", Response::Pong { version: 7 }),
+        ("response.pong", Response::Pong { version: 8 }),
         (
             "response.model_registered",
             Response::ModelRegistered { model: 3 },

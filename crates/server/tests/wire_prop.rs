@@ -17,7 +17,7 @@ use revelio_runtime::HistogramSnapshot;
 use revelio_server::wire::{
     crc32, encode_frame, read_frame, ErrorKind, ExplainRequest, GatewayBackendStats, GatewayStats,
     MaskKey, Request, Response, ServedExplanation, ServerStats, WireError, WireExplanationSummary,
-    WireStoredExplanation, WireTiming, HEADER_LEN, PROTOCOL_VERSION,
+    WireStoredExplanation, WireTiming, HEADER_LEN, MAX_WIRE_FEATURE_ENTRIES, PROTOCOL_VERSION,
 };
 use revelio_trace::{AssembledEvent, AssembledSpan, AssembledTrace, PointKind, TraceContext};
 
@@ -398,6 +398,173 @@ proptest! {
     ) {
         let _ = Request::decode(&bytes);
         let _ = Response::decode(&bytes);
+    }
+}
+
+/// An explain request payload around a hand-laid graph block: `nodes`
+/// nodes, `feat_dim` columns, no edges, then `csr` (the entry count, row
+/// offsets, columns and values exactly as given), no labels.
+fn explain_payload_with_csr(nodes: u32, feat_dim: u32, csr: &[u32]) -> Vec<u8> {
+    let req = ExplainRequest {
+        model: 1,
+        graph_id: 2,
+        method: "REVELIO".to_owned(),
+        objective: Objective::Factual,
+        effort: Effort::Quick,
+        target: Target::Graph,
+        control: ControlSpec::default(),
+        graph: Graph::builder(0, 0).build(),
+        context: None,
+    };
+    let valid = Request::Explain(req).encode();
+    // The empty graph's block is its three counts, `nnz = 0`, one offset,
+    // and two absent labels, followed by the absent context.
+    let graph_at = valid.len() - (3 * 4 + 4 + 4 + 1 + 1) - 1;
+    let mut out = valid[..graph_at].to_vec();
+    for w in [nodes, feat_dim, 0].iter().chain(csr) {
+        out.extend_from_slice(&w.to_le_bytes());
+    }
+    out.extend_from_slice(&[0, 0, 0]);
+    out
+}
+
+fn decode_error(payload: &[u8]) -> WireDecodeError {
+    match Request::decode(payload) {
+        Err(e) => e,
+        Ok(_) => panic!("hostile CSR graph decoded"),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Hostile CSR feature blocks are typed errors, never panics: offsets
+    /// that decrease or do not end at the entry count, a column out of
+    /// range or out of order, an explicit zero, and counts the remaining
+    /// bytes cannot hold (refused before anything is allocated).
+    #[test]
+    fn hostile_csr_graphs_are_typed_errors(
+        nodes in 2u32..6,
+        feat_dim in 2u32..40,
+        col in 0u32..40,
+        bits in 1u32..u32::MAX,
+        flaw in 0usize..6,
+    ) {
+        let col = col % feat_dim;
+        let val = if f32::from_bits(bits) == 0.0 { 1.0f32.to_bits() } else { bits };
+        // Valid baseline: node 0 holds `col` and `feat_dim - 1` (when
+        // distinct), every other row is empty.
+        let (cols, vals): (Vec<u32>, Vec<u32>) = if col + 1 < feat_dim {
+            (vec![col, feat_dim - 1], vec![val, val])
+        } else {
+            (vec![col], vec![val])
+        };
+        let nnz = cols.len() as u32;
+        let offsets = |first_row_end: u32| -> Vec<u32> {
+            std::iter::once(0)
+                .chain(std::iter::once(first_row_end))
+                .chain((1..nodes).map(|_| nnz))
+                .collect()
+        };
+        let block = |nnz: u32, offsets: &[u32], cols: &[u32], vals: &[u32]| -> Vec<u32> {
+            std::iter::once(nnz)
+                .chain(offsets.iter().copied())
+                .chain(cols.iter().copied())
+                .chain(vals.iter().copied())
+                .collect()
+        };
+        let valid = explain_payload_with_csr(nodes, feat_dim, &block(nnz, &offsets(nnz), &cols, &vals));
+        match Request::decode(&valid) {
+            Ok(Request::Explain(e)) => {
+                prop_assert_eq!(e.graph.features().nnz(), cols.len());
+                prop_assert_eq!(e.graph.feature_row(0)[col as usize].to_bits(), val);
+            }
+            _ => panic!("baseline graph did not decode"),
+        }
+        let (payload, expect): (Vec<u32>, &str) = match flaw {
+            0 => {
+                // Offsets decrease: row 0 ends past row 1's end.
+                let mut o = offsets(nnz);
+                o[1] = nnz + 1;
+                o[2] = nnz;
+                (block(nnz, &o, &cols, &vals), "CSR offsets decrease")
+            }
+            1 => {
+                // Offsets end short of the entry count.
+                let o: Vec<u32> = offsets(nnz).iter().map(|&x| x.min(nnz - 1)).collect();
+                (block(nnz, &o, &cols, &vals), "CSR offsets do not end at the entry count")
+            }
+            2 => {
+                let mut c = cols.clone();
+                let last = c.len() - 1;
+                c[last] = feat_dim + col;
+                (block(nnz, &offsets(nnz), &c, &vals), "CSR column index out of range")
+            }
+            3 => {
+                // A repeated column is not strictly ascending.
+                let c = vec![col; cols.len()];
+                let v = vec![val; cols.len()];
+                let n = c.len() as u32;
+                let expect = if n > 1 {
+                    "CSR columns not strictly ascending"
+                } else {
+                    // One entry cannot repeat; make it an explicit zero.
+                    "CSR stores an explicit zero"
+                };
+                let v = if n > 1 { v } else { vec![(-0.0f32).to_bits()] };
+                (block(n, &offsets(n), &c, &v), expect)
+            }
+            4 => {
+                let mut v = vals.clone();
+                v[0] = 0.0f32.to_bits();
+                (block(nnz, &offsets(nnz), &cols, &v), "CSR stores an explicit zero")
+            }
+            _ => {
+                // More entries than the matrix has cells.
+                let n = nodes * feat_dim + 1;
+                (block(n, &offsets(nnz), &cols, &vals), "feature entry count exceeds the matrix")
+            }
+        };
+        prop_assert_eq!(
+            decode_error(&explain_payload_with_csr(nodes, feat_dim, &payload)),
+            WireDecodeError::Invalid(expect)
+        );
+    }
+}
+
+/// Counts larger than the remaining bytes fail as `Truncated` before the
+/// arrays are allocated, and a dense shape above the cap fails from the
+/// three counts alone.
+#[test]
+fn csr_counts_are_checked_before_allocating() {
+    // A plausible entry count with no entries behind it.
+    let payload = explain_payload_with_csr(4, 1000, &[3_000, 0]);
+    assert!(matches!(
+        decode_error(&payload),
+        WireDecodeError::Truncated { .. }
+    ));
+    // Nodes whose row offsets are missing: refused before the builder
+    // allocates per node.
+    let payload = explain_payload_with_csr(1 << 22, 1, &[]);
+    assert!(matches!(
+        decode_error(&payload),
+        WireDecodeError::Truncated { .. }
+    ));
+    // Above `MAX_WIRE_FEATURE_ENTRIES`: a 40-byte graph block declaring a
+    // 2^16 x 2^16 matrix.
+    let payload = explain_payload_with_csr(1 << 16, 1 << 16, &[0]);
+    assert_eq!(
+        decode_error(&payload),
+        WireDecodeError::Invalid("feature matrix exceeds wire limit")
+    );
+    // Exactly at the cap the shape is accepted (the empty matrix is valid).
+    let side = 1u32 << 11;
+    let cap_rows = (MAX_WIRE_FEATURE_ENTRIES as u32) / side;
+    let empty = vec![0u32; cap_rows as usize + 2];
+    let payload = explain_payload_with_csr(cap_rows, side, &empty);
+    match Request::decode(&payload) {
+        Ok(Request::Explain(e)) => assert_eq!(e.graph.num_nodes(), cap_rows as usize),
+        other => panic!("graph at the cap refused: {:?}", other.err()),
     }
 }
 

@@ -32,9 +32,18 @@
 //!   dot product of `a`'s row `i` with `b`'s row `j` in one ascending
 //!   accumulator, exactly the reference chain.
 //!
+//! [`matmul_csr`] is the sparse-times-dense form of `nn` for a left
+//! operand held as a [`CsrMatrix`] (node features). It walks each row's
+//! stored columns in ascending order, and the CSR form stores exactly the
+//! entries the naive loop does not skip (`!= 0.0`). So it runs the naive
+//! reduction chain term for term and is bit-identical to
+//! [`matmul_nn_naive`], hence to [`matmul_nn`], on the dense form.
+//!
 //! The inner loops run over fixed-size arrays and fixed-width slices so
 //! LLVM can prove the trip count and emit vector code without `unsafe`
 //! (the workspace forbids it).
+
+use crate::sparse::CsrMatrix;
 
 /// Register-tile height for the `nn`/`tn` kernels: accumulator rows that
 /// stay live across the whole reduction.
@@ -153,6 +162,33 @@ pub fn matmul_nn(a: &[f32], m: usize, k: usize, b: &[f32], n: usize) -> Vec<f32>
             }
             let brow = &b[p * n..(p + 1) * n];
             let orow = &mut out[i * n..(i + 1) * n];
+            for (o, bv) in orow.iter_mut().zip(brow) {
+                *o += av * bv;
+            }
+        }
+    }
+    out
+}
+
+/// `a (m×k, CSR) · b (k×n, row-major)`: for each row, the rows of `b`
+/// named by its stored columns, scaled and summed in ascending column
+/// order. Bit-identical to [`matmul_nn_naive`] on `a.to_dense()` (see the
+/// module contract); the cost is `nnz · n` instead of `m · k · n`.
+///
+/// # Panics
+///
+/// Panics if `b.len() != a.cols() * n`.
+pub fn matmul_csr(a: &CsrMatrix, b: &[f32], n: usize) -> Vec<f32> {
+    assert_eq!(b.len(), a.cols() * n, "matmul_csr: right operand shape");
+    let mut out = vec![0.0f32; a.rows() * n];
+    if n == 0 {
+        return out;
+    }
+    for (i, orow) in out.chunks_exact_mut(n).enumerate() {
+        let (cols, vals) = a.row(i);
+        for (&p, &av) in cols.iter().zip(vals) {
+            let p = p as usize;
+            let brow = &b[p * n..(p + 1) * n];
             for (o, bv) in orow.iter_mut().zip(brow) {
                 *o += av * bv;
             }

@@ -48,5 +48,5 @@ pub use gradcheck::{grad_check, GradCheckFailure, GradCheckReport};
 pub use init::{glorot_uniform, kaiming_uniform, uniform};
 pub use ops::{IndexOutOfRange, Op, ShapeMismatch};
 pub use optim::{clip_grad_norm, Adam, AdamConfig, Optimizer, Sgd};
-pub use sparse::BinCsr;
+pub use sparse::{BinCsr, CsrError, CsrMatrix};
 pub use tensor::Tensor;

@@ -10,7 +10,7 @@ use std::rc::Rc;
 use std::sync::Arc;
 
 use crate::kernels;
-use crate::sparse::BinCsr;
+use crate::sparse::{BinCsr, CsrMatrix};
 use crate::tensor::Tensor;
 
 /// Error returned by [`Tensor::try_gather_rows`] when a row index is out of
@@ -870,6 +870,35 @@ impl Tensor {
             n,
             Op::MatMul(self.clone(), other.clone()),
         ))
+    }
+
+    /// `x (m×k) · w (k×n)` with `x` a constant sparse matrix (node
+    /// features): [`kernels::matmul_csr`], bit-identical to
+    /// `Tensor::from_vec(x.to_dense(), m, k).matmul(w)`.
+    ///
+    /// When `w` is a constant (a frozen weight: neither flagged nor the
+    /// output of an op), the result is a constant too and the dense `x` is
+    /// never built. Otherwise `w` may need a gradient, so the product is
+    /// recorded as a dense [`Op::MatMul`] on the materialised `x`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x.cols() != w.rows()`.
+    pub fn csr_matmul(x: &CsrMatrix, w: &Tensor) -> Tensor {
+        assert_eq!(
+            x.cols(),
+            w.rows(),
+            "csr_matmul: shape mismatch [{}, {}] x [{}, {}]",
+            x.rows(),
+            x.cols(),
+            w.rows(),
+            w.cols()
+        );
+        if w.requires_grad_flag() || w.op().is_some() {
+            return Tensor::from_vec(x.to_dense(), x.rows(), x.cols()).matmul(w);
+        }
+        let data = kernels::matmul_csr(x, &w.data(), w.cols());
+        Tensor::from_vec(data, x.rows(), w.cols())
     }
 
     /// Transposed-right product `self (m×n) · otherᵀ` with `other` stored

@@ -14,9 +14,9 @@
 
 use proptest::prelude::*;
 use revelio_tensor::kernels::{
-    matmul_nn, matmul_nn_naive, matmul_nt, matmul_nt_naive, matmul_tn, matmul_tn_naive,
+    matmul_csr, matmul_nn, matmul_nn_naive, matmul_nt, matmul_nt_naive, matmul_tn, matmul_tn_naive,
 };
-use revelio_tensor::Tensor;
+use revelio_tensor::{CsrMatrix, Tensor};
 
 /// Maps raw integer draws onto the quarter-integer grid `[-4, 4]`, turning
 /// sentinel draws into exact `+0.0` so the zero-skip paths get exercised.
@@ -85,6 +85,38 @@ proptest! {
             bits(&matmul_tn(&a, m, k, &b, n)),
             bits(&matmul_tn_naive(&a, m, k, &b, n))
         );
+    }
+
+    #[test]
+    fn csr_product_bit_identical_to_dense_kernels(
+        m in 1usize..40,
+        k in 1usize..24,
+        n in 1usize..80,
+        keep in 1i32..8,
+        qa in prop::collection::vec(0i32..1000, 40 * 24),
+        qb in prop::collection::vec(0i32..1000, 24 * 80),
+    ) {
+        // Thin `a` out to roughly `keep / 8` of its grid entries, so rows
+        // range from empty to fully dense.
+        let a: Vec<f32> = grid(&qa[..m * k])
+            .iter()
+            .zip(&qa)
+            .map(|(&v, &q)| if q % 8 < keep { v } else { 0.0 })
+            .collect();
+        let b = grid(&qb[..k * n]);
+        let csr = CsrMatrix::from_dense(&a, m, k);
+        let sparse = bits(&matmul_csr(&csr, &b, n));
+        prop_assert_eq!(&sparse, &bits(&matmul_nn_naive(&a, m, k, &b, n)));
+        prop_assert_eq!(&sparse, &bits(&matmul_nn(&a, m, k, &b, n)));
+        // The tensor op agrees with the dense matmul on a frozen weight and
+        // on a trainable one (which takes the dense path).
+        let x = Tensor::from_vec(a.clone(), m, k);
+        for w in [Tensor::from_vec(b.clone(), k, n), Tensor::from_vec(b.clone(), k, n).requires_grad()] {
+            prop_assert_eq!(
+                bits(&Tensor::csr_matmul(&csr, &w).to_vec()),
+                bits(&x.matmul(&w).to_vec())
+            );
+        }
     }
 
     #[test]
@@ -255,4 +287,58 @@ proptest! {
             }
         }
     }
+}
+
+/// The CSR product on hand-built row shapes: empty rows, one-column rows
+/// and fully dense rows in one matrix, and the first-layer shape of a
+/// Cora-sim request (61 nodes × 1433 bag-of-words columns at ~1.3%
+/// density into 32 hidden units).
+#[test]
+fn csr_product_matches_on_edge_rows_and_the_cora_input_shape() {
+    let check = |a: &[f32], m: usize, k: usize, n: usize| {
+        let b: Vec<f32> = (0..k * n)
+            .map(|i| ((i % 29) as f32 - 14.0) * 0.125)
+            .collect();
+        let csr = CsrMatrix::from_dense(a, m, k);
+        let sparse = bits(&matmul_csr(&csr, &b, n));
+        assert_eq!(
+            sparse,
+            bits(&matmul_nn_naive(a, m, k, &b, n)),
+            "{m}x{k}x{n} vs naive"
+        );
+        assert_eq!(
+            sparse,
+            bits(&matmul_nn(a, m, k, &b, n)),
+            "{m}x{k}x{n} vs blocked"
+        );
+        csr
+    };
+
+    // Rows: empty, one column (first, middle, last), fully dense, empty.
+    let k = 9;
+    let mut a = vec![0.0f32; 6 * k];
+    a[k] = 1.5;
+    a[2 * k + 4] = -2.25;
+    a[3 * k + k - 1] = 0.75;
+    for (c, v) in a[4 * k..5 * k].iter_mut().enumerate() {
+        *v = c as f32 - 3.5;
+    }
+    let csr = check(&a, 6, k, 13);
+    let lens: Vec<usize> = csr.row_ptr().windows(2).map(|w| w[1] - w[0]).collect();
+    assert_eq!(lens, vec![0, 1, 1, 1, k, 0]);
+
+    // All-zero and all-dense matrices, and an `n` below one lane.
+    check(&[0.0; 12], 3, 4, 5);
+    check(&[0.5; 5 * 7], 5, 7, 3);
+
+    // Cora-sim input: 18 words per node, as `cora_sim` draws them.
+    let (m, k, n) = (61, 1433, 32);
+    let mut a = vec![0.0f32; m * k];
+    for i in 0..m {
+        for w in 0..18 {
+            a[i * k + (i * 131 + w * 79) % k] = 1.0;
+        }
+    }
+    let csr = check(&a, m, k, n);
+    assert_eq!(csr.nnz(), m * 18);
 }
