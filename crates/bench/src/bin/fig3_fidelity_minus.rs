@@ -70,7 +70,7 @@ fn main() {
         }
     }
 
-    eprintln!("\n{}", rt.metrics_report());
+    eprintln!("\n{}", rt.metrics().report());
     table.print();
     table.write_csv(experiments_dir().join("fig3_fidelity_minus.csv"));
     println!("\nCSV written to target/experiments/fig3_fidelity_minus.csv");

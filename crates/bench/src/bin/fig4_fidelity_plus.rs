@@ -71,7 +71,7 @@ fn main() {
         }
     }
 
-    eprintln!("\n{}", rt.metrics_report());
+    eprintln!("\n{}", rt.metrics().report());
     table.print();
     table.write_csv(experiments_dir().join("fig4_fidelity_plus.csv"));
     println!("\nCSV written to target/experiments/fig4_fidelity_plus.csv");

@@ -16,7 +16,8 @@
 //! request's features (1.3% non-zero), and the process also exits non-zero
 //! unless the CSR product wins by at least `CSR_MIN_SPEEDUP`.
 //! Timings are best-of-N minimums, so scheduler noise only ever inflates
-//! the loser, never deflates it.
+//! a time, never deflates it, and each compared pair is timed in
+//! alternation, so a burst of load lands on both sides.
 
 use std::hint::black_box;
 use std::time::Instant;
@@ -134,18 +135,36 @@ fn fill(len: usize, seed: u64) -> Vec<f32> {
         .collect()
 }
 
-/// Best-of-N minimum wall time of `f`, in seconds. Minimums because noise
-/// is one-sided: nothing makes a run faster than the kernel allows.
-fn best_of<F: FnMut() -> Vec<f32>>(reps: usize, mut f: F) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..reps {
-        let start = Instant::now();
-        let out = f();
-        let dt = start.elapsed().as_secs_f64();
-        black_box(out);
-        best = best.min(dt);
+/// Wall time of one call of `f`, in seconds.
+fn time<F: FnMut() -> Vec<f32>>(f: &mut F) -> f64 {
+    let start = Instant::now();
+    let out = f();
+    let dt = start.elapsed().as_secs_f64();
+    black_box(out);
+    dt
+}
+
+/// Best-of-N minimum wall times of `a` and `b`, in seconds. Minimums
+/// because noise is one-sided: nothing makes a run faster than the kernel
+/// allows. The two are timed in alternation (`a b`, then `b a`), so a
+/// burst of load from another process slows both sides instead of
+/// whichever happened to run during it.
+fn best_of_pair<A, B>(reps: usize, mut a: A, mut b: B) -> (f64, f64)
+where
+    A: FnMut() -> Vec<f32>,
+    B: FnMut() -> Vec<f32>,
+{
+    let (mut best_a, mut best_b) = (f64::INFINITY, f64::INFINITY);
+    for rep in 0..reps {
+        if rep % 2 == 0 {
+            best_a = best_a.min(time(&mut a));
+            best_b = best_b.min(time(&mut b));
+        } else {
+            best_b = best_b.min(time(&mut b));
+            best_a = best_a.min(time(&mut a));
+        }
     }
-    best
+    (best_a, best_b)
 }
 
 struct Row {
@@ -186,26 +205,35 @@ fn bench_shape(s: &Shape, reps: usize) -> Vec<Row> {
         s.name
     );
 
-    let pairs: [(&'static str, f64, f64); 3] = [
+    let pairs: [(&'static str, (f64, f64)); 3] = [
         (
             "nn",
-            best_of(reps, || matmul_nn_naive(&a, m, k, &b, n)),
-            best_of(reps, || matmul_nn(&a, m, k, &b, n)),
+            best_of_pair(
+                reps,
+                || matmul_nn_naive(&a, m, k, &b, n),
+                || matmul_nn(&a, m, k, &b, n),
+            ),
         ),
         (
             "nt",
-            best_of(reps, || matmul_nt_naive(&grad, m, n, &b, k)),
-            best_of(reps, || matmul_nt(&grad, m, n, &b, k)),
+            best_of_pair(
+                reps,
+                || matmul_nt_naive(&grad, m, n, &b, k),
+                || matmul_nt(&grad, m, n, &b, k),
+            ),
         ),
         (
             "tn",
-            best_of(reps, || matmul_tn_naive(&a, m, k, &grad, n)),
-            best_of(reps, || matmul_tn(&a, m, k, &grad, n)),
+            best_of_pair(
+                reps,
+                || matmul_tn_naive(&a, m, k, &grad, n),
+                || matmul_tn(&a, m, k, &grad, n),
+            ),
         ),
     ];
     pairs
         .into_iter()
-        .map(|(kernel, naive, blocked)| Row {
+        .map(|(kernel, (naive, blocked))| Row {
             shape: s.name,
             m,
             k,
@@ -238,8 +266,11 @@ fn bench_cora_input(reps: usize) -> Row {
         matmul_nn(&a, m, k, &b, n),
         "cora_input: CSR product diverged from the blocked kernel"
     );
-    let dense = best_of(reps, || matmul_nn(&a, m, k, &b, n));
-    let sparse = best_of(reps, || matmul_csr(&csr, &b, n));
+    let (dense, sparse) = best_of_pair(
+        reps,
+        || matmul_nn(&a, m, k, &b, n),
+        || matmul_csr(&csr, &b, n),
+    );
     Row {
         shape: "cora_input",
         m,

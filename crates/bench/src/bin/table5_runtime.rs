@@ -108,7 +108,7 @@ fn main() {
         }
     }
 
-    eprintln!("\n{}", rt.metrics_report());
+    eprintln!("\n{}", rt.metrics().report());
     table.print();
     table.write_csv(experiments_dir().join("table5_runtime.csv"));
     println!("\nCSV written to target/experiments/table5_runtime.csv");

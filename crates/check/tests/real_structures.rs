@@ -106,8 +106,8 @@ fn metrics_snapshot_is_exact_after_quiescence() {
         let snap = metrics.snapshot(0, 0);
         assert_eq!(snap.jobs_submitted, 2);
         assert_eq!(snap.explain_latency.count, 2);
-        assert_eq!(snap.explain_latency.total_us, 800);
-        assert_eq!(snap.explain_latency.max_us, 500);
+        assert_eq!(snap.explain_latency.total, 800);
+        assert_eq!(snap.explain_latency.max, 500);
     });
     report.assert_ok();
     assert!(report.complete);

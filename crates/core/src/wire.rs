@@ -348,6 +348,15 @@ primitive_codec! {
     bool => 1, put_bool, bool;
 }
 
+/// Nothing: zero bytes, for a generic slot left empty.
+impl Codec for () {
+    const MIN_LEN: usize = 0;
+    fn encode(&self, _: &mut Vec<u8>) {}
+    fn decode(_: &mut WireReader<'_>) -> Result<(), WireDecodeError> {
+        Ok(())
+    }
+}
+
 impl Codec for String {
     const MIN_LEN: usize = 2;
     fn encode(&self, out: &mut Vec<u8>) {

@@ -41,8 +41,9 @@ use std::time::{Duration, Instant};
 use revelio_gnn::GnnConfig;
 use revelio_server::server::{accept_loop, read_frame_cancellable, wake_acceptor, POLL_INTERVAL};
 use revelio_server::wire::{
-    write_frame, ErrorKind, ExplainRequest, GatewayBackendStats, GatewayStats, Request, Response,
-    ServerStats, WireExplanationSummary, DEFAULT_MAX_FRAME_LEN, PROTOCOL_VERSION,
+    write_frame, ErrorKind, ExplainRequest, GatewayBackendStats, GatewayCounters, GatewayStats,
+    Request, Response, ServerStats, WireCounters, WireExplanationSummary, DEFAULT_MAX_FRAME_LEN,
+    PROTOCOL_VERSION,
 };
 use revelio_server::{Client, ClientConfig, ClientError};
 use revelio_trace::{AssembledSpan, AssembledTrace, Sampler, TraceContext};
@@ -323,18 +324,16 @@ struct Shared {
     stop: AtomicBool,
     /// The listener's address, connected to once to wake the acceptor.
     addr: SocketAddr,
-    routed: AtomicU64,
-    fanout: AtomicU64,
-    rerouted: AtomicU64,
-    scatter: AtomicU64,
+    counters: GatewayCounters,
+    /// The gateway's own sampling decisions, added to the fleet rollup
+    /// (its other wire counters stay zero).
+    own: WireCounters,
     /// Head-based sampler for routed `Explain`s without an inherited
     /// context; off (`rate 0`) it costs one branch per request.
     sampler: Sampler,
     /// Counter feeding [`TraceContext::generate`] so minted ids are
     /// distinct and deterministic.
     trace_counter: AtomicU64,
-    trace_sampled: AtomicU64,
-    trace_dropped: AtomicU64,
     /// Bounded drop-oldest buffer of gateway trace halves, keyed by the
     /// global trace id; the assembly layer stitches these with the owning
     /// shard's fragment on demand.
@@ -440,11 +439,8 @@ impl Shared {
 
     fn gateway_stats(&self) -> GatewayStats {
         GatewayStats {
-            routed: self.routed.load(Ordering::Relaxed),
-            fanout: self.fanout.load(Ordering::Relaxed),
-            rerouted: self.rerouted.load(Ordering::Relaxed),
-            scatter: self.scatter.load(Ordering::Relaxed),
             backends: self.backends.iter().map(Backend::snapshot).collect(),
+            ..self.counters.load()
         }
     }
 
@@ -498,7 +494,7 @@ impl Shared {
                 Ok(Response::ModelRegistered { model }) => {
                     b.set_model_id(gateway_id as usize, model);
                     self.record_success(b);
-                    self.fanout.fetch_add(1, Ordering::Relaxed);
+                    self.counters.fanout.fetch_add(1, Ordering::Relaxed);
                     accepted += 1;
                 }
                 Ok(Response::Error { kind, message }) => {
@@ -546,7 +542,7 @@ impl Shared {
                 message: format!("model {} was never registered via this gateway", req.model),
             };
         }
-        self.routed.fetch_add(1, Ordering::Relaxed);
+        self.counters.routed.fetch_add(1, Ordering::Relaxed);
         // Head-based sampling: an inherited context carries the upstream
         // decision; otherwise flip the coin here, once, and mint a fresh
         // 128-bit id. Downstream hops never re-decide.
@@ -571,9 +567,9 @@ impl Shared {
             }
         };
         if traced {
-            self.trace_sampled.fetch_add(1, Ordering::Relaxed);
+            self.own.trace_sampled.fetch_add(1, Ordering::Relaxed);
         } else {
-            self.trace_dropped.fetch_add(1, Ordering::Relaxed);
+            self.own.trace_dropped.fetch_add(1, Ordering::Relaxed);
         }
         let route_start = Instant::now();
         let mut spans: Vec<AssembledSpan> = Vec::new();
@@ -593,7 +589,7 @@ impl Shared {
                 continue;
             };
             if attempt > 0 {
-                self.rerouted.fetch_add(1, Ordering::Relaxed);
+                self.counters.rerouted.fetch_add(1, Ordering::Relaxed);
             }
             let mut fwd = req.clone();
             fwd.model = backend_model;
@@ -703,7 +699,7 @@ impl Shared {
     /// everywhere is a typed [`ErrorKind::UnknownTrace`]; a routed trace
     /// whose fragment aged out still yields the gateway lane.
     fn assemble_trace(&self, id: Option<[u64; 2]>) -> Response {
-        self.scatter.fetch_add(1, Ordering::Relaxed);
+        self.counters.scatter.fetch_add(1, Ordering::Relaxed);
         let record = {
             let buf = lock(&self.assembled);
             match id {
@@ -775,8 +771,7 @@ impl Shared {
         }
         // The gateway makes its own sampling decisions on top of whatever
         // the backends recorded for direct traffic.
-        merged.trace_sampled += self.trace_sampled.load(Ordering::Relaxed);
-        merged.trace_dropped += self.trace_dropped.load(Ordering::Relaxed);
+        merged.merge(&self.own.load());
         Response::Stats(Box::new(merged), Some(Box::new(self.gateway_stats())))
     }
 
@@ -789,7 +784,7 @@ impl Shared {
     }
 
     fn scatter_fetch(&self, id: u64) -> Response {
-        self.scatter.fetch_add(1, Ordering::Relaxed);
+        self.counters.scatter.fetch_add(1, Ordering::Relaxed);
         let mut last_error: Option<Response> = None;
         let mut any_negative = false;
         for b in &self.backends {
@@ -831,7 +826,7 @@ impl Shared {
     /// ids from different shards may collide (each backend numbers its
     /// own jobs), so entries are *not* deduplicated.
     fn scatter_list(&self) -> Response {
-        self.scatter.fetch_add(1, Ordering::Relaxed);
+        self.counters.scatter.fetch_add(1, Ordering::Relaxed);
         let mut all: Vec<WireExplanationSummary> = Vec::new();
         let mut last_error: Option<Response> = None;
         let mut any_ok = false;
@@ -945,14 +940,10 @@ impl Gateway {
             registrations: Mutex::new(Vec::new()),
             stop: AtomicBool::new(false),
             addr: local_addr,
-            routed: AtomicU64::new(0),
-            fanout: AtomicU64::new(0),
-            rerouted: AtomicU64::new(0),
-            scatter: AtomicU64::new(0),
+            counters: GatewayCounters::default(),
+            own: WireCounters::default(),
             sampler,
             trace_counter: AtomicU64::new(0),
-            trace_sampled: AtomicU64::new(0),
-            trace_dropped: AtomicU64::new(0),
             assembled: Mutex::new(std::collections::VecDeque::new()),
         });
         let handlers: Arc<Mutex<Vec<thread::JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));

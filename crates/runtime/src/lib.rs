@@ -19,7 +19,9 @@
 //!   mask so far, flagged via [`Degradation`]); oversized instances shrink
 //!   to a deterministic flow-prefix instead of failing.
 //! * **Metrics** — an always-on atomic registry ([`MetricsSnapshot`]):
-//!   queue depth, job counts, cache hit rate, per-stage latency.
+//!   queue depth, job counts, cache hit rate, per-stage latency. Every
+//!   metric is one row of a [`metric_table!`], which also serves the
+//!   server's and the gateway's counters.
 //!
 //! ```no_run
 //! use revelio_runtime::{ExplainJob, Runtime};
@@ -40,7 +42,7 @@
 //! );
 //! let output = rt.submit(handle, job).wait().expect("served");
 //! println!("degraded: {}", output.degraded());
-//! println!("{}", rt.metrics_report());
+//! println!("{}", rt.metrics().report());
 //! # }
 //! ```
 //!
@@ -55,6 +57,7 @@ mod metrics;
 mod pool;
 mod pool_core;
 pub mod prometheus;
+mod table;
 mod trace_store;
 
 pub use cache::{ArtifactCache, CachedFlows, FlowKey, ShardedLru, SubgraphKey};
@@ -63,9 +66,12 @@ pub use job::{
     ModelSpec, Ticket,
 };
 pub use metrics::{
-    Histogram, HistogramSnapshot, Metrics, MetricsCollector, MetricsSnapshot, SizeHistogram,
-    SizeHistogramSnapshot, BATCH_SIZE_BUCKETS, LATENCY_BUCKETS_US,
+    BatchWidth, Histogram, HistogramSnapshot, Latency, Metrics, MetricsCollector, MetricsSnapshot,
+    Scale, Unit, BATCH_SIZE_BUCKETS, LATENCY_BUCKETS_US,
 };
 pub use pool::{Runtime, RuntimeBootError, RuntimeConfig, RuntimeConfigError, WorkerProbe};
 pub use pool_core::PoolCore;
+#[doc(hidden)]
+pub use table::__wire;
+pub use table::{Derived, Kind, Metric, MetricDef, Recorded, Sections};
 pub use trace_store::TraceMiss;

@@ -563,11 +563,6 @@ impl Runtime {
         self.shared.metrics.snapshot(hits, misses)
     }
 
-    /// Renders [`Runtime::metrics`] as a human-readable report.
-    pub fn metrics_report(&self) -> String {
-        self.metrics().report()
-    }
-
     /// The shared artifact cache (also usable directly, e.g. by the eval
     /// harness on its serial path).
     pub fn cache(&self) -> &ArtifactCache {

@@ -1,206 +1,35 @@
 //! Prometheus text-format exposition of runtime metrics.
 //!
-//! Renders a [`MetricsSnapshot`] in the [text exposition format] a
-//! Prometheus server scrapes: `# HELP` / `# TYPE` headers, cumulative
+//! Each metric table renders itself in the [text exposition format] a
+//! Prometheus server scrapes (`prometheus()` on [`MetricsSnapshot`] and the
+//! server's tables): `# HELP` / `# TYPE` headers, cumulative
 //! `_bucket{le="…"}` series ending in `+Inf`, and `_sum` / `_count` pairs.
 //! Durations are converted to **seconds** (the Prometheus base unit); the
 //! internal µs histograms map directly because bucket upper bounds are
-//! fixed. A small structural parser ([`parse_exposition`]) backs the
+//! fixed. This module holds what the tables share: label escaping and a
+//! small structural parser ([`parse_exposition`]) that backs the
 //! round-trip tests and lets `revelio-top` sanity-check what a server
 //! emits.
+//!
+//! [`MetricsSnapshot`]: crate::MetricsSnapshot
 //!
 //! [text exposition format]:
 //!     https://prometheus.io/docs/instrumenting/exposition_formats/
 
 use std::collections::BTreeMap;
 
-use crate::metrics::{HistogramSnapshot, MetricsSnapshot, SizeHistogramSnapshot};
-use crate::{BATCH_SIZE_BUCKETS, LATENCY_BUCKETS_US};
-
-/// Appends one `counter` family with a single sample.
-pub fn push_counter(out: &mut String, name: &str, help: &str, value: u64) {
-    out.push_str(&format!("# HELP {name} {help}\n"));
-    out.push_str(&format!("# TYPE {name} counter\n"));
-    out.push_str(&format!("{name} {value}\n"));
-}
-
-/// Appends one `gauge` family with a single sample.
-pub fn push_gauge(out: &mut String, name: &str, help: &str, value: f64) {
-    out.push_str(&format!("# HELP {name} {help}\n"));
-    out.push_str(&format!("# TYPE {name} gauge\n"));
-    out.push_str(&format!("{name} {value}\n"));
-}
-
-fn seconds(us: u64) -> f64 {
-    us as f64 / 1e6
-}
-
-/// Appends one `histogram` family (seconds) from a µs latency histogram:
-/// cumulative `_bucket` series (ending in `le="+Inf"`), `_sum`, `_count`.
-pub fn push_histogram(out: &mut String, name: &str, help: &str, h: &HistogramSnapshot) {
-    out.push_str(&format!("# HELP {name} {help}\n"));
-    out.push_str(&format!("# TYPE {name} histogram\n"));
-    let mut cum = 0u64;
-    for (i, &bound_us) in LATENCY_BUCKETS_US.iter().enumerate() {
-        cum += h.buckets[i];
-        out.push_str(&format!(
-            "{name}_bucket{{le=\"{}\"}} {cum}\n",
-            seconds(bound_us)
-        ));
-    }
-    out.push_str(&format!("{name}_bucket{{le=\"+Inf\"}} {}\n", h.count));
-    out.push_str(&format!("{name}_sum {}\n", seconds(h.total_us)));
-    out.push_str(&format!("{name}_count {}\n", h.count));
-}
-
-/// Appends one `histogram` family from a unitless size histogram (e.g.
-/// fused-batch widths): cumulative `_bucket` series, `_sum`, `_count`.
-pub fn push_size_histogram(out: &mut String, name: &str, help: &str, h: &SizeHistogramSnapshot) {
-    out.push_str(&format!("# HELP {name} {help}\n"));
-    out.push_str(&format!("# TYPE {name} histogram\n"));
-    let mut cum = 0u64;
-    for (i, &bound) in BATCH_SIZE_BUCKETS.iter().enumerate() {
-        cum += h.buckets[i];
-        out.push_str(&format!("{name}_bucket{{le=\"{bound}\"}} {cum}\n"));
-    }
-    out.push_str(&format!("{name}_bucket{{le=\"+Inf\"}} {}\n", h.count));
-    out.push_str(&format!("{name}_sum {}\n", h.total));
-    out.push_str(&format!("{name}_count {}\n", h.count));
-}
-
-/// Appends the quantile-estimate gauges for one latency stage as a shared
-/// family `revelio_latency_quantile_seconds{stage=…,quantile=…}`. The
-/// `# HELP`/`# TYPE` header is emitted once by [`render_metrics`].
-fn push_quantiles(out: &mut String, stage: &str, h: &HistogramSnapshot) {
-    for (q, v) in [
-        ("0.5", h.p50_us()),
-        ("0.9", h.p90_us()),
-        ("0.99", h.p99_us()),
-    ] {
-        out.push_str(&format!(
-            "revelio_latency_quantile_seconds{{stage=\"{stage}\",quantile=\"{q}\"}} {}\n",
-            seconds(v)
-        ));
-    }
-}
-
-/// The named latency stages a snapshot exposes, with their histograms.
-fn stages(s: &MetricsSnapshot) -> [(&'static str, &HistogramSnapshot); 7] {
-    [
-        ("queue_wait", &s.queue_wait),
-        ("prep", &s.prep_latency),
-        ("explain", &s.explain_latency),
-        ("extraction", &s.phase_extraction),
-        ("flow_index", &s.phase_flow_index),
-        ("optimize", &s.phase_optimize),
-        ("readout", &s.phase_readout),
-    ]
-}
-
-/// Renders the full runtime snapshot as Prometheus text exposition.
-pub fn render_metrics(s: &MetricsSnapshot) -> String {
-    let mut out = String::new();
-    for (name, help, value) in [
-        (
-            "revelio_jobs_submitted_total",
-            "Jobs accepted into the queue.",
-            s.jobs_submitted,
-        ),
-        (
-            "revelio_jobs_started_total",
-            "Jobs picked up by a worker.",
-            s.jobs_started,
-        ),
-        (
-            "revelio_jobs_completed_total",
-            "Jobs that produced an explanation.",
-            s.jobs_completed,
-        ),
-        (
-            "revelio_jobs_degraded_total",
-            "Completed jobs with a degraded answer.",
-            s.jobs_degraded,
-        ),
-        (
-            "revelio_jobs_failed_total",
-            "Jobs that panicked or were cancelled.",
-            s.jobs_failed,
-        ),
-        (
-            "revelio_jobs_rejected_total",
-            "Jobs shed by admission control.",
-            s.jobs_rejected,
-        ),
-        (
-            "revelio_cache_hits_total",
-            "Artifact-cache hits.",
-            s.cache_hits,
-        ),
-        (
-            "revelio_cache_misses_total",
-            "Artifact-cache misses.",
-            s.cache_misses,
-        ),
-        (
-            "revelio_epochs_total",
-            "Optimisation epochs run across all completed jobs.",
-            s.epochs_total,
-        ),
-        (
-            "revelio_store_hits_total",
-            "Warm-start lookups answered from the persistent store.",
-            s.store_hits,
-        ),
-        (
-            "revelio_store_misses_total",
-            "Warm-start lookups the store could not answer.",
-            s.store_misses,
-        ),
-        (
-            "revelio_batches_total",
-            "Fused multi-job optimize passes executed.",
-            s.batches,
-        ),
-        (
-            "revelio_batched_jobs_total",
-            "Jobs served through a fused batch.",
-            s.batched_jobs,
-        ),
-    ] {
-        push_counter(&mut out, name, help, value);
-    }
-    push_gauge(
-        &mut out,
-        "revelio_queue_depth",
-        "Jobs submitted but not yet picked up by a worker.",
-        s.queue_depth as f64,
-    );
-    for (stage, h) in stages(s) {
-        let name = format!("revelio_latency_seconds_{stage}");
-        // Per-stage metric names keep each histogram its own family (the
-        // exposition format forbids a histogram family with extra labels
-        // varying bucket layouts); the stage label lives on the quantile
-        // gauges below.
-        push_histogram(
-            &mut out,
-            &name,
-            &format!("Latency of the {stage} stage in seconds."),
-            h,
-        );
-    }
-    push_size_histogram(
-        &mut out,
-        "revelio_batch_size",
-        "Jobs fused per batched optimize pass.",
-        &s.batch_size,
-    );
-    out.push_str(
-        "# HELP revelio_latency_quantile_seconds \
-         Latency quantile estimates (linear interpolation within bucket).\n",
-    );
-    out.push_str("# TYPE revelio_latency_quantile_seconds gauge\n");
-    for (stage, h) in stages(s) {
-        push_quantiles(&mut out, stage, h);
+/// Escapes a label value as the text format specifies: backslash, double
+/// quote and newline become `\\`, `\"` and `\n`, so a value from a peer
+/// cannot end its label or its line.
+pub fn escape_label(value: &str) -> String {
+    let mut out = String::with_capacity(value.len());
+    for c in value.chars() {
+        match c {
+            '\\' => out.push_str("\\\\"),
+            '"' => out.push_str("\\\""),
+            '\n' => out.push_str("\\n"),
+            c => out.push(c),
+        }
     }
     out
 }
@@ -362,7 +191,7 @@ mod tests {
         m.explain_latency.observe(Duration::from_millis(5));
         m.explain_latency.observe(Duration::from_secs(2));
         m.phase_optimize.observe(Duration::from_millis(40));
-        let text = render_metrics(&m.snapshot(2, 1));
+        let text = m.snapshot(2, 1).prometheus();
         let exp = parse_exposition(&text).expect("valid exposition");
         assert_eq!(
             exp.families.get("revelio_jobs_submitted_total"),
@@ -400,7 +229,7 @@ mod tests {
 
     #[test]
     fn empty_snapshot_renders_validly() {
-        let text = render_metrics(&Metrics::default().snapshot(0, 0));
+        let text = Metrics::default().snapshot(0, 0).prometheus();
         let exp = parse_exposition(&text).expect("valid exposition");
         // Seven stage histograms plus the batch-size histogram are
         // declared even when empty.
@@ -421,7 +250,7 @@ mod tests {
             .fetch_add(5, revelio_check::sync::atomic::Ordering::Relaxed);
         m.batch_size.observe(2);
         m.batch_size.observe(3);
-        let text = render_metrics(&m.snapshot(0, 0));
+        let text = m.snapshot(0, 0).prometheus();
         let exp = parse_exposition(&text).expect("valid exposition");
         assert_eq!(
             exp.families.get("revelio_batched_jobs_total"),

@@ -35,8 +35,8 @@ use revelio_core::{wire_enum, wire_struct, Degradation, Objective};
 use revelio_eval::Effort;
 use revelio_gnn::GnnConfig;
 use revelio_graph::{CsrMatrix, Graph, Target};
-use revelio_runtime::prometheus::{push_counter, push_gauge, push_histogram, render_metrics};
-use revelio_runtime::{HistogramSnapshot, MetricsSnapshot};
+use revelio_runtime::prometheus::escape_label;
+use revelio_runtime::{Derived, HistogramSnapshot, MetricsSnapshot, Sections};
 use revelio_trace::{AssembledTrace, TraceContext};
 
 pub use revelio_core::wire::crc32;
@@ -492,152 +492,50 @@ wire_struct!(WireStoredExplanation {
     has_mask: bool,
 });
 
-/// One point-in-time unified metrics report: wire-level counters folded
-/// together with the runtime's registry.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ServerStats {
-    /// Connections accepted since start.
-    pub connections_accepted: u64,
-    /// Connections currently open.
-    pub connections_active: u64,
-    /// Payload + header bytes received.
-    pub bytes_in: u64,
-    /// Payload + header bytes sent.
-    pub bytes_out: u64,
-    /// Requests answered (any response, including errors).
-    pub requests: u64,
-    /// Explain requests shed with `Busy`.
-    pub shed: u64,
-    /// Frames that failed to parse (connection closed after each).
-    pub protocol_errors: u64,
-    /// End-to-end per-request latency (decode → response write).
-    pub request_latency: HistogramSnapshot,
-    /// Explain requests traced end to end (head-sampled or inherited).
-    pub trace_sampled: u64,
-    /// Explain requests that passed a sampler with tracing possible but
-    /// were not sampled.
-    pub trace_dropped: u64,
-    /// The serving runtime's own registry snapshot.
-    pub runtime: MetricsSnapshot,
-}
+revelio_runtime::metric_table! {
+    /// Wire-level counters, updated by handler threads. The gateway records
+    /// its own sampling decisions in one too.
+    #[derive(Default)]
+    pub struct WireCounters;
 
-impl ServerStats {
-    /// Folds another server's stats into this one: counters sum,
-    /// histograms add bucket-wise, and the runtime snapshots merge. The
-    /// gateway uses this to answer `Stats` with one fleet-wide rollup.
-    pub fn merge(&mut self, other: &ServerStats) {
-        self.connections_accepted = self
-            .connections_accepted
-            .saturating_add(other.connections_accepted);
-        self.connections_active = self
-            .connections_active
-            .saturating_add(other.connections_active);
-        self.bytes_in = self.bytes_in.saturating_add(other.bytes_in);
-        self.bytes_out = self.bytes_out.saturating_add(other.bytes_out);
-        self.requests = self.requests.saturating_add(other.requests);
-        self.shed = self.shed.saturating_add(other.shed);
-        self.protocol_errors = self.protocol_errors.saturating_add(other.protocol_errors);
-        self.request_latency.merge(&other.request_latency);
-        self.trace_sampled = self.trace_sampled.saturating_add(other.trace_sampled);
-        self.trace_dropped = self.trace_dropped.saturating_add(other.trace_dropped);
-        self.runtime.merge(&other.runtime);
+    /// One point-in-time unified metrics report: wire-level counters folded
+    /// together with the runtime's registry.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct ServerStats("server metrics") {
+        connections_accepted: u64 = Counter(
+            "revelio_server_connections_accepted_total", "conns accepted",
+            "Connections accepted since start.");
+        connections_active: u64 = Gauge("revelio_server_connections_active", "conns active",
+            "Connections currently open.");
+        bytes_in: u64 = Counter("revelio_server_bytes_in_total", "wire bytes_in",
+            "Header + payload bytes received.");
+        bytes_out: u64 = Counter("revelio_server_bytes_out_total", "wire bytes_out",
+            "Header + payload bytes sent.");
+        requests: u64 = Counter("revelio_server_requests_total", "requests answered",
+            "Requests answered (including errors).");
+        shed: u64 = Counter("revelio_server_shed_total", "requests shed",
+            "Explain requests shed with Busy.");
+        /// The connection is closed after each.
+        protocol_errors: u64 = Counter(
+            "revelio_server_protocol_errors_total", "wire protocol_errors",
+            "Frames that failed to parse.");
+        request_latency: HistogramSnapshot = Histogram(
+            "revelio_server_request_latency_seconds", "latency",
+            "End-to-end per-request latency (decode to response write).");
+        /// The serving runtime's own registry snapshot.
+        runtime: MetricsSnapshot;
     }
-
-    /// Renders the unified report (wire section + runtime section).
-    pub fn report(&self) -> String {
-        let h = &self.request_latency;
-        let mut out = String::new();
-        out.push_str("server metrics\n");
-        out.push_str(&format!(
-            "  conns     accepted={} active={}\n",
-            self.connections_accepted, self.connections_active
-        ));
-        out.push_str(&format!(
-            "  wire      bytes_in={} bytes_out={} protocol_errors={}\n",
-            self.bytes_in, self.bytes_out, self.protocol_errors
-        ));
-        out.push_str(&format!(
-            "  requests  answered={} shed={}\n",
-            self.requests, self.shed
-        ));
-        out.push_str(&format!(
-            "  tracing   sampled={} dropped={}\n",
-            self.trace_sampled, self.trace_dropped
-        ));
-        out.push_str(&format!(
-            "  latency   n={} mean={}us max={}us\n",
-            h.count,
-            h.mean_us(),
-            h.max_us
-        ));
-        out.push_str(&self.runtime.report());
-        out
-    }
-
-    /// Renders the unified report as Prometheus text exposition: the
-    /// runtime's families (see [`render_metrics`]) plus the wire-level
-    /// `revelio_server_*` counters and the request-latency histogram.
-    pub fn prometheus(&self) -> String {
-        let mut out = render_metrics(&self.runtime);
-        for (name, help, value) in [
-            (
-                "revelio_server_connections_accepted_total",
-                "Connections accepted since start.",
-                self.connections_accepted,
-            ),
-            (
-                "revelio_server_bytes_in_total",
-                "Header + payload bytes received.",
-                self.bytes_in,
-            ),
-            (
-                "revelio_server_bytes_out_total",
-                "Header + payload bytes sent.",
-                self.bytes_out,
-            ),
-            (
-                "revelio_server_requests_total",
-                "Requests answered (including errors).",
-                self.requests,
-            ),
-            (
-                "revelio_server_shed_total",
-                "Explain requests shed with Busy.",
-                self.shed,
-            ),
-            (
-                "revelio_server_protocol_errors_total",
-                "Frames that failed to parse.",
-                self.protocol_errors,
-            ),
-            (
-                "revelio_trace_sampled_total",
-                "Explain requests traced end to end (head-sampled or inherited).",
-                self.trace_sampled,
-            ),
-            (
-                "revelio_trace_dropped_total",
-                "Explain requests considered for tracing but not sampled.",
-                self.trace_dropped,
-            ),
-        ] {
-            push_counter(&mut out, name, help, value);
-        }
-        push_gauge(
-            &mut out,
-            "revelio_server_connections_active",
-            "Connections currently open.",
-            self.connections_active as f64,
-        );
-        push_histogram(
-            &mut out,
-            "revelio_server_request_latency_seconds",
-            "End-to-end per-request latency (decode to response write).",
-            &self.request_latency,
-        );
-        out
+    // Protocol v6 appended the trace counters after the `Stats` answer's
+    // gateway tail, which `encode_with` places between the blocks.
+    wire_tail {
+        trace_sampled: u64 = Counter("revelio_trace_sampled_total", "tracing sampled",
+            "Explain requests traced end to end (head-sampled or inherited).");
+        trace_dropped: u64 = Counter("revelio_trace_dropped_total", "tracing dropped",
+            "Explain requests considered for tracing but not sampled.");
     }
 }
+
+impl Derived for ServerStats {}
 
 /// The gateway's view of one backend shard: health-state machine output
 /// plus forwarding counters, with the cache/job counters lifted from the
@@ -682,21 +580,27 @@ wire_struct!(GatewayBackendStats {
     jobs_completed: u64,
 });
 
-/// Gateway-level counters, carried by the `Stats` response when the
-/// answering process is a gateway. Plain `revelio-serve` never attaches
-/// them.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct GatewayStats {
-    /// Explain requests routed to a single owner via the ring.
-    pub routed: u64,
-    /// Registrations fanned out (replicated) to the healthy fleet.
-    pub fanout: u64,
-    /// Forwards retried against a successor shard after a failure.
-    pub rerouted: u64,
-    /// Scatter-gather reads (fetch/list/trace) sent to the whole fleet.
-    pub scatter: u64,
-    /// Per-backend health + counters, in configured shard order.
-    pub backends: Vec<GatewayBackendStats>,
+revelio_runtime::metric_table! {
+    /// The gateway's own counters, updated by its connection threads.
+    #[derive(Default)]
+    pub struct GatewayCounters;
+
+    /// Gateway-level counters, carried by the `Stats` response when the
+    /// answering process is a gateway. Plain `revelio-serve` never attaches
+    /// them.
+    #[derive(Debug, Clone, Default, PartialEq, Eq)]
+    pub struct GatewayStats("gateway") {
+        routed: u64 = Counter("revelio_gateway_routed_total", "routing routed",
+            "Explain requests routed to their owning shard.");
+        fanout: u64 = Counter("revelio_gateway_fanout_total", "routing fanout",
+            "Registrations replicated to the healthy fleet.");
+        rerouted: u64 = Counter("revelio_gateway_rerouted_total", "routing rerouted",
+            "Forwards retried on a successor shard after a failure.");
+        scatter: u64 = Counter("revelio_gateway_scatter_total", "routing scatter",
+            "Scatter-gather reads sent to the whole fleet.");
+        /// Per-backend health + counters, in configured shard order.
+        backends: Vec<GatewayBackendStats>;
+    }
 }
 
 impl GatewayStats {
@@ -708,142 +612,92 @@ impl GatewayStats {
     /// Fleet-wide artifact-cache hit rate in `[0, 1]` from the summed
     /// per-backend counters (0 when the fleet was never probed).
     pub fn fleet_cache_hit_rate(&self) -> f64 {
-        let hits: u64 = self.backends.iter().map(|b| b.cache_hits).sum();
-        let misses: u64 = self.backends.iter().map(|b| b.cache_misses).sum();
-        if hits + misses == 0 {
+        let hits: f64 = self.backends.iter().map(|b| b.cache_hits as f64).sum();
+        let misses: f64 = self.backends.iter().map(|b| b.cache_misses as f64).sum();
+        if hits + misses == 0.0 {
             0.0
         } else {
-            hits as f64 / (hits + misses) as f64
+            hits / (hits + misses)
         }
-    }
-
-    /// Renders the gateway families as Prometheus text exposition
-    /// (`revelio_gateway_*`), appended after the standard server families
-    /// by `revelio-top` and the gateway's own scrape surface.
-    pub fn prometheus(&self) -> String {
-        let mut out = String::new();
-        for (name, help, value) in [
-            (
-                "revelio_gateway_routed_total",
-                "Explain requests routed to their owning shard.",
-                self.routed,
-            ),
-            (
-                "revelio_gateway_fanout_total",
-                "Registrations replicated to the healthy fleet.",
-                self.fanout,
-            ),
-            (
-                "revelio_gateway_rerouted_total",
-                "Forwards retried on a successor shard after a failure.",
-                self.rerouted,
-            ),
-            (
-                "revelio_gateway_scatter_total",
-                "Scatter-gather reads sent to the whole fleet.",
-                self.scatter,
-            ),
-        ] {
-            push_counter(&mut out, name, help, value);
-        }
-        push_gauge(
-            &mut out,
-            "revelio_gateway_backends_healthy",
-            "Backends the ring currently routes to.",
-            self.healthy_backends() as f64,
-        );
-        push_gauge(
-            &mut out,
-            "revelio_gateway_fleet_cache_hit_rate",
-            "Fleet-wide artifact-cache hit rate in [0, 1].",
-            self.fleet_cache_hit_rate(),
-        );
-        let labelled = |out: &mut String,
-                        name: &str,
-                        help: &str,
-                        ty: &str,
-                        f: &dyn Fn(&GatewayBackendStats) -> f64| {
-            out.push_str(&format!("# HELP {name} {help}\n"));
-            out.push_str(&format!("# TYPE {name} {ty}\n"));
-            for b in &self.backends {
-                out.push_str(&format!("{name}{{backend=\"{}\"}} {}\n", b.addr, f(b)));
-            }
-        };
-        labelled(
-            &mut out,
-            "revelio_gateway_backend_up",
-            "Whether the ring routes to this backend (1 = healthy).",
-            "gauge",
-            &|b| if b.healthy { 1.0 } else { 0.0 },
-        );
-        labelled(
-            &mut out,
-            "revelio_gateway_backend_forwarded_total",
-            "Requests forwarded to this backend.",
-            "counter",
-            &|b| b.forwarded as f64,
-        );
-        labelled(
-            &mut out,
-            "revelio_gateway_backend_errors_total",
-            "Transport or protocol failures against this backend.",
-            "counter",
-            &|b| b.errors as f64,
-        );
-        labelled(
-            &mut out,
-            "revelio_gateway_backend_busy_total",
-            "Busy answers this backend returned.",
-            "counter",
-            &|b| b.busy as f64,
-        );
-        labelled(
-            &mut out,
-            "revelio_gateway_backend_health_checks_total",
-            "Successful Stats health polls of this backend.",
-            "counter",
-            &|b| b.health_checks as f64,
-        );
-        out
-    }
-
-    /// Renders a human-readable gateway section for the unified report.
-    pub fn report(&self) -> String {
-        let mut out = String::new();
-        out.push_str("gateway\n");
-        out.push_str(&format!(
-            "  routing   routed={} fanout={} rerouted={} scatter={}\n",
-            self.routed, self.fanout, self.rerouted, self.scatter
-        ));
-        out.push_str(&format!(
-            "  fleet     backends={} healthy={} cache_hit_rate={:.1}%\n",
-            self.backends.len(),
-            self.healthy_backends(),
-            100.0 * self.fleet_cache_hit_rate()
-        ));
-        for b in &self.backends {
-            out.push_str(&format!(
-                "  backend   {} {} fails={} fwd={} err={} busy={} polls={}\n",
-                b.addr,
-                if b.healthy { "up" } else { "DOWN" },
-                b.consecutive_failures,
-                b.forwarded,
-                b.errors,
-                b.busy,
-                b.health_checks,
-            ));
-        }
-        out
     }
 }
 
-wire_struct!(GatewayStats {
-    routed: u64,
-    fanout: u64,
-    rerouted: u64,
-    scatter: u64,
-    backends: Vec<GatewayBackendStats>,
-});
+/// The fleet gauges and the per-backend families, one labelled sample per
+/// backend, are computed from `backends` rather than recorded.
+impl Derived for GatewayStats {
+    fn derived_families(&self, out: &mut Sections) {
+        for (name, help, value) in [
+            (
+                "revelio_gateway_backends_healthy",
+                "Backends the ring currently routes to.",
+                self.healthy_backends() as f64,
+            ),
+            (
+                "revelio_gateway_fleet_cache_hit_rate",
+                "Fleet-wide artifact-cache hit rate in [0, 1].",
+                self.fleet_cache_hit_rate(),
+            ),
+        ] {
+            out.family(name, "gauge", help)
+                .push_str(&format!("\n{name} {value}"));
+        }
+        let mut labelled =
+            |name: &str, ty: &str, help: &str, value: fn(&GatewayBackendStats) -> f64| {
+                let family = out.family(name, ty, help);
+                for b in &self.backends {
+                    let addr = escape_label(&b.addr);
+                    family.push_str(&format!("\n{name}{{backend=\"{addr}\"}} {}", value(b)));
+                }
+            };
+        labelled(
+            "revelio_gateway_backend_up",
+            "gauge",
+            "Whether the ring routes to this backend (1 = healthy).",
+            |b| if b.healthy { 1.0 } else { 0.0 },
+        );
+        labelled(
+            "revelio_gateway_backend_forwarded_total",
+            "counter",
+            "Requests forwarded to this backend.",
+            |b| b.forwarded as f64,
+        );
+        labelled(
+            "revelio_gateway_backend_errors_total",
+            "counter",
+            "Transport or protocol failures against this backend.",
+            |b| b.errors as f64,
+        );
+        labelled(
+            "revelio_gateway_backend_busy_total",
+            "counter",
+            "Busy answers this backend returned.",
+            |b| b.busy as f64,
+        );
+        labelled(
+            "revelio_gateway_backend_health_checks_total",
+            "counter",
+            "Successful Stats health polls of this backend.",
+            |b| b.health_checks as f64,
+        );
+    }
+
+    fn derived_report(&self, out: &mut Sections) {
+        out.value("fleet backends", self.backends.len());
+        out.value("fleet healthy", self.healthy_backends());
+        let rate = 100.0 * self.fleet_cache_hit_rate();
+        out.value("fleet cache_hit_rate", format!("{rate:.1}%"));
+        for (i, b) in self.backends.iter().enumerate() {
+            let up = if b.healthy { "up" } else { "DOWN" };
+            // Escaped: an address from a peer must not start a line.
+            let addr = b.addr.escape_debug();
+            out.get(&format!("backend {i}"), String::new)
+                .push_str(&format!(
+                    "  backend   {addr} {up} fails={} fwd={} err={} busy={} polls={}",
+                    b.consecutive_failures, b.forwarded, b.errors, b.busy, b.health_checks,
+                ));
+        }
+    }
+}
 
 /// A server → client message.
 pub enum Response {
@@ -1093,22 +947,7 @@ impl Response {
                 let msg: String = message.chars().take(512).collect();
                 put_str(&mut out, &msg);
             }
-            Response::Stats(s, gateway) => {
-                [
-                    s.connections_accepted,
-                    s.connections_active,
-                    s.bytes_in,
-                    s.bytes_out,
-                    s.requests,
-                    s.shed,
-                    s.protocol_errors,
-                ]
-                .encode(&mut out);
-                s.request_latency.encode(&mut out);
-                s.runtime.encode(&mut out);
-                gateway.encode(&mut out);
-                [s.trace_sampled, s.trace_dropped].encode(&mut out);
-            }
+            Response::Stats(s, gateway) => s.encode_with(gateway, &mut out),
             Response::ShutdownAck => {}
             Response::Assembled(t) => t.encode(&mut out),
             Response::Explanation(e) => e.encode(&mut out),
@@ -1149,25 +988,7 @@ impl Response {
                 message: r.str()?,
             },
             RESP_STATS => {
-                let [connections_accepted, connections_active, bytes_in, bytes_out, requests, shed, protocol_errors] =
-                    <[u64; 7]>::decode(r)?;
-                let request_latency = HistogramSnapshot::decode(r)?;
-                let runtime = MetricsSnapshot::decode(r)?;
-                let gateway = Option::decode(r)?;
-                let [trace_sampled, trace_dropped] = <[u64; 2]>::decode(r)?;
-                let stats = ServerStats {
-                    connections_accepted,
-                    connections_active,
-                    bytes_in,
-                    bytes_out,
-                    requests,
-                    shed,
-                    protocol_errors,
-                    request_latency,
-                    trace_sampled,
-                    trace_dropped,
-                    runtime,
-                };
+                let (stats, gateway) = ServerStats::decode_with(r)?;
                 Response::Stats(Box::new(stats), gateway)
             }
             RESP_SHUTDOWN_ACK => Response::ShutdownAck,
@@ -1474,8 +1295,8 @@ mod tests {
         s.runtime.epochs_total = 340;
         s.runtime.phase_optimize.count = 17;
         s.runtime.phase_optimize.buckets[2] = 17;
-        s.runtime.phase_optimize.total_us = 85_000;
-        s.runtime.phase_optimize.max_us = 9_000;
+        s.runtime.phase_optimize.total = 85_000;
+        s.runtime.phase_optimize.max = 9_000;
         s.runtime.store_hits = 5;
         s.runtime.store_misses = 3;
         let payload = Response::Stats(Box::new(s), None).encode();
@@ -1580,6 +1401,31 @@ mod tests {
     }
 
     #[test]
+    fn backend_label_values_are_escaped() {
+        let hostile = "evil\\\"} 1\nrevelio_gateway_backend_up{backend=\"x";
+        let g = GatewayStats {
+            backends: vec![
+                GatewayBackendStats {
+                    addr: hostile.to_owned(),
+                    healthy: true,
+                    ..Default::default()
+                },
+                GatewayBackendStats {
+                    addr: "127.0.0.1:7142".to_owned(),
+                    ..Default::default()
+                },
+            ],
+            ..Default::default()
+        };
+        let text = g.prometheus();
+        let exp = revelio_runtime::prometheus::parse_exposition(&text).expect("valid exposition");
+        assert_eq!(exp.samples_of("revelio_gateway_backend_up").len(), 2);
+        assert!(
+            text.contains(r#"{backend="evil\\\"} 1\nrevelio_gateway_backend_up{backend=\"x"} 1"#)
+        );
+    }
+
+    #[test]
     fn hostile_gateway_backend_count_fails_before_allocation() {
         let mut payload = Response::Stats(Box::<ServerStats>::default(), None).encode();
         // Strip the v6 trace counters so the gateway-tail tag is the last
@@ -1607,8 +1453,8 @@ mod tests {
         };
         s.request_latency.count = 9;
         s.request_latency.buckets[1] = 9;
-        s.request_latency.total_us = 4_500;
-        s.request_latency.max_us = 900;
+        s.request_latency.total = 4_500;
+        s.request_latency.max = 900;
         s.runtime.epochs_total = 120;
         let text = s.prometheus();
         let exp = revelio_runtime::prometheus::parse_exposition(&text).expect("valid exposition");

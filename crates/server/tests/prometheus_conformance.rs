@@ -8,8 +8,9 @@
 //! families carry `_sum`, `_count`, and a cumulative bucket ladder
 //! ending in `le="+Inf"` equal to `_count`. This test adds the ordering
 //! rule the parser skips (`# HELP` *and* `# TYPE` must precede every
-//! family's first sample) and pins the family inventory both surfaces
-//! promise.
+//! family's first sample), pins the family inventory both surfaces
+//! promise, and checks that every row of the three metric tables reaches
+//! a live backend's and a live gateway's scrape with its declared type.
 
 #![allow(clippy::unwrap_used)]
 
@@ -18,12 +19,13 @@ use std::collections::BTreeSet;
 use revelio_core::wire::ControlSpec;
 use revelio_core::Objective;
 use revelio_eval::Effort;
+use revelio_gateway::{Gateway, GatewayConfig};
 use revelio_gnn::{Gnn, GnnConfig, GnnKind, Task, TrainConfig};
 use revelio_graph::{Graph, Target};
 use revelio_runtime::prometheus::{parse_exposition, FamilyType};
-use revelio_runtime::RuntimeConfig;
+use revelio_runtime::{MetricDef, MetricsSnapshot, RuntimeConfig};
 use revelio_server::wire::{GatewayBackendStats, GatewayStats};
-use revelio_server::{Client, ExplainRequest, Server, ServerConfig};
+use revelio_server::{Client, ExplainRequest, Server, ServerConfig, ServerStats};
 
 /// Walks the exposition line by line and fails if any sample appears
 /// before its family's `# HELP` or `# TYPE` declaration.
@@ -97,6 +99,72 @@ fn trained_model() -> (Gnn, Graph) {
     (model, graph)
 }
 
+fn explain_request(model: u32, graph: &Graph, graph_id: u64) -> ExplainRequest {
+    ExplainRequest {
+        model,
+        graph_id,
+        method: "REVELIO".to_owned(),
+        objective: Objective::Factual,
+        effort: Effort::Quick,
+        target: Target::Node(2),
+        control: ControlSpec::default(),
+        graph: graph.clone(),
+        context: None,
+    }
+}
+
+/// Fails unless every row in `tables` is a family of `text` with the row's
+/// declared type.
+fn assert_declares(text: &str, tables: &[&[MetricDef]]) {
+    let exp = parse_exposition(text).expect("exposition parses");
+    assert_help_and_type_precede_samples(text);
+    for def in tables.iter().flat_map(|t| t.iter()) {
+        let ty = match exp.families.get(def.name) {
+            Some(FamilyType::Counter) => "counter",
+            Some(FamilyType::Gauge) => "gauge",
+            Some(FamilyType::Histogram) => "histogram",
+            other => panic!("{} is declared but exposed as {other:?}", def.name),
+        };
+        assert_eq!(ty, def.kind.prometheus_type(), "{} mistyped", def.name);
+    }
+}
+
+#[test]
+fn every_declared_family_reaches_a_live_scrape() {
+    let (model, graph) = trained_model();
+    let server = Server::start(ServerConfig::default()).unwrap();
+    let gateway = Gateway::start(GatewayConfig {
+        shards: vec![server.local_addr().to_string()],
+        ..GatewayConfig::default()
+    })
+    .unwrap();
+    let mut client = Client::connect(gateway.local_addr()).unwrap();
+    let id = client.register_model(&model).unwrap();
+    client.explain(&explain_request(id, &graph, 0)).unwrap();
+
+    let backend = Client::connect(server.local_addr())
+        .unwrap()
+        .stats()
+        .unwrap();
+    assert_declares(
+        &backend.prometheus(),
+        &[MetricsSnapshot::METRICS, ServerStats::METRICS],
+    );
+    let (fleet, tail) = client.stats_full().unwrap();
+    let tail = tail.expect("a gateway attaches its counters");
+    assert_declares(
+        &format!("{}{}", fleet.prometheus(), tail.prometheus()),
+        &[
+            MetricsSnapshot::METRICS,
+            ServerStats::METRICS,
+            GatewayStats::METRICS,
+        ],
+    );
+    drop(client);
+    gateway.shutdown();
+    server.shutdown();
+}
+
 #[test]
 fn backend_exposition_conforms_with_live_observations() {
     let (model, graph) = trained_model();
@@ -112,19 +180,7 @@ fn backend_exposition_conforms_with_live_observations() {
     let mut client = Client::connect(server.local_addr()).unwrap();
     let id = client.register_model(&model).unwrap();
     for gid in 0..2 {
-        client
-            .explain(&ExplainRequest {
-                model: id,
-                graph_id: gid,
-                method: "REVELIO".to_owned(),
-                objective: Objective::Factual,
-                effort: Effort::Quick,
-                target: Target::Node(2),
-                control: ControlSpec::default(),
-                graph: graph.clone(),
-                context: None,
-            })
-            .unwrap();
+        client.explain(&explain_request(id, &graph, gid)).unwrap();
     }
     let stats = client.stats().unwrap();
     server.shutdown();

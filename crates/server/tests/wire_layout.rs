@@ -4,8 +4,9 @@
 //! The corpus below covers every `Request` and `Response` variant (the
 //! `Stats` answer with and without the gateway's counters) and the three
 //! store records (the explanation record with and without its optional
-//! fields), plus one complete frame, one complete store log file and one
-//! model fingerprint (the warm-start staleness guard). Each
+//! fields), plus one complete frame, one complete store log file, one
+//! model fingerprint (the warm-start staleness guard), and the sorted
+//! lines of the Prometheus exposition of the `Stats` fixtures. Each
 //! encoding is hashed with FNV-1a 64 and compared against `GOLDEN`, a table
 //! recorded from the hand-written encoders that predate the shared
 //! `Codec`. A mismatch means peers or on-disk logs would no longer
@@ -19,7 +20,7 @@ use revelio_core::{Degradation, Objective};
 use revelio_eval::Effort;
 use revelio_gnn::{GnnConfig, GnnKind, Task};
 use revelio_graph::{Graph, Target};
-use revelio_runtime::{HistogramSnapshot, MetricsSnapshot, SizeHistogramSnapshot};
+use revelio_runtime::{BatchWidth, HistogramSnapshot, MetricsSnapshot};
 use revelio_server::wire::{
     encode_frame, ErrorKind, ExplainRequest, GatewayBackendStats, GatewayStats, Request, Response,
     ServedExplanation, ServerStats, WireExplanationSummary, WireStoredExplanation, WireTiming,
@@ -35,7 +36,9 @@ use revelio_trace::{AssembledEvent, AssembledSpan, AssembledTrace, PointKind, Tr
 /// hand from the documented layouts, and agree with this build: v7's
 /// `request.assembled_trace` and `response.assembled`, and v8's explain
 /// requests (CSR graph features), `request.fetch_explanation` (no trace
-/// context), `response.pong` and `frame.ping`.
+/// context), `response.pong` and `frame.ping`. The `exposition.*` entries
+/// were recorded from the hand-written renderers that predate the metric
+/// tables.
 const GOLDEN: &[(&str, u64)] = &[
     ("request.ping", 0xaf63bd4c8601b7df),
     ("request.register_model", 0xc788d661031e44ba),
@@ -75,6 +78,12 @@ const GOLDEN: &[(&str, u64)] = &[
     ("record.explanation_bare", 0x0ba986a428e9e229),
     ("store.log_file", 0x59a71c437c54e3e3),
     ("store.model_fingerprint", 0x4e850ca8521d320d),
+    // 0x08da399fb312f7ea before histograms with more bucket entries than
+    // `count` (most of this fixture's) exposed their bucket total as
+    // `+Inf` and `_count`; the old lines were not cumulative.
+    ("exposition.server_stats", 0xef4d25440cede1c4),
+    ("exposition.server_stats_consistent", 0x0fc174f1f5089474),
+    ("exposition.gateway_stats", 0x6a38949782fa98b1),
 ];
 
 fn fnv1a64(bytes: &[u8]) -> u64 {
@@ -153,18 +162,18 @@ fn summary(
 }
 
 fn histogram(seed: u64) -> HistogramSnapshot {
-    let mut h = HistogramSnapshot::default();
+    let mut h: HistogramSnapshot = Default::default();
     for (i, b) in h.buckets.iter_mut().enumerate() {
         *b = seed * 10 + i as u64;
     }
     h.count = seed + 100;
-    h.total_us = seed * 1_000 + 7;
-    h.max_us = seed * 99;
+    h.total = seed * 1_000 + 7;
+    h.max = seed * 99;
     h
 }
 
 fn server_stats() -> ServerStats {
-    let mut batch_size = SizeHistogramSnapshot::default();
+    let mut batch_size: HistogramSnapshot<BatchWidth> = Default::default();
     for (i, b) in batch_size.buckets.iter_mut().enumerate() {
         *b = 3 * i as u64 + 1;
     }
@@ -562,7 +571,51 @@ fn corpus() -> Vec<(&'static str, Vec<u8>)> {
         "store.model_fingerprint",
         fingerprint.to_le_bytes().to_vec(),
     ));
+    // The text surfaces: family order carries no meaning in the exposition
+    // format, so the sorted lines are hashed.
+    out.push((
+        "exposition.server_stats",
+        sorted_lines(&server_stats().prometheus()),
+    ));
+    out.push((
+        "exposition.server_stats_consistent",
+        sorted_lines(&consistent(server_stats()).prometheus()),
+    ));
+    out.push((
+        "exposition.gateway_stats",
+        sorted_lines(&gateway_stats().prometheus()),
+    ));
     out
+}
+
+fn sorted_lines(text: &str) -> Vec<u8> {
+    let mut lines: Vec<&str> = text.lines().collect();
+    lines.sort_unstable();
+    lines.join("\n").into_bytes()
+}
+
+/// `server_stats()` with every histogram's count equal to its bucket sum,
+/// as a registry snapshot taken at rest has it. The fixture itself has
+/// more bucket entries than observations in most histograms.
+fn consistent(mut s: ServerStats) -> ServerStats {
+    fn fix(buckets: &[u64], count: &mut u64) {
+        *count = buckets.iter().sum();
+    }
+    let rt = &mut s.runtime;
+    for h in [
+        &mut s.request_latency,
+        &mut rt.queue_wait,
+        &mut rt.prep_latency,
+        &mut rt.explain_latency,
+        &mut rt.phase_extraction,
+        &mut rt.phase_flow_index,
+        &mut rt.phase_optimize,
+        &mut rt.phase_readout,
+    ] {
+        fix(&h.buckets, &mut h.count);
+    }
+    fix(&rt.batch_size.buckets, &mut rt.batch_size.count);
+    s
 }
 
 #[test]

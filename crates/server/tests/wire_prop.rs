@@ -13,7 +13,8 @@ use revelio_core::wire::{check_codec, Codec, ControlSpec, WireDecodeError};
 use revelio_core::{Degradation, Objective};
 use revelio_eval::Effort;
 use revelio_graph::{Graph, Target};
-use revelio_runtime::HistogramSnapshot;
+use revelio_runtime::prometheus::parse_exposition;
+use revelio_runtime::{HistogramSnapshot, MetricsSnapshot};
 use revelio_server::wire::{
     crc32, encode_frame, read_frame, ErrorKind, ExplainRequest, GatewayBackendStats, GatewayStats,
     MaskKey, Request, Response, ServedExplanation, ServerStats, WireError, WireExplanationSummary,
@@ -384,7 +385,7 @@ proptest! {
         });
         holds(&degradation);
         holds(&target);
-        let mut h = HistogramSnapshot::default();
+        let mut h: HistogramSnapshot = Default::default();
         for (b, &v) in h.buckets.iter_mut().zip(nums.iter().cycle().skip(count)) {
             *b = v;
         }
@@ -398,6 +399,92 @@ proptest! {
     ) {
         let _ = Request::decode(&bytes);
         let _ = Response::decode(&bytes);
+    }
+}
+
+/// Counter values a peer may send, drawn as (shape, bits) pairs: zero,
+/// small, arbitrary or the maximum.
+fn peer_words(raw: &[(u8, u64)]) -> Vec<u64> {
+    raw.iter()
+        .map(|&(shape, v)| match shape {
+            0 => 0,
+            1 => v % 1_000,
+            2 => v,
+            _ => u64::MAX,
+        })
+        .collect()
+}
+
+/// Words of a `Stats` answer without the gateway tail: the seven wire
+/// counters, the request-latency histogram, the runtime snapshot and the
+/// two trace counters.
+const STATS_WORDS: usize =
+    9 + (<HistogramSnapshot as Codec>::MIN_LEN + MetricsSnapshot::MIN_LEN) / 8;
+
+/// A `Stats` answer decoded from arbitrary counter words, as a peer can
+/// send it: nothing ties a histogram's count to its buckets.
+fn peer_stats(words: &[u64]) -> ServerStats {
+    let mut payload = vec![Response::Stats(Box::default(), None).encode()[0]];
+    for (i, w) in words.iter().enumerate() {
+        if i == STATS_WORDS - 2 {
+            payload.push(0); // no gateway tail
+        }
+        payload.extend_from_slice(&w.to_le_bytes());
+    }
+    match Response::decode(&payload).unwrap() {
+        Response::Stats(s, None) => *s,
+        _ => panic!("wrong variant"),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Whatever a peer sends, merging, reporting and exposing its stats
+    /// never panic, and the exposition stays well-formed: histograms stay
+    /// cumulative and label values stay inside their quotes.
+    #[test]
+    fn peer_stats_merge_report_and_expose_without_panic(
+        a in prop::collection::vec((0u8..4, 0u64..=u64::MAX), STATS_WORDS),
+        b in prop::collection::vec((0u8..4, 0u64..=u64::MAX), STATS_WORDS),
+        counters in prop::collection::vec((0u8..4, 0u64..=u64::MAX), 4 + 4 * 6),
+        addrs in prop::collection::vec(prop::collection::vec(0usize..8, 0..12), 0..4),
+    ) {
+        let (a, b) = (peer_stats(&peer_words(&a)), peer_stats(&peer_words(&b)));
+        let n = peer_words(&counters);
+        let g = GatewayStats {
+            routed: n[0],
+            fanout: n[1],
+            rerouted: n[2],
+            scatter: n[3],
+            backends: addrs
+                .iter()
+                .zip(n[4..].chunks(6))
+                .map(|(addr, n)| GatewayBackendStats {
+                    addr: addr.iter().map(|&c| ['a', '7', ':', '.', '\\', '"', '\n', ' '][c]).collect(),
+                    healthy: n[0] % 2 == 0,
+                    consecutive_failures: n[0] as u32,
+                    forwarded: n[1],
+                    errors: n[2],
+                    busy: n[3],
+                    health_checks: n[4],
+                    cache_hits: n[5],
+                    cache_misses: n[0],
+                    jobs_completed: n[1],
+                })
+                .collect(),
+        };
+        let mut merged = a;
+        merged.merge(&b);
+        let _ = g.report();
+        for s in [&a, &b, &merged] {
+            let _ = s.report();
+            let text = format!("{}{}", s.prometheus(), g.prometheus());
+            let exp = parse_exposition(&text);
+            prop_assert!(exp.is_ok(), "{:?}", exp.err());
+            let up = exp.unwrap().samples_of("revelio_gateway_backend_up").len();
+            prop_assert_eq!(up, g.backends.len());
+        }
     }
 }
 
