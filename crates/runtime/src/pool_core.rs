@@ -85,6 +85,27 @@ impl<J> Channel<J> {
     }
 }
 
+/// Counts the workers still building their state.
+struct Starting {
+    left: Mutex<usize>,
+    done: Condvar,
+}
+
+/// Marks one worker as started when dropped: after its `init` returns, or
+/// while unwinding out of a panicking `init`, so the spawner never waits
+/// on a dead worker.
+struct Started(Arc<Starting>);
+
+impl Drop for Started {
+    fn drop(&mut self) {
+        let mut left = lock(&self.0.left);
+        *left -= 1;
+        if *left == 0 {
+            self.0.done.notify_all();
+        }
+    }
+}
+
 /// A fixed set of worker threads fed from one shared queue.
 ///
 /// Each worker builds its own state with `init(worker_index)` *on the
@@ -100,8 +121,8 @@ pub struct PoolCore<J: Send + 'static> {
 impl<J: Send + 'static> PoolCore<J> {
     /// Spawns `workers` threads named `{name_prefix}-{i}`.
     ///
-    /// `init` runs once per worker, on that worker's thread; `handler`
-    /// runs once per job. A handler that panics kills its worker (the
+    /// `init` runs once per worker, on that worker's thread, and this
+    /// returns once every `init` has; `handler` runs once per job. A handler that panics kills its worker (the
     /// caller is expected to `catch_unwind` per job if workers must
     /// survive — [`Runtime`] does).
     ///
@@ -152,17 +173,23 @@ impl<J: Send + 'static> PoolCore<J> {
         H: Fn(&mut S, J, &mut dyn FnMut() -> Option<J>) + Send + Sync + 'static,
     {
         let channel = Arc::new(Channel::new());
+        let starting = Arc::new(Starting {
+            left: Mutex::new(workers),
+            done: Condvar::new(),
+        });
         let init = Arc::new(init);
         let handler = Arc::new(handler);
         let mut handles = Vec::with_capacity(workers);
         for i in 0..workers {
             let worker_channel = Arc::clone(&channel);
+            let started = Started(Arc::clone(&starting));
             let init = Arc::clone(&init);
             let handler = Arc::clone(&handler);
             let spawned = thread::Builder::new()
                 .name(format!("{name_prefix}-{i}"))
                 .spawn(move || {
                     let mut state = init(i);
+                    drop(started);
                     while let Some(job) = worker_channel.pop() {
                         let mut drain = || worker_channel.try_pop();
                         handler(&mut state, job, &mut drain);
@@ -179,6 +206,13 @@ impl<J: Send + 'static> PoolCore<J> {
                 }
             }
         }
+        // Return only once every worker is up, so threads the caller starts
+        // next (a server's acceptor) always start after the pool's.
+        let mut left = lock(&starting.left);
+        while *left > 0 {
+            left = wait(&starting.done, left);
+        }
+        drop(left);
         Ok(PoolCore {
             channel,
             workers: handles,
@@ -289,6 +323,27 @@ mod tests {
         };
         drop(pool);
         assert_eq!(inits.load(Ordering::Relaxed), 3);
+    }
+
+    #[test]
+    fn spawn_returns_after_every_init_even_a_panicking_one() {
+        let inits = Arc::new(AtomicU64::new(0));
+        let pool: PoolCore<u64> = {
+            let inits = Arc::clone(&inits);
+            PoolCore::spawn(
+                "pool-core-started",
+                3,
+                move |i| {
+                    assert!(i != 0, "worker 0's init fails");
+                    std::thread::sleep(std::time::Duration::from_millis(20));
+                    inits.fetch_add(1, Ordering::Relaxed);
+                },
+                |(), _job| {},
+            )
+            .expect("spawn")
+        };
+        assert_eq!(inits.load(Ordering::Relaxed), 2);
+        drop(pool);
     }
 
     #[test]
