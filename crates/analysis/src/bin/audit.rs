@@ -248,10 +248,14 @@ fn main() -> ExitCode {
 
     // Non-facade concurrent crates: only the `Relaxed` discipline applies
     // (their threads and locks legitimately speak `std`).
-    let counter_only_sources: [(&str, &str); 3] = [
+    let counter_only_sources: [(&str, &str); 4] = [
         (
             "crates/core/src/control.rs",
             include_str!("../../../core/src/control.rs"),
+        ),
+        (
+            "crates/server/src/front.rs",
+            include_str!("../../../server/src/front.rs"),
         ),
         (
             "crates/server/src/server.rs",

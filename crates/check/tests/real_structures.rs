@@ -22,7 +22,7 @@ use revelio_check::{explore, Config};
 use revelio_core::Degradation;
 use revelio_graph::Target;
 use revelio_runtime::{Metrics, PoolCore, ShardedLru};
-use revelio_store::{ExplanationRecord, LogStore, MaskKey, PhaseSummary, Store, StoredMask};
+use revelio_store::{ExplanationRecord, LogStore, MaskKey, PhaseSummary, StoredMask};
 use revelio_trace::{Collector, Event, EventKind, RingCollector, TraceId};
 
 fn join<T>(handle: revelio_check::shim::JoinHandle<T>) -> T {

@@ -1,8 +1,10 @@
-//! The gateway process: accept loop, request dispatch, backend pool, and
-//! the health-check/failover state machine.
+//! The gateway process: request dispatch, backend pool, and the
+//! health-check/failover state machine.
 //!
 //! The gateway speaks the same wire protocol as `revelio-serve` on both
-//! sides. Requests are dispatched by kind:
+//! sides, and serves clients through the same [`FrontEnd`]: its listener,
+//! connection loop, shutdown gate, stop order and wire counters are the
+//! backend's. Requests are dispatched by kind:
 //!
 //! - `Explain` is **routed**: the ring hashes `(model, graph_id, target)`
 //!   to one owning shard, preserving artifact-cache and warm-start
@@ -21,8 +23,9 @@
 //! - `AssembledTrace` **assembles**: the gateway's own routing spans plus
 //!   the owning shard's fragment; an id the gateway never routed scatters
 //!   like a point read.
-//! - `Stats` **aggregates**: live per-backend stats merge into one
-//!   fleet-wide [`ServerStats`] with a [`GatewayStats`] tail.
+//! - `Stats` **aggregates**: live per-backend stats and the gateway's own
+//!   front-end counters merge into one fleet-wide [`ServerStats`], sent
+//!   with the [`GatewayStats`].
 //! - `Shutdown` fans out to every healthy backend, then stops the
 //!   gateway itself.
 //!
@@ -32,20 +35,19 @@
 //! successful poll on a dead backend triggers a full registration replay
 //! and then re-admits it.
 
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
+use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread;
 use std::time::{Duration, Instant};
 
 use revelio_gnn::GnnConfig;
-use revelio_server::server::{accept_loop, read_frame_cancellable, wake_acceptor, POLL_INTERVAL};
 use revelio_server::wire::{
-    write_frame, ErrorKind, ExplainRequest, GatewayBackendStats, GatewayCounters, GatewayStats,
-    Request, Response, ServerStats, WireCounters, WireExplanationSummary, DEFAULT_MAX_FRAME_LEN,
-    PROTOCOL_VERSION,
+    ErrorKind, ExplainRequest, GatewayBackendStats, GatewayCounters, GatewayStats, Request,
+    Response, ServerStats, WireCounters, WireExplanationSummary, PROTOCOL_VERSION,
 };
-use revelio_server::{Client, ClientConfig, ClientError};
+use revelio_server::{Client, ClientConfig, ClientError, FrontEnd};
 use revelio_trace::{AssembledSpan, AssembledTrace, Sampler, TraceContext};
 
 use crate::ring::{route_key, Ring};
@@ -67,20 +69,6 @@ pub struct GatewayConfig {
     pub fail_after: u32,
     /// Distinct backends tried for one routed request before giving up.
     pub forward_attempts: u32,
-    /// Idle connections kept per backend.
-    pub pool_capacity: usize,
-    /// Per-frame payload cap on the client-facing listener.
-    pub max_frame_len: usize,
-    /// Budget for one in-progress client frame to finish arriving.
-    pub read_timeout: Duration,
-    /// Budget for writing one response frame to a client.
-    pub write_timeout: Duration,
-    /// Budget for a forwarded request's response (explanations can
-    /// legitimately take a while).
-    pub backend_read_timeout: Duration,
-    /// Budget for one health poll; short, so a hung backend is detected
-    /// within a few intervals rather than a full request timeout.
-    pub health_timeout: Duration,
     /// Head-based sampling rate in `[0, 1]`: each routed `Explain`
     /// without an inherited trace context is traced fleet-wide with this
     /// probability. `0.0` (the default) traces only on explicit request.
@@ -96,12 +84,6 @@ impl Default for GatewayConfig {
             health_interval: Duration::from_millis(500),
             fail_after: 3,
             forward_attempts: 3,
-            pool_capacity: 4,
-            max_frame_len: DEFAULT_MAX_FRAME_LEN,
-            read_timeout: Duration::from_secs(10),
-            write_timeout: Duration::from_secs(10),
-            backend_read_timeout: Duration::from_secs(120),
-            health_timeout: Duration::from_secs(2),
             trace_sample_rate: 0.0,
         }
     }
@@ -194,6 +176,18 @@ impl From<GatewayConfigError> for GatewayStartError {
     }
 }
 
+/// Idle connections kept per backend.
+const POOL_CAPACITY: usize = 4;
+
+/// Budget for a forwarded request's response (explanations can
+/// legitimately take a while).
+const BACKEND_READ_TIMEOUT: Duration = Duration::from_secs(120);
+
+/// Budget for one health poll (and the `Stats` and `Shutdown` fan-outs);
+/// short, so a hung backend is detected within a few intervals rather than
+/// a full request timeout.
+const HEALTH_TIMEOUT: Duration = Duration::from_secs(2);
+
 /// Locks a mutex, recovering the inner value from a poisoned guard (the
 /// gateway's shared state stays usable even if a handler panicked).
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
@@ -211,7 +205,7 @@ fn us(d: Duration) -> u64 {
 struct Backend {
     addr: String,
     /// Idle pooled connections; checkout pops, successful calls check
-    /// back in (up to [`GatewayConfig::pool_capacity`]).
+    /// back in (up to [`POOL_CAPACITY`]).
     pool: Mutex<Vec<Client>>,
     healthy: AtomicBool,
     consecutive_failures: AtomicU32,
@@ -312,7 +306,7 @@ fn gateway_lane(hi: u64, lo: u64, spans: Vec<AssembledSpan>) -> AssembledTrace {
     }
 }
 
-/// State shared between the acceptor, handlers, and the health poller.
+/// State shared between the connection handlers and the health poller.
 struct Shared {
     cfg: GatewayConfig,
     ring: Ring,
@@ -321,13 +315,7 @@ struct Shared {
     /// model ids are indices into this log. Held across fan-out and
     /// replay so registrations reach every backend in the same order.
     registrations: Mutex<Vec<(GnnConfig, Vec<Vec<f32>>)>>,
-    stop: AtomicBool,
-    /// The listener's address, connected to once to wake the acceptor.
-    addr: SocketAddr,
     counters: GatewayCounters,
-    /// The gateway's own sampling decisions, added to the fleet rollup
-    /// (its other wire counters stay zero).
-    own: WireCounters,
     /// Head-based sampler for routed `Explain`s without an inherited
     /// context; off (`rate 0`) it costs one branch per request.
     sampler: Sampler,
@@ -341,25 +329,6 @@ struct Shared {
 }
 
 impl Shared {
-    /// Raises the stop flag and, the first time, wakes the acceptor.
-    fn request_stop(&self) {
-        if !self.stop.swap(true, Ordering::AcqRel) {
-            wake_acceptor(self.addr);
-        }
-    }
-
-    fn backend_client_cfg(&self, read_timeout: Duration) -> ClientConfig {
-        ClientConfig {
-            max_frame_len: self.cfg.max_frame_len,
-            read_timeout,
-            write_timeout: self.cfg.write_timeout,
-            // The gateway does its own bounded re-routing; the underlying
-            // client must not retry on its behalf.
-            max_attempts: 1,
-            ..ClientConfig::default()
-        }
-    }
-
     /// One request/response exchange with a backend, through the pool.
     ///
     /// A pooled connection that fails in transport is dropped and the
@@ -401,7 +370,14 @@ impl Shared {
                 Err(e) => return (Err(e), checkout),
             }
         }
-        let mut c = match Client::connect_with(&b.addr, self.backend_client_cfg(read_timeout)) {
+        let cfg = ClientConfig {
+            read_timeout,
+            // The gateway does its own bounded re-routing; the underlying
+            // client must not retry on its behalf.
+            max_attempts: 1,
+            ..ClientConfig::default()
+        };
+        let mut c = match Client::connect_with(&b.addr, cfg) {
             Ok(c) => c,
             Err(e) => return (Err(e), t0.elapsed()),
         };
@@ -417,7 +393,7 @@ impl Shared {
 
     fn checkin(&self, b: &Backend, c: Client) {
         let mut pool = lock(&b.pool);
-        if pool.len() < self.cfg.pool_capacity {
+        if pool.len() < POOL_CAPACITY {
             pool.push(c);
         }
     }
@@ -447,30 +423,26 @@ impl Shared {
     // ------------------------------------------------------------------
     // Dispatch.
 
-    fn dispatch(&self, req: Request) -> (Response, bool) {
+    fn dispatch(&self, req: Request, wire: &WireCounters) -> Response {
         match req {
-            Request::Ping => (
-                Response::Pong {
-                    version: PROTOCOL_VERSION,
-                },
-                false,
-            ),
-            Request::RegisterModel { config, state } => (self.register(config, state), false),
-            Request::Explain(req) => (self.route_explain(req), false),
-            Request::Stats => (self.aggregate_stats(), false),
-            Request::AssembledTrace(id) => (self.assemble_trace(id), false),
-            Request::FetchExplanation(id) => (self.scatter_fetch(id), false),
-            Request::ListExplanations => (self.scatter_list(), false),
+            Request::Ping => Response::Pong {
+                version: PROTOCOL_VERSION,
+            },
+            Request::RegisterModel { config, state } => self.register(config, state),
+            Request::Explain(req) => self.route_explain(req),
+            Request::Stats => self.aggregate_stats(wire),
+            Request::AssembledTrace(id) => self.assemble_trace(id),
+            Request::FetchExplanation(id) => self.scatter_fetch(id),
+            Request::ListExplanations => self.scatter_list(),
             Request::Shutdown => {
-                // Stop the fleet first (best-effort), then ourselves; the
-                // ack closes the connection.
+                // Stop the fleet first (best-effort); the ack then stops
+                // the gateway's front end and closes the connection.
                 for b in &self.backends {
                     if b.is_healthy() {
-                        let _ = self.call(b, &Request::Shutdown, self.cfg.health_timeout);
+                        let _ = self.call(b, &Request::Shutdown, HEALTH_TIMEOUT);
                     }
                 }
-                self.request_stop();
-                (Response::ShutdownAck, true)
+                Response::ShutdownAck
             }
         }
     }
@@ -490,7 +462,7 @@ impl Shared {
                 config: config.clone(),
                 state: state.clone(),
             };
-            match self.call(b, &req, self.cfg.backend_read_timeout) {
+            match self.call(b, &req, BACKEND_READ_TIMEOUT) {
                 Ok(Response::ModelRegistered { model }) => {
                     b.set_model_id(gateway_id as usize, model);
                     self.record_success(b);
@@ -533,7 +505,9 @@ impl Shared {
     /// Traced requests (inherited context, explicit `control.trace`, or a
     /// local sampler hit) additionally record the gateway's own spans —
     /// route, per-attempt pool checkout and forward, failover hops — into
-    /// the assembly buffer under the global trace id.
+    /// the assembly buffer under the global trace id. The sampling
+    /// decision travels with the forward and is counted once, by the
+    /// backend that serves it.
     fn route_explain(&self, req: ExplainRequest) -> Response {
         let gateway_model = req.model as usize;
         if gateway_model >= lock(&self.registrations).len() {
@@ -566,11 +540,6 @@ impl Shared {
                 }
             }
         };
-        if traced {
-            self.own.trace_sampled.fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.own.trace_dropped.fetch_add(1, Ordering::Relaxed);
-        }
         let route_start = Instant::now();
         let mut spans: Vec<AssembledSpan> = Vec::new();
         let mut outcome: Option<(Response, usize, u64)> = None;
@@ -604,7 +573,7 @@ impl Shared {
             }
             let attempt_start = us(route_start.elapsed());
             let (result, checkout) =
-                self.call_timed(b, &Request::Explain(fwd), self.cfg.backend_read_timeout);
+                self.call_timed(b, &Request::Explain(fwd), BACKEND_READ_TIMEOUT);
             let forward_start = attempt_start + us(checkout);
             if traced {
                 spans.push(AssembledSpan {
@@ -731,7 +700,7 @@ impl Shared {
             if !b.is_healthy() {
                 continue;
             }
-            match self.call(b, &req, self.cfg.backend_read_timeout) {
+            match self.call(b, &req, BACKEND_READ_TIMEOUT) {
                 Ok(Response::Assembled(mut frag)) => {
                     self.record_success(b);
                     frag.lanes.fill(format!("shard-{i} ({})", b.addr));
@@ -751,15 +720,15 @@ impl Shared {
         }
     }
 
-    /// Merges live stats from every healthy backend and attaches the
-    /// gateway tail.
-    fn aggregate_stats(&self) -> Response {
+    /// Merges live stats from every healthy backend with the gateway's own
+    /// front-end counters and attaches the gateway's stats.
+    fn aggregate_stats(&self, wire: &WireCounters) -> Response {
         let mut merged = ServerStats::default();
         for b in &self.backends {
             if !b.is_healthy() {
                 continue;
             }
-            match self.call(b, &Request::Stats, self.cfg.health_timeout) {
+            match self.call(b, &Request::Stats, HEALTH_TIMEOUT) {
                 Ok(Response::Stats(s, _)) => {
                     self.record_success(b);
                     self.update_poll_counters(b, &s);
@@ -769,9 +738,8 @@ impl Shared {
                 Err(_) => self.record_failure(b),
             }
         }
-        // The gateway makes its own sampling decisions on top of whatever
-        // the backends recorded for direct traffic.
-        merged.merge(&self.own.load());
+        // The gateway's own listener is one more hop of every request.
+        merged.merge(&wire.load());
         Response::Stats(Box::new(merged), Some(Box::new(self.gateway_stats())))
     }
 
@@ -791,11 +759,7 @@ impl Shared {
             if !b.is_healthy() {
                 continue;
             }
-            match self.call(
-                b,
-                &Request::FetchExplanation(id),
-                self.cfg.backend_read_timeout,
-            ) {
+            match self.call(b, &Request::FetchExplanation(id), BACKEND_READ_TIMEOUT) {
                 Ok(Response::Explanation(Some(e))) => {
                     self.record_success(b);
                     return Response::Explanation(Some(e));
@@ -834,7 +798,7 @@ impl Shared {
             if !b.is_healthy() {
                 continue;
             }
-            match self.call(b, &Request::ListExplanations, self.cfg.backend_read_timeout) {
+            match self.call(b, &Request::ListExplanations, BACKEND_READ_TIMEOUT) {
                 Ok(Response::ExplanationList(list)) => {
                     self.record_success(b);
                     all.extend(list);
@@ -864,7 +828,7 @@ impl Shared {
     /// repeat offenders, replay-and-re-admit recovered backends.
     fn health_pass(&self) {
         for b in &self.backends {
-            match self.call(b, &Request::Stats, self.cfg.health_timeout) {
+            match self.call(b, &Request::Stats, HEALTH_TIMEOUT) {
                 Ok(Response::Stats(s, _)) => {
                     b.health_checks.fetch_add(1, Ordering::Relaxed);
                     self.update_poll_counters(b, &s);
@@ -893,7 +857,7 @@ impl Shared {
                 config: config.clone(),
                 state: state.clone(),
             };
-            match self.call(b, &req, self.cfg.backend_read_timeout) {
+            match self.call(b, &req, BACKEND_READ_TIMEOUT) {
                 Ok(Response::ModelRegistered { model }) => fresh_ids.push(Some(model)),
                 _ => {
                     // Relapsed mid-replay; stay dead and try again on the
@@ -911,11 +875,10 @@ impl Shared {
 
 /// A running gateway; dropping it stops and joins every thread.
 pub struct Gateway {
+    front: FrontEnd,
     shared: Arc<Shared>,
-    local_addr: SocketAddr,
-    acceptor: Option<thread::JoinHandle<()>>,
-    health: Option<thread::JoinHandle<()>>,
-    handlers: Arc<Mutex<Vec<thread::JoinHandle<()>>>>,
+    /// The health poller and the sender whose drop stops it.
+    health: Option<(mpsc::Sender<()>, thread::JoinHandle<()>)>,
 }
 
 impl Gateway {
@@ -928,73 +891,49 @@ impl Gateway {
     /// I/O errors from binding, or an invalid [`GatewayConfig`].
     pub fn start(cfg: GatewayConfig) -> Result<Gateway, GatewayStartError> {
         cfg.validate()?;
-        let listener = TcpListener::bind(&cfg.addr)?;
-        let local_addr = listener.local_addr()?;
-        let ring = Ring::new(cfg.shards.len(), cfg.vnodes);
-        let backends = cfg.shards.iter().cloned().map(Backend::new).collect();
-        let sampler = Sampler::new(cfg.trace_sample_rate, TRACE_SEED);
         let shared = Arc::new(Shared {
-            cfg,
-            ring,
-            backends,
+            ring: Ring::new(cfg.shards.len(), cfg.vnodes),
+            backends: cfg.shards.iter().cloned().map(Backend::new).collect(),
             registrations: Mutex::new(Vec::new()),
-            stop: AtomicBool::new(false),
-            addr: local_addr,
             counters: GatewayCounters::default(),
-            own: WireCounters::default(),
-            sampler,
+            sampler: Sampler::new(cfg.trace_sample_rate, TRACE_SEED),
             trace_counter: AtomicU64::new(0),
             assembled: Mutex::new(std::collections::VecDeque::new()),
+            cfg,
         });
-        let handlers: Arc<Mutex<Vec<thread::JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
-        let acceptor = {
-            let shared = Arc::clone(&shared);
-            let handlers = Arc::clone(&handlers);
-            thread::Builder::new()
-                .name("gateway-acceptor".to_owned())
-                .spawn(move || {
-                    accept_loop(&listener, &shared.stop, |stream| {
-                        // Reap finished handlers so the vec doesn't grow
-                        // without bound on long-lived gateways.
-                        lock(&handlers).retain(|h| !h.is_finished());
-                        let shared = Arc::clone(&shared);
-                        let spawned = thread::Builder::new()
-                            .name("gateway-conn".to_owned())
-                            .spawn(move || handle_connection(stream, &shared));
-                        if let Ok(h) = spawned {
-                            lock(&handlers).push(h);
-                        }
-                    });
-                })?
+        let front = {
+            let dispatch = Arc::clone(&shared);
+            FrontEnd::start(&shared.cfg.addr, "gateway", move |request, _t0, wire| {
+                dispatch.dispatch(request, wire)
+            })?
         };
+        let (tx, rx) = mpsc::channel();
         let health = {
             let shared = Arc::clone(&shared);
             thread::Builder::new()
                 .name("gateway-health".to_owned())
-                .spawn(move || health_loop(&shared))?
+                .spawn(move || health_loop(&shared, &rx))?
         };
         Ok(Gateway {
+            front,
             shared,
-            local_addr,
-            acceptor: Some(acceptor),
-            health: Some(health),
-            handlers,
+            health: Some((tx, health)),
         })
     }
 
     /// The bound address (resolves port 0).
     pub fn local_addr(&self) -> SocketAddr {
-        self.local_addr
+        self.front.local_addr()
     }
 
     /// Whether a shutdown has been requested.
     pub fn stopping(&self) -> bool {
-        self.shared.stop.load(Ordering::Acquire)
+        self.front.stopping()
     }
 
     /// Requests shutdown without blocking.
     pub fn stop(&self) {
-        self.shared.request_stop();
+        self.front.stop();
     }
 
     /// Current gateway counters and per-backend health.
@@ -1004,7 +943,6 @@ impl Gateway {
 
     /// Stops and joins all threads, returning the final gateway stats.
     pub fn shutdown(mut self) -> GatewayStats {
-        self.stop();
         self.join_threads();
         self.shared.gateway_stats()
     }
@@ -1012,87 +950,35 @@ impl Gateway {
     /// Blocks until the gateway stops (a `Shutdown` request over the
     /// wire) and all threads are joined; returns the final stats.
     pub fn wait(mut self) -> GatewayStats {
-        while !self.stopping() {
-            thread::sleep(POLL_INTERVAL);
-        }
+        self.front.wait();
         self.join_threads();
         self.shared.gateway_stats()
     }
 
+    /// Joins the front end (its handlers, then its acceptor), then the
+    /// health poller.
     fn join_threads(&mut self) {
-        if let Some(a) = self.acceptor.take() {
-            let _ = a.join();
-        }
-        if let Some(h) = self.health.take() {
-            let _ = h.join();
-        }
-        let drained: Vec<_> = lock(&self.handlers).drain(..).collect();
-        for h in drained {
-            let _ = h.join();
+        self.front.shutdown();
+        if let Some((stop, health)) = self.health.take() {
+            drop(stop);
+            let _ = health.join();
         }
     }
 }
 
 impl Drop for Gateway {
     fn drop(&mut self) {
-        self.stop();
         self.join_threads();
     }
 }
 
-fn handle_connection(mut stream: TcpStream, shared: &Arc<Shared>) {
-    // Short socket timeouts turn blocking reads into a stop-flag poll
-    // loop, exactly like the backend server's connection handler.
-    let _ = stream.set_read_timeout(Some(POLL_INTERVAL));
-    let _ = stream.set_write_timeout(Some(shared.cfg.write_timeout));
-    let _ = stream.set_nodelay(true);
-
+/// Polls the fleet every [`GatewayConfig::health_interval`], the first
+/// time at once, until the sender of `stop` is dropped.
+fn health_loop(shared: &Shared, stop: &mpsc::Receiver<()>) {
     loop {
-        let frame = read_frame_cancellable(
-            &mut stream,
-            shared.cfg.max_frame_len,
-            shared.cfg.read_timeout,
-            &shared.stop,
-        );
-        let payload = match frame {
-            Ok(Some((payload, _len))) => payload,
-            Ok(None) => return,
-            Err(e) => {
-                let resp = Response::Error {
-                    kind: ErrorKind::Malformed,
-                    message: e.to_string(),
-                };
-                let _ = write_frame(&mut stream, &resp.encode(), shared.cfg.max_frame_len);
-                return;
-            }
-        };
-        let request = match Request::decode(&payload) {
-            Ok(r) => r,
-            Err(e) => {
-                let resp = Response::Error {
-                    kind: ErrorKind::Malformed,
-                    message: e.to_string(),
-                };
-                let _ = write_frame(&mut stream, &resp.encode(), shared.cfg.max_frame_len);
-                return;
-            }
-        };
-        let (response, close_after) = shared.dispatch(request);
-        let wrote = write_frame(&mut stream, &response.encode(), shared.cfg.max_frame_len);
-        if wrote.is_err() || close_after {
+        shared.health_pass();
+        if stop.recv_timeout(shared.cfg.health_interval) != Err(RecvTimeoutError::Timeout) {
             return;
         }
-    }
-}
-
-fn health_loop(shared: &Arc<Shared>) {
-    let mut last: Option<Instant> = None; // None → poll immediately
-    while !shared.stop.load(Ordering::Acquire) {
-        let due = !matches!(last, Some(t) if t.elapsed() < shared.cfg.health_interval);
-        if due {
-            shared.health_pass();
-            last = Some(Instant::now());
-        }
-        thread::sleep(POLL_INTERVAL.min(shared.cfg.health_interval));
     }
 }

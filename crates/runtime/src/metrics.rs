@@ -196,7 +196,7 @@ impl<S: Scale> HistogramSnapshot<S> {
     }
 
     /// Estimates the `q`-quantile (`0 < q <= 1`) by linear interpolation
-    /// within the covering bucket. The unbounded last bucket is capped at
+    /// within the covering bucket. Every bucket's upper edge is capped at
     /// the observed `max`, so the estimate never exceeds a value that
     /// actually occurred. Returns 0 when empty.
     pub fn quantile(&self, q: f64) -> u64 {
@@ -212,7 +212,8 @@ impl<S: Scale> HistogramSnapshot<S> {
             let next = cum.saturating_add(n);
             if (next as f64) >= target {
                 let lo = if i == 0 { 0 } else { S::BOUNDS[i - 1] };
-                let hi = S::BOUNDS.get(i).copied().unwrap_or(self.max.max(lo));
+                let bound = S::BOUNDS.get(i).copied().unwrap_or(u64::MAX);
+                let hi = bound.min(self.max).max(lo);
                 let frac = ((target - cum as f64) / n as f64).clamp(0.0, 1.0);
                 return lo + ((hi - lo) as f64 * frac).round() as u64;
             }
@@ -487,12 +488,13 @@ mod tests {
             h.observe(Duration::from_micros(500));
         }
         let s = h.snapshot();
-        // Linear interpolation inside (100, 1000]: p50 = 100 + 0.5*900.
-        assert_eq!(s.p50(), 550);
-        assert_eq!(s.p90(), 910);
-        assert_eq!(s.p99(), 991);
-        // Quantiles are monotone and bounded by the bucket's upper edge.
-        assert!(s.quantile(1.0) <= 1000);
+        // Linear interpolation inside (100, 1000]us with the upper edge
+        // capped at the observed max: p50 = 100 + 0.5*(500 - 100).
+        assert_eq!(s.p50(), 300);
+        assert_eq!(s.p90(), 460);
+        assert_eq!(s.p99(), 496);
+        // Quantiles are monotone and bounded by the observed max.
+        assert_eq!(s.quantile(1.0), 500);
         assert_eq!(HistogramSnapshot::<Latency>::default().p99(), 0);
     }
 
@@ -506,6 +508,29 @@ mod tests {
         // estimate can never exceed a latency that actually happened.
         assert!(s.p99() <= 30_000_000);
         assert!(s.p50() >= 10_000_000);
+    }
+
+    /// A fleet rollup of twelve explains between 1 and 3.3 ms once
+    /// reported `p50=5500us p90=9100us p99=9910us max=3243us`: every
+    /// estimate above the slowest explain, interpolated up to the bucket's
+    /// 10 ms edge.
+    #[test]
+    fn bounded_bucket_quantiles_capped_at_max() {
+        let h = Histogram::<Latency>::default();
+        for us in [
+            1_210, 1_388, 1_502, 1_655, 1_790, 1_904, 2_116, 2_287, 2_450, 2_731, 2_988, 3_243,
+        ] {
+            h.observe(Duration::from_micros(us));
+        }
+        let s = h.snapshot();
+        assert_eq!(s.max, 3_243);
+        // All twelve land in (1000, 10000]us: p50 = 1000 + 0.5*(3243 - 1000).
+        assert_eq!(s.p50(), 2_122);
+        assert_eq!(s.p90(), 3_019);
+        assert_eq!(s.p99(), 3_221);
+        for q in [0.5, 0.9, 0.99, 1.0] {
+            assert!(s.quantile(q) <= s.max, "q={q}");
+        }
     }
 
     #[test]

@@ -28,7 +28,7 @@ use revelio_core::{
 use revelio_gnn::{Gnn, GnnConfig, Instance};
 use revelio_graph::FlowIndex;
 use revelio_store::{
-    ExplanationRecord, FlowsRecord, MaskKey, ModelRecord, PhaseSummary, Store, StoreError,
+    ExplanationRecord, FlowsRecord, LogStore, MaskKey, ModelRecord, PhaseSummary, StoreError,
 };
 use revelio_trace::{Collector, EventKind, Phase, RingCollector, Tee, Trace, TraceHandle, TraceId};
 
@@ -203,7 +203,7 @@ struct Shared {
     base_seed: u64,
     /// Write-behind persistence: registrations, flow tables, and finished
     /// explanations are appended here. `None` = in-memory-only runtime.
-    store: Option<Arc<dyn Store>>,
+    store: Option<Arc<LogStore>>,
     /// Maximum fused-batch width (`1` = batching off).
     max_batch: usize,
     /// Wait for a batch peer when the queue is momentarily empty.
@@ -280,7 +280,7 @@ impl Runtime {
     /// [`RuntimeBootError::Store`] when the store cannot be read.
     pub fn try_with_config_and_store(
         cfg: RuntimeConfig,
-        store: Arc<dyn Store>,
+        store: Arc<LogStore>,
     ) -> Result<Runtime, RuntimeBootError> {
         let rt = Runtime::build(cfg, Some(Arc::clone(&store)))?;
 
@@ -334,7 +334,7 @@ impl Runtime {
 
     fn build(
         cfg: RuntimeConfig,
-        store: Option<Arc<dyn Store>>,
+        store: Option<Arc<LogStore>>,
     ) -> Result<Runtime, RuntimeConfigError> {
         cfg.validate()?;
         let workers = cfg.workers;

@@ -186,10 +186,8 @@ impl Sections {
 /// them at their default for the caller to fill in.
 ///
 /// The snapshot implements [`Metric`] and gets `merge`, `prometheus`,
-/// `report`, a `METRICS` list of its rows' definitions, a `Codec` over its
-/// rows in declaration order, and `encode_with`/`decode_with`, which place
-/// another value between the rows and an optional trailing `wire_tail`
-/// block. The snapshot must implement [`Derived`].
+/// `report`, a `METRICS` list of its rows' definitions and a `Codec` over
+/// its rows in declaration order. The snapshot must implement [`Derived`].
 ///
 /// [`Histogram`]: crate::Histogram
 #[macro_export]
@@ -199,20 +197,19 @@ macro_rules! metric_table {
         $reg_vis:vis struct $Reg:ident;
         $(#[$snap_attr:meta])*
         $snap_vis:vis struct $Snap:ident($title:literal) { $($rows:tt)* }
-        $(wire_tail { $($tail:tt)* })?
     ) => {
         $crate::metric_table!(@snapshot [$(#[$snap_attr])* $snap_vis struct $Snap]
-            $($rows)* $($($tail)*)?);
+            $($rows)*);
         $crate::metric_table!(@registry
             [self $(#[$reg_attr])* $reg_vis struct $Reg => $Snap] [] []
-            $($rows)* $($($tail)*)?);
+            $($rows)*);
 
         impl $crate::Metric for $Snap {
             fn merge(&mut self, other: &Self) {
-                $crate::metric_table!(@merge self other $($rows)* $($($tail)*)?);
+                $crate::metric_table!(@merge self other $($rows)*);
             }
             fn expose(&self, _: &$crate::MetricDef, out: &mut $crate::Sections) {
-                $crate::metric_table!(@expose self out $($rows)* $($($tail)*)?);
+                $crate::metric_table!(@expose self out $($rows)*);
                 $crate::Derived::derived_families(self, out);
             }
             fn render(&self, _: &$crate::MetricDef, out: &mut $crate::Sections) {
@@ -223,7 +220,7 @@ macro_rules! metric_table {
         impl $Snap {
             /// Every declared row's exposition, in declaration order.
             pub const METRICS: &'static [$crate::MetricDef] =
-                $crate::metric_table!(@defs $($rows)* $($($tail)*)?);
+                $crate::metric_table!(@defs $($rows)*);
 
             /// Folds `other` into `self`: counters and gauges sum
             /// (saturating), histograms add bucket-wise, nested tables
@@ -243,39 +240,22 @@ macro_rules! metric_table {
             pub fn report(&self) -> String {
                 let mut out = $crate::Sections::default();
                 out.get($title, || $title.to_owned());
-                $crate::metric_table!(@render self &mut out, $($rows)* $($($tail)*)?);
+                $crate::metric_table!(@render self &mut out, $($rows)*);
                 $crate::Derived::derived_report(self, &mut out);
                 out.finish()
-            }
-
-            /// Encodes the rows with `ext` between them and the
-            /// `wire_tail` rows.
-            pub fn encode_with<X: $crate::__wire::Codec>(&self, ext: &X, out: &mut Vec<u8>) {
-                $crate::metric_table!(@encode self out $($rows)*);
-                ext.encode(out);
-                $crate::metric_table!(@encode self out $($($tail)*)?);
-            }
-
-            /// Decodes what [`Self::encode_with`] writes.
-            pub fn decode_with<X: $crate::__wire::Codec>(
-                r: &mut $crate::__wire::WireReader<'_>,
-            ) -> Result<(Self, X), $crate::__wire::WireDecodeError> {
-                $crate::metric_table!(@decode r $($rows)*);
-                let ext = X::decode(r)?;
-                $crate::metric_table!(@decode r $($($tail)*)?);
-                Ok(($crate::metric_table!(@literal $Snap $($rows)* $($($tail)*)?), ext))
             }
         }
 
         impl $crate::__wire::Codec for $Snap {
-            const MIN_LEN: usize = $crate::metric_table!(@min_len $($rows)* $($($tail)*)?);
+            const MIN_LEN: usize = $crate::metric_table!(@min_len $($rows)*);
             fn encode(&self, out: &mut Vec<u8>) {
-                self.encode_with(&(), out);
+                $crate::metric_table!(@encode self out $($rows)*);
             }
             fn decode(
                 r: &mut $crate::__wire::WireReader<'_>,
             ) -> Result<Self, $crate::__wire::WireDecodeError> {
-                Self::decode_with::<()>(r).map(|(snapshot, ())| snapshot)
+                $crate::metric_table!(@decode r $($rows)*);
+                Ok($crate::metric_table!(@literal $Snap $($rows)*))
             }
         }
     };

@@ -9,7 +9,7 @@ use revelio_core::{Objective, Revelio, RevelioConfig};
 use revelio_gnn::{Gnn, GnnConfig, GnnKind, Task, TrainConfig};
 use revelio_graph::{Graph, Target};
 use revelio_runtime::{ExplainJob, Runtime, RuntimeConfig};
-use revelio_store::{LogStore, Store};
+use revelio_store::LogStore;
 
 /// A fresh store path per call: unique within the process run and across
 /// concurrently running test binaries.
@@ -89,7 +89,7 @@ fn restart_recovers_models_cache_and_job_ids() {
 
     // First life: register, serve one job.
     let (cold_scores, cold_job_id) = {
-        let store: Arc<dyn Store> = Arc::new(LogStore::open(&path).expect("open store"));
+        let store = Arc::new(LogStore::open(&path).expect("open store"));
         let rt = Runtime::try_with_config_and_store(config(), store).expect("boot");
         let handle = rt.register_model(&model);
         let out = rt.submit(handle, job(&g, 20)).wait().expect("served");
@@ -98,8 +98,7 @@ fn restart_recovers_models_cache_and_job_ids() {
 
     // Second life against the same file.
     let store = Arc::new(LogStore::open(&path).expect("reopen store"));
-    let rt = Runtime::try_with_config_and_store(config(), Arc::clone(&store) as Arc<dyn Store>)
-        .expect("recovery");
+    let rt = Runtime::try_with_config_and_store(config(), Arc::clone(&store)).expect("recovery");
 
     // The model registry is restored: the pre-restart handle works
     // without re-registration.
@@ -135,7 +134,7 @@ fn restart_recovers_models_cache_and_job_ids() {
 fn warm_start_jobs_hit_the_store_and_cut_epochs() {
     let path = temp_store();
     let (model, g) = trained_model();
-    let store: Arc<dyn Store> = Arc::new(LogStore::open(&path).expect("open store"));
+    let store = Arc::new(LogStore::open(&path).expect("open store"));
     let rt = Runtime::try_with_config_and_store(config(), store).expect("boot");
     let handle = rt.register_model(&model);
 
@@ -203,7 +202,7 @@ fn runtime_without_store_counts_warm_lookups_as_misses() {
 fn fused_batch_jobs_persist_masks_for_warm_start() {
     let path = temp_store();
     let (model, g) = trained_model();
-    let store: Arc<dyn Store> = Arc::new(LogStore::open(&path).expect("open store"));
+    let store = Arc::new(LogStore::open(&path).expect("open store"));
     let rt = Runtime::try_with_config_and_store(
         RuntimeConfig {
             max_batch: 4,

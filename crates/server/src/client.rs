@@ -10,38 +10,32 @@ use revelio_trace::AssembledTrace;
 use crate::wire::{
     read_frame, write_frame, ErrorKind, ExplainRequest, GatewayStats, Request, Response,
     ServedExplanation, ServerStats, WireError, WireExplanationSummary, WireStoredExplanation,
-    DEFAULT_MAX_FRAME_LEN,
+    MAX_FRAME_LEN, WRITE_TIMEOUT,
 };
+
+/// Ceiling of the retry backoff, which doubles from
+/// [`ClientConfig::backoff_base`].
+const BACKOFF_MAX: Duration = Duration::from_secs(2);
 
 /// Client-side knobs; the defaults suit loopback and LAN serving.
 #[derive(Debug, Clone)]
 pub struct ClientConfig {
-    /// Per-frame payload cap (must be at least the server's for large
-    /// responses to arrive).
-    pub max_frame_len: usize,
     /// Socket read timeout for one response. Explanations can legitimately
     /// take a while (queue wait + optimisation), so this is generous.
     pub read_timeout: Duration,
-    /// Socket write timeout for one request frame.
-    pub write_timeout: Duration,
     /// Retry budget for [`Client::explain_with_retry`] and
     /// [`Client::connect_with_retry`]: total attempts, including the first.
     pub max_attempts: u32,
     /// First backoff sleep; doubles on every retry.
     pub backoff_base: Duration,
-    /// Backoff ceiling.
-    pub backoff_max: Duration,
 }
 
 impl Default for ClientConfig {
     fn default() -> ClientConfig {
         ClientConfig {
-            max_frame_len: DEFAULT_MAX_FRAME_LEN,
             read_timeout: Duration::from_secs(120),
-            write_timeout: Duration::from_secs(10),
             max_attempts: 6,
             backoff_base: Duration::from_millis(20),
-            backoff_max: Duration::from_secs(2),
         }
     }
 }
@@ -146,7 +140,7 @@ impl Client {
             .set_read_timeout(Some(cfg.read_timeout))
             .map_err(WireError::Io)?;
         stream
-            .set_write_timeout(Some(cfg.write_timeout))
+            .set_write_timeout(Some(WRITE_TIMEOUT))
             .map_err(WireError::Io)?;
         let _ = stream.set_nodelay(true);
         Ok(Client { stream, addr, cfg })
@@ -168,7 +162,7 @@ impl Client {
                 Err(e) if attempt < cfg.max_attempts => {
                     let _ = e;
                     std::thread::sleep(backoff);
-                    backoff = (backoff * 2).min(cfg.backoff_max);
+                    backoff = (backoff * 2).min(BACKOFF_MAX);
                 }
                 Err(e) => return Err(e),
             }
@@ -191,8 +185,8 @@ impl Client {
 
     /// Sends one request and reads one response (no retries).
     pub fn request(&mut self, req: &Request) -> Result<Response, ClientError> {
-        write_frame(&mut self.stream, &req.encode(), self.cfg.max_frame_len)?;
-        match read_frame(&mut self.stream, self.cfg.max_frame_len)? {
+        write_frame(&mut self.stream, &req.encode(), MAX_FRAME_LEN)?;
+        match read_frame(&mut self.stream, MAX_FRAME_LEN)? {
             Some((payload, _)) => Ok(Response::decode(&payload).map_err(WireError::Decode)?),
             None => Err(ClientError::Wire(WireError::Io(std::io::Error::new(
                 std::io::ErrorKind::UnexpectedEof,
@@ -256,7 +250,7 @@ impl Client {
                         }
                     }
                     std::thread::sleep(backoff);
-                    backoff = (backoff * 2).min(self.cfg.backoff_max);
+                    backoff = (backoff * 2).min(BACKOFF_MAX);
                 }
                 Err(e) => return Err(e),
             }

@@ -1,10 +1,11 @@
 //! Network serving layer over the explanation runtime.
 //!
 //! The crate is the paper's explanation engine turned into a service:
-//! a versioned binary wire protocol ([`wire`]), a blocking TCP server that
-//! funnels decoded requests into the [`revelio_runtime::Runtime`] worker
-//! pool ([`server`]), and a small client library with retry/backoff
-//! ([`client`]). Everything is `std`-only — the transport is plain TCP,
+//! a versioned binary wire protocol ([`wire`]), the one blocking TCP front
+//! end that `revelio-serve` and `revelio-gateway` both serve through
+//! ([`front`]), a server that funnels decoded requests into the
+//! [`revelio_runtime::Runtime`] worker pool ([`server`]), and a small
+//! client library with retry/backoff ([`client`]). Everything is `std`-only — the transport is plain TCP,
 //! the codec the workspace's one [`revelio_core::wire::Codec`], the
 //! concurrency model thread-per-connection over the runtime's fixed worker
 //! pool.
@@ -22,13 +23,15 @@
 #![deny(clippy::print_stdout, clippy::print_stderr)]
 
 pub mod client;
+pub mod front;
 pub mod server;
 pub mod wire;
 
 pub use client::{Client, ClientConfig, ClientError};
-pub use server::{read_frame_cancellable, Server, ServerConfig, ServerStartError, POLL_INTERVAL};
+pub use front::FrontEnd;
+pub use server::{Server, ServerConfig, ServerStartError};
 pub use wire::{
     ErrorKind, ExplainRequest, GatewayBackendStats, GatewayStats, MaskKey, Request, Response,
     ServedExplanation, ServerStats, WireError, WireExplanationSummary, WireStoredExplanation,
-    WireTiming, DEFAULT_MAX_FRAME_LEN, MAGIC, PROTOCOL_VERSION,
+    WireTiming, MAGIC, MAX_FRAME_LEN, PROTOCOL_VERSION,
 };

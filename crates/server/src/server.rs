@@ -1,25 +1,23 @@
-//! The blocking TCP server: acceptor + per-connection handler threads over
-//! the explanation runtime.
+//! The explanation server: the runtime's worker pool behind the
+//! [`FrontEnd`].
 //!
-//! Concurrency model: one acceptor thread blocks in `accept` (see
-//! [`accept_loop`]); each accepted connection gets its own handler thread
-//! that decodes frames, submits jobs to the shared [`Runtime`] worker
-//! pool, and writes responses. Parallelism of the *explanations* is bounded by the pool's
-//! worker count, not the connection count, and admission control bounds
-//! the number of jobs in flight: an `Explain` arriving past
+//! Concurrency model: the front end gives each connection its own handler
+//! thread, which dispatches decoded requests here; an `Explain` is
+//! submitted to the shared [`Runtime`] worker pool and its handler blocks
+//! on the ticket. Parallelism of the *explanations* is bounded by the
+//! pool's worker count, not the connection count, and admission control
+//! bounds the number of jobs in flight: an `Explain` arriving past
 //! [`ServerConfig::max_in_flight`] is answered with [`Response::Busy`]
 //! instead of queued (the connection stays usable).
 //!
 //! Shutdown is graceful: the stop flag halts the acceptor and the
-//! handlers *between frames*, in-flight jobs run to completion (handlers
-//! block on their tickets), and [`Server::shutdown`] joins every thread
-//! before returning the final stats.
+//! handlers *between frames*, in-flight jobs run to completion, and
+//! [`Server::shutdown`] joins every thread — the handlers, the acceptor,
+//! then the runtime's workers — before returning the final stats.
 
-use std::io::Read;
-use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::net::SocketAddr;
+use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex};
-use std::thread;
 use std::time::{Duration, Instant};
 
 use revelio_eval::{
@@ -31,16 +29,16 @@ use revelio_runtime::{
     ExplainJob, JobError, ModelHandle, Runtime, RuntimeBootError, RuntimeConfig,
     RuntimeConfigError, TraceMiss,
 };
-use revelio_store::{ExplanationRecord, LogStore, Store, StoreError};
+use revelio_store::{ExplanationRecord, LogStore, StoreError};
 use revelio_trace::{hex_trace_id, AssembledTrace, Sampler};
 
+use crate::front::FrontEnd;
 use crate::wire::{
-    check_payload, parse_header, write_frame, ErrorKind, ExplainRequest, Request, Response,
-    ServedExplanation, ServerStats, WireCounters, WireError, WireStoredExplanation, WireTiming,
-    DEFAULT_MAX_FRAME_LEN, HEADER_LEN, PROTOCOL_VERSION,
+    ErrorKind, ExplainRequest, Request, Response, ServedExplanation, ServerStats, WireCounters,
+    WireStoredExplanation, WireTiming, MAX_FRAME_LEN, PROTOCOL_VERSION,
 };
 
-/// How the server binds, times out, and sheds load.
+/// How the server binds and sheds load.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
     /// Bind address; port 0 picks a free port (see [`Server::local_addr`]).
@@ -50,14 +48,6 @@ pub struct ServerConfig {
     /// Admission limit: `Explain` requests arriving while this many jobs
     /// are queued or running are answered with `Busy` instead of queued.
     pub max_in_flight: usize,
-    /// Per-frame payload cap; larger frames are rejected before allocation.
-    pub max_frame_len: usize,
-    /// Once a frame has *begun* arriving, the rest of it must arrive
-    /// within this budget or the connection is dropped. Idle connections
-    /// (no frame in progress) are never timed out.
-    pub read_timeout: Duration,
-    /// Budget for writing one response frame.
-    pub write_timeout: Duration,
     /// Path of the persistent store log. `Some` attaches a [`LogStore`]:
     /// registrations and finished explanations are persisted write-behind,
     /// an existing file is recovered at startup (models keep their wire
@@ -78,48 +68,30 @@ impl Default for ServerConfig {
             addr: "127.0.0.1:0".to_owned(),
             runtime: RuntimeConfig::default(),
             max_in_flight: 64,
-            max_frame_len: DEFAULT_MAX_FRAME_LEN,
-            read_timeout: Duration::from_secs(10),
-            write_timeout: Duration::from_secs(10),
             store: None,
             trace_sample_rate: 0.0,
         }
     }
 }
 
-/// Interval at which blocked reads wake up to poll the stop flag. Public
-/// so the gateway's connection loop can match the backend's cadence.
-pub const POLL_INTERVAL: Duration = Duration::from_millis(50);
-
 struct Shared {
     runtime: Runtime,
-    stop: AtomicBool,
-    /// The listener's address, connected to once to wake the acceptor.
-    addr: SocketAddr,
-    counters: WireCounters,
     /// Wire model id → runtime handle.
     models: Mutex<Vec<ModelHandle>>,
     /// The same store the runtime writes behind, for serving
     /// `FetchExplanation` / `ListExplanations` reads.
-    store: Option<Arc<dyn Store>>,
-    cfg: ServerConfig,
+    store: Option<Arc<LogStore>>,
+    max_in_flight: usize,
     /// Head-based sampler for `Explain` requests without an upstream
     /// trace-context; off (`rate 0`) it is one branch per request.
     sampler: Sampler,
 }
 
 impl Shared {
-    /// Raises the stop flag and, the first time, wakes the acceptor.
-    fn request_stop(&self) {
-        if !self.stop.swap(true, Ordering::AcqRel) {
-            wake_acceptor(self.addr);
-        }
-    }
-
-    fn stats(&self) -> ServerStats {
+    fn stats(&self, wire: &WireCounters) -> ServerStats {
         ServerStats {
             runtime: self.runtime.metrics(),
-            ..self.counters.load()
+            ..wire.load()
         }
     }
 }
@@ -127,10 +99,11 @@ impl Shared {
 /// A running server; dropping it without calling [`Server::shutdown`]
 /// still stops and joins every thread.
 pub struct Server {
+    // Declared first so it drops first: the handlers and the acceptor are
+    // joined before the last `Shared` (and with it the runtime's workers)
+    // goes.
+    front: FrontEnd,
     shared: Arc<Shared>,
-    local_addr: SocketAddr,
-    acceptor: Option<thread::JoinHandle<()>>,
-    handlers: Arc<Mutex<Vec<thread::JoinHandle<()>>>>,
 }
 
 impl Server {
@@ -144,7 +117,7 @@ impl Server {
     pub fn start(cfg: ServerConfig) -> Result<Server, ServerStartError> {
         let (runtime, store) = match &cfg.store {
             Some(path) => {
-                let store: Arc<dyn Store> = Arc::new(LogStore::open(path)?);
+                let store = Arc::new(LogStore::open(path)?);
                 let runtime =
                     Runtime::try_with_config_and_store(cfg.runtime.clone(), Arc::clone(&store))
                         .map_err(|e| match e {
@@ -159,115 +132,56 @@ impl Server {
         // and the runtime assigns handles sequentially, so handle index ==
         // wire id; an empty or absent store yields an empty map.
         let models = runtime.model_handles();
-        let listener = TcpListener::bind(&cfg.addr)?;
-        let local_addr = listener.local_addr()?;
-        let sampler = Sampler::new(cfg.trace_sample_rate, 0x7265_7665_6c69_6f21);
         let shared = Arc::new(Shared {
             runtime,
-            stop: AtomicBool::new(false),
-            addr: local_addr,
-            counters: WireCounters::default(),
             models: Mutex::new(models),
             store,
-            cfg,
-            sampler,
+            max_in_flight: cfg.max_in_flight,
+            sampler: Sampler::new(cfg.trace_sample_rate, 0x7265_7665_6c69_6f21),
         });
-        let handlers: Arc<Mutex<Vec<thread::JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
-        let acceptor = {
+        let front = {
             let shared = Arc::clone(&shared);
-            let handlers = Arc::clone(&handlers);
-            thread::Builder::new()
-                .name("revelio-acceptor".to_owned())
-                .spawn(move || {
-                    accept_loop(&listener, &shared.stop, |stream| {
-                        spawn_handler(stream, &shared, &handlers);
-                    });
-                })?
+            FrontEnd::start(&cfg.addr, "revelio", move |request, t0, wire| {
+                serve_request(request, &shared, t0, wire)
+            })?
         };
-        Ok(Server {
-            shared,
-            local_addr,
-            acceptor: Some(acceptor),
-            handlers,
-        })
+        Ok(Server { front, shared })
     }
 
     /// The bound address (resolves port 0).
     pub fn local_addr(&self) -> SocketAddr {
-        self.local_addr
+        self.front.local_addr()
     }
 
     /// Whether a shutdown has been requested (by [`Server::stop`] or a
     /// `Shutdown` request over the wire).
     pub fn stopping(&self) -> bool {
-        self.shared.stop.load(Ordering::Acquire)
+        self.front.stopping()
     }
 
     /// Requests shutdown without blocking: stops accepting and tells
     /// handlers to exit at the next frame boundary.
     pub fn stop(&self) {
-        self.shared.request_stop();
+        self.front.stop();
     }
 
     /// Current unified wire + runtime stats.
     pub fn stats(&self) -> ServerStats {
-        self.shared.stats()
+        self.shared.stats(self.front.counters())
     }
 
     /// Graceful shutdown: stop accepting, let every in-flight job finish,
     /// join all threads, and return the final stats.
     pub fn shutdown(mut self) -> ServerStats {
-        self.join_threads();
-        self.shared.stats()
+        self.front.shutdown();
+        self.stats()
     }
 
     /// Blocks until the server stops on its own (a `Shutdown` request over
     /// the wire) and all threads are joined; returns the final stats.
     pub fn wait(mut self) -> ServerStats {
-        while !self.stopping() {
-            thread::sleep(POLL_INTERVAL);
-        }
-        self.join_threads();
-        self.shared.stats()
-    }
-
-    /// Raises the stop flag and joins the threads in the reverse order of
-    /// their start: the handlers, then the acceptor, then (when `shared`
-    /// drops) the runtime's workers. A process that starts and stops
-    /// servers one after another then hands each new thread the allocator
-    /// arena its predecessor in the same role freed, so its peak memory
-    /// does not depend on which thread happened to exit first.
-    fn join_threads(&mut self) {
-        // Already raised by `stop` or a `Shutdown` request: the acceptor
-        // was woken then. Otherwise it stays parked in `accept` (and drops
-        // anything it accepts from now on) until the handlers are gone.
-        let woken = self.shared.stop.swap(true, Ordering::AcqRel);
-        self.join_handlers();
-        if !woken {
-            wake_acceptor(self.shared.addr);
-        }
-        if let Some(a) = self.acceptor.take() {
-            let _ = a.join();
-        }
-        // A connection accepted just before the flag rose may have
-        // spawned a handler after the first drain.
-        self.join_handlers();
-    }
-
-    fn join_handlers(&mut self) {
-        let drained: Vec<_> = match self.handlers.lock() {
-            Ok(mut hs) => hs.drain(..).collect(),
-            Err(poisoned) => poisoned.into_inner().drain(..).collect(),
-        };
-        for h in drained {
-            let _ = h.join();
-        }
-    }
-}
-
-impl Drop for Server {
-    fn drop(&mut self) {
-        self.join_threads();
+        self.front.wait();
+        self.stats()
     }
 }
 
@@ -312,282 +226,21 @@ impl From<StoreError> for ServerStartError {
     }
 }
 
-/// Runs a blocking accept loop until `stop` is raised, handing every
-/// accepted connection to `on_conn`. The flag is checked after each
-/// `accept` returns, so whoever raises it must then call
-/// [`wake_acceptor`] with the listener's address to unblock the pending
-/// `accept`; the connection that wakes the loop is dropped unserved. Both
-/// the backend server and the gateway accept through this loop.
-pub fn accept_loop(listener: &TcpListener, stop: &AtomicBool, mut on_conn: impl FnMut(TcpStream)) {
-    loop {
-        let accepted = listener.accept();
-        if stop.load(Ordering::Acquire) {
-            return;
-        }
-        match accepted {
-            Ok((stream, _peer)) => on_conn(stream),
-            // Resource exhaustion (EMFILE, …): back off instead of spinning.
-            Err(_) => thread::sleep(POLL_INTERVAL),
-        }
-    }
-}
-
-/// Unblocks an [`accept_loop`] listening on `addr` by connecting to it
-/// once; an unspecified bind address (`0.0.0.0` / `::`) is reached over
-/// loopback.
-pub fn wake_acceptor(mut addr: SocketAddr) {
-    if addr.ip().is_unspecified() {
-        addr.set_ip(match addr {
-            SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
-            SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
-        });
-    }
-    let _ = TcpStream::connect_timeout(&addr, Duration::from_secs(1));
-}
-
-fn spawn_handler(
-    stream: TcpStream,
-    shared: &Arc<Shared>,
-    handlers: &Mutex<Vec<thread::JoinHandle<()>>>,
-) {
-    let c = &shared.counters;
-    c.connections_accepted.fetch_add(1, Ordering::Relaxed);
-    c.connections_active.fetch_add(1, Ordering::Relaxed);
-    let conn_shared = Arc::clone(shared);
-    let spawn = thread::Builder::new()
-        .name("revelio-conn".to_owned())
-        .spawn(move || {
-            handle_connection(stream, &conn_shared);
-            conn_shared
-                .counters
-                .connections_active
-                .fetch_sub(1, Ordering::Relaxed);
-        });
-    match spawn {
-        Ok(h) => {
-            if let Ok(mut hs) = handlers.lock() {
-                // Reap finished handlers so a long-lived server with many
-                // short connections does not hoard JoinHandles; dropping a
-                // finished handle just detaches an already-dead thread.
-                hs.retain(|h| !h.is_finished());
-                hs.push(h);
-            }
-        }
-        // Thread spawn failed (resource exhaustion); the stream drops and
-        // the peer sees a reset.
-        Err(_) => {
-            c.connections_active.fetch_sub(1, Ordering::Relaxed);
-        }
-    }
-}
-
-/// Reads one frame, waking every [`POLL_INTERVAL`] to poll the stop flag.
-///
-/// Returns `Ok(None)` on a clean end of the connection: peer EOF between
-/// frames, or a stop request while no frame is in progress. A frame that
-/// *started* is given [`ServerConfig::read_timeout`] to finish even during
-/// shutdown (the peer paid for the bytes; cutting mid-frame would just
-/// produce a protocol error on their side).
-fn read_frame_polling(
-    stream: &mut TcpStream,
-    shared: &Shared,
-) -> Result<Option<Vec<u8>>, WireError> {
-    let got = read_frame_cancellable(
-        stream,
-        shared.cfg.max_frame_len,
-        shared.cfg.read_timeout,
-        &shared.stop,
-    )?;
-    if let Some((payload, frame_len)) = got {
-        shared
-            .counters
-            .bytes_in
-            .fetch_add(frame_len as u64, Ordering::Relaxed);
-        Ok(Some(payload))
-    } else {
-        Ok(None)
-    }
-}
-
-/// Reads one frame from a stream whose read timeout is set to a short poll
-/// interval, waking between reads to check `stop`.
-///
-/// Returns `Ok(None)` on a clean end (peer EOF between frames, or `stop`
-/// raised while no frame is in progress) and `Ok(Some((payload,
-/// frame_len)))` on success, where `frame_len` counts header + payload
-/// bytes for accounting. A frame that *started* is given `read_timeout` to
-/// finish even after `stop` is raised. The header is validated with
-/// [`parse_header`] before the payload is read straight into its buffer.
-/// This is the building block behind both the backend server's connection
-/// loop and the gateway's; callers must have set a short socket read
-/// timeout (else `stop` is only polled at that cadence).
-pub fn read_frame_cancellable(
-    stream: &mut TcpStream,
-    max_len: usize,
-    read_timeout: Duration,
-    stop: &AtomicBool,
-) -> Result<Option<(Vec<u8>, usize)>, WireError> {
-    let mut started: Option<Instant> = None;
-    let mut header = [0u8; HEADER_LEN];
-    if !fill_polling(stream, &mut header, &mut started, read_timeout, stop)? {
-        return Ok(None);
-    }
-    let (len, expected_crc) = parse_header(&header, max_len)?;
-    let mut payload = vec![0u8; len];
-    fill_polling(stream, &mut payload, &mut started, read_timeout, stop)?;
-    check_payload(&payload, expected_crc)?;
-    Ok(Some((payload, HEADER_LEN + len)))
-}
-
-/// Fills `buf` from `stream`. `started` marks the frame's first byte: until
-/// it arrives, EOF or a raised `stop` is a clean end (`Ok(false)`); after
-/// it, the frame must complete within `read_timeout`.
-fn fill_polling(
-    stream: &mut TcpStream,
-    buf: &mut [u8],
-    started: &mut Option<Instant>,
-    read_timeout: Duration,
-    stop: &AtomicBool,
-) -> Result<bool, WireError> {
-    let mut filled = 0;
-    while filled < buf.len() {
-        match started {
-            Some(t0) if t0.elapsed() > read_timeout => {
-                return Err(WireError::Io(std::io::Error::new(
-                    std::io::ErrorKind::TimedOut,
-                    "frame did not complete within the read timeout",
-                )));
-            }
-            None if stop.load(Ordering::Acquire) => return Ok(false),
-            _ => {}
-        }
-        match stream.read(&mut buf[filled..]) {
-            Ok(0) if started.is_none() => return Ok(false),
-            Ok(0) => {
-                return Err(WireError::Io(std::io::Error::new(
-                    std::io::ErrorKind::UnexpectedEof,
-                    "connection closed mid-frame",
-                )));
-            }
-            Ok(n) => {
-                started.get_or_insert_with(Instant::now);
-                filled += n;
-            }
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    std::io::ErrorKind::WouldBlock
-                        | std::io::ErrorKind::TimedOut
-                        | std::io::ErrorKind::Interrupted
-                ) => {}
-            Err(e) => return Err(WireError::Io(e)),
-        }
-    }
-    Ok(true)
-}
-
-fn handle_connection(mut stream: TcpStream, shared: &Shared) {
-    // Short socket timeouts turn blocking reads into a stop-flag poll loop;
-    // `read_frame_polling` enforces the real per-frame budget itself.
-    let _ = stream.set_read_timeout(Some(POLL_INTERVAL));
-    let _ = stream.set_write_timeout(Some(shared.cfg.write_timeout));
-    let _ = stream.set_nodelay(true);
-
-    loop {
-        let payload = match read_frame_polling(&mut stream, shared) {
-            Ok(Some(p)) => p,
-            Ok(None) => return,
-            Err(e) => {
-                shared
-                    .counters
-                    .protocol_errors
-                    .fetch_add(1, Ordering::Relaxed);
-                // Best-effort diagnostic, then drop the connection: framing
-                // is lost, so nothing later on this stream can be trusted.
-                let resp = Response::Error {
-                    kind: ErrorKind::Malformed,
-                    message: e.to_string(),
-                };
-                let _ = send_response(&mut stream, shared, &resp);
-                return;
-            }
-        };
-        let t0 = Instant::now();
-        let request = match Request::decode(&payload) {
-            Ok(r) => r,
-            Err(e) => {
-                shared
-                    .counters
-                    .protocol_errors
-                    .fetch_add(1, Ordering::Relaxed);
-                let resp = Response::Error {
-                    kind: ErrorKind::Malformed,
-                    message: e.to_string(),
-                };
-                let _ = send_response(&mut stream, shared, &resp);
-                return;
-            }
-        };
-        let (response, close_after) = serve_request(request, shared, t0);
-        shared.counters.requests.fetch_add(1, Ordering::Relaxed);
-        shared.counters.request_latency.observe(t0.elapsed());
-        if send_response(&mut stream, shared, &response).is_err() || close_after {
-            return;
-        }
-    }
-}
-
-fn send_response(
-    stream: &mut TcpStream,
-    shared: &Shared,
-    resp: &Response,
-) -> Result<(), WireError> {
-    let n = write_frame(stream, &resp.encode(), shared.cfg.max_frame_len)?;
-    shared
-        .counters
-        .bytes_out
-        .fetch_add(n as u64, Ordering::Relaxed);
-    Ok(())
-}
-
-/// Serves one decoded request; the second return value asks the handler to
-/// close the connection after writing the response.
-fn serve_request(request: Request, shared: &Shared, t0: Instant) -> (Response, bool) {
-    if shared.stop.load(Ordering::Acquire)
-        && !matches!(
-            request,
-            // Read-only requests stay answerable during shutdown.
-            Request::Stats
-                | Request::FetchExplanation(..)
-                | Request::AssembledTrace(_)
-                | Request::ListExplanations
-        )
-    {
-        return (
-            Response::Error {
-                kind: ErrorKind::ShuttingDown,
-                message: "server is shutting down".to_owned(),
-            },
-            true,
-        );
-    }
+/// Serves one decoded request. The front end answers everything but
+/// read-only requests with `ShuttingDown` once stop is raised, and stops
+/// on the `ShutdownAck`.
+fn serve_request(request: Request, shared: &Shared, t0: Instant, wire: &WireCounters) -> Response {
     match request {
-        Request::Ping => (
-            Response::Pong {
-                version: PROTOCOL_VERSION,
-            },
-            false,
-        ),
-        Request::RegisterModel { config, state } => (register_model(shared, config, &state), false),
-        Request::Explain(req) => (serve_explain(shared, req, t0), false),
-        Request::Stats => (Response::Stats(Box::new(shared.stats()), None), false),
-        Request::AssembledTrace(id) => (serve_assembled(shared, id), false),
-        Request::Shutdown => {
-            shared.request_stop();
-            (Response::ShutdownAck, true)
-        }
-        Request::FetchExplanation(job_id) => (fetch_explanation(shared, job_id), false),
-        Request::ListExplanations => (list_explanations(shared), false),
+        Request::Ping => Response::Pong {
+            version: PROTOCOL_VERSION,
+        },
+        Request::RegisterModel { config, state } => register_model(shared, config, &state),
+        Request::Explain(req) => serve_explain(shared, req, t0, wire),
+        Request::Stats => Response::Stats(Box::new(shared.stats(wire)), None),
+        Request::AssembledTrace(id) => serve_assembled(shared, id),
+        Request::Shutdown => Response::ShutdownAck,
+        Request::FetchExplanation(job_id) => fetch_explanation(shared, job_id),
+        Request::ListExplanations => list_explanations(shared),
     }
 }
 
@@ -666,7 +319,7 @@ fn wire_stored(r: ExplanationRecord) -> WireStoredExplanation {
 }
 
 fn register_model(shared: &Shared, config: GnnConfig, state: &[Vec<f32>]) -> Response {
-    if let Err(msg) = validate_gnn_config(&config, shared.cfg.max_frame_len) {
+    if let Err(msg) = validate_gnn_config(&config) {
         return Response::Error {
             kind: ErrorKind::Malformed,
             message: msg.to_owned(),
@@ -716,7 +369,7 @@ fn register_model(shared: &Shared, config: GnnConfig, state: &[Vec<f32>]) -> Res
     }
 }
 
-fn validate_gnn_config(c: &GnnConfig, max_frame_len: usize) -> Result<(), &'static str> {
+fn validate_gnn_config(c: &GnnConfig) -> Result<(), &'static str> {
     if c.in_dim == 0 || c.hidden_dim == 0 || c.num_classes == 0 {
         return Err("model dimensions must be at least 1");
     }
@@ -732,7 +385,7 @@ fn validate_gnn_config(c: &GnnConfig, max_frame_len: usize) -> Result<(), &'stat
     // force an exabyte-scale allocation. The estimate below over-counts
     // the real parameter total by at most ~2x (it prices every layer at
     // the widest fan-in/fan-out), so any architecture it rejects could
-    // never have shipped its weights inside one `max_frame_len` frame —
+    // never have shipped its weights inside one `MAX_FRAME_LEN` frame —
     // the state-length check after `Gnn::new` would refuse it anyway.
     let fan_out = c
         .hidden_dim
@@ -746,13 +399,18 @@ fn validate_gnn_config(c: &GnnConfig, max_frame_len: usize) -> Result<(), &'stat
     let readout = c.hidden_dim.saturating_mul(c.num_classes);
     let elems = first.saturating_add(rest).saturating_add(readout);
     // `elems` f32s at 4 bytes each, allowing the 2x over-count slack.
-    if elems.saturating_mul(2) > max_frame_len {
+    if elems.saturating_mul(2) > MAX_FRAME_LEN {
         return Err("model dimensions exceed the serving parameter limit");
     }
     Ok(())
 }
 
-fn serve_explain(shared: &Shared, req: ExplainRequest, t0: Instant) -> Response {
+fn serve_explain(
+    shared: &Shared,
+    req: ExplainRequest,
+    t0: Instant,
+    wire: &WireCounters,
+) -> Response {
     let handle = {
         let models = match shared.models.lock() {
             Ok(m) => m,
@@ -820,15 +478,9 @@ fn serve_explain(shared: &Shared, req: ExplainRequest, t0: Instant) -> Response 
             .context
             .map_or_else(|| shared.sampler.sample(), |c| c.sampled);
     if traced {
-        shared
-            .counters
-            .trace_sampled
-            .fetch_add(1, Ordering::Relaxed);
+        wire.trace_sampled.fetch_add(1, Ordering::Relaxed);
     } else {
-        shared
-            .counters
-            .trace_dropped
-            .fetch_add(1, Ordering::Relaxed);
+        wire.trace_dropped.fetch_add(1, Ordering::Relaxed);
     }
     let job = ExplainJob {
         graph: req.graph,
@@ -858,16 +510,13 @@ fn serve_explain(shared: &Shared, req: ExplainRequest, t0: Instant) -> Response 
     } else {
         job
     };
-    let ticket = match shared
-        .runtime
-        .try_submit(handle, job, shared.cfg.max_in_flight)
-    {
+    let ticket = match shared.runtime.try_submit(handle, job, shared.max_in_flight) {
         Ok(t) => t,
         Err(_rejected) => {
-            shared.counters.shed.fetch_add(1, Ordering::Relaxed);
+            wire.shed.fetch_add(1, Ordering::Relaxed);
             return Response::Busy {
                 in_flight: shared.runtime.in_flight() as u32,
-                limit: shared.cfg.max_in_flight as u32,
+                limit: shared.max_in_flight as u32,
             };
         }
     };
@@ -910,14 +559,13 @@ fn as_us(d: Duration) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::wire::DEFAULT_MAX_FRAME_LEN;
     use revelio_gnn::{GnnKind, Task};
 
     #[test]
     fn validate_gnn_config_accepts_paper_scale_models() {
         // Cora-sized input with the paper's standard widths must pass.
         let c = GnnConfig::standard(GnnKind::Gat, Task::NodeClassification, 1433, 7, 0);
-        assert!(validate_gnn_config(&c, DEFAULT_MAX_FRAME_LEN).is_ok());
+        assert!(validate_gnn_config(&c).is_ok());
     }
 
     #[test]
@@ -943,7 +591,7 @@ mod tests {
             },
         ] {
             assert!(
-                validate_gnn_config(&hostile, DEFAULT_MAX_FRAME_LEN).is_err(),
+                validate_gnn_config(&hostile).is_err(),
                 "accepted in={} hidden={} classes={}",
                 hostile.in_dim,
                 hostile.hidden_dim,

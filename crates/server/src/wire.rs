@@ -24,7 +24,7 @@
 //! [`revelio_core::wire`] — the same codec the store's log records use, so
 //! a stored explanation summary and a `ListExplanations` entry are one
 //! type with one layout. The layouts are byte-identical to every earlier
-//! build speaking protocol v8. Every enum tag and length is validated on
+//! build speaking protocol v9. Every enum tag and length is validated on
 //! decode, so a malformed payload is a typed [`WireError`] — never a panic
 //! or an unbounded allocation.
 
@@ -47,7 +47,7 @@ pub const MAGIC: [u8; 4] = *b"RVLO";
 
 /// Wire protocol version; bumped on any incompatible layout change (the
 /// version history is in DESIGN.md §9).
-pub const PROTOCOL_VERSION: u16 = 8;
+pub const PROTOCOL_VERSION: u16 = 9;
 
 /// Frame header length in bytes (magic + version + length + checksum).
 pub const HEADER_LEN: usize = 14;
@@ -55,25 +55,28 @@ pub const HEADER_LEN: usize = 14;
 /// Upper bound on the node count a wire graph may declare.
 ///
 /// Each node costs four bytes of row offset in the CSR feature block, so a
-/// default frame carries well under 2^24 nodes. The cap refuses a larger
+/// frame carries well under 2^24 nodes. The cap refuses a larger
 /// declaration from the three header counts alone, before the edge list is
-/// read, so even a raised frame cap cannot force billions of per-node
-/// allocations downstream of the decoder.
+/// read, so no frame can force billions of per-node allocations
+/// downstream of the decoder.
 pub const MAX_WIRE_NODES: usize = 1 << 24;
 
 /// Upper bound on the dense shape `num_nodes × feat_dim` of a wire graph:
-/// what a dense feature matrix in a default-size frame could carry
-/// (`DEFAULT_MAX_FRAME_LEN / 4` values).
+/// what a dense feature matrix in one frame could carry
+/// (`MAX_FRAME_LEN / 4` values).
 ///
 /// CSR bytes scale with the non-zero entries only, so a tiny frame could
 /// otherwise declare a huge matrix that the explainers' dense copy
 /// (`Instance::x`) would then allocate.
-pub const MAX_WIRE_FEATURE_ENTRIES: usize = DEFAULT_MAX_FRAME_LEN / 4;
+pub const MAX_WIRE_FEATURE_ENTRIES: usize = MAX_FRAME_LEN / 4;
 
-/// Default cap on one frame's payload (32 MiB) — enough for a model
-/// registration with millions of parameters, small enough that a hostile
-/// length field cannot exhaust memory.
-pub const DEFAULT_MAX_FRAME_LEN: usize = 32 * 1024 * 1024;
+/// Cap on one frame's payload (32 MiB), on both ends of every connection —
+/// enough for a model registration with millions of parameters, small
+/// enough that a hostile length field cannot exhaust memory.
+pub const MAX_FRAME_LEN: usize = 32 * 1024 * 1024;
+
+/// Budget for writing one frame to a peer, on both ends of a connection.
+pub(crate) const WRITE_TIMEOUT: std::time::Duration = std::time::Duration::from_secs(10);
 
 /// Everything that can go wrong speaking the protocol.
 #[derive(Debug)]
@@ -493,8 +496,8 @@ wire_struct!(WireStoredExplanation {
 });
 
 revelio_runtime::metric_table! {
-    /// Wire-level counters, updated by handler threads. The gateway records
-    /// its own sampling decisions in one too.
+    /// Wire-level counters, updated by a front end's handler threads (the
+    /// backend's sampling decisions and shed requests included).
     #[derive(Default)]
     pub struct WireCounters;
 
@@ -524,10 +527,6 @@ revelio_runtime::metric_table! {
             "End-to-end per-request latency (decode to response write).");
         /// The serving runtime's own registry snapshot.
         runtime: MetricsSnapshot;
-    }
-    // Protocol v6 appended the trace counters after the `Stats` answer's
-    // gateway tail, which `encode_with` places between the blocks.
-    wire_tail {
         trace_sampled: u64 = Counter("revelio_trace_sampled_total", "tracing sampled",
             "Explain requests traced end to end (head-sampled or inherited).");
         trace_dropped: u64 = Counter("revelio_trace_dropped_total", "tracing dropped",
@@ -947,7 +946,10 @@ impl Response {
                 let msg: String = message.chars().take(512).collect();
                 put_str(&mut out, &msg);
             }
-            Response::Stats(s, gateway) => s.encode_with(gateway, &mut out),
+            Response::Stats(s, gateway) => {
+                s.encode(&mut out);
+                gateway.encode(&mut out);
+            }
             Response::ShutdownAck => {}
             Response::Assembled(t) => t.encode(&mut out),
             Response::Explanation(e) => e.encode(&mut out),
@@ -987,10 +989,7 @@ impl Response {
                 kind: ErrorKind::decode(r)?,
                 message: r.str()?,
             },
-            RESP_STATS => {
-                let (stats, gateway) = ServerStats::decode_with(r)?;
-                Response::Stats(Box::new(stats), gateway)
-            }
+            RESP_STATS => Response::Stats(Box::decode(r)?, Option::decode(r)?),
             RESP_SHUTDOWN_ACK => Response::ShutdownAck,
             RESP_ASSEMBLED => Response::Assembled(Box::decode(r)?),
             RESP_EXPLANATION => Response::Explanation(Option::decode(r)?),
@@ -1071,17 +1070,18 @@ mod tests {
         // extended ControlSpec and the Stats payload, v4 appended the
         // batch counters, v5 appended the gateway tail, v6 appended the
         // trace context / sampling counters, v7 replaced the job-id
-        // trace fetch with point events on the assembled trace, and v8
-        // ships graph features in CSR form, so decoding an older payload
-        // with current codecs would misinterpret bytes.
-        for old in [1u16, 2, 3, 4, 5, 6, 7] {
+        // trace fetch with point events on the assembled trace, v8 ships
+        // graph features in CSR form, and v9 moved the trace counters of
+        // the `Stats` answer ahead of the gateway's stats, so decoding an
+        // older payload with current codecs would misinterpret bytes.
+        for old in [1u16, 2, 3, 4, 5, 6, 7, 8] {
             let mut frame = encode_frame(b"x", 1024).unwrap();
             frame[4..6].copy_from_slice(&old.to_le_bytes());
             let mut cursor = std::io::Cursor::new(frame);
             match read_frame(&mut cursor, 1024) {
                 Err(WireError::UnsupportedVersion { got, expected }) => {
                     assert_eq!(got, old);
-                    assert_eq!(expected, 8);
+                    assert_eq!(expected, 9);
                 }
                 other => panic!("v{old} frame was not refused: {other:?}"),
             }
@@ -1428,9 +1428,8 @@ mod tests {
     #[test]
     fn hostile_gateway_backend_count_fails_before_allocation() {
         let mut payload = Response::Stats(Box::<ServerStats>::default(), None).encode();
-        // Strip the v6 trace counters so the gateway-tail tag is the last
-        // byte again, flip it to "present", and append a hostile count.
-        payload.truncate(payload.len() - 16);
+        // The gateway stats' option tag is the last byte: flip it to
+        // "present" and append a hostile count.
         let last = payload.len() - 1;
         payload[last] = 1;
         put_u64(&mut payload, 0); // routed

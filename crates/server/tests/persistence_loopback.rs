@@ -200,7 +200,7 @@ fn store_reads_stay_answerable_during_shutdown() {
     let mut sock = std::net::TcpStream::connect(server.local_addr()).expect("raw connect");
     let frame = revelio_server::wire::encode_frame(
         &revelio_server::Request::FetchExplanation(list[0].job_id).encode(),
-        revelio_server::DEFAULT_MAX_FRAME_LEN,
+        revelio_server::MAX_FRAME_LEN,
     )
     .expect("encode");
     sock.write_all(&frame[..7]).expect("first half");
@@ -210,10 +210,9 @@ fn store_reads_stay_answerable_during_shutdown() {
     server.stop();
     sock.write_all(&frame[7..]).expect("second half");
     sock.flush().expect("flush");
-    let (payload, _) =
-        revelio_server::wire::read_frame(&mut sock, revelio_server::DEFAULT_MAX_FRAME_LEN)
-            .expect("response frame")
-            .expect("response before close");
+    let (payload, _) = revelio_server::wire::read_frame(&mut sock, revelio_server::MAX_FRAME_LEN)
+        .expect("response frame")
+        .expect("response before close");
     match revelio_server::Response::decode(&payload).expect("decode") {
         revelio_server::Response::Explanation(Some(rec)) => {
             assert_eq!(rec.job_id, list[0].job_id);
@@ -240,11 +239,11 @@ fn unknown_job_id_fetches_none() {
 }
 
 #[test]
-fn protocol_version_is_v8() {
+fn protocol_version_is_v9() {
     let path = temp_store();
     let server = start_server(&path);
     let mut client = Client::connect(server.local_addr()).expect("connect");
-    assert_eq!(client.ping().expect("ping"), 8);
+    assert_eq!(client.ping().expect("ping"), 9);
     server.shutdown();
     let _ = std::fs::remove_file(&path);
 }

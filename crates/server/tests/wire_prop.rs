@@ -415,7 +415,7 @@ fn peer_words(raw: &[(u8, u64)]) -> Vec<u64> {
         .collect()
 }
 
-/// Words of a `Stats` answer without the gateway tail: the seven wire
+/// Words of a `Stats` answer before the gateway's stats: the seven wire
 /// counters, the request-latency histogram, the runtime snapshot and the
 /// two trace counters.
 const STATS_WORDS: usize =
@@ -425,12 +425,10 @@ const STATS_WORDS: usize =
 /// send it: nothing ties a histogram's count to its buckets.
 fn peer_stats(words: &[u64]) -> ServerStats {
     let mut payload = vec![Response::Stats(Box::default(), None).encode()[0]];
-    for (i, w) in words.iter().enumerate() {
-        if i == STATS_WORDS - 2 {
-            payload.push(0); // no gateway tail
-        }
+    for w in words {
         payload.extend_from_slice(&w.to_le_bytes());
     }
+    payload.push(0); // no gateway stats
     match Response::decode(&payload).unwrap() {
         Response::Stats(s, None) => *s,
         _ => panic!("wrong variant"),

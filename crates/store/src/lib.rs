@@ -2,10 +2,9 @@
 //!
 //! Everything the serving stack knows — registered models, capped flow
 //! enumerations, finished explanations with their converged masks — used
-//! to die with the process. This crate persists it: a trait-abstracted
-//! [`Store`] over an append-only single-file log backend ([`LogStore`])
-//! with CRC-checked length-prefixed records, generation-numbered
-//! compaction, and an in-memory index rebuilt on open.
+//! to die with the process. This crate persists it: [`LogStore`], an
+//! append-only single-file log with CRC-checked length-prefixed records,
+//! generation-numbered compaction, and an in-memory index rebuilt on open.
 //!
 //! The payoff is twofold:
 //!
@@ -25,7 +24,7 @@
 //! under `--features check` like every other concurrent structure here.
 //!
 //! ```no_run
-//! use revelio_store::{LogStore, Store};
+//! use revelio_store::LogStore;
 //!
 //! let store = LogStore::open("/var/lib/revelio/store.log").unwrap();
 //! for summary in store.list_explanations().unwrap() {
@@ -96,67 +95,4 @@ impl From<std::io::Error> for StoreError {
     fn from(e: std::io::Error) -> StoreError {
         StoreError::Io(e)
     }
-}
-
-/// The persistence abstraction the runtime writes behind and recovers
-/// from. All methods take `&self`: implementations are internally
-/// synchronised and shared across worker threads behind an `Arc`.
-pub trait Store: Send + Sync {
-    /// Persists (or supersedes) a model registration.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StoreError`] if the record cannot be made durable.
-    fn put_model(&self, rec: &ModelRecord) -> Result<(), StoreError>;
-
-    /// All live model records, in ascending `model_id` order — the order
-    /// recovery re-registers them in.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StoreError`] if a stored record cannot be read back.
-    fn models(&self) -> Result<Vec<ModelRecord>, StoreError>;
-
-    /// Persists (or supersedes) a capped flow enumeration.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StoreError`] if the record cannot be made durable.
-    fn put_flows(&self, rec: &FlowsRecord) -> Result<(), StoreError>;
-
-    /// All live flow records, in a deterministic key order.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StoreError`] if a stored record cannot be read back.
-    fn flows(&self) -> Result<Vec<FlowsRecord>, StoreError>;
-
-    /// Persists a finished explanation.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StoreError`] if the record cannot be made durable.
-    fn put_explanation(&self, rec: &ExplanationRecord) -> Result<(), StoreError>;
-
-    /// The stored explanation for `job_id`, if any.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StoreError`] if the stored record cannot be read back.
-    fn explanation(&self, job_id: u64) -> Result<Option<ExplanationRecord>, StoreError>;
-
-    /// Summaries of every stored explanation, in ascending job-id order.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StoreError`] if the index cannot be consulted.
-    fn list_explanations(&self) -> Result<Vec<ExplanationSummary>, StoreError>;
-
-    /// The newest stored converged mask for `key`, with the fingerprint of
-    /// the model it converged against (the caller's staleness guard).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StoreError`] if the stored record cannot be read back.
-    fn newest_mask(&self, key: &MaskKey) -> Result<Option<MaskHit>, StoreError>;
 }

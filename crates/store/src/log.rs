@@ -37,7 +37,7 @@ use revelio_graph::Target;
 use crate::records::{
     ExplanationRecord, ExplanationSummary, FlowsRecord, MaskHit, MaskKey, ModelRecord,
 };
-use crate::{Store, StoreError};
+use crate::StoreError;
 
 /// First four bytes of every store file.
 pub const FILE_MAGIC: [u8; 4] = *b"RVST";
@@ -124,7 +124,9 @@ struct Inner {
     index: Index,
 }
 
-/// The append-only single-file [`Store`] backend.
+/// The persistent store: one append-only log file with an in-memory
+/// index. All methods take `&self`: the store is internally synchronised
+/// and shared across worker threads behind an `Arc`.
 pub struct LogStore {
     inner: Mutex<Inner>,
 }
@@ -422,8 +424,13 @@ fn append(inner: &mut Inner, kind: u8, payload: &[u8]) -> Result<Span, StoreErro
     Ok(span)
 }
 
-impl Store for LogStore {
-    fn put_model(&self, rec: &ModelRecord) -> Result<(), StoreError> {
+impl LogStore {
+    /// Persists (or supersedes) a model registration.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`StoreError`] if the record cannot be made durable.
+    pub fn put_model(&self, rec: &ModelRecord) -> Result<(), StoreError> {
         let mut payload = Vec::new();
         rec.encode(&mut payload);
         let mut inner = self.lock();
@@ -432,7 +439,13 @@ impl Store for LogStore {
         Ok(())
     }
 
-    fn models(&self) -> Result<Vec<ModelRecord>, StoreError> {
+    /// All live model records, in ascending `model_id` order — the order
+    /// recovery re-registers them in.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`StoreError`] if a stored record cannot be read back.
+    pub fn models(&self) -> Result<Vec<ModelRecord>, StoreError> {
         let mut inner = self.lock();
         let spans: Vec<Span> = inner.index.models.values().copied().collect();
         let mut out = Vec::with_capacity(spans.len());
@@ -443,7 +456,12 @@ impl Store for LogStore {
         Ok(out)
     }
 
-    fn put_flows(&self, rec: &FlowsRecord) -> Result<(), StoreError> {
+    /// Persists (or supersedes) a capped flow enumeration.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`StoreError`] if the record cannot be made durable.
+    pub fn put_flows(&self, rec: &FlowsRecord) -> Result<(), StoreError> {
         let mut payload = Vec::new();
         rec.encode(&mut payload);
         let mut inner = self.lock();
@@ -455,7 +473,12 @@ impl Store for LogStore {
         Ok(())
     }
 
-    fn flows(&self) -> Result<Vec<FlowsRecord>, StoreError> {
+    /// All live flow records, in a deterministic key order.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`StoreError`] if a stored record cannot be read back.
+    pub fn flows(&self) -> Result<Vec<FlowsRecord>, StoreError> {
         let mut inner = self.lock();
         let mut keys: Vec<_> = inner.index.flows.keys().copied().collect();
         keys.sort_unstable_by_key(|&(g, t, l, m)| (g, target_order(t), l, m));
@@ -468,7 +491,12 @@ impl Store for LogStore {
         Ok(out)
     }
 
-    fn put_explanation(&self, rec: &ExplanationRecord) -> Result<(), StoreError> {
+    /// Persists a finished explanation.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`StoreError`] if the record cannot be made durable.
+    pub fn put_explanation(&self, rec: &ExplanationRecord) -> Result<(), StoreError> {
         let mut payload = Vec::new();
         rec.encode(&mut payload);
         let mut inner = self.lock();
@@ -481,7 +509,12 @@ impl Store for LogStore {
         Ok(())
     }
 
-    fn explanation(&self, job_id: u64) -> Result<Option<ExplanationRecord>, StoreError> {
+    /// The stored explanation for `job_id`, if any.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`StoreError`] if the stored record cannot be read back.
+    pub fn explanation(&self, job_id: u64) -> Result<Option<ExplanationRecord>, StoreError> {
         let mut inner = self.lock();
         let Some(span) = inner.index.explanations.get(&job_id).copied() else {
             return Ok(None);
@@ -492,11 +525,22 @@ impl Store for LogStore {
         ))
     }
 
-    fn list_explanations(&self) -> Result<Vec<ExplanationSummary>, StoreError> {
+    /// Summaries of every stored explanation, in ascending job-id order.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`StoreError`] if the index cannot be consulted.
+    pub fn list_explanations(&self) -> Result<Vec<ExplanationSummary>, StoreError> {
         Ok(self.lock().index.summaries.values().copied().collect())
     }
 
-    fn newest_mask(&self, key: &MaskKey) -> Result<Option<MaskHit>, StoreError> {
+    /// The newest stored converged mask for `key`, with the fingerprint of
+    /// the model it converged against (the caller's staleness guard).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`StoreError`] if the stored record cannot be read back.
+    pub fn newest_mask(&self, key: &MaskKey) -> Result<Option<MaskHit>, StoreError> {
         let mut inner = self.lock();
         let Some(job_id) = inner.index.masks.get(key).copied() else {
             return Ok(None);

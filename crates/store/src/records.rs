@@ -129,7 +129,7 @@ pub struct ExplanationSummary {
     pub has_mask: bool,
 }
 
-/// A successful [`newest_mask`](crate::Store::newest_mask) lookup.
+/// A successful [`newest_mask`](crate::LogStore::newest_mask) lookup.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MaskHit {
     /// The job that recorded the mask.

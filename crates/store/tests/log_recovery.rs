@@ -15,7 +15,7 @@ use revelio_gnn::{GnnConfig, GnnKind, Task};
 use revelio_graph::Target;
 use revelio_store::{
     fingerprint_model, ExplanationRecord, FlowsRecord, LogStore, MaskKey, ModelRecord,
-    PhaseSummary, Store, StoreError, StoredMask, HEADER_LEN, RECORD_HEADER_LEN,
+    PhaseSummary, StoreError, StoredMask, HEADER_LEN, RECORD_HEADER_LEN,
 };
 
 static NEXT_FILE: AtomicU64 = AtomicU64::new(0);
