@@ -18,8 +18,8 @@ use std::time::Instant;
 
 use revelio_bench::{instances_for, load_dataset, model_for, HarnessArgs};
 use revelio_core::{Explainer, LayerWeight, MaskSquash, Objective, Revelio, RevelioConfig};
-use revelio_eval::{experiments_dir, fidelity_minus, Effort, Table};
-use revelio_gnn::{GnnKind, ModelZoo};
+use revelio_eval::{experiments_dir, fidelity_minus, Effort, ModelZoo, Table};
+use revelio_gnn::GnnKind;
 
 struct Variant {
     name: &'static str,

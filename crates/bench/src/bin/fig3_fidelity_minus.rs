@@ -11,8 +11,7 @@ use revelio_bench::{
     HarnessArgs,
 };
 use revelio_core::Objective;
-use revelio_eval::{experiments_dir, Table};
-use revelio_gnn::ModelZoo;
+use revelio_eval::{experiments_dir, ModelZoo, Table};
 
 fn main() {
     let args = HarnessArgs::parse();

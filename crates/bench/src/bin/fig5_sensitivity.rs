@@ -7,8 +7,8 @@
 
 use revelio_bench::{instances_for, load_dataset, model_for, HarnessArgs};
 use revelio_core::{Objective, Revelio, RevelioConfig};
-use revelio_eval::{experiments_dir, fidelity_minus, fidelity_plus, Effort, Table};
-use revelio_gnn::{GnnKind, ModelZoo};
+use revelio_eval::{experiments_dir, fidelity_minus, fidelity_plus, Effort, ModelZoo, Table};
+use revelio_gnn::GnnKind;
 
 fn main() {
     let mut args = HarnessArgs::parse();

@@ -15,8 +15,10 @@ use std::fs;
 
 use revelio_bench::{combination_applicable, instances_for, load_dataset, model_for, HarnessArgs};
 use revelio_core::Objective;
-use revelio_eval::{experiments_dir, explanation_dot, make_method, DotOptions, EvalInstance};
-use revelio_gnn::{Gnn, GnnKind, ModelZoo};
+use revelio_eval::{
+    experiments_dir, explanation_dot, make_method, DotOptions, EvalInstance, ModelZoo,
+};
+use revelio_gnn::{Gnn, GnnKind};
 
 fn visualize(name: &str, kind: GnnKind, model: &Gnn, e: &EvalInstance, args: &HarnessArgs) {
     let dir = experiments_dir().join("fig6");

@@ -7,8 +7,8 @@
 
 use revelio_bench::{is_synthetic, load_dataset, model_for, HarnessArgs};
 use revelio_datasets::Dataset;
-use revelio_eval::{experiments_dir, model_accuracy, Table};
-use revelio_gnn::{GnnKind, ModelZoo};
+use revelio_eval::{experiments_dir, model_accuracy, ModelZoo, Table};
+use revelio_gnn::GnnKind;
 
 fn main() {
     let args = HarnessArgs::parse();

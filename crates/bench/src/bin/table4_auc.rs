@@ -9,8 +9,8 @@
 
 use revelio_bench::{combination_applicable, instances_for, load_dataset, model_for, HarnessArgs};
 use revelio_core::Objective;
-use revelio_eval::{experiments_dir, make_method, try_roc_auc, Table};
-use revelio_gnn::{GnnKind, Instance, ModelZoo};
+use revelio_eval::{experiments_dir, make_method, try_roc_auc, ModelZoo, Table};
+use revelio_gnn::{GnnKind, Instance};
 
 fn main() {
     let args = HarnessArgs::parse();

@@ -16,9 +16,10 @@ use revelio_bench::{
 };
 use revelio_core::Objective;
 use revelio_eval::{
-    experiments_dir, flow_cap, is_flow_based, is_group_level, make_method, method_factory, Table,
+    experiments_dir, flow_cap, is_flow_based, is_group_level, make_method, method_factory,
+    ModelZoo, Table,
 };
-use revelio_gnn::{GnnKind, Instance, ModelZoo};
+use revelio_gnn::{GnnKind, Instance};
 use revelio_runtime::ExplainJob;
 
 fn main() {

@@ -8,8 +8,8 @@
 
 use revelio_bench::{instances_for, load_dataset, model_for, HarnessArgs};
 use revelio_core::Objective;
-use revelio_eval::{experiments_dir, make_method, Table, FLOW_METHODS};
-use revelio_gnn::{GnnKind, ModelZoo};
+use revelio_eval::{experiments_dir, make_method, ModelZoo, Table, FLOW_METHODS};
+use revelio_gnn::GnnKind;
 
 fn main() {
     let args = HarnessArgs::parse();

@@ -19,9 +19,9 @@ use revelio_datasets::{by_name, Dataset, ALL_DATASETS};
 use revelio_eval::{
     fidelity_minus, fidelity_plus, flow_cap, is_flow_based, is_group_level, make_method,
     method_factory, sample_instances, sample_instances_cached, trained_model, Effort, EvalInstance,
-    SamplingConfig, ALL_METHODS,
+    ModelZoo, SamplingConfig, ALL_METHODS,
 };
-use revelio_gnn::{Gnn, GnnKind, ModelZoo};
+use revelio_gnn::{Gnn, GnnKind};
 use revelio_runtime::{ExplainJob, Runtime, RuntimeConfig};
 
 /// Parsed command-line options shared by all harness binaries.

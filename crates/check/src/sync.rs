@@ -19,9 +19,8 @@
 //!   plain `std` behaviour, so unrelated tests in a unified feature graph
 //!   keep working.
 //!
-//! [`RaceCell`](crate::shim::RaceCell) is exported in both modes (as a
-//! plain mutex-backed cell when unchecked) so model-only helpers compile
-//! unconditionally.
+//! [`RaceCell`] is exported in both modes (as a plain mutex-backed cell
+//! when unchecked) so model-only helpers compile unconditionally.
 
 pub use std::sync::Arc;
 

@@ -5,10 +5,10 @@
 //! `revelio-store`. Both speak the same little-endian encoding, and every
 //! type that crosses either boundary states its byte layout exactly once,
 //! as one [`Codec`] impl: a struct lists its fields in wire order through
-//! [`wire_struct!`], a fieldless enum lists its tag bytes through
-//! [`wire_enum!`], and the few types with data-carrying variants or
-//! validation (a [`Target`], a [`GnnConfig`], a [`Degradation`]) write the
-//! impl by hand. There is no reflection and no serde; the encoding is
+//! [`wire_struct!`](crate::wire_struct), a fieldless enum lists its tag
+//! bytes through [`wire_enum!`](crate::wire_enum), and the few types with
+//! data-carrying variants or validation (a [`Target`], a [`GnnConfig`], a
+//! [`Degradation`]) write the impl by hand. There is no reflection and no serde; the encoding is
 //! fixed by the field lists, so a layout change is a visible edit to one
 //! list.
 //!
@@ -132,6 +132,51 @@ pub fn crc32(data: &[u8]) -> u32 {
         c = t[0][byte(c ^ u32::from(b), 0)] ^ (c >> 8);
     }
     c ^ 0xFFFF_FFFF
+}
+
+// ---------------------------------------------------------------------------
+// FNV-1a 64, shared by the model fingerprint, the gateway's routing hash
+// and the evaluation harness's graph ids.
+// ---------------------------------------------------------------------------
+
+/// Streaming FNV-1a 64: feed bytes with [`Fnv1a::write`] in any number of
+/// pieces, then read the hash with [`Fnv1a::finish`]. The result depends
+/// only on the concatenated bytes, never on how they were split.
+#[derive(Debug, Clone, Copy)]
+pub struct Fnv1a(u64);
+
+impl Fnv1a {
+    /// A hasher at the FNV-1a 64 offset basis.
+    pub const fn new() -> Fnv1a {
+        Fnv1a(0xcbf2_9ce4_8422_2325)
+    }
+
+    /// Folds `bytes` into the hash.
+    #[inline]
+    pub fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    /// The hash of every byte written so far.
+    pub fn finish(self) -> u64 {
+        self.0
+    }
+}
+
+impl Default for Fnv1a {
+    fn default() -> Fnv1a {
+        Fnv1a::new()
+    }
+}
+
+/// FNV-1a 64 of `bytes` in one call.
+pub fn fnv1a(bytes: &[u8]) -> u64 {
+    let mut h = Fnv1a::new();
+    h.write(bytes);
+    h.finish()
 }
 
 // ---------------------------------------------------------------------------
@@ -779,6 +824,19 @@ mod tests {
         // A large buffer runs many blocks plus a tail.
         let big: Vec<u8> = (0..100_003u32).map(|i| (i * 31 % 251) as u8).collect();
         assert_eq!(crc32(&big), crc32_bytewise(&big));
+    }
+
+    #[test]
+    fn fnv1a_matches_the_published_test_vectors() {
+        assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a(b"foobar"), 0x8594_4171_f739_67e8);
+        // Streaming in pieces hashes the concatenation.
+        let mut h = Fnv1a::new();
+        h.write(b"foo");
+        h.write(b"");
+        h.write(b"bar");
+        assert_eq!(h.finish(), fnv1a(b"foobar"));
     }
 
     proptest! {

@@ -9,6 +9,7 @@ use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
+use revelio_core::wire::Fnv1a;
 use revelio_datasets::Dataset;
 use revelio_gnn::{Gnn, Instance};
 use revelio_graph::{count_flows, khop_subgraph, MpGraph, Target};
@@ -59,16 +60,11 @@ pub struct EvalInstance {
 /// collision-resistant-enough id for artifact-cache keys (distinct datasets
 /// and indices map to distinct ids with overwhelming probability).
 fn stable_graph_id(dataset_name: &str, tag: u8, index: usize) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in dataset_name
-        .bytes()
-        .chain([tag])
-        .chain((index as u64).to_le_bytes())
-    {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
+    let mut h = Fnv1a::new();
+    h.write(dataset_name.as_bytes());
+    h.write(&[tag]);
+    h.write(&(index as u64).to_le_bytes());
+    h.finish()
 }
 
 /// Why [`try_sample_instances`] could not sample from a dataset.
@@ -478,6 +474,24 @@ mod tests {
         assert_ne!(
             super::stable_graph_id("MUTAG", 1, 3),
             super::stable_graph_id("MUTAG", 2, 3)
+        );
+    }
+
+    /// Graph ids key the artifact cache and the store, so their values are
+    /// pinned: these were recorded from the original inline FNV-1a loop.
+    #[test]
+    fn graph_ids_match_recorded_values() {
+        assert_eq!(
+            super::stable_graph_id("Tree-Cycles", 0, 0),
+            0xa265_0ffb_fadf_d68d
+        );
+        assert_eq!(
+            super::stable_graph_id("BA-Shapes", 0, 511),
+            0xc251_53a2_07a5_f6b3
+        );
+        assert_eq!(
+            super::stable_graph_id("MUTAG", 1, 42),
+            0xe5cf_7882_4031_43be
         );
     }
 

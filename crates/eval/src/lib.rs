@@ -10,6 +10,7 @@ mod methods;
 mod models;
 mod report;
 mod viz;
+mod zoo;
 
 pub use auc::{roc_auc, try_roc_auc, NonFiniteScore};
 pub use fidelity::{fidelity_minus, fidelity_plus, perturbed_probability};
@@ -24,3 +25,4 @@ pub use methods::{
 pub use models::{model_accuracy, model_key, train_config_for, trained_model};
 pub use report::{experiments_dir, Table};
 pub use viz::{explanation_dot, DotOptions};
+pub use zoo::ModelZoo;

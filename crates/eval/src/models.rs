@@ -1,12 +1,13 @@
-//! Training and caching the target models of Table III.
+//! Training the target models of Table III, cached in the [`ModelZoo`].
 
 use revelio_datasets::Dataset;
 use revelio_gnn::{
     evaluate_graph_accuracy, evaluate_node_accuracy, train_graph_classifier, train_node_classifier,
-    Gnn, GnnConfig, GnnKind, ModelZoo, Task, TrainConfig,
+    Gnn, GnnConfig, GnnKind, Task, TrainConfig,
 };
 
 use crate::methods::Effort;
+use crate::zoo::ModelZoo;
 
 /// The zoo key for a (dataset, architecture) pair.
 pub fn model_key(dataset_name: &str, kind: GnnKind) -> String {

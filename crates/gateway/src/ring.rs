@@ -13,20 +13,8 @@
 //! gateway restart (or a second gateway in front of the same fleet)
 //! routes identically.
 
+use revelio_core::wire::fnv1a;
 use revelio_graph::Target;
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-/// FNV-1a over a byte string.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = FNV_OFFSET;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
-}
 
 /// splitmix64 finalizer. Raw FNV-1a avalanches poorly on short,
 /// structured inputs (sequential ids differ in few bits and land
@@ -124,6 +112,19 @@ impl Ring {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Routing must agree across gateway versions (two gateways in front
+    /// of one fleet, or a restart mid-traffic), so the hash values are
+    /// pinned: these were recorded from the original private FNV-1a.
+    #[test]
+    fn route_keys_match_recorded_values() {
+        assert_eq!(route_key(0, 0, Target::Node(0)), 0x3245_72b2_5ad7_924c);
+        assert_eq!(
+            route_key(3, 0xdead_beef, Target::Node(17)),
+            0x774a_815f_2a67_ed03
+        );
+        assert_eq!(route_key(7, 42, Target::Graph), 0x8c44_4b4e_5f88_2755);
+    }
 
     #[test]
     fn all_alive_routes_are_stable_and_in_range() {

@@ -151,8 +151,12 @@ fn each_routed_explain_counts_one_trace_decision() {
 fn malformed_frame_is_refused_closed_and_counted() {
     let (backends, gateway, _) = fleet();
     let mut sock = TcpStream::connect(gateway.local_addr()).expect("raw connect");
-    sock.write_all(b"NOPE\x09\x00\x01\x00\x00\x00\x00\x00\x00\x00")
-        .expect("a header with a bad magic");
+    let mut bytes = b"NOPE\x09\x00\x01\x00\x00\x00\x00\x00\x00\x00".to_vec();
+    // Bytes the gateway never reads as a frame: they must not turn the
+    // close into a reset that loses the answer.
+    bytes.extend(std::iter::repeat_n(0xAB, 32 * 1024));
+    sock.write_all(&bytes)
+        .expect("a header with a bad magic, then trailing bytes");
     sock.flush().expect("flush");
     let (payload, _) = read_frame(&mut sock, MAX_FRAME_LEN)
         .expect("response frame")
@@ -164,7 +168,8 @@ fn malformed_frame_is_refused_closed_and_counted() {
             std::mem::discriminant(&other)
         ),
     }
-    // The gateway closed the connection after its answer.
+    // The gateway closed the connection after its answer: a clean end of
+    // stream, not a reset.
     sock.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
     assert!(matches!(read_frame(&mut sock, MAX_FRAME_LEN), Ok(None)));
 

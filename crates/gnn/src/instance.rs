@@ -40,23 +40,6 @@ impl Instance {
         let mp = MpGraph::new(&graph);
         let probs = model.predict_probs_on(&mp, &graph, target);
         let class = crate::model::argmax(&probs);
-        Self::with_mp(graph, mp, target, class, probs)
-    }
-
-    /// Builds an instance explaining a specific class, with precomputed
-    /// original probabilities.
-    pub fn for_class(graph: Graph, target: Target, class: usize, orig_probs: Vec<f32>) -> Instance {
-        let mp = MpGraph::new(&graph);
-        Self::with_mp(graph, mp, target, class, orig_probs)
-    }
-
-    fn with_mp(
-        graph: Graph,
-        mp: MpGraph,
-        target: Target,
-        class: usize,
-        orig_probs: Vec<f32>,
-    ) -> Instance {
         let x = Gnn::features_tensor(&graph);
         Instance {
             graph,
@@ -64,7 +47,7 @@ impl Instance {
             x,
             target,
             class,
-            orig_probs,
+            orig_probs: probs,
         }
     }
 

@@ -1,5 +1,5 @@
-//! GNN models (GCN / GIN / GAT), training loops and a model cache for the
-//! REVELIO reproduction.
+//! GNN models (GCN / GIN / GAT) and training loops for the REVELIO
+//! reproduction.
 //!
 //! All three architectures share the message-passing skeleton of §III of the
 //! paper — message calculation, aggregation, node update — realised with the
@@ -15,11 +15,9 @@
 #![deny(clippy::print_stdout, clippy::print_stderr)]
 
 mod instance;
-mod json;
 mod layer;
 mod model;
 mod train;
-mod zoo;
 
 pub use instance::Instance;
 pub use layer::Layer;
@@ -28,4 +26,3 @@ pub use train::{
     evaluate_graph_accuracy, evaluate_node_accuracy, train_graph_classifier, train_node_classifier,
     TrainConfig,
 };
-pub use zoo::ModelZoo;

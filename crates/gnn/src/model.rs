@@ -334,12 +334,39 @@ impl Gnn {
     }
 
     // ------------------------------------------------------------------
-    // Serialization (model zoo)
+    // Parameter state (wire registration, store records, model zoo)
     // ------------------------------------------------------------------
 
     /// Copies all parameter buffers out, in [`Gnn::params`] order.
     pub fn state_dict(&self) -> Vec<Vec<f32>> {
         self.params().iter().map(Tensor::to_vec).collect()
+    }
+
+    /// Checks that `state` fits this architecture before it is loaded:
+    /// one buffer per [`Gnn::params`] entry, each of that parameter's
+    /// length, and every weight finite. The error says which check failed.
+    pub fn check_state(&self, state: &[Vec<f32>]) -> Result<(), String> {
+        let params = self.params();
+        if params.len() != state.len() {
+            return Err(format!(
+                "state dict has {} parameter buffers, the architecture needs {}",
+                state.len(),
+                params.len()
+            ));
+        }
+        for (i, (p, s)) in params.iter().zip(state).enumerate() {
+            if p.len() != s.len() {
+                return Err(format!(
+                    "parameter {i} has {} values, the architecture needs {}",
+                    s.len(),
+                    p.len()
+                ));
+            }
+            if let Some(bad) = s.iter().find(|v| !v.is_finite()) {
+                return Err(format!("parameter {i} contains a non-finite weight {bad}"));
+            }
+        }
+        Ok(())
     }
 
     /// Loads parameter buffers saved by [`Gnn::state_dict`].

@@ -12,10 +12,10 @@ use std::collections::VecDeque;
 use revelio_check::sync::{Mutex, MutexGuard};
 use revelio_trace::{Trace, TraceId};
 
-/// Why [`TraceStore::fetch`] found no trace: distinguishes "this id was
-/// retained once but fell out of the bounded window" from "this id was
-/// never here", so callers can surface a precise error instead of an
-/// empty result.
+/// Why [`Runtime::fetch_trace`](crate::Runtime::fetch_trace) found no
+/// trace: distinguishes "this id was retained once but fell out of the
+/// bounded window" from "this id was never here", so callers can surface a
+/// precise error instead of an empty result.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TraceMiss {
     /// The trace existed but was evicted by newer traces (or replaced by a

@@ -10,9 +10,12 @@
 //!   accept.
 //! - A handler reads with a short socket timeout, polling the stop flag
 //!   between frames. A frame that has begun arriving is given
-//!   [`READ_TIMEOUT`] to finish, even during shutdown. A frame or request
+//!   `READ_TIMEOUT` to finish, even during shutdown. A frame or request
 //!   that does not parse is answered `Malformed`, counted as a protocol
-//!   error, and closes the connection.
+//!   error, and closes the connection: the write side first, then, after
+//!   a read of what the peer already sent (bounded in bytes and time), the
+//!   socket, so the peer reads the answer and a clean end of stream rather
+//!   than a reset.
 //! - Once stop is raised only read-only requests (`Stats`,
 //!   `FetchExplanation`, `AssembledTrace`, `ListExplanations`) reach the
 //!   dispatch; anything else is answered `ShuttingDown` and closes the
@@ -28,7 +31,7 @@
 //! on which thread happened to exit first.
 
 use std::io::Read;
-use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread;
@@ -47,6 +50,14 @@ const POLL_INTERVAL: Duration = Duration::from_millis(50);
 /// budget or the connection is dropped. Idle connections (no frame in
 /// progress) are never timed out.
 const READ_TIMEOUT: Duration = Duration::from_secs(10);
+
+/// Bounds on the read that follows a `Malformed` answer: at most this many
+/// unread bytes, for at most [`DRAIN_TIMEOUT`], so a peer that keeps
+/// sending cannot hold the handler thread.
+const DRAIN_LIMIT: usize = 64 * 1024;
+
+/// Time bound of the read that follows a `Malformed` answer.
+const DRAIN_TIMEOUT: Duration = Duration::from_secs(1);
 
 /// What a process answers each decoded request with, given the instant its
 /// frame finished arriving and the front end's counters.
@@ -303,6 +314,13 @@ fn serve(request: Request, shared: &Shared, t0: Instant) -> (Response, bool) {
 /// Answers a frame that did not parse with `Malformed`, best effort, and
 /// counts it. The caller then drops the connection: framing is lost, so
 /// nothing later on this stream can be trusted.
+///
+/// Closing a socket with unread bytes queued makes the kernel reset the
+/// connection, and the reset can discard the answer before the peer reads
+/// it. So the write side is shut down after the answer (the peer sees it,
+/// then end of stream) and what the peer already sent is read and dropped,
+/// up to [`DRAIN_LIMIT`] bytes or [`DRAIN_TIMEOUT`], before the caller
+/// closes.
 fn refuse(stream: &mut TcpStream, counters: &WireCounters, message: String) {
     counters.protocol_errors.fetch_add(1, Ordering::Relaxed);
     let resp = Response::Error {
@@ -310,6 +328,29 @@ fn refuse(stream: &mut TcpStream, counters: &WireCounters, message: String) {
         message,
     };
     let _ = send_response(stream, counters, &resp);
+    let _ = stream.shutdown(Shutdown::Write);
+    let deadline = Instant::now() + DRAIN_TIMEOUT;
+    let mut buf = [0u8; 4096];
+    let mut left = DRAIN_LIMIT;
+    while left > 0 && Instant::now() < deadline {
+        match stream.read(&mut buf) {
+            Ok(0) => return,
+            Ok(n) => left = left.saturating_sub(n),
+            Err(e) if is_transient(&e) => {}
+            Err(_) => return,
+        }
+    }
+}
+
+/// A read error that only means "nothing yet": the short poll timeout
+/// expired, or a signal interrupted the call.
+fn is_transient(e: &std::io::Error) -> bool {
+    matches!(
+        e.kind(),
+        std::io::ErrorKind::WouldBlock
+            | std::io::ErrorKind::TimedOut
+            | std::io::ErrorKind::Interrupted
+    )
 }
 
 fn send_response(
@@ -382,13 +423,7 @@ fn fill_polling(
                 started.get_or_insert_with(Instant::now);
                 filled += n;
             }
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    std::io::ErrorKind::WouldBlock
-                        | std::io::ErrorKind::TimedOut
-                        | std::io::ErrorKind::Interrupted
-                ) => {}
+            Err(e) if is_transient(&e) => {}
             Err(e) => return Err(WireError::Io(e)),
         }
     }

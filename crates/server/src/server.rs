@@ -325,37 +325,14 @@ fn register_model(shared: &Shared, config: GnnConfig, state: &[Vec<f32>]) -> Res
             message: msg.to_owned(),
         };
     }
-    // `Gnn::load_state` panics on shape mismatch, so the shapes are checked
+    // `Gnn::load_state` panics on shape mismatch, so the state is checked
     // against a freshly initialised model first.
     let model = Gnn::new(config);
-    let reference = model.state_dict();
-    if reference.len() != state.len() {
+    if let Err(message) = model.check_state(state) {
         return Response::Error {
             kind: ErrorKind::Malformed,
-            message: format!(
-                "state dict has {} parameter buffers, the architecture needs {}",
-                state.len(),
-                reference.len()
-            ),
+            message,
         };
-    }
-    for (i, (r, s)) in reference.iter().zip(state).enumerate() {
-        if r.len() != s.len() {
-            return Response::Error {
-                kind: ErrorKind::Malformed,
-                message: format!(
-                    "parameter {i} has {} values, the architecture needs {}",
-                    s.len(),
-                    r.len()
-                ),
-            };
-        }
-        if let Some(bad) = s.iter().find(|v| !v.is_finite()) {
-            return Response::Error {
-                kind: ErrorKind::Malformed,
-                message: format!("parameter {i} contains a non-finite weight {bad}"),
-            };
-        }
     }
     model.load_state(state);
     let handle = shared.runtime.register_model(&model);

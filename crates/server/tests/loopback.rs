@@ -22,8 +22,10 @@ use revelio_gnn::{Gnn, GnnConfig, GnnKind, Task, TrainConfig};
 use revelio_graph::{Graph, Target};
 use revelio_runtime::prometheus::parse_exposition;
 use revelio_runtime::{ExplainJob, Runtime, RuntimeConfig};
+use revelio_server::wire::read_frame;
 use revelio_server::{
-    Client, ClientConfig, ClientError, ErrorKind, ExplainRequest, Server, ServerConfig,
+    Client, ClientConfig, ClientError, ErrorKind, ExplainRequest, Response, Server, ServerConfig,
+    MAX_FRAME_LEN,
 };
 use revelio_trace::Phase;
 
@@ -438,6 +440,36 @@ fn protocol_garbage_is_survivable() {
 
     let stats = server.shutdown();
     assert!(stats.protocol_errors >= 1);
+}
+
+/// A bad header followed by bytes the server never reads is answered
+/// `Malformed`, then the stream ends cleanly: the unread bytes do not turn
+/// the close into a reset that would lose the answer.
+#[test]
+fn malformed_header_with_trailing_bytes_gets_its_answer_then_eof() {
+    let server = Server::start(ServerConfig::default()).expect("server starts");
+    let mut raw = std::net::TcpStream::connect(server.local_addr()).expect("raw connect");
+    let mut bytes = b"NOPE\x09\x00\x01\x00\x00\x00\x00\x00\x00\x00".to_vec();
+    bytes.extend(std::iter::repeat_n(0xAB, 32 * 1024));
+    raw.write_all(&bytes)
+        .expect("bad header and trailing bytes");
+    raw.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+    let (payload, _) = read_frame(&mut raw, MAX_FRAME_LEN)
+        .expect("an answer, not a reset")
+        .expect("an answer before the close");
+    match Response::decode(&payload).expect("decode") {
+        Response::Error { kind, .. } => assert_eq!(kind, ErrorKind::Malformed),
+        other => panic!(
+            "expected Malformed, got {:?}",
+            std::mem::discriminant(&other)
+        ),
+    }
+    assert!(
+        matches!(read_frame(&mut raw, MAX_FRAME_LEN), Ok(None)),
+        "a clean end of stream after the answer"
+    );
+    let stats = server.shutdown();
+    assert_eq!(stats.protocol_errors, 1);
 }
 
 /// Typed refusals: unknown model, unknown method, group-level method,

@@ -13,7 +13,7 @@
 //! validated against the bytes actually present *before* any allocation,
 //! and a record decode must consume its whole payload.
 
-use revelio_core::wire::{Codec, WireDecodeError};
+use revelio_core::wire::{Codec, Fnv1a, WireDecodeError};
 use revelio_core::{wire_struct, ConvergedMask, Degradation};
 use revelio_gnn::GnnConfig;
 use revelio_graph::Target;
@@ -146,17 +146,9 @@ pub struct MaskHit {
 /// guarding) hash the same canonical byte stream: the config's integer
 /// fields followed by every parameter's IEEE-754 bits in state order.
 pub fn fingerprint_model(config: &GnnConfig, state: &[Vec<f32>]) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = OFFSET;
-    let mut eat = |bytes: &[u8]| {
-        for &b in bytes {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(PRIME);
-        }
-    };
-    eat(&config.kind.to_bytes());
-    eat(&config.task.to_bytes());
+    let mut h = Fnv1a::new();
+    h.write(&config.kind.to_bytes());
+    h.write(&config.task.to_bytes());
     for v in [
         config.in_dim as u64,
         config.hidden_dim as u64,
@@ -165,15 +157,15 @@ pub fn fingerprint_model(config: &GnnConfig, state: &[Vec<f32>]) -> u64 {
         config.heads as u64,
         config.seed,
     ] {
-        eat(&v.to_le_bytes());
+        h.write(&v.to_le_bytes());
     }
     for tensor in state {
-        eat(&(tensor.len() as u64).to_le_bytes());
+        h.write(&(tensor.len() as u64).to_le_bytes());
         for &x in tensor {
-            eat(&x.to_bits().to_le_bytes());
+            h.write(&x.to_bits().to_le_bytes());
         }
     }
-    h
+    h.finish()
 }
 
 // ---------------------------------------------------------------------------

@@ -20,12 +20,6 @@ pub fn glorot_uniform(rows: usize, cols: usize, seed: u64) -> Tensor {
     uniform(rows, cols, bound, seed)
 }
 
-/// Kaiming / He uniform initialisation: `bound = sqrt(6 / fan_in)`.
-pub fn kaiming_uniform(rows: usize, cols: usize, seed: u64) -> Tensor {
-    let bound = (6.0 / rows as f32).sqrt();
-    uniform(rows, cols, bound, seed)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -45,7 +45,7 @@ mod sparse;
 mod tensor;
 
 pub use gradcheck::{grad_check, GradCheckFailure, GradCheckReport};
-pub use init::{glorot_uniform, kaiming_uniform, uniform};
+pub use init::{glorot_uniform, uniform};
 pub use ops::{IndexOutOfRange, Op, ShapeMismatch};
 pub use optim::{clip_grad_norm, Adam, AdamConfig, Optimizer, Sgd};
 pub use sparse::{BinCsr, CsrError, CsrMatrix};

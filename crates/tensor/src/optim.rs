@@ -145,11 +145,6 @@ impl Adam {
     pub fn lr(&self) -> f32 {
         self.cfg.lr
     }
-
-    /// Overrides the learning rate (e.g. for schedules).
-    pub fn set_lr(&mut self, lr: f32) {
-        self.cfg.lr = lr;
-    }
 }
 
 impl Optimizer for Adam {

@@ -73,9 +73,10 @@ pub mod prelude {
     };
     pub use revelio_core::{Explainer, Explanation, FlowScores, Objective, Revelio, RevelioConfig};
     pub use revelio_datasets::{by_name, Dataset, GraphDataset, NodeDataset};
+    pub use revelio_eval::ModelZoo;
     pub use revelio_gnn::{
-        train_graph_classifier, train_node_classifier, Gnn, GnnConfig, GnnKind, Instance, ModelZoo,
-        Task, TrainConfig,
+        train_graph_classifier, train_node_classifier, Gnn, GnnConfig, GnnKind, Instance, Task,
+        TrainConfig,
     };
     pub use revelio_graph::{khop_subgraph, FlowIndex, Graph, MpGraph, Target};
     pub use revelio_runtime::{ExplainJob, Runtime, RuntimeConfig};

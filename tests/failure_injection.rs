@@ -13,7 +13,7 @@ fn corrupt_model_zoo_entry_triggers_retrain() {
     let cfg = GnnConfig::standard(GnnKind::Gcn, Task::NodeClassification, 2, 2, 0);
 
     // Write garbage where the cache entry lives.
-    std::fs::write(dir.join("broken.json"), b"{not json").unwrap();
+    std::fs::write(dir.join("broken.model"), b"\x07not a model record").unwrap();
     assert!(zoo.load("broken", &cfg).is_none());
 
     // get_or_train recovers by retraining.
@@ -32,15 +32,11 @@ fn truncated_state_dict_is_rejected() {
     let model = Gnn::new(cfg.clone());
     zoo.save("m", &model);
 
-    // Corrupt: drop the last parameter buffer but keep valid JSON + config.
-    // The zoo writes `..."params":[[...],...,[...]]}`, so cutting at the last
-    // `,[` removes exactly one buffer.
-    let path = dir.join("m.json");
-    let text = std::fs::read_to_string(&path).unwrap();
-    let cut = text
-        .rfind(",[")
-        .expect("model has multiple parameter buffers");
-    std::fs::write(&path, format!("{}]}}", &text[..cut])).unwrap();
+    // Corrupt: cut the entry short, inside the last parameter buffer. The
+    // config at the front is intact; the state dict no longer is.
+    let path = dir.join("m.model");
+    let bytes = std::fs::read(&path).unwrap();
+    std::fs::write(&path, &bytes[..bytes.len() - 4]).unwrap();
     assert!(
         zoo.load("m", &cfg).is_none(),
         "short state dict must not load"
