@@ -1,5 +1,5 @@
 //! `audit` — runs every static analysis over a real REVELIO workload, then
-//! over four deliberately seeded defects.
+//! over five deliberately seeded defects.
 //!
 //! ```text
 //! cargo run -p revelio-analysis --bin audit
@@ -7,13 +7,15 @@
 //!
 //! Part 1 mirrors the quickstart example: train a GCN on Tree-Cycles,
 //! extract the 3-hop computation subgraph of a motif node, build the flow
-//! index, and record one mask-learning loss tape (Eqs. 4/5/7 + factual
-//! objective). Every audit must come back clean.
+//! index and the target's receptive-field plan, and record one
+//! mask-learning loss tape (Eqs. 4/5/7 + factual objective). Every audit
+//! must come back clean.
 //!
-//! Part 2 seeds the four defect classes the analyzer exists to catch — a
+//! Part 2 seeds the five defect classes the analyzer exists to catch — a
 //! matmul shape mismatch, a detached mask parameter, an unstabilised
-//! hand-rolled softmax, and a corrupted flow-incidence matrix — and checks
-//! each is reported as its distinct [`DiagnosticKind`].
+//! hand-rolled softmax, a corrupted flow-incidence matrix, and a plan that
+//! drops a flow-carrying layer edge — and checks each is reported as its
+//! distinct [`DiagnosticKind`].
 //!
 //! Part 3 lints the serving stack's concurrency discipline: the sources of
 //! the facade crates (`revelio-trace`, `revelio-runtime`) are embedded at
@@ -27,16 +29,17 @@
 //! goes undetected, so CI can run it as a gate.
 
 use std::process::ExitCode;
+use std::sync::Arc;
 
 use revelio_analysis::{
-    audit_flow_index, audit_incidence, audit_mp_graph, audit_tape, audit_tape_with_params,
-    lint_concurrency, ConcurrencyCheck, Diagnostic, DiagnosticKind, IncidenceCheck,
-    StabilityPattern, WORKSPACE_CONCURRENCY_ALLOWANCES,
+    audit_flow_index, audit_incidence, audit_mp_graph, audit_plan, audit_tape,
+    audit_tape_with_params, lint_concurrency, ConcurrencyCheck, Diagnostic, DiagnosticKind,
+    IncidenceCheck, StabilityPattern, WORKSPACE_CONCURRENCY_ALLOWANCES,
 };
 use revelio_datasets::tree_cycles;
 use revelio_gnn::{train_node_classifier, Gnn, GnnConfig, GnnKind, Instance, Task, TrainConfig};
-use revelio_graph::{khop_subgraph, FlowIndex, Target};
-use revelio_tensor::{BinCsr, Op, Tensor};
+use revelio_graph::{khop_subgraph, FlowIndex, LayerEdges, Target};
+use revelio_tensor::{BinCsr, EdgeIndex, Op, Tensor};
 
 fn report(label: &str, ok: bool, diags: &[Diagnostic], failures: &mut u32) {
     if ok {
@@ -100,6 +103,13 @@ fn main() -> ExitCode {
         audit_flow_index(&instance.mp, &index),
         &mut failures,
     );
+    // The plan every epoch of this explanation runs over.
+    let plan = instance.mp.plan(&[sub.target], model.num_layers());
+    expect_clean(
+        "receptive-field plan keeps every flow-carrying edge",
+        audit_plan(&instance.mp, &index, &plan),
+        &mut failures,
+    );
 
     // One REVELIO mask-learning step, recorded but never executed further:
     // ω[E] = σ(I_l · tanh(M) ⊙ exp(w_l)), factual NLL on the masked logits.
@@ -131,7 +141,7 @@ fn main() -> ExitCode {
     );
 
     // ---- Part 2: seeded defects must each be caught ---------------------
-    println!("seeding the four defect classes:");
+    println!("seeding the five defect classes:");
 
     // 1. Shape mismatch: a recorded matmul whose inner dimensions disagree.
     let bad_matmul = Tensor::from_op_unchecked(
@@ -193,6 +203,40 @@ fn main() -> ExitCode {
         "corrupted incidence column sums",
         audit_incidence(&corrupted),
         DiagnosticKind::IncidenceViolation(IncidenceCheck::ColumnSum),
+        &mut failures,
+    );
+
+    // 5. A plan that drops one flow-carrying layer edge: that flow's mask
+    //    would never see the layer, and the explanation would silently lose
+    //    it.
+    let last = plan.len() - 1;
+    let le = &plan[last];
+    let k = le
+        .ids()
+        .binary_search(&(index.flow(0)[last] as usize))
+        .expect("the healthy plan keeps every flow-carrying edge");
+    let without_k = |v: &[usize]| -> Vec<usize> {
+        v.iter()
+            .enumerate()
+            .filter(|&(i, _)| i != k)
+            .map(|(_, &x)| x)
+            .collect()
+    };
+    let mut cut = plan.clone();
+    cut[last] = LayerEdges::new(
+        Arc::new(EdgeIndex::new(
+            le.edges().n_in(),
+            le.edges().n_out(),
+            without_k(le.edges().src()),
+            without_k(le.edges().dst()),
+        )),
+        without_k(le.ids()),
+        without_k(le.dst_in()),
+    );
+    expect_kind(
+        "plan dropping a flow-carrying layer edge",
+        audit_plan(&instance.mp, &index, &cut),
+        DiagnosticKind::IncidenceViolation(IncidenceCheck::PlanCoverage),
         &mut failures,
     );
 

@@ -15,11 +15,12 @@
 //!   `ln(sigmoid(x))` instead of `softplus`, unstabilised `exp` chains
 //!   (`exp ∘ exp`), and hand-rolled softmax built from an unshifted `exp`.
 //! * **Flow-incidence / CSR invariant audits** ([`audit_flow_index`],
-//!   [`audit_incidence`], [`audit_mp_graph`]) — Eq. 7 requires every column
-//!   of each per-layer incidence matrix `I_l ∈ {0,1}^{|E|×|F|}` to sum to
-//!   exactly 1 (each flow crosses one layer edge per layer); the
-//!   message-passing view requires sorted in-edge lists and exactly one
-//!   self-loop per node.
+//!   [`audit_incidence`], [`audit_mp_graph`], [`audit_plan`]) — Eq. 7
+//!   requires every column of each per-layer incidence matrix
+//!   `I_l ∈ {0,1}^{|E|×|F|}` to sum to exactly 1 (each flow crosses one
+//!   layer edge per layer); the message-passing view requires sorted
+//!   in-edge lists and exactly one self-loop per node; a receptive-field
+//!   plan must keep every layer edge a flow crosses at that layer.
 //! * **Concurrency-discipline lint** ([`lint_concurrency`]) — line-level
 //!   source checks backing the `revelio-check` model checker: flags
 //!   `Ordering::Relaxed` outside the pure-counter idiom (a relaxed store
@@ -40,7 +41,7 @@ pub use concurrency::{lint_concurrency, ConcurrencyAllowance, WORKSPACE_CONCURRE
 use std::collections::HashSet;
 use std::fmt;
 
-use revelio_graph::{FlowIndex, MpGraph};
+use revelio_graph::{FlowIndex, LayerEdges, MpGraph};
 use revelio_tensor::{BinCsr, Op, Tensor};
 
 /// What a diagnostic is about.
@@ -138,6 +139,10 @@ pub enum IncidenceCheck {
     /// A per-node in/out-edge list is unsorted or inconsistent with the
     /// edge endpoint arrays.
     AdjacencyConsistency,
+    /// A per-layer edge plan drops a layer edge some flow crosses at that
+    /// layer, keeps an id outside the layer-edge range, or has a layer
+    /// count other than the flow index's.
+    PlanCoverage,
 }
 
 impl fmt::Display for IncidenceCheck {
@@ -149,6 +154,7 @@ impl fmt::Display for IncidenceCheck {
             IncidenceCheck::FlowConsistency => write!(f, "flow-consistency"),
             IncidenceCheck::SelfLoopUniqueness => write!(f, "self-loop-uniqueness"),
             IncidenceCheck::AdjacencyConsistency => write!(f, "adjacency-consistency"),
+            IncidenceCheck::PlanCoverage => write!(f, "plan-coverage"),
         }
     }
 }
@@ -445,26 +451,16 @@ fn infer_shape(op: &Op) -> Result<(usize, usize), String> {
             x,
             coef,
             scale,
-            src,
-            dst,
-            n_out,
+            edges,
         } => {
+            // The index checked its endpoints when it was built; what is
+            // left is that the operands fit it.
             let (m, n) = x.shape();
-            let ne = src.len();
-            if dst.len() != ne {
+            let ne = edges.len();
+            if m != edges.n_in() {
                 return Err(format!(
-                    "message_pass has {ne} sources but {} destinations",
-                    dst.len()
-                ));
-            }
-            if let Some(&s) = src.iter().find(|&&s| s >= m) {
-                return Err(format!(
-                    "message_pass source {s} out of bounds for {m} rows"
-                ));
-            }
-            if let Some(&t) = dst.iter().find(|&&t| t >= *n_out) {
-                return Err(format!(
-                    "message_pass destination {t} out of bounds for {n_out} output rows"
+                    "message_pass reads {m} rows but its edge index has {} input rows",
+                    edges.n_in()
                 ));
             }
             for (name, col) in [("coef", coef), ("scale", scale)] {
@@ -475,7 +471,7 @@ fn infer_shape(op: &Op) -> Result<(usize, usize), String> {
                     ));
                 }
             }
-            Ok((*n_out, n))
+            Ok((edges.n_out(), n))
         }
         Op::SliceCols(a, c0, c1) => {
             let (m, n) = a.shape();
@@ -732,10 +728,54 @@ pub fn audit_mp_graph(mp: &MpGraph) -> Vec<Diagnostic> {
     diags
 }
 
+/// Audits a per-layer edge plan (see [`MpGraph::plan`]) against the flows
+/// it must carry: one plan per layer, each layer's kept ids layer edges of
+/// `mp`, and every layer edge a flow of `index` crosses at layer `l` kept
+/// by layer `l`'s plan — a dropped one would cut that flow out of the
+/// explanation. ([`LayerEdges::new`] already holds each layer to
+/// ascending ids and consistent lengths.)
+pub fn audit_plan(mp: &MpGraph, index: &FlowIndex, plan: &[LayerEdges]) -> Vec<Diagnostic> {
+    let diag = |message| {
+        Diagnostic::container(
+            DiagnosticKind::IncidenceViolation(IncidenceCheck::PlanCoverage),
+            message,
+        )
+    };
+    if plan.len() != index.num_layers() {
+        return vec![diag(format!(
+            "plan has {} layers for a {}-layer flow index",
+            plan.len(),
+            index.num_layers()
+        ))];
+    }
+    let ne = mp.layer_edge_count();
+    let mut diags = Vec::new();
+    for (l, le) in plan.iter().enumerate() {
+        if let Some(&e) = le.ids().last().filter(|&&e| e >= ne) {
+            diags.push(diag(format!(
+                "layer {l} keeps layer edge {e}, out of range for {ne} layer edges"
+            )));
+        }
+        let mut dropped: Vec<usize> = (0..index.num_flows())
+            .map(|f| index.flow(f)[l] as usize)
+            .filter(|e| le.ids().binary_search(e).is_err())
+            .collect();
+        dropped.sort_unstable();
+        dropped.dedup();
+        if !dropped.is_empty() {
+            diags.push(diag(format!(
+                "layer {l} plan drops flow-carrying layer edges {dropped:?}"
+            )));
+        }
+    }
+    diags
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use revelio_graph::{Graph, Target};
+    use revelio_tensor::EdgeIndex;
 
     fn kinds(diags: &[Diagnostic]) -> Vec<DiagnosticKind> {
         diags.iter().map(|d| d.kind).collect()
@@ -805,36 +845,34 @@ mod tests {
 
     #[test]
     fn detects_message_pass_defects() {
-        use std::rc::Rc;
-        let pass = |src: Vec<usize>, dst: Vec<usize>, coef: Option<Tensor>| {
+        use std::sync::Arc;
+        // Two input rows feed four output rows over two edges.
+        let edges = Arc::new(EdgeIndex::new(2, 4, vec![0, 1], vec![3, 0]));
+        let pass = |x: Tensor, coef: Option<Tensor>, out_rows: usize| {
             let op = Op::MessagePass {
-                x: Tensor::zeros(2, 3),
+                x,
                 coef,
                 scale: Some(Tensor::zeros(2, 1)),
-                src: Rc::new(src),
-                dst: Rc::new(dst),
-                n_out: 4,
+                edges: Arc::clone(&edges),
             };
-            audit_tape(&Tensor::from_op_unchecked(vec![0.0; 12], 4, 3, op))
+            audit_tape(&Tensor::from_op_unchecked(
+                vec![0.0; out_rows * 3],
+                out_rows,
+                3,
+                op,
+            ))
         };
-        assert!(pass(vec![0, 1], vec![3, 0], None).is_empty());
+        assert!(pass(Tensor::zeros(2, 3), None, 4).is_empty());
         for (diags, needle) in [
             (
-                pass(vec![0, 1], vec![3], None),
-                "2 sources but 1 destinations",
+                pass(Tensor::zeros(3, 3), None, 4),
+                "reads 3 rows but its edge index has 2 input rows",
             ),
             (
-                pass(vec![0, 5], vec![3, 0], None),
-                "source 5 out of bounds for 2 rows",
-            ),
-            (
-                pass(vec![0, 1], vec![4, 0], None),
-                "destination 4 out of bounds for 4",
-            ),
-            (
-                pass(vec![0, 1], vec![3, 0], Some(Tensor::zeros(1, 2))),
+                pass(Tensor::zeros(2, 3), Some(Tensor::zeros(1, 2)), 4),
                 "coef must be [2,1]",
             ),
+            (pass(Tensor::zeros(2, 3), None, 2), "operands imply (4, 3)"),
         ] {
             assert_eq!(kinds(&diags), vec![DiagnosticKind::ShapeMismatch]);
             assert!(diags[0].message.contains(needle), "{}", diags[0].message);
@@ -849,12 +887,11 @@ mod tests {
         let mask = Tensor::from_vec(vec![0.5, 0.5, 0.5], 3, 1).requires_grad();
         let x = Tensor::from_vec(vec![1.0, 2.0], 2, 1);
         let coef = Tensor::from_vec(vec![0.1, 0.2, 0.3], 3, 1);
-        let loss = x
-            .message_pass(&[0, 1, 1], &[1, 0, 1], 2, Some(&coef), Some(&mask))
-            .sum_all();
+        let edges = std::sync::Arc::new(EdgeIndex::new(2, 2, vec![0, 1, 1], vec![1, 0, 1]));
+        let loss = x.message_pass(&edges, Some(&coef), Some(&mask)).sum_all();
         assert!(audit_tape_with_params(&loss, std::slice::from_ref(&mask)).is_empty());
         let detached = x
-            .message_pass(&[0, 1, 1], &[1, 0, 1], 2, Some(&coef), Some(&mask.detach()))
+            .message_pass(&edges, Some(&coef), Some(&mask.detach()))
             .sum_all();
         assert_eq!(
             kinds(&audit_tape_with_params(&detached, &[mask])),
@@ -941,6 +978,32 @@ mod tests {
         let index =
             FlowIndex::build(&mp, 3, Target::Node(3), 100_000).expect("small graph fits cap");
         assert!(audit_flow_index(&mp, &index).is_empty());
+    }
+
+    #[test]
+    fn plan_dropping_a_flow_edge_is_flagged() {
+        // 0 -> 1 -> 2 -> 3 plus a node 4 -> 0 beyond the 2-layer reach.
+        let mut b = Graph::builder(5, 1);
+        b.edge(0, 1).edge(1, 2).edge(2, 3).edge(4, 0);
+        let mp = MpGraph::new(&b.build());
+        let index =
+            FlowIndex::build(&mp, 2, Target::Node(3), 100_000).expect("small graph fits cap");
+        let plan = mp.plan(&[3], 2);
+        assert!(audit_plan(&mp, &index, &plan).is_empty());
+
+        // A plan built for node 2 instead keeps no edge into node 3 at the
+        // last layer, which every flow into 3 crosses.
+        let diags = audit_plan(&mp, &index, &mp.plan(&[2], 2));
+        assert!(diags
+            .iter()
+            .all(|d| d.kind == DiagnosticKind::IncidenceViolation(IncidenceCheck::PlanCoverage)));
+        assert!(
+            diags
+                .iter()
+                .any(|d| d.message.contains("layer 1 plan drops")),
+            "{diags:?}"
+        );
+        assert!(!audit_plan(&mp, &index, &plan[..1]).is_empty());
     }
 
     #[test]

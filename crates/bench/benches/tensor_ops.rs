@@ -7,7 +7,7 @@ use std::sync::Arc;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
-use revelio_tensor::{BinCsr, Tensor};
+use revelio_tensor::{BinCsr, EdgeIndex, Tensor};
 
 fn bench_matmul(c: &mut Criterion) {
     let mut group = c.benchmark_group("matmul");
@@ -30,10 +30,11 @@ fn bench_message_pass(c: &mut Criterion) {
         let h = Tensor::full(1.0, nodes, 32);
         let src: Vec<usize> = (0..edges).map(|e| e % nodes).collect();
         let dst: Vec<usize> = (0..edges).map(|e| (e * 7) % nodes).collect();
+        let index = Arc::new(EdgeIndex::new(nodes, nodes, src, dst));
         let norm = Tensor::full(0.25, edges, 1);
         let mask = Tensor::full(0.5, edges, 1);
         group.bench_with_input(BenchmarkId::from_parameter(edges), &edges, |bench, _| {
-            bench.iter(|| black_box(h.message_pass(&src, &dst, nodes, Some(&norm), Some(&mask))));
+            bench.iter(|| black_box(h.message_pass(&index, Some(&norm), Some(&mask))));
         });
     }
     group.finish();

@@ -35,7 +35,7 @@
 use std::ops::Range;
 use std::sync::Arc;
 
-use revelio_gnn::{Gnn, Instance, Task};
+use revelio_gnn::{Gnn, Instance, Plan, Task};
 use revelio_graph::{FlowIndex, Graph, MpGraph, Target};
 use revelio_tensor::{uniform, Adam, BinCsr, CsrMatrix, Optimizer, Tensor};
 use revelio_trace::{EventKind, Phase, Span, TraceHandle};
@@ -132,14 +132,16 @@ impl Params {
         }
     }
 
-    /// `ω[E] = σ(I · squash(M) ⊙ act(w))` (Eqs. 4, 5, 7). `edge_item`
-    /// names the item owning each layer edge so every edge is scaled by its
-    /// own item's weight; `None` applies the lone `[1, 1]` weight to all.
+    /// `ω[E] = σ(I · squash(M) ⊙ act(w))` (Eqs. 4, 5, 7), one mask per
+    /// layer over the rows of that layer's incidence. `edge_item[l]` names
+    /// the item owning each of layer `l`'s rows so every edge is scaled by
+    /// its own item's weight; `None` applies the lone `[1, 1]` weight to
+    /// all.
     fn layer_masks(
         &self,
         cfg: &RevelioConfig,
         incidence: &[Arc<BinCsr>],
-        edge_item: Option<&[usize]>,
+        edge_item: Option<&[Vec<usize>]>,
     ) -> Vec<Tensor> {
         let omega_f = self.flow_scores(cfg.squash);
         incidence
@@ -155,7 +157,7 @@ impl Params {
                 // Fused scale + sigmoid: bit-identical to the unfused
                 // `s.mul(..).sigmoid()` chain but one pass over the edges.
                 match edge_item {
-                    Some(rows) => s.sigmoid_scale(&scale.gather_rows(rows)),
+                    Some(rows) => s.sigmoid_scale(&scale.gather_rows(&rows[l])),
                     None => s.sigmoid_scale(&scale),
                 }
             })
@@ -351,27 +353,7 @@ impl BatchedOptimizer {
             (incidence, Some(edge_item))
         };
 
-        // "Skip layer edges unused by GNN layers" (Eq. 8): per item, only
-        // the (union) layer edges carrying at least one of its selected
-        // flows enter the sparsity penalty, in ascending order.
-        let used: Vec<Vec<Vec<usize>>> = items
-            .iter()
-            .zip(&runs)
-            .enumerate()
-            .map(|(j, (it, r))| {
-                r.incidence
-                    .iter()
-                    .map(|inc| {
-                        (0..it.instance.mp.layer_edge_count())
-                            .filter(|&e| !inc.row(e).is_empty())
-                            .map(|e| union_edge(j, e))
-                            .collect()
-                    })
-                    .collect()
-            })
-            .collect();
-
-        // Node tasks read each item's target row of the (union) logits.
+        // Node tasks explain each item's target row of the (union) graph.
         let task = model.config().task;
         let target_rows: Vec<usize> = items
             .iter()
@@ -380,6 +362,63 @@ impl BatchedOptimizer {
                 (Task::NodeClassification, Target::Node(v)) => Some(node_off[j] + v),
                 (Task::GraphClassification, Target::Graph) => None,
                 (task, target) => panic!("target {target:?} does not match task {task:?}"),
+            })
+            .collect();
+
+        // Each epoch runs layer `l` only over the rows and layer edges that
+        // reach a target: node tasks plan from the target rows, graph tasks
+        // (whose readout pools every node) use the full plan. A node plan's
+        // last layer outputs the target rows in ascending order — item
+        // order, as each item's target lies in its own node segment.
+        let plan = match task {
+            Task::NodeClassification => Plan::trimmed(mp, &target_rows, layers),
+            Task::GraphClassification => Plan::full(mp, layers),
+        };
+        debug_assert!(target_rows.windows(2).all(|w| w[0] < w[1]));
+        // The epoch's Eq. 7 rows and edge owners: the full ones restricted
+        // to each layer's kept edges. Every flow-carrying edge is kept, so
+        // a dropped row is empty and its mask could not reach the loss.
+        let epoch_incidence: Vec<Arc<BinCsr>> = incidence
+            .iter()
+            .zip(plan.layers())
+            .map(|(inc, le)| {
+                if le.ids().len() == inc.rows() {
+                    Arc::clone(inc)
+                } else {
+                    Arc::new(inc.select_rows(le.ids()))
+                }
+            })
+            .collect();
+        let epoch_edge_item: Option<Vec<Vec<usize>>> = edge_item.as_ref().map(|owner| {
+            plan.layers()
+                .iter()
+                .map(|le| le.ids().iter().map(|&e| owner[e]).collect())
+                .collect()
+        });
+
+        // "Skip layer edges unused by GNN layers" (Eq. 8): per item, only
+        // the layer edges carrying at least one of its selected flows enter
+        // the sparsity penalty, as ascending positions among the layer's
+        // kept edges.
+        let used: Vec<Vec<Vec<usize>>> = items
+            .iter()
+            .zip(&runs)
+            .enumerate()
+            .map(|(j, (it, r))| {
+                r.incidence
+                    .iter()
+                    .zip(plan.layers())
+                    .map(|(inc, le)| {
+                        (0..it.instance.mp.layer_edge_count())
+                            .filter(|&e| !inc.row(e).is_empty())
+                            .map(|e| {
+                                le.ids()
+                                    .binary_search(&union_edge(j, e))
+                                    .expect("the plan keeps every flow-carrying edge")
+                            })
+                            .collect()
+                    })
+                    .collect()
             })
             .collect();
 
@@ -419,14 +458,15 @@ impl BatchedOptimizer {
 
         // The summed loss plus every item's own loss term.
         let build_loss = || {
-            let masks = params.layer_masks(cfg, &incidence, edge_item.as_deref());
+            let masks = params.layer_masks(cfg, &epoch_incidence, epoch_edge_item.as_deref());
             let h = model
-                .forward_layers_from(mp, &xw, Some(&masks))
+                .forward_planned(&plan, &xw, Some(&masks))
                 .pop()
                 .expect("at least one layer");
             let logp: Vec<Tensor> = match task {
+                // The plan's last layer outputs exactly the target rows.
                 Task::NodeClassification => {
-                    let logp = h.gather_rows(&target_rows).log_softmax_rows();
+                    let logp = h.log_softmax_rows();
                     if b == 1 {
                         vec![logp]
                     } else {
@@ -599,9 +639,11 @@ impl BatchedOptimizer {
         // Final scores. Counterfactual: ω'[F] = -ω[F] and
         // ω'[e] = 1 - ω[e], so higher always means more important.
         let readouts: Vec<Span<'_>> = runs.iter().map(|r| r.tr.span(Phase::Readout)).collect();
+        // Layer-edge scores cover every layer edge: the full incidence.
         let learned = params.flow_scores(cfg.squash).to_vec();
+        let full_edge_item = edge_item.map(|owner| vec![owner; layers]);
         let mask_vals: Vec<Vec<f32>> = params
-            .layer_masks(cfg, &incidence, edge_item.as_deref())
+            .layer_masks(cfg, &incidence, full_edge_item.as_deref())
             .iter()
             .map(Tensor::to_vec)
             .collect();

@@ -3,9 +3,12 @@
 //! Each layer implements the three steps of §III — message calculation,
 //! aggregation, update — with an optional `[|E|, 1]` layer-edge mask
 //! multiplied into the message step (Eq. 6). Layer edges are those of
-//! [`MpGraph`]: the stored directed edges plus one self-loop per node.
+//! [`MpGraph`](revelio_graph::MpGraph): the stored directed edges plus one
+//! self-loop per node. A layer runs over a [`LayerEdges`] — the full index
+//! or a plan trimmed to a target's receptive field — from its input rows to
+//! its output rows.
 
-use revelio_graph::MpGraph;
+use revelio_graph::LayerEdges;
 use revelio_tensor::{glorot_uniform, CsrMatrix, Tensor};
 
 /// A single GNN layer.
@@ -132,17 +135,18 @@ impl Layer {
         }
     }
 
-    /// Forward pass: `h` is `[n, in_dim]`, `mask` (if given) is `[|E|, 1]`
-    /// over the layer edges of `mp`, `gcn_norm` is the precomputed GCN
-    /// normalisation (ignored by the other architectures).
+    /// Forward pass over `edges`: `h` is `[edges.n_in(), in_dim]`, `mask`
+    /// (if given) is `[|edges|, 1]` over the kept layer edges, `gcn_norm`
+    /// is the GCN normalisation of those edges (ignored by the other
+    /// architectures). The result has `edges.n_out()` rows.
     pub fn forward(
         &self,
-        mp: &MpGraph,
+        edges: &LayerEdges,
         h: &Tensor,
         mask: Option<&Tensor>,
         gcn_norm: &Tensor,
     ) -> Tensor {
-        self.forward_fused(mp, h, mask, gcn_norm, None)
+        self.forward_fused(edges, h, mask, gcn_norm, None)
     }
 
     /// [`Layer::forward`] with an optional trailing activation fused into
@@ -151,13 +155,13 @@ impl Layer {
     /// full-matrix passes per epoch of mask optimization.
     pub fn forward_fused(
         &self,
-        mp: &MpGraph,
+        edges: &LayerEdges,
         h: &Tensor,
         mask: Option<&Tensor>,
         gcn_norm: &Tensor,
         trailing_slope: Option<f32>,
     ) -> Tensor {
-        self.propagate(mp, &self.transform(h), mask, gcn_norm, trailing_slope)
+        self.propagate(edges, &self.transform(h), mask, gcn_norm, trailing_slope)
     }
 
     /// The layer's first step, `h · W` (`W₁` for GIN): every architecture
@@ -183,21 +187,20 @@ impl Layer {
     }
 
     /// Everything of [`Layer::forward_fused`] after [`Layer::transform`]:
-    /// `hw` is `transform(h)`, and `forward_fused(mp, h, ..)` is exactly
-    /// `propagate(mp, &transform(h), ..)`.
+    /// `hw` is `transform(h)`, and `forward_fused(edges, h, ..)` is exactly
+    /// `propagate(edges, &transform(h), ..)`.
     pub fn propagate(
         &self,
-        mp: &MpGraph,
+        edges: &LayerEdges,
         hw: &Tensor,
         mask: Option<&Tensor>,
         gcn_norm: &Tensor,
         trailing_slope: Option<f32>,
     ) -> Tensor {
-        let n = mp.num_nodes();
         if let Some(m) = mask {
             assert_eq!(
                 m.shape(),
-                (mp.layer_edge_count(), 1),
+                (edges.ids().len(), 1),
                 "layer-edge mask has wrong shape"
             );
         }
@@ -207,8 +210,7 @@ impl Layer {
         };
         // Gather, edge scaling (GCN norm or GAT attention, then the mask)
         // and sum aggregation, fused: no `[|E|, d]` message matrix.
-        let pass =
-            |h: &Tensor, coef: Option<&Tensor>| h.message_pass(mp.src(), mp.dst(), n, coef, mask);
+        let pass = |h: &Tensor, coef: Option<&Tensor>| h.message_pass(edges.edges(), coef, mask);
         match self {
             Layer::Gcn { bias, .. } => finish(pass(hw, Some(gcn_norm)), bias),
             Layer::Gin { b1, w2, b2, .. } => {
@@ -237,11 +239,13 @@ impl Layer {
                     let hw_k = hw.slice_cols(k * head_dim, (k + 1) * head_dim);
                     let a_src = hw_k.matmul(&att_src[k]);
                     let a_dst = hw_k.matmul(&att_dst[k]);
+                    // Both endpoints are input rows; the softmax groups
+                    // each output row's in-edges.
                     let logits = a_src
-                        .gather_rows(mp.src())
-                        .add(&a_dst.gather_rows(mp.dst()))
+                        .gather_rows(edges.edges().src())
+                        .add(&a_dst.gather_rows(edges.dst_in()))
                         .leaky_relu(0.2);
-                    let att = logits.segment_softmax(mp.dst());
+                    let att = logits.segment_softmax(edges.edges().dst());
                     let agg = pass(&hw_k, Some(&att));
                     head_outs = Some(match head_outs {
                         None => agg,
@@ -269,7 +273,7 @@ impl Layer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use revelio_graph::Graph;
+    use revelio_graph::{Graph, MpGraph};
 
     fn tiny() -> (MpGraph, Tensor) {
         let mut b = Graph::builder(3, 4);
@@ -289,7 +293,7 @@ mod tests {
         let (mp, x) = tiny();
         let layer = Layer::gcn(4, 8, 0);
         let norm = norm_tensor(&mp);
-        let out = layer.forward(&mp, &x, None, &norm);
+        let out = layer.forward(mp.layer_edges(), &x, None, &norm);
         assert_eq!(out.shape(), (3, 8));
         out.sum_all().backward();
         for p in layer.params() {
@@ -302,7 +306,10 @@ mod tests {
         let (mp, x) = tiny();
         let layer = Layer::gin(4, 6, 1);
         let norm = norm_tensor(&mp);
-        assert_eq!(layer.forward(&mp, &x, None, &norm).shape(), (3, 6));
+        assert_eq!(
+            layer.forward(mp.layer_edges(), &x, None, &norm).shape(),
+            (3, 6)
+        );
         assert_eq!(layer.out_dim(), 6);
     }
 
@@ -311,10 +318,16 @@ mod tests {
         let (mp, x) = tiny();
         let norm = norm_tensor(&mp);
         let cat = Layer::gat(4, 8, 4, false, 2);
-        assert_eq!(cat.forward(&mp, &x, None, &norm).shape(), (3, 8));
+        assert_eq!(
+            cat.forward(mp.layer_edges(), &x, None, &norm).shape(),
+            (3, 8)
+        );
         assert_eq!(cat.out_dim(), 8);
         let avg = Layer::gat(4, 5, 4, true, 3);
-        assert_eq!(avg.forward(&mp, &x, None, &norm).shape(), (3, 5));
+        assert_eq!(
+            avg.forward(mp.layer_edges(), &x, None, &norm).shape(),
+            (3, 5)
+        );
         assert_eq!(avg.out_dim(), 5);
         // 2 params + 2 * heads attention vectors.
         assert_eq!(avg.params().len(), 2 + 8);
@@ -326,7 +339,7 @@ mod tests {
         let norm = norm_tensor(&mp);
         let layer = Layer::gcn(4, 4, 4);
         let zero_mask = Tensor::zeros(mp.layer_edge_count(), 1);
-        let out = layer.forward(&mp, &x, Some(&zero_mask), &norm);
+        let out = layer.forward(mp.layer_edges(), &x, Some(&zero_mask), &norm);
         // With all messages blocked only the bias (zero-init) remains.
         assert!(out.to_vec().iter().all(|v| v.abs() < 1e-6));
     }
@@ -336,9 +349,11 @@ mod tests {
         let (mp, x) = tiny();
         let norm = norm_tensor(&mp);
         let layer = Layer::gin(4, 4, 5);
-        let unmasked = layer.forward(&mp, &x, None, &norm).to_vec();
+        let unmasked = layer.forward(mp.layer_edges(), &x, None, &norm).to_vec();
         let ones = Tensor::ones(mp.layer_edge_count(), 1);
-        let masked = layer.forward(&mp, &x, Some(&ones), &norm).to_vec();
+        let masked = layer
+            .forward(mp.layer_edges(), &x, Some(&ones), &norm)
+            .to_vec();
         for (a, b) in unmasked.iter().zip(&masked) {
             assert!((a - b).abs() < 1e-6);
         }
@@ -349,12 +364,14 @@ mod tests {
         let (mp, x) = tiny();
         let norm = norm_tensor(&mp);
         let layer = Layer::gcn(4, 4, 6);
-        let base = layer.forward(&mp, &x, None, &norm).to_vec();
+        let base = layer.forward(mp.layer_edges(), &x, None, &norm).to_vec();
         // Block edge 0 (0 -> 1): only node 1's output may change.
         let mut mask = vec![1.0f32; mp.layer_edge_count()];
         mask[0] = 0.0;
         let m = Tensor::from_vec(mask, mp.layer_edge_count(), 1);
-        let out = layer.forward(&mp, &x, Some(&m), &norm).to_vec();
+        let out = layer
+            .forward(mp.layer_edges(), &x, Some(&m), &norm)
+            .to_vec();
         for j in 0..4 {
             assert!((base[j] - out[j]).abs() < 1e-6, "node 0 changed");
             assert!((base[8 + j] - out[8 + j]).abs() < 1e-6, "node 2 changed");

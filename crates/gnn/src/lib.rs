@@ -17,11 +17,13 @@
 mod instance;
 mod layer;
 mod model;
+mod plan;
 mod train;
 
 pub use instance::Instance;
 pub use layer::Layer;
 pub use model::{Gnn, GnnConfig, GnnKind, Task};
+pub use plan::Plan;
 pub use train::{
     evaluate_graph_accuracy, evaluate_node_accuracy, train_graph_classifier, train_node_classifier,
     TrainConfig,

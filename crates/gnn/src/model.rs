@@ -4,6 +4,7 @@ use revelio_graph::{Graph, MpGraph, Target};
 use revelio_tensor::{glorot_uniform, CsrMatrix, Tensor};
 
 use crate::layer::Layer;
+use crate::plan::Plan;
 
 /// Architecture family, matching the paper's evaluation (§V-A).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -175,11 +176,6 @@ impl Gnn {
         Tensor::from_vec(g.features().to_dense(), g.num_nodes(), g.feat_dim())
     }
 
-    /// The GCN normalisation vector of `mp` as a constant tensor.
-    pub fn norm_tensor(mp: &MpGraph) -> Tensor {
-        Tensor::from_vec(mp.gcn_norm(), mp.layer_edge_count(), 1)
-    }
-
     /// Runs all message-passing layers, returning every layer's
     /// post-activation output (`hidden` for intermediate layers; the last
     /// entry is raw logits for node classification or the final hidden
@@ -213,25 +209,48 @@ impl Gnn {
 
     /// [`Gnn::forward_layers`] from the first layer's transformed input
     /// `xw = input_transform(x)`; every later layer transforms its own
-    /// input.
+    /// input. This is [`Gnn::forward_planned`] over [`Plan::full`].
     pub fn forward_layers_from(
         &self,
         mp: &MpGraph,
         xw: &Tensor,
         masks: Option<&[Tensor]>,
     ) -> Vec<Tensor> {
+        self.forward_planned(&Plan::full(mp, self.cfg.num_layers), xw, masks)
+    }
+
+    /// Runs layer `l` over `plan.layers()[l]` from the first layer's
+    /// transformed input `xw` (`[layers()[0].edges.n_in(), ·]`), returning
+    /// every layer's post-activation output; layer `l`'s has one row per
+    /// output row of its edges.
+    ///
+    /// `masks`, if given, supplies one `[|edges|, 1]` mask per layer over
+    /// that layer's kept edges (Eq. 6). Over a [`Plan::trimmed`] plan,
+    /// each output row is bit-identical to the same node's row of the full
+    /// forward under the masks' full-graph extension.
+    pub fn forward_planned(
+        &self,
+        plan: &Plan,
+        xw: &Tensor,
+        masks: Option<&[Tensor]>,
+    ) -> Vec<Tensor> {
+        let layers = self.cfg.num_layers;
+        assert_eq!(
+            plan.layers().len(),
+            layers,
+            "one edge plan per layer required"
+        );
         if let Some(ms) = masks {
-            assert_eq!(ms.len(), self.cfg.num_layers, "one mask per layer required");
+            assert_eq!(ms.len(), layers, "one mask per layer required");
         }
-        let norm = Self::norm_tensor(mp);
-        let mut outs: Vec<Tensor> = Vec::with_capacity(self.cfg.num_layers);
-        for (l, layer) in self.layers.iter().enumerate() {
+        let mut outs: Vec<Tensor> = Vec::with_capacity(layers);
+        for (l, (layer, edges)) in self.layers.iter().zip(plan.layers()).enumerate() {
             let hw = match outs.last() {
                 None => xw.clone(),
                 Some(h) => layer.transform(h),
             };
             let mask = masks.map(|ms| &ms[l]);
-            let is_last = l + 1 == self.cfg.num_layers;
+            let is_last = l + 1 == layers;
             let keep_raw = is_last && self.cfg.task == Task::NodeClassification;
             // Leaky activation between layers: plain ReLU can kill every
             // unit at once under full-batch training (dying-ReLU), freezing
@@ -239,7 +258,7 @@ impl Gnn {
             // final bias add — bit-identical to `forward(..).leaky_relu(0.01)`
             // but one pass over the matrix.
             let slope = (!keep_raw).then_some(0.01);
-            outs.push(layer.propagate(mp, &hw, mask, &norm, slope));
+            outs.push(layer.propagate(edges, &hw, mask, plan.norm(l), slope));
         }
         outs
     }

@@ -136,7 +136,10 @@ fn check(layer: &Layer, label: &str) {
     for masked in [false, true] {
         for slope in [None, Some(0.01)] {
             let m = masked.then_some(&mask);
-            let fused = run(&layer.propagate(&mp, &hw, m, &norm, slope), &watched);
+            let fused = run(
+                &layer.propagate(mp.layer_edges(), &hw, m, &norm, slope),
+                &watched,
+            );
             let reference = run(&unfused(layer, &mp, &hw, m, &norm, slope), &watched);
             assert_eq!(
                 fused, reference,

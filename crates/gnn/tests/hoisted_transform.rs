@@ -78,11 +78,17 @@ fn forward_layers_equals_propagating_from_a_precomputed_transform() {
             }
             // The one-call layer forward, chained by hand, is the same
             // computation as well.
-            let norm = Gnn::norm_tensor(&mp);
+            let norm = Tensor::from_vec(mp.gcn_norm(), mp.layer_edge_count(), 1);
             let mut h = x.clone();
             for (l, layer) in m.layers().iter().enumerate() {
                 let raw = l + 1 == m.num_layers() && task == Task::NodeClassification;
-                h = layer.forward_fused(&mp, &h, Some(&ms[l]), &norm, (!raw).then_some(0.01));
+                h = layer.forward_fused(
+                    mp.layer_edges(),
+                    &h,
+                    Some(&ms[l]),
+                    &norm,
+                    (!raw).then_some(0.01),
+                );
                 assert_eq!(bits(&h), bits(&direct[l]), "{kind:?}/{task:?}: layer {l}");
             }
         }

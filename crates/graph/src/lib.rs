@@ -6,7 +6,8 @@
 //!   labels, the input representation for every dataset in the paper;
 //! * [`MpGraph`] — the *message-passing view* of a graph: the self-loop
 //!   augmented layer-edge set shared by all GNN layers, with gather/scatter
-//!   index arrays ready for the tensor engine;
+//!   index arrays ready for the tensor engine, and [`MpGraph::plan`], the
+//!   per-layer [`LayerEdges`] trimmed to a target's receptive field;
 //! * [`FlowIndex`] — enumeration of all **message flows** (length-`L`
 //!   layer-edge paths, §III of the paper) together with the sparse
 //!   flow-incidence matrices `I` of Eq. 7;
@@ -22,7 +23,7 @@ mod subgraph;
 
 pub use flows::{count_flows, CappedFlows, FlowIndex, FlowPartsError, Target, TooManyFlows};
 pub use graph::{Graph, GraphBuilder};
-pub use mp::MpGraph;
+pub use mp::{LayerEdges, MpGraph};
 /// The CSR form [`Graph`] holds its node features in.
 pub use revelio_tensor::CsrMatrix;
 pub use subgraph::{khop_subgraph, KhopSubgraph};

@@ -10,9 +10,10 @@
 //! * ReLU / LeakyReLU / tanh / sigmoid / exp / ln / softplus activations,
 //! * row-wise log-softmax and NLL loss,
 //! * `message_pass`: gather, per-edge scaling (normalisation or attention,
-//!   then the Eq. 6 edge mask) and sum aggregation fused into one op,
-//!   bit-identical to the `gather_rows` → `mul_col_broadcast` →
-//!   `scatter_add_rows` chain, which stays public as its reference,
+//!   then the Eq. 6 edge mask) and sum aggregation fused into one op over a
+//!   shared, once-checked [`EdgeIndex`], bit-identical to the
+//!   `gather_rows` → `mul_col_broadcast` → `scatter_add_rows` chain, which
+//!   stays public as its reference,
 //! * `segment_softmax` (GAT attention normalised per destination node),
 //! * sparse-binary × dense matvec (the flow-incidence transform of Eq. 7),
 //! * sum / mean reductions and column slicing / concatenation.
@@ -36,6 +37,7 @@
 
 #![deny(clippy::print_stdout, clippy::print_stderr)]
 
+mod edges;
 mod gradcheck;
 mod init;
 pub mod kernels;
@@ -44,6 +46,7 @@ mod optim;
 mod sparse;
 mod tensor;
 
+pub use edges::EdgeIndex;
 pub use gradcheck::{grad_check, GradCheckFailure, GradCheckReport};
 pub use init::{glorot_uniform, uniform};
 pub use ops::{IndexOutOfRange, Op, ShapeMismatch};

@@ -9,6 +9,7 @@ use std::fmt;
 use std::rc::Rc;
 use std::sync::Arc;
 
+use crate::edges::EdgeIndex;
 use crate::kernels;
 use crate::sparse::{BinCsr, CsrMatrix};
 use crate::tensor::Tensor;
@@ -96,16 +97,15 @@ pub enum Op {
     GatherRows(Tensor, Rc<Vec<usize>>),
     /// `out[idx[i], :] += in[i, :]`, output has `n_out` rows.
     ScatterAddRows(Tensor, Rc<Vec<usize>>, usize),
-    /// Fused message passing: `out[dst[e], :] += (x[src[e], :] · coef[e]) ·
-    /// scale[e]` over ascending `e`, output `[n_out, cols]`; a missing
-    /// `coef` or `scale` is a factor of one.
+    /// Fused message passing over `edges`: `out[dst[e], :] += (x[src[e],
+    /// :] · coef[e]) · scale[e]` over ascending `e`, output
+    /// `[edges.n_out(), cols]`; a missing `coef` or `scale` is a factor of
+    /// one.
     MessagePass {
         x: Tensor,
         coef: Option<Tensor>,
         scale: Option<Tensor>,
-        src: Rc<Vec<usize>>,
-        dst: Rc<Vec<usize>>,
-        n_out: usize,
+        edges: Arc<EdgeIndex>,
     },
     SliceCols(Tensor, usize, usize),
     ConcatCols(Tensor, Tensor),
@@ -464,16 +464,15 @@ impl Op {
                 x,
                 coef,
                 scale,
-                src,
-                dst,
-                ..
+                edges,
             } => {
                 // Each gradient rounds as the unfused gather → coef → scale
                 // → scatter chain does: `scale`'s dots the upstream row with
                 // the coef-scaled message, `coef`'s dots the scale-weighted
                 // upstream row with the gathered one (both over ascending
-                // columns), and `x`'s adds `(g·scale)·coef` into a zeroed
-                // buffer in ascending edge order.
+                // columns), and `x`'s sums `(g·scale)·coef` from zero over
+                // each source row's edges in ascending edge order — the
+                // order the chain's scatter adds them in.
                 let d = x.cols();
                 let xd = x.data();
                 let cd = coef.as_ref().map(Tensor::data);
@@ -484,8 +483,7 @@ impl Op {
                         &xd,
                         grad_out,
                         d,
-                        src,
-                        dst,
+                        edges,
                         |e| factor(cs, e),
                         |g, x, c| g * (x * c),
                     );
@@ -496,20 +494,23 @@ impl Op {
                         &xd,
                         grad_out,
                         d,
-                        src,
-                        dst,
+                        edges,
                         |e| factor(ss, e),
                         |g, x, s| (g * s) * x,
                     );
                     coef.accumulate_grad_vec(gc);
                 }
                 if x.needs_grad() {
+                    let dst = edges.dst();
                     let mut gx = vec![0.0f32; x.len()];
-                    for (e, (&s, &t)) in src.iter().zip(dst.iter()).enumerate() {
-                        let (w, c) = (factor(ss, e), factor(cs, e));
-                        let gr = &grad_out[t * d..(t + 1) * d];
-                        for (o, g) in gx[s * d..(s + 1) * d].iter_mut().zip(gr) {
-                            *o += (g * w) * c;
+                    for (s, row) in gx.chunks_exact_mut(d.max(1)).enumerate() {
+                        for &e in edges.out_edges(s) {
+                            let e = e as usize;
+                            let (w, c) = (factor(ss, e), factor(cs, e));
+                            let gr = &grad_out[dst[e] * d..(dst[e] + 1) * d];
+                            for (o, g) in row.iter_mut().zip(gr) {
+                                *o += (g * w) * c;
+                            }
                         }
                     }
                     x.accumulate_grad_vec(gx);
@@ -681,13 +682,14 @@ fn edge_dots(
     x: &[f32],
     g: &[f32],
     d: usize,
-    src: &[usize],
-    dst: &[usize],
+    edges: &EdgeIndex,
     factor: impl Fn(usize) -> f32,
     term: impl Fn(f32, f32, f32) -> f32,
 ) -> Vec<f32> {
-    src.iter()
-        .zip(dst)
+    edges
+        .src()
+        .iter()
+        .zip(edges.dst())
         .enumerate()
         .map(|(e, (&s, &t))| {
             let f = factor(e);
@@ -1253,11 +1255,14 @@ impl Tensor {
         )
     }
 
-    /// Fused message passing over `|E| = src.len()` edges into a fresh
-    /// `[n_out, cols]` tensor: `out[dst[e], :] += (self[src[e], :] · coef[e])
-    /// · scale[e]` in ascending `e`, with no `[|E|, cols]` intermediate.
-    /// `coef` (GCN normalisation, GAT attention) and `scale` (the layer-edge
-    /// mask of Eq. 6) are `[|E|, 1]`; a missing one is a factor of one.
+    /// Fused message passing over the `|E|` edges of `edges` into a fresh
+    /// `[edges.n_out(), cols]` tensor: `out[dst[e], :] += (self[src[e], :] ·
+    /// coef[e]) · scale[e]` in ascending `e`, with no `[|E|, cols]`
+    /// intermediate. `coef` (GCN normalisation, GAT attention) and `scale`
+    /// (the layer-edge mask of Eq. 6) are `[|E|, 1]`; a missing one is a
+    /// factor of one. Each output row is gathered over its in-edges
+    /// (ascending, so every element is the same sum a scatter makes), and
+    /// the shared index is neither copied nor re-checked.
     ///
     /// Forward value and every gradient are bit-identical to the unfused
     /// chain `gather_rows(src)`, `mul_col_broadcast(coef)`,
@@ -1265,31 +1270,22 @@ impl Tensor {
     ///
     /// # Panics
     ///
-    /// Panics if `src` and `dst` differ in length, an index is out of
-    /// bounds (`src` against `self`'s rows, `dst` against `n_out`), or
-    /// `coef`/`scale` is not `[|E|, 1]`.
+    /// Panics if `self` does not have `edges.n_in()` rows or `coef`/`scale`
+    /// is not `[|E|, 1]` (endpoints were checked by [`EdgeIndex::new`]).
     pub fn message_pass(
         &self,
-        src: &[usize],
-        dst: &[usize],
-        n_out: usize,
+        edges: &Arc<EdgeIndex>,
         coef: Option<&Tensor>,
         scale: Option<&Tensor>,
     ) -> Tensor {
         let (m, d) = self.shape();
-        let ne = src.len();
         assert_eq!(
-            dst.len(),
-            ne,
-            "message_pass: {ne} sources but {} destinations",
-            dst.len()
+            m,
+            edges.n_in(),
+            "message_pass: {m} rows but the edge index reads {}",
+            edges.n_in()
         );
-        if let Some(s) = src.iter().find(|&&s| s >= m) {
-            panic!("message_pass: source {s} out of bounds for {m} rows");
-        }
-        if let Some(t) = dst.iter().find(|&&t| t >= n_out) {
-            panic!("message_pass: destination {t} out of bounds for {n_out} rows");
-        }
+        let ne = edges.len();
         for (name, col) in [("coef", coef), ("scale", scale)] {
             if let Some(col) = col {
                 assert_eq!(
@@ -1303,14 +1299,16 @@ impl Tensor {
         let cd = coef.map(Tensor::data);
         let sd = scale.map(Tensor::data);
         let (cs, ss) = (cd.as_deref(), sd.as_deref());
+        let src = edges.src();
+        let n_out = edges.n_out();
         let mut out = vec![0.0f32; n_out * d];
-        for (e, (&s, &t)) in src.iter().zip(dst).enumerate() {
-            let (c, w) = (factor(cs, e), factor(ss, e));
-            for (o, x) in out[t * d..(t + 1) * d]
-                .iter_mut()
-                .zip(&xd[s * d..(s + 1) * d])
-            {
-                *o += (x * c) * w;
+        for (t, row) in out.chunks_exact_mut(d.max(1)).enumerate() {
+            for &e in edges.in_edges(t) {
+                let e = e as usize;
+                let (c, w) = (factor(cs, e), factor(ss, e));
+                for (o, x) in row.iter_mut().zip(&xd[src[e] * d..(src[e] + 1) * d]) {
+                    *o += (x * c) * w;
+                }
             }
         }
         drop((xd, cd, sd));
@@ -1322,9 +1320,7 @@ impl Tensor {
                 x: self.clone(),
                 coef: coef.cloned(),
                 scale: scale.cloned(),
-                src: Rc::new(src.to_vec()),
-                dst: Rc::new(dst.to_vec()),
-                n_out,
+                edges: Arc::clone(edges),
             },
         )
     }

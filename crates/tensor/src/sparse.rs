@@ -114,6 +114,28 @@ impl BinCsr {
     pub fn iter(&self) -> impl Iterator<Item = (usize, u32)> + '_ {
         (0..self.rows).flat_map(move |r| self.row(r).iter().map(move |&c| (r, c)))
     }
+
+    /// The matrix of rows `rows[0], rows[1], …` of this one, in that order,
+    /// over the same columns.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a row index is `>= rows`.
+    pub fn select_rows(&self, rows: &[usize]) -> BinCsr {
+        let mut row_ptr = Vec::with_capacity(rows.len() + 1);
+        let mut col_idx = Vec::new();
+        row_ptr.push(0);
+        for &r in rows {
+            col_idx.extend_from_slice(self.row(r));
+            row_ptr.push(col_idx.len());
+        }
+        BinCsr {
+            rows: rows.len(),
+            cols: self.cols,
+            row_ptr,
+            col_idx,
+        }
+    }
 }
 
 /// Why a set of CSR arrays does not form a valid [`CsrMatrix`].
@@ -367,6 +389,15 @@ impl CsrMatrix {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn select_rows_keeps_the_chosen_rows_in_order() {
+        let m = BinCsr::from_rows(3, 4, &[vec![0, 3], vec![], vec![2]]);
+        let s = m.select_rows(&[2, 0]);
+        assert_eq!((s.rows(), s.cols(), s.nnz()), (2, 4, 3));
+        assert_eq!(s.row(0), &[2]);
+        assert_eq!(s.row(1), &[0, 3]);
+    }
 
     #[test]
     fn from_rows_basic() {

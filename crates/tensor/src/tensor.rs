@@ -4,6 +4,7 @@
 use std::cell::{Cell, Ref, RefCell};
 use std::collections::HashSet;
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::rc::Rc;
 
 use crate::ops::Op;
@@ -11,6 +12,32 @@ use crate::ops::Op;
 thread_local! {
     static NEXT_ID: Cell<u64> = const { Cell::new(0) };
 }
+
+/// Hashes a tensor id with one multiply. Ids come from a thread-local
+/// counter, so SipHash's resistance to chosen keys buys nothing here; the
+/// multiply spreads consecutive ids over the high bits the table's probe
+/// tags are taken from.
+#[derive(Default)]
+struct IdHasher(u64);
+
+impl Hasher for IdHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(self.0 ^ u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, id: u64) {
+        self.0 = id.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    }
+}
+
+/// The tensor ids one backward pass has visited.
+type IdSet = HashSet<u64, BuildHasherDefault<IdHasher>>;
 
 fn fresh_id() -> u64 {
     NEXT_ID.with(|c| {
@@ -352,7 +379,7 @@ impl Tensor {
         // Topological order over the op graph: every tensor after its
         // parents.
         let mut order: Vec<Tensor> = Vec::new();
-        let mut visited: HashSet<u64> = HashSet::new();
+        let mut visited = IdSet::default();
         // Iterative DFS to avoid stack overflow on deep graphs (e.g. many
         // mask-learning epochs chained by accident).
         let mut stack: Vec<(Tensor, bool)> = vec![(self.clone(), false)];

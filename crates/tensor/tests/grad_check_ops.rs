@@ -9,7 +9,7 @@
 
 use std::sync::Arc;
 
-use revelio_tensor::{grad_check, BinCsr, Tensor};
+use revelio_tensor::{grad_check, BinCsr, EdgeIndex, Tensor};
 
 const EPS: f32 = 1e-2;
 const TOL: f32 = 1e-2;
@@ -291,20 +291,13 @@ fn grad_gather_rows() {
 #[test]
 fn grad_message_pass() {
     let x = leaf_a();
-    // Four edges: a repeated source row, two edges into output row 2 and
-    // none into row 3.
+    // Four edges from two input rows into four output rows: a repeated
+    // source row, two edges into output row 2 and none into row 3.
+    let edges = Arc::new(EdgeIndex::new(2, 4, vec![1, 0, 0, 1], vec![0, 2, 2, 1]));
     let coef = Tensor::from_vec(vec![0.7, -1.3, 0.4, 1.1], 4, 1).requires_grad();
     let scale = Tensor::from_vec(vec![0.9, 0.35, -0.6, 1.5], 4, 1).requires_grad();
     check(
-        || {
-            weighted_sum(&x.message_pass(
-                &[1, 0, 0, 1],
-                &[0, 2, 2, 1],
-                4,
-                Some(&coef),
-                Some(&scale),
-            ))
-        },
+        || weighted_sum(&x.message_pass(&edges, Some(&coef), Some(&scale))),
         &[x.clone(), coef.clone(), scale.clone()],
     );
 }

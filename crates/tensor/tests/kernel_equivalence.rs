@@ -12,11 +12,13 @@
 
 #![allow(clippy::unwrap_used)]
 
+use std::sync::Arc;
+
 use proptest::prelude::*;
 use revelio_tensor::kernels::{
     matmul_csr, matmul_nn, matmul_nn_naive, matmul_nt, matmul_nt_naive, matmul_tn, matmul_tn_naive,
 };
-use revelio_tensor::{CsrMatrix, Tensor};
+use revelio_tensor::{CsrMatrix, EdgeIndex, Tensor};
 
 /// Maps raw integer draws onto the quarter-integer grid `[-4, 4]`, turning
 /// sentinel draws into exact `+0.0` so the zero-skip paths get exercised.
@@ -236,6 +238,8 @@ proptest! {
         // in-edges; `edges == 0` is in range.
         let src: Vec<usize> = ends[..edges].iter().map(|&(s, _)| s % x_rows).collect();
         let dst: Vec<usize> = ends[..edges].iter().map(|&(_, t)| t % n_out).collect();
+        // Bipartite: `x_rows` input rows feed `n_out` output rows.
+        let index = Arc::new(EdgeIndex::new(x_rows, n_out, src.clone(), dst.clone()));
         // Fused and unfused run the same float operations, so any finite
         // values must match; off-grid values make every product round, so
         // a reassociated product shows up in the bits.
@@ -263,7 +267,7 @@ proptest! {
                 let (x, c, s) = leaves();
                 let coef = has_coef.then_some(&c);
                 let scale = has_scale.then_some(&s);
-                let fused = x.message_pass(&src, &dst, n_out, coef, scale);
+                let fused = x.message_pass(&index, coef, scale);
 
                 let (x2, c2, s2) = leaves();
                 let mut msgs = x2.gather_rows(&src);

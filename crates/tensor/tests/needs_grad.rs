@@ -2,7 +2,9 @@
 //! leaves get no gradient, and the flagged ones get exactly the gradient a
 //! fully differentiated graph gives them.
 
-use revelio_tensor::Tensor;
+use std::sync::Arc;
+
+use revelio_tensor::{EdgeIndex, Tensor};
 
 /// A small masked-message-passing tape: `x · w`, gathered, scaled by
 /// `σ(m)` per row, tanh, summed — a constant input, a weight and a mask
@@ -94,16 +96,11 @@ fn a_flag_reached_only_through_the_third_operand_is_differentiated() {
     // behind `scale` is flagged.
     let (x, _, m) = leaves(false, false);
     let coef = Tensor::from_vec(vec![0.5, -1.0, 2.0, 0.25], 4, 1);
+    let edges = Arc::new(EdgeIndex::new(3, 3, vec![0, 2, 1, 2], vec![1, 1, 0, 2]));
     let pass = |x: &Tensor, coef: &Tensor, m: &Tensor| {
-        x.message_pass(
-            &[0, 2, 1, 2],
-            &[1, 1, 0, 2],
-            3,
-            Some(coef),
-            Some(&m.sigmoid()),
-        )
-        .tanh_t()
-        .sum_all()
+        x.message_pass(&edges, Some(coef), Some(&m.sigmoid()))
+            .tanh_t()
+            .sum_all()
     };
     pass(&x, &coef, &m).backward();
     assert!(

@@ -3,7 +3,7 @@
 
 use std::sync::Arc;
 
-use revelio_tensor::{Adam, BinCsr, Optimizer, Sgd, ShapeMismatch, Tensor};
+use revelio_tensor::{Adam, BinCsr, EdgeIndex, Optimizer, Sgd, ShapeMismatch, Tensor};
 
 #[test]
 #[should_panic(expected = "incompatible shapes")]
@@ -120,6 +120,30 @@ fn elementwise_shape_mismatch_panics() {
 fn slice_cols_invalid_range_panics() {
     let a = Tensor::zeros(2, 3);
     let _ = a.slice_cols(2, 2);
+}
+
+#[test]
+#[should_panic(expected = "message_pass: 3 rows but the edge index reads 2")]
+fn message_pass_rejects_a_row_count_other_than_the_index_inputs() {
+    // Two input rows feed three output rows; `x` has three rows.
+    let edges = Arc::new(EdgeIndex::new(2, 3, vec![0, 1], vec![2, 2]));
+    let _ = Tensor::zeros(3, 4).message_pass(&edges, None, None);
+}
+
+#[test]
+#[should_panic(expected = "message_pass: scale must be [2,1]")]
+fn message_pass_rejects_a_scale_of_the_wrong_length() {
+    let edges = Arc::new(EdgeIndex::new(2, 3, vec![0, 1], vec![2, 2]));
+    let _ = Tensor::zeros(2, 4).message_pass(&edges, None, Some(&Tensor::ones(3, 1)));
+}
+
+#[test]
+fn message_pass_into_more_rows_than_it_reads_leaves_unfed_rows_zero() {
+    let edges = Arc::new(EdgeIndex::new(1, 3, vec![0, 0], vec![2, 0]));
+    let x = Tensor::from_vec(vec![1.5, -2.0], 1, 2);
+    let out = x.message_pass(&edges, Some(&Tensor::from_vec(vec![2.0, 0.5], 2, 1)), None);
+    assert_eq!(out.shape(), (3, 2));
+    assert_eq!(out.to_vec(), vec![0.75, -1.0, 0.0, 0.0, 3.0, -4.0]);
 }
 
 #[test]
