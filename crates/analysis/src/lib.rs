@@ -403,12 +403,19 @@ fn infer_shape(op: &Op) -> Result<(usize, usize), String> {
             Ok((m, n))
         }
         Op::SumAll(_) | Op::MeanAll(_) => Ok((1, 1)),
-        Op::MeanRows(a) => {
+        Op::MeanRows(a, offsets) => {
             let (m, n) = a.shape();
-            if m == 0 {
-                return Err("mean over zero rows is undefined".to_string());
+            if offsets.first() != Some(&0) || offsets.last() != Some(&m) {
+                return Err(format!(
+                    "mean_rows segments {offsets:?} do not cover the {m} rows"
+                ));
             }
-            Ok((1, n))
+            if offsets.windows(2).any(|w| w[0] >= w[1]) {
+                return Err(format!(
+                    "mean over an empty row segment is undefined: {offsets:?}"
+                ));
+            }
+            Ok((offsets.len() - 1, n))
         }
         Op::NllLoss(a, targets) => {
             let (m, n) = a.shape();
@@ -510,6 +517,7 @@ fn infer_shape(op: &Op) -> Result<(usize, usize), String> {
             }
             Ok((mat.rows(), 1))
         }
+        Op::FlowLoss { logp, masks, spec } => spec.check(logp.shape(), masks).map(|()| (1, 1)),
     }
 }
 
@@ -877,6 +885,48 @@ mod tests {
             assert_eq!(kinds(&diags), vec![DiagnosticKind::ShapeMismatch]);
             assert!(diags[0].message.contains(needle), "{}", diags[0].message);
         }
+    }
+
+    #[test]
+    fn detects_flow_loss_defects() {
+        use revelio_tensor::{FlowLossSpec, Objective};
+        use std::rc::Rc;
+        // Two items over two layers; item 1 uses row 2 of layer 1's mask.
+        let spec = Rc::new(FlowLossSpec::new(
+            Objective::Factual,
+            0.1,
+            vec![0, 1],
+            vec![(vec![0, 1, 1], vec![0]), (vec![0, 1, 2], vec![1, 2])],
+        ));
+        let loss = |rows: usize, mask_rows: usize| {
+            let op = Op::FlowLoss {
+                logp: Tensor::zeros(rows, 2),
+                masks: vec![Tensor::zeros(2, 1), Tensor::zeros(mask_rows, 1)],
+                spec: Rc::clone(&spec),
+            };
+            audit_tape(&Tensor::from_op_unchecked(vec![0.0], 1, 1, op))
+        };
+        assert!(loss(2, 3).is_empty());
+        for (diags, needle) in [
+            (loss(2, 2), "used row 2 beyond layer 1's 2 mask rows"),
+            (loss(3, 3), "3 log-prob rows for 2 items"),
+        ] {
+            assert_eq!(kinds(&diags), vec![DiagnosticKind::ShapeMismatch]);
+            assert!(diags[0].message.contains(needle), "{}", diags[0].message);
+        }
+    }
+
+    #[test]
+    fn detects_an_empty_readout_segment() {
+        let bad = Tensor::from_op_unchecked(
+            vec![0.0; 4],
+            2,
+            2,
+            Op::MeanRows(Tensor::zeros(3, 2), std::rc::Rc::new(vec![0, 3, 3])),
+        );
+        let diags = audit_tape(&bad);
+        assert_eq!(kinds(&diags), vec![DiagnosticKind::ShapeMismatch]);
+        assert!(diags[0].message.contains("empty row segment"));
     }
 
     // ---------------- tape: dead gradients ----------------

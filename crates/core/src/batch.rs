@@ -9,21 +9,22 @@
 //! (block-diagonal incidence, node/edge/flow offsets) and learns every
 //! item's masks in one stacked parameter set driven by a single summed
 //! loss, so each epoch runs one forward/backward over a matrix with
-//! `Σ nodes` rows instead of `B` separate passes.
+//! `Σ nodes` rows instead of `B` separate passes, and records every
+//! item's loss in one [`Tensor::flow_loss`] op whatever `B` is.
 //!
 //! Every item keeps its own [`ExplainControl`]: flow-index reuse or
 //! shrink, preselection (the saliency probe runs per item, before
 //! fusing), warm-start seeds, deadline and cancel polling with best-loss
 //! tracking, plateau early stop, and tracing. An item that stops early is
 //! frozen by restoring its parameter segment after every later Adam step.
-//! Node- and graph-classification batches both fuse; a graph item is
-//! sum-pooled over its own node segment.
+//! Node- and graph-classification batches both fuse; graph items are
+//! sum-pooled over their own node segments in one readout.
 //!
 //! # Equivalence
 //!
-//! The union graph is disjoint, the stacked losses are summed (so each
-//! item's sub-tape receives the same upstream gradient `1.0` it gets when
-//! optimised alone), segments are disjoint and Adam is elementwise — the
+//! The union graph is disjoint, the item losses are summed (so each item's
+//! loss receives the same upstream gradient `1.0` it gets when optimised
+//! alone), segments are disjoint and Adam is elementwise — the
 //! batched trajectory is designed to match per-item runs exactly, and on
 //! every test shape it does bitwise. The *documented contract* is weaker:
 //! batched scores match batch-of-one scores within [`BATCH_TOLERANCE`]
@@ -33,11 +34,12 @@
 //! [`Revelio::try_explain_controlled`]: crate::Revelio::try_explain_controlled
 
 use std::ops::Range;
+use std::rc::Rc;
 use std::sync::Arc;
 
 use revelio_gnn::{Gnn, Instance, Plan, Task};
 use revelio_graph::{FlowIndex, Graph, MpGraph, Target};
-use revelio_tensor::{uniform, Adam, BinCsr, CsrMatrix, Optimizer, Tensor};
+use revelio_tensor::{uniform, Adam, BinCsr, CsrMatrix, FlowLossSpec, Optimizer, Tensor};
 use revelio_trace::{EventKind, Phase, Span, TraceHandle};
 
 use crate::control::{ControlledExplanation, ConvergedMask, Degradation, ExplainControl};
@@ -283,7 +285,6 @@ impl BatchedOptimizer {
         items: &[ControlledItem<'_>],
     ) -> Result<Vec<ControlledExplanation>, ExplainError> {
         let cfg = &self.cfg;
-        let layers = model.num_layers();
         let b = items.len();
         if b == 0 {
             return Ok(Vec::new());
@@ -295,250 +296,15 @@ impl BatchedOptimizer {
             .iter()
             .map(|it| self.prepare(model, it, it.ctl.trace.as_ref().unwrap_or(&noop)))
             .collect::<Result<Vec<Item<'_>>, ExplainError>>()?;
-
-        // Disjoint-union offsets. A layer edge of the union MpGraph is the
-        // stored edges of every item in item order, then the self-loops of
-        // every node in item order (MpGraph's stored-then-self-loop layout
-        // applied to the union graph). A batch of one has zero offsets.
-        let node_off = prefix_sums(items.iter().map(|it| it.instance.mp.num_nodes()));
-        let edge_off = prefix_sums(items.iter().map(|it| it.instance.mp.num_orig_edges()));
-        let flow_off = prefix_sums(runs.iter().map(|r| r.selected.len()));
-        let m_total = edge_off[b];
-        let union_edge = |j: usize, e: usize| {
-            let m_j = items[j].instance.mp.num_orig_edges();
-            if e < m_j {
-                edge_off[j] + e
-            } else {
-                m_total + node_off[j] + (e - m_j)
-            }
-        };
-
-        // A batch of one runs on the instance's own graph, features and
-        // incidence; a larger batch on their disjoint union.
-        let union = (b > 1).then(|| union_graph(items, &node_off));
-        let (mp, x) = match &union {
-            Some((mp, x)) => (mp, x),
-            None => (&items[0].instance.mp, items[0].instance.graph.features()),
-        };
-        // The first layer's `x · W` does not depend on the masks: computed
-        // once here from the CSR features, propagated from every epoch.
-        let xw = model.input_transform_sparse(x);
-        let e_total = mp.layer_edge_count();
-        let (incidence, edge_item) = if b == 1 {
-            (runs[0].incidence.clone(), None)
-        } else {
-            let mut edge_item = vec![0usize; e_total];
-            for (j, it) in items.iter().enumerate() {
-                for e in 0..it.instance.mp.layer_edge_count() {
-                    edge_item[union_edge(j, e)] = j;
-                }
-            }
-            // Block-diagonal: union row `union_edge(j, e)` is item `j`'s row
-            // `e` with flow columns shifted by `flow_off[j]`.
-            let incidence = (0..layers)
-                .map(|l| {
-                    let mut rows: Vec<Vec<u32>> = vec![Vec::new(); e_total];
-                    for (j, (it, r)) in items.iter().zip(&runs).enumerate() {
-                        for e in 0..it.instance.mp.layer_edge_count() {
-                            rows[union_edge(j, e)] = r.incidence[l]
-                                .row(e)
-                                .iter()
-                                .map(|&c| (flow_off[j] + c as usize) as u32)
-                                .collect();
-                        }
-                    }
-                    Arc::new(BinCsr::from_rows(e_total, flow_off[b], &rows))
-                })
-                .collect();
-            (incidence, Some(edge_item))
-        };
-
-        // Node tasks explain each item's target row of the (union) graph.
-        let task = model.config().task;
-        let target_rows: Vec<usize> = items
-            .iter()
-            .enumerate()
-            .filter_map(|(j, it)| match (task, it.instance.target) {
-                (Task::NodeClassification, Target::Node(v)) => Some(node_off[j] + v),
-                (Task::GraphClassification, Target::Graph) => None,
-                (task, target) => panic!("target {target:?} does not match task {task:?}"),
-            })
-            .collect();
-
-        // Each epoch runs layer `l` only over the rows and layer edges that
-        // reach a target: node tasks plan from the target rows, graph tasks
-        // (whose readout pools every node) use the full plan. A node plan's
-        // last layer outputs the target rows in ascending order — item
-        // order, as each item's target lies in its own node segment.
-        let plan = match task {
-            Task::NodeClassification => Plan::trimmed(mp, &target_rows, layers),
-            Task::GraphClassification => Plan::full(mp, layers),
-        };
-        debug_assert!(target_rows.windows(2).all(|w| w[0] < w[1]));
-        // The epoch's Eq. 7 rows and edge owners: the full ones restricted
-        // to each layer's kept edges. Every flow-carrying edge is kept, so
-        // a dropped row is empty and its mask could not reach the loss.
-        let epoch_incidence: Vec<Arc<BinCsr>> = incidence
-            .iter()
-            .zip(plan.layers())
-            .map(|(inc, le)| {
-                if le.ids().len() == inc.rows() {
-                    Arc::clone(inc)
-                } else {
-                    Arc::new(inc.select_rows(le.ids()))
-                }
-            })
-            .collect();
-        let epoch_edge_item: Option<Vec<Vec<usize>>> = edge_item.as_ref().map(|owner| {
-            plan.layers()
-                .iter()
-                .map(|le| le.ids().iter().map(|&e| owner[e]).collect())
-                .collect()
-        });
-
-        // "Skip layer edges unused by GNN layers" (Eq. 8): per item, only
-        // the layer edges carrying at least one of its selected flows enter
-        // the sparsity penalty, as ascending positions among the layer's
-        // kept edges.
-        let used: Vec<Vec<Vec<usize>>> = items
-            .iter()
-            .zip(&runs)
-            .enumerate()
-            .map(|(j, (it, r))| {
-                r.incidence
-                    .iter()
-                    .zip(plan.layers())
-                    .map(|(inc, le)| {
-                        (0..it.instance.mp.layer_edge_count())
-                            .filter(|&e| !inc.row(e).is_empty())
-                            .map(|e| {
-                                le.ids()
-                                    .binary_search(&union_edge(j, e))
-                                    .expect("the plan keeps every flow-carrying edge")
-                            })
-                            .collect()
-                    })
-                    .collect()
-            })
-            .collect();
-
-        // Stacked parameters: each item's mask segment is initialised from
-        // its own seed, exactly like a cold batch of one.
-        let mut init = Vec::with_capacity(flow_off[b]);
-        for (it, r) in items.iter().zip(&runs) {
-            init.extend(uniform(r.selected.len(), 1, 0.1, it.seed).to_vec());
-        }
-        let params = Params::fresh(
-            Tensor::from_vec(init, flow_off[b], 1),
-            cfg.layer_weight,
-            layers,
-            flow_off,
-        );
-
-        // Warm start: seed an item from a previously converged mask, but
-        // only when it is aligned with the item's exact flow selection and
-        // parameter shapes — anything else is silently stale (a changed
-        // cap, a different preselection, another layer-weight mode) and is
-        // rejected so the item stays bit-identical to a cold one.
-        for (j, (it, run)) in items.iter().zip(&mut runs).enumerate() {
-            if let Some(ws) = &it.ctl.warm_start {
-                if ws.selected == run.selected
-                    && ws.mask_params.len() == run.selected.len()
-                    && ws.layer_weights.len() == params.layer_weights.len()
-                    && ws.layer_weights.iter().all(|w| w.len() == 1)
-                {
-                    params.restore(j, ws);
-                    run.warm = true;
-                    run.tr.event(EventKind::Note("warm-start"));
-                } else {
-                    run.tr.event(EventKind::Note("warm-start-rejected"));
-                }
-            }
-        }
-
-        // The summed loss plus every item's own loss term.
-        let build_loss = || {
-            let masks = params.layer_masks(cfg, &epoch_incidence, epoch_edge_item.as_deref());
-            let h = model
-                .forward_planned(&plan, &xw, Some(&masks))
-                .pop()
-                .expect("at least one layer");
-            let logp: Vec<Tensor> = match task {
-                // The plan's last layer outputs exactly the target rows.
-                Task::NodeClassification => {
-                    let logp = h.log_softmax_rows();
-                    if b == 1 {
-                        vec![logp]
-                    } else {
-                        (0..b).map(|j| logp.gather_rows(&[j])).collect()
-                    }
-                }
-                // Sum-pool each item's own node segment.
-                Task::GraphClassification if b == 1 => {
-                    vec![model.readout_logits(&h).log_softmax_rows()]
-                }
-                Task::GraphClassification => (0..b)
-                    .map(|j| {
-                        let rows: Vec<usize> = (node_off[j]..node_off[j + 1]).collect();
-                        model
-                            .readout_logits(&h.gather_rows(&rows))
-                            .log_softmax_rows()
-                    })
-                    .collect(),
-            };
-            let losses: Vec<Tensor> = items
-                .iter()
-                .zip(&logp)
-                .zip(&used)
-                .map(|((it, logp), used)| {
-                    let class = it.instance.class;
-                    let lp_c = logp.slice_cols(class, class + 1);
-                    let objective = match cfg.objective {
-                        // Eq. 1: -log P(Y = c | G, F̂).
-                        Objective::Factual => lp_c.neg(),
-                        // Eq. 2: -log(1 - P(Y = c | G, F̂)).
-                        Objective::Counterfactual => {
-                            lp_c.exp().neg().add_scalar(1.0).clamp_min(1e-6).ln().neg()
-                        }
-                    };
-                    // Eqs. 8–9: mean mask value over used layer edges.
-                    let mut reg: Option<Tensor> = None;
-                    let mut used_count = 0usize;
-                    for (mask, used_l) in masks.iter().zip(used) {
-                        if used_l.is_empty() {
-                            continue;
-                        }
-                        let vals = mask.gather_rows(used_l);
-                        let term = match cfg.objective {
-                            Objective::Factual => vals.sum_all(),
-                            Objective::Counterfactual => vals.neg().add_scalar(1.0).sum_all(),
-                        };
-                        used_count += used_l.len();
-                        reg = Some(match reg {
-                            None => term,
-                            Some(r) => r.add(&term),
-                        });
-                    }
-                    match reg {
-                        Some(r) if used_count > 0 => {
-                            objective.add(&r.mul_scalar(cfg.alpha / used_count as f32))
-                        }
-                        _ => objective,
-                    }
-                })
-                .collect();
-            let total = losses[1..]
-                .iter()
-                .fold(losses[0].clone(), |t, loss| t.add(loss));
-            (total, losses)
-        };
+        let fused = Fused::new(cfg, model, items, &mut runs);
+        let params = &fused.params;
 
         // Debug builds statically audit the first recorded loss tape before
         // any training step: shape consistency, numeric-stability patterns,
         // and that every mask parameter is reachable from the loss.
         #[cfg(debug_assertions)]
         {
-            let diags = revelio_analysis::audit_tape_with_params(&build_loss().0, &params.all());
+            let diags = revelio_analysis::audit_tape_with_params(&fused.loss(cfg).0, &params.all());
             assert!(
                 diags.is_empty(),
                 "REVELIO: static tape audit found {} defect(s):\n{}",
@@ -569,7 +335,7 @@ impl BatchedOptimizer {
                 break;
             }
             opt.zero_grad();
-            let (total, losses) = build_loss();
+            let (total, losses) = fused.loss(cfg);
             total.backward();
             for (j, run) in runs.iter_mut().enumerate() {
                 // Deadline-bounded items track the best (lowest-loss)
@@ -584,7 +350,7 @@ impl BatchedOptimizer {
                     continue;
                 }
                 // The loss corresponds to the parameters *before* the step.
-                let l = losses[j].item();
+                let l = losses[j];
                 if track_best && l.is_finite() && run.best.as_ref().is_none_or(|(b, _)| l < *b) {
                     run.best = Some((l, params.segment(j)));
                 }
@@ -641,12 +407,12 @@ impl BatchedOptimizer {
         let readouts: Vec<Span<'_>> = runs.iter().map(|r| r.tr.span(Phase::Readout)).collect();
         // Layer-edge scores cover every layer edge: the full incidence.
         let learned = params.flow_scores(cfg.squash).to_vec();
-        let full_edge_item = edge_item.map(|owner| vec![owner; layers]);
         let mask_vals: Vec<Vec<f32>> = params
-            .layer_masks(cfg, &incidence, full_edge_item.as_deref())
+            .layer_masks(cfg, &fused.incidence, fused.edge_item.as_deref())
             .iter()
             .map(Tensor::to_vec)
             .collect();
+        let at = |j, e| union_edge(&fused.node_off, &fused.edge_off, j, e);
         let mut out = Vec::with_capacity(b);
         for (j, run) in runs.into_iter().enumerate() {
             let instance = items[j].instance;
@@ -659,7 +425,7 @@ impl BatchedOptimizer {
             let e_j = instance.mp.layer_edge_count();
             let mut layer_edge_scores: Vec<Vec<f32>> = mask_vals
                 .iter()
-                .map(|vals| (0..e_j).map(|e| vals[union_edge(j, e)]).collect())
+                .map(|vals| (0..e_j).map(|e| vals[at(j, e)]).collect())
                 .collect();
             if cfg.objective == Objective::Counterfactual {
                 for s in &mut flow_scores {
@@ -736,20 +502,24 @@ impl BatchedOptimizer {
         let selected: Vec<u32> = match cfg.preselect {
             Some(k) if nf > k => {
                 // Saliency pass: gradient of the factual objective w.r.t.
-                // the flow masks at the neutral point.
+                // the flow masks at the neutral point, each layer run over
+                // the target's receptive field as every epoch runs it.
+                let task = model.config().task;
+                let plan = epoch_plan(&instance.mp, task, &[instance.target], &[0], layers);
                 let probe =
                     Params::fresh(Tensor::zeros(nf, 1), cfg.layer_weight, layers, vec![0, nf]);
-                let masks = probe.layer_masks(cfg, &full, None);
-                let lp_c = model
-                    .target_logits_from(
-                        &instance.mp,
-                        &instance.input_transform(model),
-                        Some(&masks),
-                        instance.target,
-                    )
-                    .log_softmax_rows()
-                    .slice_cols(instance.class, instance.class + 1);
-                lp_c.neg().backward();
+                let masks = probe.layer_masks(cfg, &restrict(&full, &plan), None);
+                let xw = instance.input_transform(model);
+                let h = model.forward_planned(&plan, &xw, Some(&masks)).pop();
+                let h = h.expect("at least one layer");
+                let logits = match task {
+                    Task::NodeClassification => h,
+                    Task::GraphClassification => model.readout_logits(&h, &[0, h.rows()]),
+                };
+                let lp = logits.log_softmax_rows();
+                lp.slice_cols(instance.class, instance.class + 1)
+                    .neg()
+                    .backward();
                 let grad = probe.mask.grad_vec();
                 let mut order: Vec<u32> = (0..nf as u32).collect();
                 order.sort_by(|&a, &b| grad[b as usize].abs().total_cmp(&grad[a as usize].abs()));
@@ -793,6 +563,235 @@ impl BatchedOptimizer {
             optimize: None,
         })
     }
+}
+
+/// A batch fused for optimisation: where each item sits in the (union)
+/// graph, the epoch plan and loss inputs, and the stacked parameters.
+struct Fused<'m> {
+    model: &'m Gnn,
+    params: Params,
+    /// Item `j`'s nodes and stored edges start at `node_off[j]` and
+    /// `edge_off[j]` of the union (each list ends with the total).
+    node_off: Vec<usize>,
+    edge_off: Vec<usize>,
+    /// Per layer, the Eq. 7 incidence over every layer edge and each
+    /// edge's item (`None` for a batch of one: one weight scales all).
+    incidence: Vec<Arc<BinCsr>>,
+    edge_item: Option<Vec<Vec<usize>>>,
+    plan: Plan,
+    xw: Tensor,
+    /// `incidence` and `edge_item` over the plan's kept edges.
+    epoch_incidence: Vec<Arc<BinCsr>>,
+    epoch_edge_item: Option<Vec<Vec<usize>>>,
+    spec: Rc<FlowLossSpec>,
+}
+
+impl<'m> Fused<'m> {
+    /// Fuses `items`, prepared as `runs`: a batch of one optimises over its
+    /// instance's own graph, features and incidence, a larger batch over
+    /// their disjoint union with block-diagonal incidence. Each item's mask
+    /// segment starts from its own seed, or from its warm start when that
+    /// is aligned with the item.
+    fn new(
+        cfg: &RevelioConfig,
+        model: &'m Gnn,
+        items: &[ControlledItem<'_>],
+        runs: &mut [Item<'_>],
+    ) -> Fused<'m> {
+        let layers = model.num_layers();
+        let b = items.len();
+        let node_off = prefix_sums(items.iter().map(|it| it.instance.mp.num_nodes()));
+        let edge_off = prefix_sums(items.iter().map(|it| it.instance.mp.num_orig_edges()));
+        let flow_off = prefix_sums(runs.iter().map(|r| r.selected.len()));
+        let union = (b > 1).then(|| union_graph(items, &node_off));
+        let (mp, x) = match &union {
+            Some((mp, x)) => (mp, x),
+            None => (&items[0].instance.mp, items[0].instance.graph.features()),
+        };
+        // The first layer's `x · W` does not depend on the masks: computed
+        // once here from the CSR features, propagated from every epoch.
+        let xw = model.input_transform_sparse(x);
+        let e_total = mp.layer_edge_count();
+        let (incidence, edge_item) = if b == 1 {
+            (runs[0].incidence.clone(), None)
+        } else {
+            let mut edge_item = vec![0usize; e_total];
+            for (j, it) in items.iter().enumerate() {
+                for e in 0..it.instance.mp.layer_edge_count() {
+                    edge_item[union_edge(&node_off, &edge_off, j, e)] = j;
+                }
+            }
+            // Block-diagonal: union row `union_edge(.., j, e)` is item `j`'s
+            // row `e` with flow columns shifted by `flow_off[j]`.
+            let incidence = (0..layers)
+                .map(|l| {
+                    let mut rows: Vec<Vec<u32>> = vec![Vec::new(); e_total];
+                    for (j, (it, r)) in items.iter().zip(runs.iter()).enumerate() {
+                        for e in 0..it.instance.mp.layer_edge_count() {
+                            rows[union_edge(&node_off, &edge_off, j, e)] = r.incidence[l]
+                                .row(e)
+                                .iter()
+                                .map(|&c| (flow_off[j] + c as usize) as u32)
+                                .collect();
+                        }
+                    }
+                    Arc::new(BinCsr::from_rows(e_total, flow_off[b], &rows))
+                })
+                .collect();
+            (incidence, Some(vec![edge_item; layers]))
+        };
+
+        let task = model.config().task;
+        let targets: Vec<Target> = items.iter().map(|it| it.instance.target).collect();
+        let plan = epoch_plan(mp, task, &targets, &node_off, layers);
+        let epoch_incidence = restrict(&incidence, &plan);
+        let epoch_edge_item: Option<Vec<Vec<usize>>> = edge_item.as_ref().map(|owner| {
+            (plan.layers().iter().zip(owner))
+                .map(|(le, owner)| le.ids().iter().map(|&e| owner[e]).collect())
+                .collect()
+        });
+
+        // "Skip layer edges unused by GNN layers" (Eq. 8): per layer, each
+        // item's kept edges that carry one of its selected flows, ascending.
+        let used = (epoch_incidence.iter().enumerate())
+            .map(|(l, inc)| {
+                let mut per_item = vec![Vec::new(); b];
+                for p in (0..inc.rows()).filter(|&p| !inc.row(p).is_empty()) {
+                    per_item[epoch_edge_item.as_ref().map_or(0, |o| o[l][p])].push(p);
+                }
+                let offsets = prefix_sums(per_item.iter().map(Vec::len));
+                (offsets, per_item.concat())
+            })
+            .collect();
+        let classes = items.iter().map(|it| it.instance.class).collect();
+        let spec = FlowLossSpec::new(cfg.objective, cfg.alpha, classes, used);
+
+        // Stacked parameters: each item's mask segment is initialised from
+        // its own seed, exactly like a cold batch of one.
+        let mut init = Vec::with_capacity(flow_off[b]);
+        for (it, r) in items.iter().zip(runs.iter()) {
+            init.extend(uniform(r.selected.len(), 1, 0.1, it.seed).to_vec());
+        }
+        let params = Params::fresh(
+            Tensor::from_vec(init, flow_off[b], 1),
+            cfg.layer_weight,
+            layers,
+            flow_off,
+        );
+
+        // Warm start: seed an item from a previously converged mask, but
+        // only when it is aligned with the item's exact flow selection and
+        // parameter shapes — anything else is silently stale (a changed
+        // cap, a different preselection, another layer-weight mode) and is
+        // rejected so the item stays bit-identical to a cold one.
+        for (j, (it, run)) in items.iter().zip(runs.iter_mut()).enumerate() {
+            if let Some(ws) = &it.ctl.warm_start {
+                if ws.selected == run.selected
+                    && ws.mask_params.len() == run.selected.len()
+                    && ws.layer_weights.len() == params.layer_weights.len()
+                    && ws.layer_weights.iter().all(|w| w.len() == 1)
+                {
+                    params.restore(j, ws);
+                    run.warm = true;
+                    run.tr.event(EventKind::Note("warm-start"));
+                } else {
+                    run.tr.event(EventKind::Note("warm-start-rejected"));
+                }
+            }
+        }
+        Fused {
+            model,
+            params,
+            node_off,
+            edge_off,
+            incidence,
+            edge_item,
+            plan,
+            xw,
+            epoch_incidence,
+            epoch_edge_item,
+            spec: Rc::new(spec),
+        }
+    }
+
+    /// Records one epoch's tape — the masked forward over the plan, then
+    /// every item's loss in one [`Tensor::flow_loss`] — returning the
+    /// summed loss and each item's own.
+    fn loss(&self, cfg: &RevelioConfig) -> (Tensor, Vec<f32>) {
+        let masks =
+            (self.params).layer_masks(cfg, &self.epoch_incidence, self.epoch_edge_item.as_deref());
+        let h = self
+            .model
+            .forward_planned(&self.plan, &self.xw, Some(&masks))
+            .pop()
+            .expect("at least one layer");
+        // A node plan's last layer outputs exactly the target rows; a graph
+        // task pools each item's node segment.
+        let logits = match self.model.config().task {
+            Task::NodeClassification => h,
+            Task::GraphClassification => self.model.readout_logits(&h, &self.node_off),
+        };
+        logits.log_softmax_rows().flow_loss(&masks, &self.spec)
+    }
+}
+
+/// Item `j`'s layer edge `e` in the disjoint union: the stored edges of
+/// every item in item order, then the self-loops of every node in item
+/// order (MpGraph's stored-then-self-loop layout applied to the union). A
+/// batch of one has zero offsets.
+fn union_edge(node_off: &[usize], edge_off: &[usize], j: usize, e: usize) -> usize {
+    let m_j = edge_off[j + 1] - edge_off[j];
+    if e < m_j {
+        edge_off[j] + e
+    } else {
+        edge_off[edge_off.len() - 1] + node_off[j] + (e - m_j)
+    }
+}
+
+/// The layer edges an epoch runs for `targets` (item `j`'s graph starting
+/// at node `node_off[j]`): node tasks only the rows and edges that reach a
+/// target row, the last layer outputting them in ascending order — item
+/// order; graph tasks, whose readout pools every node, the full graph.
+///
+/// # Panics
+///
+/// Panics if a target does not match the task.
+fn epoch_plan(
+    mp: &MpGraph,
+    task: Task,
+    targets: &[Target],
+    node_off: &[usize],
+    layers: usize,
+) -> Plan {
+    let rows: Vec<usize> = (targets.iter().zip(node_off))
+        .filter_map(|(&target, off)| match (task, target) {
+            (Task::NodeClassification, Target::Node(v)) => Some(off + v),
+            (Task::GraphClassification, Target::Graph) => None,
+            (task, target) => panic!("target {target:?} does not match task {task:?}"),
+        })
+        .collect();
+    debug_assert!(rows.windows(2).all(|w| w[0] < w[1]));
+    match task {
+        Task::NodeClassification => Plan::trimmed(mp, &rows, layers),
+        Task::GraphClassification => Plan::full(mp, layers),
+    }
+}
+
+/// Each layer's Eq. 7 incidence restricted to the plan's kept edges.
+/// Every flow-carrying edge is kept, so a dropped row is empty and its
+/// mask could not reach the loss.
+fn restrict(incidence: &[Arc<BinCsr>], plan: &Plan) -> Vec<Arc<BinCsr>> {
+    incidence
+        .iter()
+        .zip(plan.layers())
+        .map(|(inc, le)| {
+            if le.ids().len() == inc.rows() {
+                Arc::clone(inc)
+            } else {
+                Arc::new(inc.select_rows(le.ids()))
+            }
+        })
+        .collect()
 }
 
 /// The disjoint union of every item's graph: its message-passing view and
@@ -1003,5 +1002,155 @@ mod tests {
             batched[0].flows.as_ref().unwrap().scores,
             serial.flows.as_ref().unwrap().scores
         );
+    }
+
+    /// A ring of `n` nodes with chords from every third node.
+    fn ring(n: usize, salt: usize) -> Graph {
+        let mut b = Graph::builder(n, 3);
+        for v in 0..n {
+            b.undirected_edge(v, (v + 1) % n);
+            if (v + salt).is_multiple_of(3) {
+                b.undirected_edge(v, (v + 2) % n);
+            }
+            b.node_features(v, &[v as f32 * 0.1, ((v + salt) % 4) as f32 * 0.25, 1.0]);
+        }
+        b.build()
+    }
+
+    /// The ops on the first loss tape of `instances` fused as one batch,
+    /// walked through the public `Tensor::op` and `Op::parents`.
+    fn tape_ops(m: &Gnn, instances: &[Instance], cfg: RevelioConfig) -> usize {
+        let ctl = ExplainControl::default();
+        let items: Vec<ControlledItem<'_>> = instances
+            .iter()
+            .map(|instance| ControlledItem {
+                instance,
+                seed: 3,
+                ctl: &ctl,
+            })
+            .collect();
+        let opt = BatchedOptimizer::new(cfg);
+        let noop = TraceHandle::noop();
+        let mut runs: Vec<Item<'_>> = items
+            .iter()
+            .map(|it| opt.prepare(m, it, &noop).unwrap())
+            .collect();
+        let (total, _) = Fused::new(&cfg, m, &items, &mut runs).loss(&cfg);
+        let mut seen = std::collections::HashSet::new();
+        let (mut stack, mut ops) = (vec![total], 0);
+        while let Some(t) = stack.pop() {
+            if let (true, Some(op)) = (seen.insert(t.id()), t.op()) {
+                ops += 1;
+                stack.extend(op.parents());
+            }
+        }
+        ops
+    }
+
+    #[test]
+    fn the_loss_tape_records_the_same_ops_for_every_batch_size() {
+        for (task, target) in [
+            (Task::NodeClassification, Target::Node(1)),
+            (Task::GraphClassification, Target::Graph),
+        ] {
+            let m = Gnn::new(GnnConfig::standard(GnnKind::Gin, task, 3, 2, 9));
+            let insts: Vec<Instance> = (0..8)
+                .map(|j| Instance::for_prediction(&m, ring(5 + j, j), target))
+                .collect();
+            for layer_weight in [LayerWeight::None, LayerWeight::Exp] {
+                let cfg = RevelioConfig {
+                    layer_weight,
+                    ..Default::default()
+                };
+                let ops: Vec<usize> = [1, 3, 8]
+                    .iter()
+                    .map(|&b| tape_ops(&m, &insts[..b], cfg))
+                    .collect();
+                // A batch of one scales its edges by its lone layer weight;
+                // a larger one first gathers each edge's item weight (one
+                // op per layer). Nothing else depends on the batch size.
+                let gathers = match layer_weight {
+                    LayerWeight::None => 0,
+                    _ => m.num_layers(),
+                };
+                assert_eq!(ops[0] + gathers, ops[1], "{task:?}, {layer_weight:?}");
+                assert_eq!(ops[1], ops[2], "{task:?}, {layer_weight:?}");
+            }
+        }
+    }
+
+    /// The preselection probe as it ran before each layer was trimmed to
+    /// the target's receptive field: the full graph, then the target row.
+    fn full_graph_saliency(cfg: &RevelioConfig, m: &Gnn, inst: &Instance) -> Vec<f32> {
+        let layers = m.num_layers();
+        let index = FlowIndex::build(&inst.mp, layers, inst.target, cfg.max_flows).unwrap();
+        let nf = index.num_flows();
+        let full: Vec<Arc<BinCsr>> = (0..layers)
+            .map(|l| Arc::clone(index.incidence(l)))
+            .collect();
+        let probe = Params::fresh(Tensor::zeros(nf, 1), cfg.layer_weight, layers, vec![0, nf]);
+        let masks = probe.layer_masks(cfg, &full, None);
+        m.target_logits_from(
+            &inst.mp,
+            &inst.input_transform(m),
+            Some(&masks),
+            inst.target,
+        )
+        .log_softmax_rows()
+        .slice_cols(inst.class, inst.class + 1)
+        .neg()
+        .backward();
+        probe.mask.grad_vec()
+    }
+
+    #[test]
+    fn the_trimmed_preselection_probe_selects_what_the_full_graph_one_does() {
+        for kind in [GnnKind::Gcn, GnnKind::Gin, GnnKind::Gat] {
+            let m = model(kind, 13);
+            let k = 5;
+            let cfg = RevelioConfig {
+                epochs: 15,
+                preselect: Some(k),
+                ..Default::default()
+            };
+            let insts = instances(&m);
+            let items: Vec<BatchItem<'_>> = insts
+                .iter()
+                .map(|instance| BatchItem {
+                    instance,
+                    seed: 21,
+                    flow_index: None,
+                })
+                .collect();
+            let fused = BatchedOptimizer::new(cfg)
+                .explain_batch(&m, &items)
+                .unwrap();
+            for (inst, out) in insts.iter().zip(&fused) {
+                let grad = full_graph_saliency(&cfg, &m, inst);
+                assert!(grad.len() > k, "{kind:?}: preselection must run");
+                let mut order: Vec<u32> = (0..grad.len() as u32).collect();
+                order.sort_by(|&a, &b| grad[b as usize].abs().total_cmp(&grad[a as usize].abs()));
+                let mut expected: Vec<u32> = order.into_iter().take(k).collect();
+                expected.sort_unstable();
+                let lone = Revelio::new(RevelioConfig { seed: 21, ..cfg })
+                    .try_explain_controlled(&m, inst, &ExplainControl::default())
+                    .unwrap();
+                let selected = &lone.converged_mask.as_ref().unwrap().selected;
+                assert_eq!(selected, &expected, "{kind:?}: selection");
+                // Every flow outside the selection keeps the neutral score.
+                let scores = &lone.explanation.flows.as_ref().unwrap().scores;
+                for (f, s) in scores.iter().enumerate() {
+                    if !expected.contains(&(f as u32)) {
+                        assert_eq!(*s, 0.0, "{kind:?}: unselected flow {f}");
+                    }
+                }
+                let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(
+                    bits(scores),
+                    bits(&out.flows.as_ref().unwrap().scores),
+                    "{kind:?}: fused vs lone flow scores"
+                );
+            }
+        }
     }
 }

@@ -8,18 +8,8 @@ use revelio_graph::{FlowIndex, MpGraph};
 
 use crate::control::{ControlledExplanation, ExplainControl};
 
-/// Explanation objective (§IV-A).
-///
-/// * [`Objective::Factual`] — find components *sufficient* for the
-///   prediction (Eq. 1); evaluated by Fidelity− (Eq. 10).
-/// * [`Objective::Counterfactual`] — find components *necessary* for the
-///   prediction (Eq. 2); evaluated by Fidelity+ (Eq. 11).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Objective {
-    #[default]
-    Factual,
-    Counterfactual,
-}
+/// The explanation objective lives beside the loss op that evaluates it.
+pub use revelio_tensor::Objective;
 
 /// Flow-level scores attached to an explanation by flow-based methods
 /// (REVELIO, GNN-LRP, FlowX).

@@ -278,23 +278,32 @@ impl Gnn {
             .forward_layers(mp, x, masks)
             .pop()
             .expect("at least one layer");
-        self.readout_logits(&h)
+        self.readout_logits(&h, &[0, h.rows()])
     }
 
-    /// The readout head over one graph's final node representations
-    /// `[n, H]`, giving its `[1, C]` logits. Batched explainers call it per
-    /// graph segment of a disjoint-union forward pass.
+    /// The readout head over the final node representations `h` of `S`
+    /// graphs stacked in row segments (graph `s` owns rows `segments[s]..
+    /// segments[s + 1]`, one graph is `[0, n]`), giving their `[S, C]`
+    /// logits in one pass. Row `s` is bit-identical to the logits of
+    /// graph `s`'s rows alone (the matmul's rows are independent), so a
+    /// batched explainer pools every graph of a disjoint-union forward
+    /// pass at once.
     ///
     /// # Panics
     ///
-    /// Panics if the model has no readout (node classification).
-    pub fn readout_logits(&self, h: &Tensor) -> Tensor {
+    /// Panics if the model has no readout (node classification) or the
+    /// segments do not split `h` into non-empty runs of rows.
+    pub fn readout_logits(&self, h: &Tensor, segments: &[usize]) -> Tensor {
         let (w, b) = self.readout.as_ref().expect("graph task has a readout");
         // Sum pooling (realised as mean × n): standard for GIN-style graph
         // classification and markedly easier to optimise than mean pooling
         // when the discriminative motif covers few nodes.
-        let n = h.rows() as f32;
-        h.mean_rows().mul_scalar(n).matmul(w).add_row_broadcast(b)
+        let sizes: Vec<f32> = segments.windows(2).map(|s| (s[1] - s[0]) as f32).collect();
+        let n = Tensor::from_vec(sizes, segments.len().saturating_sub(1), 1);
+        h.segment_mean_rows(segments)
+            .mul_col_broadcast(&n)
+            .matmul(w)
+            .add_row_broadcast(b)
     }
 
     /// Logits for an explanation target: `[1, C]` — the target node's row,
@@ -325,7 +334,10 @@ impl Gnn {
         };
         match (self.cfg.task, target) {
             (Task::NodeClassification, Target::Node(v)) => last().gather_rows(&[v]),
-            (Task::GraphClassification, Target::Graph) => self.readout_logits(&last()),
+            (Task::GraphClassification, Target::Graph) => {
+                let h = last();
+                self.readout_logits(&h, &[0, h.rows()])
+            }
             (task, target) => panic!("target {target:?} does not match task {task:?}"),
         }
     }

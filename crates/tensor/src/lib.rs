@@ -9,6 +9,9 @@
 //! * dense matmul, elementwise arithmetic, row/column broadcasts,
 //! * ReLU / LeakyReLU / tanh / sigmoid / exp / ln / softplus activations,
 //! * row-wise log-softmax and NLL loss,
+//! * `flow_loss`: REVELIO's factual or counterfactual objective plus the
+//!   used-edge sparsity penalty for a whole batch of explanations in one
+//!   op, bit-identical to the chain of the primitives above it replaces,
 //! * `message_pass`: gather, per-edge scaling (normalisation or attention,
 //!   then the Eq. 6 edge mask) and sum aggregation fused into one op over a
 //!   shared, once-checked [`EdgeIndex`], bit-identical to the
@@ -16,7 +19,8 @@
 //!   stays public as its reference,
 //! * `segment_softmax` (GAT attention normalised per destination node),
 //! * sparse-binary × dense matvec (the flow-incidence transform of Eq. 7),
-//! * sum / mean reductions and column slicing / concatenation.
+//! * sum / mean (whole or per row segment) reductions and column slicing /
+//!   concatenation.
 //!
 //! Tensors are 2-D (`rows × cols`) and reference-counted; calling
 //! [`Tensor::backward`] on a scalar output accumulates gradients into every
@@ -38,6 +42,7 @@
 #![deny(clippy::print_stdout, clippy::print_stderr)]
 
 mod edges;
+mod flow_loss;
 mod gradcheck;
 mod init;
 pub mod kernels;
@@ -47,6 +52,7 @@ mod sparse;
 mod tensor;
 
 pub use edges::EdgeIndex;
+pub use flow_loss::{FlowLossSpec, Objective};
 pub use gradcheck::{grad_check, GradCheckFailure, GradCheckReport};
 pub use init::{glorot_uniform, uniform};
 pub use ops::{IndexOutOfRange, Op, ShapeMismatch};

@@ -10,6 +10,7 @@ use std::rc::Rc;
 use std::sync::Arc;
 
 use crate::edges::EdgeIndex;
+use crate::flow_loss::{self, FlowLossSpec};
 use crate::kernels;
 use crate::sparse::{BinCsr, CsrMatrix};
 use crate::tensor::Tensor;
@@ -89,8 +90,9 @@ pub enum Op {
     ClampMin(Tensor, f32),
     SumAll(Tensor),
     MeanAll(Tensor),
-    /// Mean over rows: `[m,n] -> [1,n]` (graph readout).
-    MeanRows(Tensor),
+    /// Mean over row segments: `[m,n] -> [S,n]`, output row `s` the mean
+    /// of rows `offsets[s]..offsets[s + 1]` (graph readout).
+    MeanRows(Tensor, Rc<Vec<usize>>),
     LogSoftmaxRows(Tensor),
     /// Mean negative log-likelihood given per-row target classes.
     NllLoss(Tensor, Rc<Vec<usize>>),
@@ -119,6 +121,13 @@ pub enum Op {
     BiasLeakyRelu(Tensor, Tensor, f32),
     /// Fused mean cross-entropy: `nll_loss(log_softmax_rows(x), targets)`.
     SoftmaxXent(Tensor, Rc<Vec<usize>>),
+    /// REVELIO's summed batch loss ([`Tensor::flow_loss`]): a `[B,C]`
+    /// log-probability matrix and one mask per layer in, `[1,1]` out.
+    FlowLoss {
+        logp: Tensor,
+        masks: Vec<Tensor>,
+        spec: Rc<FlowLossSpec>,
+    },
 }
 
 impl Op {
@@ -160,19 +169,21 @@ impl Op {
             Op::SigmoidScale(..) => "sigmoid_scale",
             Op::BiasLeakyRelu(..) => "bias_leaky_relu",
             Op::SoftmaxXent(..) => "softmax_xent",
+            Op::FlowLoss { .. } => "flow_loss",
         }
     }
 
     /// The tensors this operation reads (exposed for static tape analysis).
     pub fn parents(&self) -> Vec<Tensor> {
-        self.operands().into_iter().flatten().cloned().collect()
+        self.operands().cloned().collect()
     }
 
-    /// The operands in order: the first, then up to two more (binary ops
-    /// fill the second slot, message passing its optional `coef` and
-    /// `scale`).
-    pub(crate) fn operands(&self) -> [Option<&Tensor>; 3] {
-        match self {
+    /// The operands in order: up to three fixed slots (binary ops fill the
+    /// second, message passing its optional `coef` and `scale`), then
+    /// [`Op::FlowLoss`]'s masks. Allocates nothing: a backward pass calls
+    /// it for every tensor it visits.
+    pub(crate) fn operands(&self) -> impl Iterator<Item = &Tensor> {
+        let (fixed, rest): ([Option<&Tensor>; 3], &[Tensor]) = match self {
             Op::Add(a, b)
             | Op::Sub(a, b)
             | Op::Mul(a, b)
@@ -184,8 +195,11 @@ impl Op {
             | Op::MulColBroadcast(a, b)
             | Op::ConcatCols(a, b)
             | Op::SigmoidScale(a, b)
-            | Op::BiasLeakyRelu(a, b, _) => [Some(a), Some(b), None],
-            Op::MessagePass { x, coef, scale, .. } => [Some(x), coef.as_ref(), scale.as_ref()],
+            | Op::BiasLeakyRelu(a, b, _) => ([Some(a), Some(b), None], &[]),
+            Op::MessagePass { x, coef, scale, .. } => {
+                ([Some(x), coef.as_ref(), scale.as_ref()], &[])
+            }
+            Op::FlowLoss { logp, masks, .. } => ([Some(logp), None, None], masks),
             Op::Neg(a)
             | Op::AddScalar(a, _)
             | Op::MulScalar(a, _)
@@ -199,7 +213,7 @@ impl Op {
             | Op::ClampMin(a, _)
             | Op::SumAll(a)
             | Op::MeanAll(a)
-            | Op::MeanRows(a)
+            | Op::MeanRows(a, _)
             | Op::LogSoftmaxRows(a)
             | Op::NllLoss(a, _)
             | Op::GatherRows(a, _)
@@ -207,8 +221,9 @@ impl Op {
             | Op::SliceCols(a, _, _)
             | Op::SegmentSoftmax(a, _)
             | Op::SpMatVec(_, a)
-            | Op::SoftmaxXent(a, _) => [Some(a), None, None],
-        }
+            | Op::SoftmaxXent(a, _) => ([Some(a), None, None], &[]),
+        };
+        fixed.into_iter().flatten().chain(rest)
     }
 
     /// Routes `grad_out` (the gradient w.r.t. `out`) to the parents that
@@ -415,13 +430,16 @@ impl Op {
             }
             Op::SumAll(a) => a.accumulate_grad_vec(vec![grad_out[0]; a.len()]),
             Op::MeanAll(a) => a.accumulate_grad_vec(vec![grad_out[0] / a.len() as f32; a.len()]),
-            Op::MeanRows(a) => {
-                let (m, n) = a.shape();
-                let inv = 1.0 / m as f32;
-                let mut g = vec![0.0f32; m * n];
-                for i in 0..m {
-                    for j in 0..n {
-                        g[i * n + j] = grad_out[j] * inv;
+            Op::MeanRows(a, offsets) => {
+                let n = a.cols();
+                let mut g = vec![0.0f32; a.len()];
+                for (s, w) in offsets.windows(2).enumerate() {
+                    let inv = 1.0 / (w[1] - w[0]) as f32;
+                    let gs = &grad_out[s * n..(s + 1) * n];
+                    for row in g[w[0] * n..w[1] * n].chunks_exact_mut(n.max(1)) {
+                        for (o, gv) in row.iter_mut().zip(gs) {
+                            *o = gv * inv;
+                        }
                     }
                 }
                 a.accumulate_grad_vec(g);
@@ -659,6 +677,7 @@ impl Op {
                 drop(ad);
                 a.accumulate_grad_vec(g);
             }
+            Op::FlowLoss { logp, masks, spec } => flow_loss::backward(logp, masks, spec, grad_out),
         }
     }
 }
@@ -1134,14 +1153,43 @@ impl Tensor {
 
     /// Mean over rows: `[m,n] -> [1,n]` (mean-pool graph readout).
     pub fn mean_rows(&self) -> Tensor {
+        self.segment_mean_rows(&[0, self.rows()])
+    }
+
+    /// Mean over each row segment: `[m,n] -> [S,n]`, output row `s` the
+    /// mean of rows `offsets[s]..offsets[s + 1]` (the per-graph readout of
+    /// a disjoint union). Each segment is exactly [`Tensor::mean_rows`] of
+    /// its rows.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `offsets` ascend strictly from 0 to `m` (no segment
+    /// is empty).
+    pub fn segment_mean_rows(&self, offsets: &[usize]) -> Tensor {
         let (m, n) = self.shape();
-        assert!(m > 0, "mean_rows on empty tensor");
-        let mut out = column_sums(&self.data(), n);
-        let inv = 1.0 / m as f32;
-        for v in &mut out {
-            *v *= inv;
+        assert!(
+            offsets.first() == Some(&0)
+                && offsets.last() == Some(&m)
+                && offsets.windows(2).all(|w| w[0] < w[1]),
+            "segment_mean_rows: offsets {offsets:?} do not split {m} rows into non-empty segments"
+        );
+        let d = self.data();
+        let mut out = Vec::with_capacity((offsets.len() - 1) * n);
+        for w in offsets.windows(2) {
+            let mut sums = column_sums(&d[w[0] * n..w[1] * n], n);
+            let inv = 1.0 / (w[1] - w[0]) as f32;
+            for v in &mut sums {
+                *v *= inv;
+            }
+            out.extend(sums);
         }
-        Tensor::new_from_op(out, 1, n, Op::MeanRows(self.clone()))
+        drop(d);
+        Tensor::new_from_op(
+            out,
+            offsets.len() - 1,
+            n,
+            Op::MeanRows(self.clone(), Rc::new(offsets.to_vec())),
+        )
     }
 
     /// Row-wise log-softmax (numerically stabilised).

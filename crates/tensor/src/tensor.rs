@@ -393,7 +393,7 @@ impl Tensor {
             }
             stack.push((t.clone(), true));
             if let Some(op) = &t.inner.op {
-                for p in op.operands().into_iter().flatten() {
+                for p in op.operands() {
                     if !visited.contains(&p.inner.id) {
                         stack.push((p.clone(), false));
                     }
@@ -436,7 +436,7 @@ impl Tensor {
 
 /// Whether some operand of `op` needs a gradient in the running pass.
 fn feeds_grad(op: &Op) -> bool {
-    op.operands().into_iter().flatten().any(Tensor::needs_grad)
+    op.operands().any(Tensor::needs_grad)
 }
 
 #[cfg(test)]

@@ -7,9 +7,10 @@
 
 #![allow(clippy::unwrap_used)]
 
+use std::rc::Rc;
 use std::sync::Arc;
 
-use revelio_tensor::{grad_check, BinCsr, EdgeIndex, Tensor};
+use revelio_tensor::{grad_check, BinCsr, EdgeIndex, FlowLossSpec, Objective, Tensor};
 
 const EPS: f32 = 1e-2;
 const TOL: f32 = 1e-2;
@@ -193,6 +194,16 @@ fn grad_mean_rows() {
     check(|| weighted_sum(&a.mean_rows()), std::slice::from_ref(&a));
 }
 
+#[test]
+fn grad_segment_mean_rows() {
+    let a =
+        Tensor::from_vec((0..12).map(|i| (i as f32 * 0.45).sin()).collect(), 4, 3).requires_grad();
+    check(
+        || weighted_sum(&a.segment_mean_rows(&[0, 1, 4])),
+        std::slice::from_ref(&a),
+    );
+}
+
 // ---------------- softmax / loss ----------------
 
 #[test]
@@ -342,4 +353,58 @@ fn grad_sp_matvec() {
         || weighted_sum(&x.sp_matvec(&mat)),
         std::slice::from_ref(&x),
     );
+}
+
+// ---------------- REVELIO batch loss ----------------
+
+/// `flow_loss` over `b` items (1 or 3), three classes and two layers of
+/// five mask rows, differentiated w.r.t. the logits and both masks.
+///
+/// Item 0 uses rows {0, 3} of layer 0 and nothing of layer 1 (an empty
+/// used set on one layer). With three items, item 1 uses no edge at all
+/// (its loss is the prediction term alone) and item 2 uses rows {1, 4} of
+/// layer 0 and {0, 2, 3} of layer 1.
+fn check_flow_loss(objective: Objective, b: usize) {
+    let logits: Vec<f32> = (0..b * 3).map(|i| (i as f32 * 0.7 + 0.2).sin()).collect();
+    let logits = Tensor::from_vec(logits, b, 3).requires_grad();
+    let masks = [
+        Tensor::from_vec(vec![0.2, 0.7, 0.4, 0.9, 0.55], 5, 1).requires_grad(),
+        Tensor::from_vec(vec![0.6, 0.3, 0.8, 0.15, 0.45], 5, 1).requires_grad(),
+    ];
+    let used = if b == 1 {
+        vec![(vec![0, 2], vec![0, 3]), (vec![0, 0], vec![])]
+    } else {
+        vec![
+            (vec![0, 2, 2, 4], vec![0, 3, 1, 4]),
+            (vec![0, 0, 0, 3], vec![0, 2, 3]),
+        ]
+    };
+    let classes = (0..b).map(|j| (j + 1) % 3).collect();
+    let spec = Rc::new(FlowLossSpec::new(objective, 0.7, classes, used));
+    let mut leaves = vec![logits.clone()];
+    leaves.extend(masks.iter().cloned());
+    check(
+        || logits.log_softmax_rows().flow_loss(&masks, &spec).0,
+        &leaves,
+    );
+}
+
+#[test]
+fn grad_flow_loss_factual_single_item() {
+    check_flow_loss(Objective::Factual, 1);
+}
+
+#[test]
+fn grad_flow_loss_factual_batch() {
+    check_flow_loss(Objective::Factual, 3);
+}
+
+#[test]
+fn grad_flow_loss_counterfactual_single_item() {
+    check_flow_loss(Objective::Counterfactual, 1);
+}
+
+#[test]
+fn grad_flow_loss_counterfactual_batch() {
+    check_flow_loss(Objective::Counterfactual, 3);
 }

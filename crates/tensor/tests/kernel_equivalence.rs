@@ -2,8 +2,8 @@
 //!
 //! The blocked `matmul_nn/nt/tn` kernels claim bit-identity with the naive
 //! reference loops; the fused ops (`sigmoid_scale`, `bias_leaky_relu`,
-//! `softmax_xent`, `message_pass`) claim bit-identity with their unfused
-//! chains in both the forward value and the gradient. Proptest drives
+//! `softmax_xent`, `message_pass`, `flow_loss`) claim bit-identity with
+//! their unfused chains in both the forward value and the gradient. Proptest drives
 //! shapes through every blocking remainder case (rows % 4, cols % 8) with
 //! coefficient grids that include exact zeros, so the zero-skip paths are
 //! covered too. Values come from a quarter-integer grid in `[-4, 4]`: finite,
@@ -12,13 +12,14 @@
 
 #![allow(clippy::unwrap_used)]
 
+use std::rc::Rc;
 use std::sync::Arc;
 
 use proptest::prelude::*;
 use revelio_tensor::kernels::{
     matmul_csr, matmul_nn, matmul_nn_naive, matmul_nt, matmul_nt_naive, matmul_tn, matmul_tn_naive,
 };
-use revelio_tensor::{CsrMatrix, EdgeIndex, Tensor};
+use revelio_tensor::{CsrMatrix, EdgeIndex, FlowLossSpec, Objective, Tensor};
 
 /// Maps raw integer draws onto the quarter-integer grid `[-4, 4]`, turning
 /// sentinel draws into exact `+0.0` so the zero-skip paths get exercised.
@@ -36,6 +37,61 @@ fn grid(qs: &[i32]) -> Vec<f32> {
 
 fn bits(v: &[f32]) -> Vec<u32> {
     v.iter().map(|x| x.to_bits()).collect()
+}
+
+/// The per-item chain `flow_loss` replaces, as the mask optimiser used to
+/// record it: item `j` reads row `j` of `logp` and rows `used[j][l]` of
+/// mask `l`. Returns the summed loss and every item's loss.
+fn flow_loss_chain(
+    logp: &Tensor,
+    masks: &[Tensor],
+    classes: &[usize],
+    used: &[Vec<Vec<usize>>],
+    objective: Objective,
+    alpha: f32,
+) -> (Tensor, Vec<Tensor>) {
+    let b = classes.len();
+    let losses: Vec<Tensor> = (0..b)
+        .map(|j| {
+            let row = if b == 1 {
+                logp.clone()
+            } else {
+                logp.gather_rows(&[j])
+            };
+            let lp_c = row.slice_cols(classes[j], classes[j] + 1);
+            let prediction = match objective {
+                Objective::Factual => lp_c.neg(),
+                Objective::Counterfactual => {
+                    lp_c.exp().neg().add_scalar(1.0).clamp_min(1e-6).ln().neg()
+                }
+            };
+            let mut reg: Option<Tensor> = None;
+            let mut used_count = 0usize;
+            for (mask, used_l) in masks.iter().zip(&used[j]) {
+                if used_l.is_empty() {
+                    continue;
+                }
+                let vals = mask.gather_rows(used_l);
+                let term = match objective {
+                    Objective::Factual => vals.sum_all(),
+                    Objective::Counterfactual => vals.neg().add_scalar(1.0).sum_all(),
+                };
+                used_count += used_l.len();
+                reg = Some(match reg {
+                    None => term,
+                    Some(r) => r.add(&term),
+                });
+            }
+            match reg {
+                Some(r) => prediction.add(&r.mul_scalar(alpha / used_count as f32)),
+                None => prediction,
+            }
+        })
+        .collect();
+    let total = losses[1..]
+        .iter()
+        .fold(losses[0].clone(), |t, loss| t.add(loss));
+    (total, losses)
 }
 
 proptest! {
@@ -223,6 +279,77 @@ proptest! {
         fused.backward();
         unfused.backward();
         prop_assert_eq!(bits(&a.grad_vec()), bits(&a2.grad_vec()));
+    }
+
+    #[test]
+    fn flow_loss_matches_unfused_chain(
+        b in 1usize..5,
+        c in 2usize..5,
+        layers in 1usize..4,
+        flag in 0u8..2,
+        qs in prop::collection::vec(0i32..1000, 4 * 4 + 3 * 6),
+        owners in prop::collection::vec(0usize..7, 3 * 6),
+    ) {
+        const ROWS: usize = 6;
+        let objective = if flag == 1 {
+            Objective::Counterfactual
+        } else {
+            Objective::Factual
+        };
+        let vals = grid(&qs);
+        let classes: Vec<usize> = (0..b).map(|j| (j * 7 + 1) % c).collect();
+        // Row `r` of layer `l` is used by item `owners[..]` when that is
+        // below `b`, by no item otherwise — so some items use no row of a
+        // layer, or none at all.
+        let used: Vec<Vec<Vec<usize>>> = (0..b)
+            .map(|j| {
+                (0..layers)
+                    .map(|l| (0..ROWS).filter(|&r| owners[l * ROWS + r] == j).collect())
+                    .collect()
+            })
+            .collect();
+        let flat = (0..layers)
+            .map(|l| {
+                let mut offsets = vec![0];
+                let mut positions = Vec::new();
+                for item in &used {
+                    positions.extend(&item[l]);
+                    offsets.push(positions.len());
+                }
+                (offsets, positions)
+            })
+            .collect();
+        let spec = Rc::new(FlowLossSpec::new(objective, 0.3, classes.clone(), flat));
+        let leaves = || {
+            let x = Tensor::from_vec(vals[..b * c].to_vec(), b, c).requires_grad();
+            let ps: Vec<Tensor> = (0..layers)
+                .map(|l| {
+                    let p = vals[16 + l * ROWS..16 + (l + 1) * ROWS].to_vec();
+                    Tensor::from_vec(p, ROWS, 1).requires_grad()
+                })
+                .collect();
+            (x, ps)
+        };
+
+        let (x, ps) = leaves();
+        let masks: Vec<Tensor> = ps.iter().map(Tensor::sigmoid).collect();
+        let (fused, fused_losses) = x.log_softmax_rows().flow_loss(&masks, &spec);
+
+        let (x2, ps2) = leaves();
+        let masks2: Vec<Tensor> = ps2.iter().map(Tensor::sigmoid).collect();
+        let (chain, chain_losses) =
+            flow_loss_chain(&x2.log_softmax_rows(), &masks2, &classes, &used, objective, 0.3);
+
+        prop_assert_eq!(fused.item().to_bits(), chain.item().to_bits());
+        let chain_losses: Vec<f32> = chain_losses.iter().map(Tensor::item).collect();
+        prop_assert_eq!(bits(&fused_losses), bits(&chain_losses));
+
+        fused.backward();
+        chain.backward();
+        prop_assert_eq!(bits(&x.grad_vec()), bits(&x2.grad_vec()));
+        for (p, p2) in ps.iter().zip(&ps2) {
+            prop_assert_eq!(bits(&p.grad_vec()), bits(&p2.grad_vec()));
+        }
     }
 
     #[test]

@@ -2,9 +2,10 @@
 //! leaves get no gradient, and the flagged ones get exactly the gradient a
 //! fully differentiated graph gives them.
 
+use std::rc::Rc;
 use std::sync::Arc;
 
-use revelio_tensor::{EdgeIndex, Tensor};
+use revelio_tensor::{EdgeIndex, FlowLossSpec, Objective, Tensor};
 
 /// A small masked-message-passing tape: `x · w`, gathered, scaled by
 /// `σ(m)` per row, tanh, summed — a constant input, a weight and a mask
@@ -118,4 +119,38 @@ fn a_flag_reached_only_through_the_third_operand_is_differentiated() {
     pass(&fx, &fcoef, &fm).backward();
     assert!(fx.has_grad() && fcoef.has_grad());
     assert_eq!(bits(&m.grad_vec()), bits(&fm.grad_vec()));
+}
+
+#[test]
+fn a_flag_reached_only_past_the_third_operand_is_differentiated() {
+    // The batch loss reads the log-probs and then one mask per layer: with
+    // three layers the last mask is its fourth operand, and here only the
+    // leaf behind it is flagged.
+    let spec = Rc::new(FlowLossSpec::new(
+        Objective::Factual,
+        0.5,
+        vec![1],
+        vec![
+            (vec![0, 1], vec![0]),
+            (vec![0, 1], vec![1]),
+            (vec![0, 2], vec![0, 2]),
+        ],
+    ));
+    let logp = Tensor::from_vec(vec![0.3, -0.4], 1, 2).log_softmax_rows();
+    let constant = Tensor::from_vec(vec![0.5, 0.25, 0.75], 3, 1);
+    let m = Tensor::from_vec(vec![0.3, -0.8, 1.1], 3, 1).requires_grad();
+    let masks = [constant.clone(), constant.clone(), m.sigmoid()];
+    logp.flow_loss(&masks, &spec).0.backward();
+    assert!(
+        m.has_grad(),
+        "the mask behind the fourth operand needs its gradient"
+    );
+    assert!(!constant.has_grad());
+    // Two used rows out of four: each gets alpha / 4 through the sigmoid.
+    let g = m.grad_vec();
+    assert_eq!(g[1], 0.0);
+    for i in [0, 2] {
+        let s = masks[2].to_vec()[i];
+        assert!((g[i] - 0.125 * s * (1.0 - s)).abs() < 1e-7, "{g:?}");
+    }
 }

@@ -1,9 +1,12 @@
 //! Edge-case and contract tests for tensor operators: empty inputs,
 //! boundary values, and shape-mismatch panics.
 
+use std::rc::Rc;
 use std::sync::Arc;
 
-use revelio_tensor::{Adam, BinCsr, EdgeIndex, Optimizer, Sgd, ShapeMismatch, Tensor};
+use revelio_tensor::{
+    Adam, BinCsr, EdgeIndex, FlowLossSpec, Objective, Optimizer, Sgd, ShapeMismatch, Tensor,
+};
 
 #[test]
 #[should_panic(expected = "incompatible shapes")]
@@ -275,4 +278,74 @@ fn concat_cols_empty_rows() {
     let a = Tensor::zeros(0, 2);
     let b = Tensor::zeros(0, 3);
     assert_eq!(a.concat_cols(&b).shape(), (0, 5));
+}
+
+/// Two items over two layers of three mask rows: item 0 uses row 0 of
+/// layer 0, item 1 rows 1 and 2 of layer 1.
+fn two_item_spec() -> Rc<FlowLossSpec> {
+    Rc::new(FlowLossSpec::new(
+        Objective::Factual,
+        0.5,
+        vec![0, 2],
+        vec![(vec![0, 1, 1], vec![0]), (vec![0, 0, 2], vec![1, 2])],
+    ))
+}
+
+#[test]
+fn flow_loss_fits_its_spec() {
+    let masks = [Tensor::zeros(3, 1), Tensor::zeros(3, 1)];
+    let (total, losses) = Tensor::zeros(2, 3).flow_loss(&masks, &two_item_spec());
+    assert_eq!(total.shape(), (1, 1));
+    assert_eq!(losses.len(), 2);
+}
+
+#[test]
+#[should_panic(expected = "segment offsets [0, 2, 1] are ragged")]
+fn flow_loss_rejects_ragged_segment_offsets() {
+    let _ = FlowLossSpec::new(
+        Objective::Factual,
+        0.5,
+        vec![0, 1],
+        vec![(vec![0, 2, 1], vec![0, 1])],
+    );
+}
+
+#[test]
+#[should_panic(expected = "used row 2 beyond layer 1's 2 mask rows")]
+fn flow_loss_rejects_a_used_row_beyond_the_mask() {
+    let masks = [Tensor::zeros(3, 1), Tensor::zeros(2, 1)];
+    let _ = Tensor::zeros(2, 3).flow_loss(&masks, &two_item_spec());
+}
+
+#[test]
+#[should_panic(expected = "item 1's class 2 out of range for 2 classes")]
+fn flow_loss_rejects_a_class_beyond_the_columns() {
+    let masks = [Tensor::zeros(3, 1), Tensor::zeros(3, 1)];
+    let _ = Tensor::zeros(2, 2).flow_loss(&masks, &two_item_spec());
+}
+
+#[test]
+#[should_panic(expected = "1 masks for 2 layers")]
+fn flow_loss_rejects_a_mask_count_other_than_the_layer_count() {
+    let _ = Tensor::zeros(2, 3).flow_loss(&[Tensor::zeros(3, 1)], &two_item_spec());
+}
+
+#[test]
+#[should_panic(expected = "3 log-prob rows for 2 items")]
+fn flow_loss_rejects_a_row_count_other_than_the_item_count() {
+    let masks = [Tensor::zeros(3, 1), Tensor::zeros(3, 1)];
+    let _ = Tensor::zeros(3, 3).flow_loss(&masks, &two_item_spec());
+}
+
+#[test]
+#[should_panic(expected = "layer 0's mask must be a column, got [3,2]")]
+fn flow_loss_rejects_a_mask_that_is_not_a_column() {
+    let masks = [Tensor::zeros(3, 2), Tensor::zeros(3, 1)];
+    let _ = Tensor::zeros(2, 3).flow_loss(&masks, &two_item_spec());
+}
+
+#[test]
+#[should_panic(expected = "do not split 3 rows into non-empty segments")]
+fn segment_mean_rows_rejects_an_empty_segment() {
+    let _ = Tensor::zeros(3, 2).segment_mean_rows(&[0, 2, 2, 3]);
 }

@@ -1,15 +1,16 @@
 //! A fused batch is exactly a set of batch-of-one runs: every item of a
 //! `BatchedOptimizer` batch — cold, warm-seeded, deadline-expired,
-//! preselected, or graph-classification — gets the scores, degradation
-//! record and converged mask its own `Revelio::try_explain_controlled`
-//! call gives, bit for bit.
+//! preselected, or graph-classification, under the factual or the
+//! counterfactual objective — gets the scores, degradation record and
+//! converged mask its own `Revelio::try_explain_controlled` call gives,
+//! bit for bit.
 
 use std::sync::Arc;
 use std::time::Duration;
 
 use revelio_core::{
-    BatchedOptimizer, ControlledExplanation, ControlledItem, Deadline, ExplainControl, Revelio,
-    RevelioConfig,
+    BatchedOptimizer, ControlledExplanation, ControlledItem, Deadline, ExplainControl, Objective,
+    Revelio, RevelioConfig,
 };
 use revelio_gnn::{Gnn, GnnConfig, GnnKind, Instance, Task};
 use revelio_graph::{Graph, Target};
@@ -176,6 +177,52 @@ fn fused_graph_classification_items_match_their_lone_runs() {
         ..Default::default()
     };
     let instances: Vec<Instance> = [(8, 0), (6, 1), (7, 2)]
+        .iter()
+        .map(|&(n, salt)| Instance::for_prediction(&model, graph(n, salt), Target::Graph))
+        .collect();
+    let ctls = vec![ExplainControl::default(); instances.len()];
+    check(&model, cfg, &instances, &ctls);
+}
+
+#[test]
+fn fused_counterfactual_node_items_match_their_lone_runs() {
+    // GAT: every mask feeds one message pass per attention head, so each
+    // mask gradient sums several terms besides the sparsity penalty.
+    let model = Gnn::new(GnnConfig::standard(
+        GnnKind::Gat,
+        Task::NodeClassification,
+        3,
+        2,
+        8,
+    ));
+    let cfg = RevelioConfig {
+        epochs: 40,
+        objective: Objective::Counterfactual,
+        ..Default::default()
+    };
+    let instances: Vec<Instance> = [(9, 0), (6, 1), (8, 2)]
+        .iter()
+        .map(|&(n, salt)| Instance::for_prediction(&model, graph(n, salt), Target::Node(3)))
+        .collect();
+    let ctls = vec![ExplainControl::default(); instances.len()];
+    check(&model, cfg, &instances, &ctls);
+}
+
+#[test]
+fn fused_counterfactual_graph_items_match_their_lone_runs() {
+    let model = Gnn::new(GnnConfig::standard(
+        GnnKind::Gin,
+        Task::GraphClassification,
+        3,
+        2,
+        9,
+    ));
+    let cfg = RevelioConfig {
+        epochs: 40,
+        objective: Objective::Counterfactual,
+        ..Default::default()
+    };
+    let instances: Vec<Instance> = [(7, 0), (9, 1), (6, 2)]
         .iter()
         .map(|&(n, salt)| Instance::for_prediction(&model, graph(n, salt), Target::Graph))
         .collect();
