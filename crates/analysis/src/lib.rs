@@ -4,9 +4,11 @@
 //! forward pass runs. This crate walks that recorded tape **without executing
 //! anything** and reports typed [`Diagnostic`]s:
 //!
-//! * **Symbolic shape inference** ([`audit_tape`]) — re-derives every node's
-//!   shape from its operands and flags broadcast/matmul mismatches, bad
-//!   gather/scatter/message-passing indices, and malformed reductions.
+//! * **Shape audit** ([`audit_tape`]) — runs every recorded op's own shape
+//!   rule ([`Op::output_shape`], the same rule its constructor enforces)
+//!   and reports broadcast/matmul mismatches, bad gather/scatter/
+//!   message-passing indices, malformed reductions, and recorded shapes
+//!   other than the ones the operands imply.
 //! * **Dead-gradient detection** ([`audit_tape_with_params`]) — finds
 //!   `requires_grad` leaves that are unreachable from the loss, i.e.
 //!   parameters that will silently never train (a detached mask is the
@@ -221,22 +223,25 @@ fn tape_nodes(root: &Tensor) -> Vec<Tensor> {
             continue;
         }
         if let Some(op) = t.op() {
-            stack.extend(op.parents());
+            stack.extend(op.operands().cloned());
         }
         nodes.push(t);
     }
     nodes
 }
 
-/// Statically audits the tape below `root`: symbolic shape inference plus
-/// the numeric-stability lints. Nothing is executed; only recorded metadata
-/// (shapes, op kinds, saved indices) is inspected.
+/// Statically audits the tape below `root`: every op's own shape rule
+/// ([`Op::output_shape`], the one its constructor enforces) plus the
+/// numeric-stability lints. A rule's error is reported verbatim; a node
+/// whose recorded shape differs from the one its operands imply is flagged
+/// too. Nothing is executed; only recorded metadata (shapes, op kinds,
+/// saved indices) is inspected.
 pub fn audit_tape(root: &Tensor) -> Vec<Diagnostic> {
     let nodes = tape_nodes(root);
     let mut diags = Vec::new();
     for node in &nodes {
         if let Some(op) = node.op() {
-            match infer_shape(op) {
+            match op.output_shape() {
                 Ok(expected) if expected != node.shape() => {
                     diags.push(Diagnostic::tape(
                         DiagnosticKind::ShapeMismatch,
@@ -280,245 +285,6 @@ pub fn audit_tape_with_params(root: &Tensor, params: &[Tensor]) -> Vec<Diagnosti
         }
     }
     diags
-}
-
-// ---------------------------------------------------------------------------
-// Symbolic shape inference
-// ---------------------------------------------------------------------------
-
-/// Re-derives the output shape of `op` from its operand shapes and saved
-/// context, or explains why no valid output shape exists.
-fn infer_shape(op: &Op) -> Result<(usize, usize), String> {
-    match op {
-        Op::Add(a, b) | Op::Sub(a, b) | Op::Mul(a, b) | Op::Div(a, b) => {
-            if a.shape() != b.shape() {
-                return Err(format!(
-                    "elementwise operands differ in shape: {:?} vs {:?}",
-                    a.shape(),
-                    b.shape()
-                ));
-            }
-            Ok(a.shape())
-        }
-        Op::Neg(a)
-        | Op::AddScalar(a, _)
-        | Op::MulScalar(a, _)
-        | Op::Relu(a)
-        | Op::LeakyRelu(a, _)
-        | Op::Tanh(a)
-        | Op::Sigmoid(a)
-        | Op::Exp(a)
-        | Op::Ln(a)
-        | Op::Softplus(a)
-        | Op::ClampMin(a, _)
-        | Op::LogSoftmaxRows(a) => Ok(a.shape()),
-        Op::MatMul(a, b) => {
-            let (m, k) = a.shape();
-            let (k2, n) = b.shape();
-            if k != k2 {
-                return Err(format!(
-                    "matmul inner dimensions disagree: [{m},{k}] · [{k2},{n}]"
-                ));
-            }
-            Ok((m, n))
-        }
-        Op::MatMulNt(a, b) => {
-            let (m, n) = a.shape();
-            let (k, n2) = b.shape();
-            if n != n2 {
-                return Err(format!(
-                    "matmul_nt inner dimensions disagree: [{m},{n}] · [{k},{n2}]ᵀ"
-                ));
-            }
-            Ok((m, k))
-        }
-        Op::MatMulTn(a, b) => {
-            let (m, k) = a.shape();
-            let (m2, n) = b.shape();
-            if m != m2 {
-                return Err(format!(
-                    "matmul_tn inner dimensions disagree: [{m},{k}]ᵀ · [{m2},{n}]"
-                ));
-            }
-            Ok((k, n))
-        }
-        Op::SigmoidScale(a, w) => {
-            let (m, n) = a.shape();
-            if w.shape() != (1, 1) && w.shape() != (m, n) {
-                return Err(format!(
-                    "sigmoid_scale weight must be [1,1] or [{m},{n}], got {:?}",
-                    w.shape()
-                ));
-            }
-            Ok((m, n))
-        }
-        Op::BiasLeakyRelu(a, bias, slope) => {
-            let (m, n) = a.shape();
-            if bias.shape() != (1, n) {
-                return Err(format!(
-                    "bias_leaky_relu bias must be [1,{n}] for a [{m},{n}] operand, got {:?}",
-                    bias.shape()
-                ));
-            }
-            if *slope < 0.0 {
-                return Err(format!(
-                    "bias_leaky_relu slope must be non-negative, got {slope}"
-                ));
-            }
-            Ok((m, n))
-        }
-        Op::SoftmaxXent(a, targets) => {
-            let (m, n) = a.shape();
-            if targets.len() != m {
-                return Err(format!(
-                    "softmax_xent has {} targets for {m} rows",
-                    targets.len()
-                ));
-            }
-            if let Some(&t) = targets.iter().find(|&&t| t >= n) {
-                return Err(format!(
-                    "softmax_xent target {t} out of range for {n} classes"
-                ));
-            }
-            Ok((1, 1))
-        }
-        Op::AddRowBroadcast(a, b) => {
-            let (m, n) = a.shape();
-            if b.shape() != (1, n) {
-                return Err(format!(
-                    "row-broadcast bias must be [1,{n}] for a [{m},{n}] operand, got {:?}",
-                    b.shape()
-                ));
-            }
-            Ok((m, n))
-        }
-        Op::MulColBroadcast(a, b) => {
-            let (m, n) = a.shape();
-            if b.shape() != (m, 1) {
-                return Err(format!(
-                    "column-broadcast scale must be [{m},1] for a [{m},{n}] operand, got {:?}",
-                    b.shape()
-                ));
-            }
-            Ok((m, n))
-        }
-        Op::SumAll(_) | Op::MeanAll(_) => Ok((1, 1)),
-        Op::MeanRows(a, offsets) => {
-            let (m, n) = a.shape();
-            if offsets.first() != Some(&0) || offsets.last() != Some(&m) {
-                return Err(format!(
-                    "mean_rows segments {offsets:?} do not cover the {m} rows"
-                ));
-            }
-            if offsets.windows(2).any(|w| w[0] >= w[1]) {
-                return Err(format!(
-                    "mean over an empty row segment is undefined: {offsets:?}"
-                ));
-            }
-            Ok((offsets.len() - 1, n))
-        }
-        Op::NllLoss(a, targets) => {
-            let (m, n) = a.shape();
-            if targets.len() != m {
-                return Err(format!(
-                    "nll_loss has {} targets for {m} rows",
-                    targets.len()
-                ));
-            }
-            if let Some(&t) = targets.iter().find(|&&t| t >= n) {
-                return Err(format!(
-                    "nll_loss target class {t} out of range for {n} classes"
-                ));
-            }
-            Ok((1, 1))
-        }
-        Op::GatherRows(a, idx) => {
-            let (m, n) = a.shape();
-            if let Some(&i) = idx.iter().find(|&&i| i >= m) {
-                return Err(format!("gather index {i} out of bounds for {m} rows"));
-            }
-            Ok((idx.len(), n))
-        }
-        Op::ScatterAddRows(a, idx, n_out) => {
-            let (m, n) = a.shape();
-            if idx.len() != m {
-                return Err(format!(
-                    "scatter_add_rows has {} indices for {m} rows",
-                    idx.len()
-                ));
-            }
-            if let Some(&i) = idx.iter().find(|&&i| i >= *n_out) {
-                return Err(format!(
-                    "scatter index {i} out of bounds for {n_out} output rows"
-                ));
-            }
-            Ok((*n_out, n))
-        }
-        Op::MessagePass {
-            x,
-            coef,
-            scale,
-            edges,
-        } => {
-            // The index checked its endpoints when it was built; what is
-            // left is that the operands fit it.
-            let (m, n) = x.shape();
-            let ne = edges.len();
-            if m != edges.n_in() {
-                return Err(format!(
-                    "message_pass reads {m} rows but its edge index has {} input rows",
-                    edges.n_in()
-                ));
-            }
-            for (name, col) in [("coef", coef), ("scale", scale)] {
-                if let Some(col) = col.as_ref().filter(|c| c.shape() != (ne, 1)) {
-                    return Err(format!(
-                        "message_pass {name} must be [{ne},1] for {ne} edges, got {:?}",
-                        col.shape()
-                    ));
-                }
-            }
-            Ok((edges.n_out(), n))
-        }
-        Op::SliceCols(a, c0, c1) => {
-            let (m, n) = a.shape();
-            if !(c0 < c1 && *c1 <= n) {
-                return Err(format!("column slice {c0}..{c1} invalid for {n} columns"));
-            }
-            Ok((m, c1 - c0))
-        }
-        Op::ConcatCols(a, b) => {
-            let (m, na) = a.shape();
-            let (m2, nb) = b.shape();
-            if m != m2 {
-                return Err(format!("concat_cols row counts differ: {m} vs {m2}"));
-            }
-            Ok((m, na + nb))
-        }
-        Op::SegmentSoftmax(a, segs) => {
-            let (m, n) = a.shape();
-            if segs.len() != m {
-                return Err(format!(
-                    "segment_softmax has {} segment ids for {m} rows",
-                    segs.len()
-                ));
-            }
-            Ok((m, n))
-        }
-        Op::SpMatVec(mat, x) => {
-            if x.shape() != (mat.cols(), 1) {
-                return Err(format!(
-                    "sp_matvec vector must be [{},1] for a {}×{} matrix, got {:?}",
-                    mat.cols(),
-                    mat.rows(),
-                    mat.cols(),
-                    x.shape()
-                ));
-            }
-            Ok((mat.rows(), 1))
-        }
-        Op::FlowLoss { logp, masks, spec } => spec.check(logp.shape(), masks).map(|()| (1, 1)),
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -815,7 +581,9 @@ mod tests {
         let bad = Tensor::from_op_unchecked(vec![0.0; 4], 2, 2, Op::MatMul(a, b));
         let diags = audit_tape(&bad.sum_all());
         assert_eq!(kinds(&diags), vec![DiagnosticKind::ShapeMismatch]);
-        assert!(diags[0].message.contains("inner dimensions"));
+        assert!(diags[0]
+            .message
+            .contains("matmul: incompatible shapes [2,3] and [2,2]"));
     }
 
     #[test]
@@ -848,7 +616,9 @@ mod tests {
         );
         let diags = audit_tape(&bad_gather);
         assert_eq!(kinds(&diags), vec![DiagnosticKind::ShapeMismatch]);
-        assert!(diags[0].message.contains("gather index 5"));
+        assert!(diags[0]
+            .message
+            .contains("gather_rows: index 5 out of bounds for 2 rows"));
     }
 
     #[test]
@@ -874,7 +644,7 @@ mod tests {
         for (diags, needle) in [
             (
                 pass(Tensor::zeros(3, 3), None, 4),
-                "reads 3 rows but its edge index has 2 input rows",
+                "message_pass: 3 rows but the edge index reads 2 input rows",
             ),
             (
                 pass(Tensor::zeros(2, 3), Some(Tensor::zeros(1, 2)), 4),
@@ -926,7 +696,9 @@ mod tests {
         );
         let diags = audit_tape(&bad);
         assert_eq!(kinds(&diags), vec![DiagnosticKind::ShapeMismatch]);
-        assert!(diags[0].message.contains("empty row segment"));
+        assert!(diags[0]
+            .message
+            .contains("mean_rows: offsets [0, 3, 3] do not split 3 rows into non-empty segments"));
     }
 
     // ---------------- tape: dead gradients ----------------

@@ -1041,7 +1041,7 @@ mod tests {
         while let Some(t) = stack.pop() {
             if let (true, Some(op)) = (seen.insert(t.id()), t.op()) {
                 ops += 1;
-                stack.extend(op.parents());
+                stack.extend(op.operands().cloned());
             }
         }
         ops

@@ -282,7 +282,10 @@ fn panicking_prep_fails_only_its_job() {
         Box::new(revelio_factory(3)),
     );
     match rt.submit(handle, too_wide).wait() {
-        Err(JobError::Panicked(msg)) => assert!(msg.contains("shape mismatch"), "{msg}"),
+        Err(JobError::Panicked(msg)) => assert!(
+            msg.contains("matmul: incompatible shapes [3,5] and [2,8]"),
+            "{msg}"
+        ),
         other => panic!("expected a prep panic, got {:?}", other.map(|_| ())),
     }
     let ok = rt.submit(

@@ -177,53 +177,48 @@ impl Tensor {
     /// # Panics
     ///
     /// Panics if `self` or `masks` do not fit `spec` (see
-    /// [`FlowLossSpec::check`]).
+    /// [`FlowLossSpec::check`], [`Op::FlowLoss`]'s shape rule).
     pub fn flow_loss(&self, masks: &[Tensor], spec: &Rc<FlowLossSpec>) -> (Tensor, Vec<f32>) {
-        if let Err(e) = spec.check(self.shape(), masks) {
-            panic!("{e}");
-        }
-        let c = self.cols();
-        let lp = self.data();
-        let mut losses: Vec<f32> = spec
-            .classes
-            .iter()
-            .enumerate()
-            .map(|(j, &k)| prediction(spec.objective, lp[j * c + k]))
-            .collect();
-        drop(lp);
-        // Eqs. 8–9: each item's used masks summed per layer, the layer
-        // sums added in layer order (layers it does not use skipped).
-        let mut reg: Vec<Option<f32>> = vec![None; spec.items()];
-        for (l, mask) in masks.iter().enumerate() {
-            let md = mask.data();
-            for (j, r) in reg.iter_mut().enumerate() {
-                let used = spec.used(l, j);
-                if used.is_empty() {
-                    continue;
+        let op = Op::FlowLoss {
+            logp: self.clone(),
+            masks: masks.to_vec(),
+            spec: Rc::clone(spec),
+        };
+        let mut losses = Vec::new();
+        let out = Tensor::record(op, || {
+            let c = self.cols();
+            let lp = self.data();
+            losses = spec
+                .classes
+                .iter()
+                .enumerate()
+                .map(|(j, &k)| prediction(spec.objective, lp[j * c + k]))
+                .collect();
+            drop(lp);
+            // Eqs. 8–9: each item's used masks summed per layer, the layer
+            // sums added in layer order (layers it does not use skipped).
+            let mut reg: Vec<Option<f32>> = vec![None; spec.items()];
+            for (l, mask) in masks.iter().enumerate() {
+                let md = mask.data();
+                for (j, r) in reg.iter_mut().enumerate() {
+                    let used = spec.used(l, j);
+                    if used.is_empty() {
+                        continue;
+                    }
+                    let term: f32 = match spec.objective {
+                        Objective::Factual => used.iter().map(|&p| md[p]).sum(),
+                        Objective::Counterfactual => used.iter().map(|&p| -md[p] + 1.0).sum(),
+                    };
+                    *r = Some(r.map_or(term, |r| r + term));
                 }
-                let term: f32 = match spec.objective {
-                    Objective::Factual => used.iter().map(|&p| md[p]).sum(),
-                    Objective::Counterfactual => used.iter().map(|&p| -md[p] + 1.0).sum(),
-                };
-                *r = Some(r.map_or(term, |r| r + term));
             }
-        }
-        for ((loss, r), s) in losses.iter_mut().zip(reg).zip(&spec.scale) {
-            if let (Some(r), Some(s)) = (r, s) {
-                *loss += r * s;
+            for ((loss, r), s) in losses.iter_mut().zip(reg).zip(&spec.scale) {
+                if let (Some(r), Some(s)) = (r, s) {
+                    *loss += r * s;
+                }
             }
-        }
-        let total = losses.iter().copied().reduce(|t, l| t + l).unwrap_or(0.0);
-        let out = Tensor::new_from_op(
-            vec![total],
-            1,
-            1,
-            Op::FlowLoss {
-                logp: self.clone(),
-                masks: masks.to_vec(),
-                spec: Rc::clone(spec),
-            },
-        );
+            vec![losses.iter().copied().reduce(|t, l| t + l).unwrap_or(0.0)]
+        });
         (out, losses)
     }
 }

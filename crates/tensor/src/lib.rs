@@ -55,7 +55,7 @@ pub use edges::EdgeIndex;
 pub use flow_loss::{FlowLossSpec, Objective};
 pub use gradcheck::{grad_check, GradCheckFailure, GradCheckReport};
 pub use init::{glorot_uniform, uniform};
-pub use ops::{IndexOutOfRange, Op, ShapeMismatch};
+pub use ops::Op;
 pub use optim::{clip_grad_norm, Adam, AdamConfig, Optimizer, Sgd};
 pub use sparse::{BinCsr, CsrError, CsrMatrix};
 pub use tensor::Tensor;

@@ -2,10 +2,12 @@
 //!
 //! Each method on [`Tensor`] performs the forward computation eagerly and
 //! records an [`Op`] describing how to route gradients during
-//! [`Tensor::backward`]. Shapes are validated eagerly with panics, matching
-//! the conventions of dense math libraries.
+//! [`Tensor::backward`]. Each op's shape rule is written once, as
+//! [`Op::output_shape`]: every method records through one checked entry
+//! that runs the rule before the forward computes and panics with the
+//! rule's message, and `revelio-analysis` runs the same rule over a
+//! recorded tape.
 
-use std::fmt;
 use std::rc::Rc;
 use std::sync::Arc;
 
@@ -15,67 +17,16 @@ use crate::kernels;
 use crate::sparse::{BinCsr, CsrMatrix};
 use crate::tensor::Tensor;
 
-/// Error returned by [`Tensor::try_gather_rows`] when a row index is out of
-/// bounds.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct IndexOutOfRange {
-    /// The offending index value.
-    pub index: usize,
-    /// The exclusive bound it violated (the number of rows).
-    pub bound: usize,
-}
-
-impl fmt::Display for IndexOutOfRange {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "index {} out of bounds for {} rows",
-            self.index, self.bound
-        )
-    }
-}
-
-impl std::error::Error for IndexOutOfRange {}
-
-/// Error returned by the `try_matmul*` family when the contracted dimensions
-/// of the two operands disagree.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ShapeMismatch {
-    /// Which product was requested (`"matmul"`, `"matmul_nt"`, `"matmul_tn"`).
-    pub op: &'static str,
-    /// Shape of the left operand.
-    pub lhs: (usize, usize),
-    /// Shape of the right operand.
-    pub rhs: (usize, usize),
-}
-
-impl fmt::Display for ShapeMismatch {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{}: incompatible shapes [{},{}] and [{},{}]",
-            self.op, self.lhs.0, self.lhs.1, self.rhs.0, self.rhs.1
-        )
-    }
-}
-
-impl std::error::Error for ShapeMismatch {}
-
 /// The operation that produced a tensor, holding its parents and any saved
 /// context required by the backward pass.
 pub enum Op {
     Add(Tensor, Tensor),
-    Sub(Tensor, Tensor),
     Mul(Tensor, Tensor),
     Div(Tensor, Tensor),
     Neg(Tensor),
     AddScalar(Tensor, f32),
     MulScalar(Tensor, f32),
     MatMul(Tensor, Tensor),
-    /// `a · bᵀ` where `b` is stored row-major `[k,n]`.
-    MatMulNt(Tensor, Tensor),
-    /// `aᵀ · b` where `a` is stored row-major `[m,k]`.
-    MatMulTn(Tensor, Tensor),
     /// `[m,n] + [1,n]` (bias add).
     AddRowBroadcast(Tensor, Tensor),
     /// `[m,n] * [m,1]` (per-row scaling; used for edge masks, Eq. 6).
@@ -135,15 +86,12 @@ impl Op {
     pub fn name(&self) -> &'static str {
         match self {
             Op::Add(..) => "add",
-            Op::Sub(..) => "sub",
             Op::Mul(..) => "mul",
             Op::Div(..) => "div",
             Op::Neg(..) => "neg",
             Op::AddScalar(..) => "add_scalar",
             Op::MulScalar(..) => "mul_scalar",
             Op::MatMul(..) => "matmul",
-            Op::MatMulNt(..) => "matmul_nt",
-            Op::MatMulTn(..) => "matmul_tn",
             Op::AddRowBroadcast(..) => "add_row_broadcast",
             Op::MulColBroadcast(..) => "mul_col_broadcast",
             Op::Relu(..) => "relu",
@@ -173,24 +121,17 @@ impl Op {
         }
     }
 
-    /// The tensors this operation reads (exposed for static tape analysis).
-    pub fn parents(&self) -> Vec<Tensor> {
-        self.operands().cloned().collect()
-    }
-
     /// The operands in order: up to three fixed slots (binary ops fill the
     /// second, message passing its optional `coef` and `scale`), then
     /// [`Op::FlowLoss`]'s masks. Allocates nothing: a backward pass calls
-    /// it for every tensor it visits.
-    pub(crate) fn operands(&self) -> impl Iterator<Item = &Tensor> {
+    /// it for every tensor it visits, and static tape analysis walks the
+    /// op graph through it.
+    pub fn operands(&self) -> impl Iterator<Item = &Tensor> {
         let (fixed, rest): ([Option<&Tensor>; 3], &[Tensor]) = match self {
             Op::Add(a, b)
-            | Op::Sub(a, b)
             | Op::Mul(a, b)
             | Op::Div(a, b)
             | Op::MatMul(a, b)
-            | Op::MatMulNt(a, b)
-            | Op::MatMulTn(a, b)
             | Op::AddRowBroadcast(a, b)
             | Op::MulColBroadcast(a, b)
             | Op::ConcatCols(a, b)
@@ -226,6 +167,174 @@ impl Op {
         fixed.into_iter().flatten().chain(rest)
     }
 
+    /// The output shape this op's operands and saved context imply: the
+    /// op's one shape rule. Every op method runs it before computing, and
+    /// the tape auditor in `revelio-analysis` re-runs it over recorded
+    /// ops, so both report a defect in the same words.
+    ///
+    /// # Errors
+    ///
+    /// Describes the first misfit between the operands, starting with the
+    /// op name.
+    pub fn output_shape(&self) -> Result<(usize, usize), String> {
+        let name = self.name();
+        match self {
+            Op::Add(a, b) | Op::Mul(a, b) | Op::Div(a, b) => {
+                if a.shape() != b.shape() {
+                    return Err(format!(
+                        "{name}: shape mismatch {} vs {}",
+                        dims(a.shape()),
+                        dims(b.shape())
+                    ));
+                }
+                Ok(a.shape())
+            }
+            Op::Neg(a)
+            | Op::AddScalar(a, _)
+            | Op::MulScalar(a, _)
+            | Op::Relu(a)
+            | Op::LeakyRelu(a, _)
+            | Op::Tanh(a)
+            | Op::Sigmoid(a)
+            | Op::Exp(a)
+            | Op::Ln(a)
+            | Op::Softplus(a)
+            | Op::ClampMin(a, _)
+            | Op::LogSoftmaxRows(a) => Ok(a.shape()),
+            Op::SumAll(_) | Op::MeanAll(_) => Ok((1, 1)),
+            Op::MatMul(a, b) => matmul_shape(a.shape(), b.shape()),
+            Op::AddRowBroadcast(a, bias) => row_bias(name, a, bias),
+            Op::BiasLeakyRelu(a, bias, slope) => {
+                if *slope < 0.0 {
+                    return Err(format!("{name}: slope must be non-negative, got {slope}"));
+                }
+                row_bias(name, a, bias)
+            }
+            Op::MulColBroadcast(a, scale) => {
+                let (m, n) = a.shape();
+                if scale.shape() != (m, 1) {
+                    return Err(format!(
+                        "{name}: scale must be [{m},1] for a [{m},{n}] operand, got {}",
+                        dims(scale.shape())
+                    ));
+                }
+                Ok((m, n))
+            }
+            Op::SigmoidScale(a, w) => {
+                let (m, n) = a.shape();
+                if w.shape() != (1, 1) && w.shape() != (m, n) {
+                    return Err(format!(
+                        "{name}: weight must be [1,1] or [{m},{n}], got {}",
+                        dims(w.shape())
+                    ));
+                }
+                Ok((m, n))
+            }
+            Op::NllLoss(a, targets) | Op::SoftmaxXent(a, targets) => {
+                let (m, n) = a.shape();
+                if targets.len() != m {
+                    return Err(format!("{name}: {} targets for {m} rows", targets.len()));
+                }
+                if let Some(t) = targets.iter().find(|&&t| t >= n) {
+                    return Err(format!("{name}: target {t} out of range for {n} classes"));
+                }
+                Ok((1, 1))
+            }
+            Op::MeanRows(a, offsets) => {
+                let (m, n) = a.shape();
+                if offsets.first() != Some(&0)
+                    || offsets.last() != Some(&m)
+                    || offsets.windows(2).any(|w| w[0] >= w[1])
+                {
+                    return Err(format!(
+                        "{name}: offsets {offsets:?} do not split {m} rows into non-empty segments"
+                    ));
+                }
+                Ok((offsets.len() - 1, n))
+            }
+            Op::GatherRows(a, idx) => {
+                let (m, n) = a.shape();
+                if let Some(i) = idx.iter().find(|&&i| i >= m) {
+                    return Err(format!("{name}: index {i} out of bounds for {m} rows"));
+                }
+                Ok((idx.len(), n))
+            }
+            Op::ScatterAddRows(a, idx, n_out) => {
+                let (m, n) = a.shape();
+                if idx.len() != m {
+                    return Err(format!("{name}: {} indices for {m} rows", idx.len()));
+                }
+                if let Some(i) = idx.iter().find(|&&i| i >= *n_out) {
+                    return Err(format!(
+                        "{name}: index {i} out of bounds for {n_out} output rows"
+                    ));
+                }
+                Ok((*n_out, n))
+            }
+            Op::MessagePass {
+                x,
+                coef,
+                scale,
+                edges,
+            } => {
+                // The index checked its endpoints when it was built; what is
+                // left is that the operands fit it.
+                let (m, n) = x.shape();
+                if m != edges.n_in() {
+                    return Err(format!(
+                        "{name}: {m} rows but the edge index reads {} input rows",
+                        edges.n_in()
+                    ));
+                }
+                let ne = edges.len();
+                for (col_name, col) in [("coef", coef), ("scale", scale)] {
+                    if let Some(col) = col.as_ref().filter(|c| c.shape() != (ne, 1)) {
+                        return Err(format!(
+                            "{name}: {col_name} must be [{ne},1] for {ne} edges, got {}",
+                            dims(col.shape())
+                        ));
+                    }
+                }
+                Ok((edges.n_out(), n))
+            }
+            Op::SliceCols(a, c0, c1) => {
+                let (m, n) = a.shape();
+                if !(c0 < c1 && *c1 <= n) {
+                    return Err(format!("{name}: invalid range {c0}..{c1} for {n} cols"));
+                }
+                Ok((m, c1 - c0))
+            }
+            Op::ConcatCols(a, b) => {
+                let ((m, na), (m2, nb)) = (a.shape(), b.shape());
+                if m != m2 {
+                    return Err(format!("{name}: row counts differ: {m} vs {m2}"));
+                }
+                Ok((m, na + nb))
+            }
+            Op::SegmentSoftmax(a, segments) => {
+                let (m, n) = a.shape();
+                if segments.len() != m {
+                    return Err(format!(
+                        "{name}: {} segment ids for {m} rows",
+                        segments.len()
+                    ));
+                }
+                Ok((m, n))
+            }
+            Op::SpMatVec(mat, x) => {
+                let (r, c) = (mat.rows(), mat.cols());
+                if x.shape() != (c, 1) {
+                    return Err(format!(
+                        "{name}: vector must be [{c},1] for a {r}×{c} matrix, got {}",
+                        dims(x.shape())
+                    ));
+                }
+                Ok((r, 1))
+            }
+            Op::FlowLoss { logp, masks, spec } => spec.check(logp.shape(), masks).map(|()| (1, 1)),
+        }
+    }
+
     /// Routes `grad_out` (the gradient w.r.t. `out`) to the parents that
     /// need one (see [`Tensor::backward`]); a parent that needs none is
     /// neither computed for nor written to. Every computed gradient is the
@@ -237,14 +346,6 @@ impl Op {
                     if p.needs_grad() {
                         p.accumulate_grad(grad_out);
                     }
-                }
-            }
-            Op::Sub(a, b) => {
-                if a.needs_grad() {
-                    a.accumulate_grad(grad_out);
-                }
-                if b.needs_grad() {
-                    b.accumulate_grad_vec(grad_out.iter().map(|g| -g).collect());
                 }
             }
             Op::Mul(a, b) => {
@@ -297,36 +398,6 @@ impl Op {
                 if b.needs_grad() {
                     // gb = a^T . g  (k x m) . (m x n)
                     let gb = kernels::matmul_tn(&a.data(), m, k, grad_out, n);
-                    b.accumulate_grad_vec(gb);
-                }
-            }
-            Op::MatMulNt(a, b) => {
-                // out = a . b^T with a [m,n], b [k,n]; grad_out is [m,k].
-                let (m, n) = a.shape();
-                let (k, _) = b.shape();
-                if a.needs_grad() {
-                    // ga = g . b  (m x k) . (k x n)
-                    let ga = kernels::matmul_nn(grad_out, m, k, &b.data(), n);
-                    a.accumulate_grad_vec(ga);
-                }
-                if b.needs_grad() {
-                    // gb = g^T . a  (k x m) . (m x n)
-                    let gb = kernels::matmul_tn(grad_out, m, k, &a.data(), n);
-                    b.accumulate_grad_vec(gb);
-                }
-            }
-            Op::MatMulTn(a, b) => {
-                // out = a^T . b with a [m,k], b [m,n]; grad_out is [k,n].
-                let (m, k) = a.shape();
-                let (_, n) = b.shape();
-                if a.needs_grad() {
-                    // ga = b . g^T  (m x n) . (n x k)
-                    let ga = kernels::matmul_nt(&b.data(), m, n, grad_out, k);
-                    a.accumulate_grad_vec(ga);
-                }
-                if b.needs_grad() {
-                    // gb = a . g  (m x k) . (k x n)
-                    let gb = kernels::matmul_nn(&a.data(), m, k, grad_out, n);
                     b.accumulate_grad_vec(gb);
                 }
             }
@@ -682,6 +753,36 @@ impl Op {
     }
 }
 
+/// A shape as the rule messages print it: `[rows,cols]`.
+fn dims((r, c): (usize, usize)) -> String {
+    format!("[{r},{c}]")
+}
+
+/// `[m,k] · [k,n] -> [m,n]`: the shape rule of [`Op::MatMul`], which
+/// [`Tensor::csr_matmul`]'s sparse product shares.
+fn matmul_shape(a: (usize, usize), b: (usize, usize)) -> Result<(usize, usize), String> {
+    if a.1 != b.0 {
+        return Err(format!(
+            "matmul: incompatible shapes {} and {}",
+            dims(a),
+            dims(b)
+        ));
+    }
+    Ok((a.0, b.1))
+}
+
+/// `[m,n] + [1,n]`: the bias rule of the row broadcasts.
+fn row_bias(name: &str, a: &Tensor, bias: &Tensor) -> Result<(usize, usize), String> {
+    let (m, n) = a.shape();
+    if bias.shape() != (1, n) {
+        return Err(format!(
+            "{name}: bias must be [1,{n}] for a [{m},{n}] operand, got {}",
+            dims(bias.shape())
+        ));
+    }
+    Ok((m, n))
+}
+
 #[inline]
 fn sigmoid_scalar(x: f32) -> f32 {
     1.0 / (1.0 + (-x).exp())
@@ -748,24 +849,14 @@ macro_rules! elementwise_binary {
     ($name:ident, $op_variant:ident, $f:expr) => {
         /// Elementwise binary operation; both operands must share a shape.
         pub fn $name(&self, other: &Tensor) -> Tensor {
-            assert_eq!(
-                self.shape(),
-                other.shape(),
-                concat!(stringify!($name), ": shape mismatch")
-            );
             let f = $f;
-            let data: Vec<f32> = self
-                .data()
-                .iter()
-                .zip(other.data().iter())
-                .map(|(a, b)| f(*a, *b))
-                .collect();
-            Tensor::new_from_op(
-                data,
-                self.rows(),
-                self.cols(),
-                Op::$op_variant(self.clone(), other.clone()),
-            )
+            Tensor::record(Op::$op_variant(self.clone(), other.clone()), || {
+                self.data()
+                    .iter()
+                    .zip(other.data().iter())
+                    .map(|(a, b)| f(*a, *b))
+                    .collect()
+            })
         }
     };
 }
@@ -775,20 +866,15 @@ macro_rules! elementwise_unary {
         /// Elementwise unary operation.
         pub fn $name(&self) -> Tensor {
             let f = $f;
-            let data: Vec<f32> = self.data().iter().map(|x| f(*x)).collect();
-            Tensor::new_from_op(
-                data,
-                self.rows(),
-                self.cols(),
-                Op::$op_variant(self.clone()),
-            )
+            Tensor::record(Op::$op_variant(self.clone()), || {
+                self.data().iter().map(|x| f(*x)).collect()
+            })
         }
     };
 }
 
 impl Tensor {
     elementwise_binary!(add, Add, |a: f32, b: f32| a + b);
-    elementwise_binary!(sub, Sub, |a: f32, b: f32| a - b);
     elementwise_binary!(mul, Mul, |a: f32, b: f32| a * b);
     elementwise_binary!(div, Div, |a: f32, b: f32| a / b);
 
@@ -809,88 +895,45 @@ impl Tensor {
 
     /// Adds a scalar to every element.
     pub fn add_scalar(&self, s: f32) -> Tensor {
-        let data: Vec<f32> = self.data().iter().map(|x| x + s).collect();
-        Tensor::new_from_op(
-            data,
-            self.rows(),
-            self.cols(),
-            Op::AddScalar(self.clone(), s),
-        )
+        Tensor::record(Op::AddScalar(self.clone(), s), || {
+            self.data().iter().map(|x| x + s).collect()
+        })
     }
 
     /// Multiplies every element by a scalar.
     pub fn mul_scalar(&self, s: f32) -> Tensor {
-        let data: Vec<f32> = self.data().iter().map(|x| x * s).collect();
-        Tensor::new_from_op(
-            data,
-            self.rows(),
-            self.cols(),
-            Op::MulScalar(self.clone(), s),
-        )
+        Tensor::record(Op::MulScalar(self.clone(), s), || {
+            self.data().iter().map(|x| x * s).collect()
+        })
     }
 
     /// Elementwise `max(x, min)`; gradient is blocked where clamping occurs.
     pub fn clamp_min(&self, min: f32) -> Tensor {
-        let data: Vec<f32> = self.data().iter().map(|x| x.max(min)).collect();
-        Tensor::new_from_op(
-            data,
-            self.rows(),
-            self.cols(),
-            Op::ClampMin(self.clone(), min),
-        )
+        Tensor::record(Op::ClampMin(self.clone(), min), || {
+            self.data().iter().map(|x| x.max(min)).collect()
+        })
     }
 
     /// Leaky ReLU with the given negative slope.
     pub fn leaky_relu(&self, slope: f32) -> Tensor {
-        let data: Vec<f32> = self
-            .data()
-            .iter()
-            .map(|x| if *x > 0.0 { *x } else { x * slope })
-            .collect();
-        Tensor::new_from_op(
-            data,
-            self.rows(),
-            self.cols(),
-            Op::LeakyRelu(self.clone(), slope),
-        )
+        Tensor::record(Op::LeakyRelu(self.clone(), slope), || {
+            self.data()
+                .iter()
+                .map(|x| if *x > 0.0 { *x } else { x * slope })
+                .collect()
+        })
     }
 
     /// Dense matrix multiplication `self (m×k) · other (k×n)`.
     ///
     /// # Panics
     ///
-    /// Panics if the inner dimensions disagree; use [`Tensor::try_matmul`]
-    /// to get a typed error instead.
+    /// Panics if the inner dimensions disagree.
     pub fn matmul(&self, other: &Tensor) -> Tensor {
-        match self.try_matmul(other) {
-            Ok(t) => t,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Dense matrix multiplication `self (m×k) · other (k×n)`, returning
-    /// [`ShapeMismatch`] when the inner dimensions disagree.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ShapeMismatch`] if `self.cols() != other.rows()`.
-    pub fn try_matmul(&self, other: &Tensor) -> Result<Tensor, ShapeMismatch> {
-        let (m, k) = self.shape();
-        let (k2, n) = other.shape();
-        if k != k2 {
-            return Err(ShapeMismatch {
-                op: "matmul",
-                lhs: (m, k),
-                rhs: (k2, n),
-            });
-        }
-        let data = kernels::matmul_nn(&self.data(), m, k, &other.data(), n);
-        Ok(Tensor::new_from_op(
-            data,
-            m,
-            n,
-            Op::MatMul(self.clone(), other.clone()),
-        ))
+        Tensor::record(Op::MatMul(self.clone(), other.clone()), || {
+            let (m, k) = self.shape();
+            kernels::matmul_nn(&self.data(), m, k, &other.data(), other.cols())
+        })
     }
 
     /// `x (m×k) · w (k×n)` with `x` a constant sparse matrix (node
@@ -904,100 +947,16 @@ impl Tensor {
     ///
     /// # Panics
     ///
-    /// Panics if `x.cols() != w.rows()`.
+    /// Panics if `x.cols() != w.rows()`, with [`Op::MatMul`]'s message.
     pub fn csr_matmul(x: &CsrMatrix, w: &Tensor) -> Tensor {
-        assert_eq!(
-            x.cols(),
-            w.rows(),
-            "csr_matmul: shape mismatch [{}, {}] x [{}, {}]",
-            x.rows(),
-            x.cols(),
-            w.rows(),
-            w.cols()
-        );
+        let (m, n) = match matmul_shape((x.rows(), x.cols()), w.shape()) {
+            Ok(shape) => shape,
+            Err(e) => panic!("{e}"),
+        };
         if w.requires_grad_flag() || w.op().is_some() {
             return Tensor::from_vec(x.to_dense(), x.rows(), x.cols()).matmul(w);
         }
-        let data = kernels::matmul_csr(x, &w.data(), w.cols());
-        Tensor::from_vec(data, x.rows(), w.cols())
-    }
-
-    /// Transposed-right product `self (m×n) · otherᵀ` with `other` stored
-    /// row-major `[k,n]`; the result is `[m,k]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the column counts disagree; use [`Tensor::try_matmul_nt`]
-    /// to get a typed error instead.
-    pub fn matmul_nt(&self, other: &Tensor) -> Tensor {
-        match self.try_matmul_nt(other) {
-            Ok(t) => t,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Transposed-right product `self · otherᵀ`, returning [`ShapeMismatch`]
-    /// when the column counts disagree.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ShapeMismatch`] if `self.cols() != other.cols()`.
-    pub fn try_matmul_nt(&self, other: &Tensor) -> Result<Tensor, ShapeMismatch> {
-        let (m, n) = self.shape();
-        let (k, n2) = other.shape();
-        if n != n2 {
-            return Err(ShapeMismatch {
-                op: "matmul_nt",
-                lhs: (m, n),
-                rhs: (k, n2),
-            });
-        }
-        let data = kernels::matmul_nt(&self.data(), m, n, &other.data(), k);
-        Ok(Tensor::new_from_op(
-            data,
-            m,
-            k,
-            Op::MatMulNt(self.clone(), other.clone()),
-        ))
-    }
-
-    /// Transposed-left product `selfᵀ · other` with `self` stored row-major
-    /// `[m,k]` and `other` `[m,n]`; the result is `[k,n]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the row counts disagree; use [`Tensor::try_matmul_tn`] to
-    /// get a typed error instead.
-    pub fn matmul_tn(&self, other: &Tensor) -> Tensor {
-        match self.try_matmul_tn(other) {
-            Ok(t) => t,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Transposed-left product `selfᵀ · other`, returning [`ShapeMismatch`]
-    /// when the row counts disagree.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ShapeMismatch`] if `self.rows() != other.rows()`.
-    pub fn try_matmul_tn(&self, other: &Tensor) -> Result<Tensor, ShapeMismatch> {
-        let (m, k) = self.shape();
-        let (m2, n) = other.shape();
-        if m != m2 {
-            return Err(ShapeMismatch {
-                op: "matmul_tn",
-                lhs: (m, k),
-                rhs: (m2, n),
-            });
-        }
-        let data = kernels::matmul_tn(&self.data(), m, k, &other.data(), n);
-        Ok(Tensor::new_from_op(
-            data,
-            k,
-            n,
-            Op::MatMulTn(self.clone(), other.clone()),
-        ))
+        Tensor::from_vec(kernels::matmul_csr(x, &w.data(), n), m, n)
     }
 
     /// Fused `σ(self ⊙ w)`: multiply by a weight (scalar `[1,1]` broadcast
@@ -1011,24 +970,19 @@ impl Tensor {
     ///
     /// Panics if `w` is neither `[1,1]` nor shaped like `self`.
     pub fn sigmoid_scale(&self, w: &Tensor) -> Tensor {
-        let (m, n) = self.shape();
-        assert!(
-            w.shape() == (1, 1) || w.shape() == (m, n),
-            "sigmoid_scale: weight must be [1,1] or [{m},{n}]"
-        );
-        let wd = w.data();
-        let data: Vec<f32> = if w.len() == 1 {
-            let wv = wd[0];
-            self.data().iter().map(|x| sigmoid_scalar(x * wv)).collect()
-        } else {
-            self.data()
-                .iter()
-                .zip(wd.iter())
-                .map(|(x, wv)| sigmoid_scalar(x * wv))
-                .collect()
-        };
-        drop(wd);
-        Tensor::new_from_op(data, m, n, Op::SigmoidScale(self.clone(), w.clone()))
+        Tensor::record(Op::SigmoidScale(self.clone(), w.clone()), || {
+            let wd = w.data();
+            if w.len() == 1 {
+                let wv = wd[0];
+                self.data().iter().map(|x| sigmoid_scalar(x * wv)).collect()
+            } else {
+                self.data()
+                    .iter()
+                    .zip(wd.iter())
+                    .map(|(x, wv)| sigmoid_scalar(x * wv))
+                    .collect()
+            }
+        })
     }
 
     /// Fused `leaky_relu(self + bias, slope)`: bias add and activation in
@@ -1043,27 +997,16 @@ impl Tensor {
     ///
     /// Panics if `bias` is not `[1,n]` or `slope` is negative.
     pub fn bias_leaky_relu(&self, bias: &Tensor, slope: f32) -> Tensor {
-        let (m, n) = self.shape();
-        assert_eq!(
-            bias.shape(),
-            (1, n),
-            "bias_leaky_relu: bias must be [1,{n}]"
-        );
-        assert!(slope >= 0.0, "bias_leaky_relu: slope must be non-negative");
-        let data = map_row_broadcast(&self.data(), &bias.data(), |x, b| {
-            let v = x + b;
-            if v > 0.0 {
-                v
-            } else {
-                v * slope
-            }
-        });
-        Tensor::new_from_op(
-            data,
-            m,
-            n,
-            Op::BiasLeakyRelu(self.clone(), bias.clone(), slope),
-        )
+        Tensor::record(Op::BiasLeakyRelu(self.clone(), bias.clone(), slope), || {
+            map_row_broadcast(&self.data(), &bias.data(), |x, b| {
+                let v = x + b;
+                if v > 0.0 {
+                    v
+                } else {
+                    v * slope
+                }
+            })
+        })
     }
 
     /// Fused mean cross-entropy: `log_softmax_rows` + `nll_loss` in a single
@@ -1077,43 +1020,26 @@ impl Tensor {
     /// Panics if `targets.len()` differs from the number of rows or a target
     /// class index is out of range.
     pub fn softmax_xent(&self, targets: &[usize]) -> Tensor {
-        let (m, n) = self.shape();
-        assert_eq!(
-            targets.len(),
-            m,
-            "softmax_xent: one target per row required"
-        );
-        let d = self.data();
-        let mut acc = 0.0f32;
-        for (i, &t) in targets.iter().enumerate() {
-            assert!(
-                t < n,
-                "softmax_xent: target {t} out of range for {n} classes"
-            );
-            let row = &d[i * n..(i + 1) * n];
-            let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-            let lse = row.iter().map(|x| (x - max).exp()).sum::<f32>().ln() + max;
-            acc -= row[t] - lse;
-        }
-        drop(d);
-        Tensor::new_from_op(
-            vec![acc / m as f32],
-            1,
-            1,
-            Op::SoftmaxXent(self.clone(), Rc::new(targets.to_vec())),
-        )
+        let op = Op::SoftmaxXent(self.clone(), Rc::new(targets.to_vec()));
+        Tensor::record(op, || {
+            let n = self.cols();
+            let d = self.data();
+            let mut acc = 0.0f32;
+            for (i, &t) in targets.iter().enumerate() {
+                let row = &d[i * n..(i + 1) * n];
+                let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+                let lse = row.iter().map(|x| (x - max).exp()).sum::<f32>().ln() + max;
+                acc -= row[t] - lse;
+            }
+            vec![acc / self.rows() as f32]
+        })
     }
 
     /// `self [m,n] + bias [1,n]`, broadcasting the bias across rows.
     pub fn add_row_broadcast(&self, bias: &Tensor) -> Tensor {
-        let (m, n) = self.shape();
-        assert_eq!(
-            bias.shape(),
-            (1, n),
-            "add_row_broadcast: bias must be [1,{n}]"
-        );
-        let data = map_row_broadcast(&self.data(), &bias.data(), |x, b| x + b);
-        Tensor::new_from_op(data, m, n, Op::AddRowBroadcast(self.clone(), bias.clone()))
+        Tensor::record(Op::AddRowBroadcast(self.clone(), bias.clone()), || {
+            map_row_broadcast(&self.data(), &bias.data(), |x, b| x + b)
+        })
     }
 
     /// `self [m,n] * scale [m,1]`, broadcasting the scale across columns.
@@ -1121,34 +1047,33 @@ impl Tensor {
     /// This is the mask-application primitive of Eq. 6: each edge message row
     /// is scaled by its layer-edge importance.
     pub fn mul_col_broadcast(&self, scale: &Tensor) -> Tensor {
-        let (m, n) = self.shape();
-        assert_eq!(
-            scale.shape(),
-            (m, 1),
-            "mul_col_broadcast: scale must be [{m},1]"
-        );
-        let sd = scale.data();
-        let mut data = self.to_vec();
-        for i in 0..m {
-            let s = sd[i];
-            for v in &mut data[i * n..(i + 1) * n] {
-                *v *= s;
+        Tensor::record(Op::MulColBroadcast(self.clone(), scale.clone()), || {
+            let (m, n) = self.shape();
+            let sd = scale.data();
+            let mut data = self.to_vec();
+            for i in 0..m {
+                let s = sd[i];
+                for v in &mut data[i * n..(i + 1) * n] {
+                    *v *= s;
+                }
             }
-        }
-        drop(sd);
-        Tensor::new_from_op(data, m, n, Op::MulColBroadcast(self.clone(), scale.clone()))
+            data
+        })
     }
 
     /// Sum of all elements as a `1 × 1` tensor.
     pub fn sum_all(&self) -> Tensor {
-        let s: f32 = self.data().iter().sum();
-        Tensor::new_from_op(vec![s], 1, 1, Op::SumAll(self.clone()))
+        Tensor::record(Op::SumAll(self.clone()), || {
+            vec![self.data().iter().sum::<f32>()]
+        })
     }
 
     /// Mean of all elements as a `1 × 1` tensor.
     pub fn mean_all(&self) -> Tensor {
-        let s: f32 = self.data().iter().sum();
-        Tensor::new_from_op(vec![s / self.len() as f32], 1, 1, Op::MeanAll(self.clone()))
+        Tensor::record(Op::MeanAll(self.clone()), || {
+            let s: f32 = self.data().iter().sum();
+            vec![s / self.len() as f32]
+        })
     }
 
     /// Mean over rows: `[m,n] -> [1,n]` (mean-pool graph readout).
@@ -1166,47 +1091,41 @@ impl Tensor {
     /// Panics unless `offsets` ascend strictly from 0 to `m` (no segment
     /// is empty).
     pub fn segment_mean_rows(&self, offsets: &[usize]) -> Tensor {
-        let (m, n) = self.shape();
-        assert!(
-            offsets.first() == Some(&0)
-                && offsets.last() == Some(&m)
-                && offsets.windows(2).all(|w| w[0] < w[1]),
-            "segment_mean_rows: offsets {offsets:?} do not split {m} rows into non-empty segments"
-        );
-        let d = self.data();
-        let mut out = Vec::with_capacity((offsets.len() - 1) * n);
-        for w in offsets.windows(2) {
-            let mut sums = column_sums(&d[w[0] * n..w[1] * n], n);
-            let inv = 1.0 / (w[1] - w[0]) as f32;
-            for v in &mut sums {
-                *v *= inv;
-            }
-            out.extend(sums);
-        }
-        drop(d);
-        Tensor::new_from_op(
-            out,
-            offsets.len() - 1,
-            n,
+        Tensor::record(
             Op::MeanRows(self.clone(), Rc::new(offsets.to_vec())),
+            || {
+                let n = self.cols();
+                let d = self.data();
+                let mut out = Vec::with_capacity((offsets.len() - 1) * n);
+                for w in offsets.windows(2) {
+                    let mut sums = column_sums(&d[w[0] * n..w[1] * n], n);
+                    let inv = 1.0 / (w[1] - w[0]) as f32;
+                    for v in &mut sums {
+                        *v *= inv;
+                    }
+                    out.extend(sums);
+                }
+                out
+            },
         )
     }
 
     /// Row-wise log-softmax (numerically stabilised).
     pub fn log_softmax_rows(&self) -> Tensor {
-        let (m, n) = self.shape();
-        let d = self.data();
-        let mut out = vec![0.0f32; m * n];
-        for i in 0..m {
-            let row = &d[i * n..(i + 1) * n];
-            let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-            let lse = row.iter().map(|x| (x - max).exp()).sum::<f32>().ln() + max;
-            for j in 0..n {
-                out[i * n + j] = row[j] - lse;
+        Tensor::record(Op::LogSoftmaxRows(self.clone()), || {
+            let (m, n) = self.shape();
+            let d = self.data();
+            let mut out = vec![0.0f32; m * n];
+            for i in 0..m {
+                let row = &d[i * n..(i + 1) * n];
+                let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+                let lse = row.iter().map(|x| (x - max).exp()).sum::<f32>().ln() + max;
+                for j in 0..n {
+                    out[i * n + j] = row[j] - lse;
+                }
             }
-        }
-        drop(d);
-        Tensor::new_from_op(out, m, n, Op::LogSoftmaxRows(self.clone()))
+            out
+        })
     }
 
     /// Mean negative log-likelihood of `targets` under row-wise log-probs.
@@ -1216,62 +1135,32 @@ impl Tensor {
     /// Panics if `targets.len()` differs from the number of rows or a target
     /// class index is out of range.
     pub fn nll_loss(&self, targets: &[usize]) -> Tensor {
-        let (m, n) = self.shape();
-        assert_eq!(targets.len(), m, "nll_loss: one target per row required");
-        let d = self.data();
-        let mut acc = 0.0f32;
-        for (i, &t) in targets.iter().enumerate() {
-            assert!(t < n, "nll_loss: target {t} out of range for {n} classes");
-            acc -= d[i * n + t];
-        }
-        drop(d);
-        Tensor::new_from_op(
-            vec![acc / m as f32],
-            1,
-            1,
-            Op::NllLoss(self.clone(), Rc::new(targets.to_vec())),
-        )
+        Tensor::record(Op::NllLoss(self.clone(), Rc::new(targets.to_vec())), || {
+            let n = self.cols();
+            let d = self.data();
+            let mut acc = 0.0f32;
+            for (i, &t) in targets.iter().enumerate() {
+                acc -= d[i * n + t];
+            }
+            vec![acc / self.rows() as f32]
+        })
     }
 
     /// Gathers rows: `out[i, :] = self[idx[i], :]`.
     ///
     /// # Panics
     ///
-    /// Panics if any index is out of bounds; use
-    /// [`Tensor::try_gather_rows`] to get an error instead.
+    /// Panics if any index is out of bounds.
     pub fn gather_rows(&self, idx: &[usize]) -> Tensor {
-        match self.try_gather_rows(idx) {
-            Ok(t) => t,
-            Err(e) => panic!(
-                "gather_rows: index {} out of bounds for {} rows",
-                e.index, e.bound
-            ),
-        }
-    }
-
-    /// Gathers rows, returning [`IndexOutOfRange`] instead of panicking when
-    /// an index exceeds the row count.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first out-of-bounds index encountered.
-    pub fn try_gather_rows(&self, idx: &[usize]) -> Result<Tensor, IndexOutOfRange> {
-        let (m, n) = self.shape();
-        let d = self.data();
-        let mut out = Vec::with_capacity(idx.len() * n);
-        for &i in idx {
-            if i >= m {
-                return Err(IndexOutOfRange { index: i, bound: m });
+        Tensor::record(Op::GatherRows(self.clone(), Rc::new(idx.to_vec())), || {
+            let n = self.cols();
+            let d = self.data();
+            let mut out = Vec::with_capacity(idx.len() * n);
+            for &i in idx {
+                out.extend_from_slice(&d[i * n..(i + 1) * n]);
             }
-            out.extend_from_slice(&d[i * n..(i + 1) * n]);
-        }
-        drop(d);
-        Ok(Tensor::new_from_op(
-            out,
-            idx.len(),
-            n,
-            Op::GatherRows(self.clone(), Rc::new(idx.to_vec())),
-        ))
+            out
+        })
     }
 
     /// Scatter-add rows into a fresh `[n_out, cols]` tensor:
@@ -1284,23 +1173,18 @@ impl Tensor {
     /// Panics if `idx.len()` differs from the number of rows or any index is
     /// `>= n_out`.
     pub fn scatter_add_rows(&self, idx: &[usize], n_out: usize) -> Tensor {
-        let (m, n) = self.shape();
-        assert_eq!(idx.len(), m, "scatter_add_rows: one index per row required");
-        let d = self.data();
-        let mut out = vec![0.0f32; n_out * n];
-        for (i, &dst) in idx.iter().enumerate() {
-            assert!(dst < n_out, "scatter_add_rows: index {dst} out of bounds");
-            for j in 0..n {
-                out[dst * n + j] += d[i * n + j];
+        let op = Op::ScatterAddRows(self.clone(), Rc::new(idx.to_vec()), n_out);
+        Tensor::record(op, || {
+            let n = self.cols();
+            let d = self.data();
+            let mut out = vec![0.0f32; n_out * n];
+            for (i, &dst) in idx.iter().enumerate() {
+                for j in 0..n {
+                    out[dst * n + j] += d[i * n + j];
+                }
             }
-        }
-        drop(d);
-        Tensor::new_from_op(
-            out,
-            n_out,
-            n,
-            Op::ScatterAddRows(self.clone(), Rc::new(idx.to_vec()), n_out),
-        )
+            out
+        })
     }
 
     /// Fused message passing over the `|E|` edges of `edges` into a fresh
@@ -1326,83 +1210,59 @@ impl Tensor {
         coef: Option<&Tensor>,
         scale: Option<&Tensor>,
     ) -> Tensor {
-        let (m, d) = self.shape();
-        assert_eq!(
-            m,
-            edges.n_in(),
-            "message_pass: {m} rows but the edge index reads {}",
-            edges.n_in()
-        );
-        let ne = edges.len();
-        for (name, col) in [("coef", coef), ("scale", scale)] {
-            if let Some(col) = col {
-                assert_eq!(
-                    col.shape(),
-                    (ne, 1),
-                    "message_pass: {name} must be [{ne},1]"
-                );
-            }
-        }
-        let xd = self.data();
-        let cd = coef.map(Tensor::data);
-        let sd = scale.map(Tensor::data);
-        let (cs, ss) = (cd.as_deref(), sd.as_deref());
-        let src = edges.src();
-        let n_out = edges.n_out();
-        let mut out = vec![0.0f32; n_out * d];
-        for (t, row) in out.chunks_exact_mut(d.max(1)).enumerate() {
-            for &e in edges.in_edges(t) {
-                let e = e as usize;
-                let (c, w) = (factor(cs, e), factor(ss, e));
-                for (o, x) in row.iter_mut().zip(&xd[src[e] * d..(src[e] + 1) * d]) {
-                    *o += (x * c) * w;
+        let op = Op::MessagePass {
+            x: self.clone(),
+            coef: coef.cloned(),
+            scale: scale.cloned(),
+            edges: Arc::clone(edges),
+        };
+        Tensor::record(op, || {
+            let d = self.cols();
+            let xd = self.data();
+            let cd = coef.map(Tensor::data);
+            let sd = scale.map(Tensor::data);
+            let (cs, ss) = (cd.as_deref(), sd.as_deref());
+            let src = edges.src();
+            let mut out = vec![0.0f32; edges.n_out() * d];
+            for (t, row) in out.chunks_exact_mut(d.max(1)).enumerate() {
+                for &e in edges.in_edges(t) {
+                    let e = e as usize;
+                    let (c, w) = (factor(cs, e), factor(ss, e));
+                    for (o, x) in row.iter_mut().zip(&xd[src[e] * d..(src[e] + 1) * d]) {
+                        *o += (x * c) * w;
+                    }
                 }
             }
-        }
-        drop((xd, cd, sd));
-        Tensor::new_from_op(
-            out,
-            n_out,
-            d,
-            Op::MessagePass {
-                x: self.clone(),
-                coef: coef.cloned(),
-                scale: scale.cloned(),
-                edges: Arc::clone(edges),
-            },
-        )
+            out
+        })
     }
 
     /// Slices columns `[c0, c1)`.
     pub fn slice_cols(&self, c0: usize, c1: usize) -> Tensor {
-        let (m, n) = self.shape();
-        assert!(
-            c0 < c1 && c1 <= n,
-            "slice_cols: invalid range {c0}..{c1} for {n} cols"
-        );
-        let d = self.data();
-        let w = c1 - c0;
-        let mut out = Vec::with_capacity(m * w);
-        for i in 0..m {
-            out.extend_from_slice(&d[i * n + c0..i * n + c1]);
-        }
-        drop(d);
-        Tensor::new_from_op(out, m, w, Op::SliceCols(self.clone(), c0, c1))
+        Tensor::record(Op::SliceCols(self.clone(), c0, c1), || {
+            let (m, n) = self.shape();
+            let d = self.data();
+            let mut out = Vec::with_capacity(m * (c1 - c0));
+            for i in 0..m {
+                out.extend_from_slice(&d[i * n + c0..i * n + c1]);
+            }
+            out
+        })
     }
 
     /// Concatenates two tensors along columns.
     pub fn concat_cols(&self, other: &Tensor) -> Tensor {
-        let (m, na) = self.shape();
-        let (m2, nb) = other.shape();
-        assert_eq!(m, m2, "concat_cols: row counts differ");
-        let (a, b) = (self.data(), other.data());
-        let mut out = Vec::with_capacity(m * (na + nb));
-        for i in 0..m {
-            out.extend_from_slice(&a[i * na..(i + 1) * na]);
-            out.extend_from_slice(&b[i * nb..(i + 1) * nb]);
-        }
-        drop((a, b));
-        Tensor::new_from_op(out, m, na + nb, Op::ConcatCols(self.clone(), other.clone()))
+        Tensor::record(Op::ConcatCols(self.clone(), other.clone()), || {
+            let (m, na) = self.shape();
+            let nb = other.cols();
+            let (a, b) = (self.data(), other.data());
+            let mut out = Vec::with_capacity(m * (na + nb));
+            for i in 0..m {
+                out.extend_from_slice(&a[i * na..(i + 1) * na]);
+                out.extend_from_slice(&b[i * nb..(i + 1) * nb]);
+            }
+            out
+        })
     }
 
     /// Softmax computed independently per column over row segments.
@@ -1414,43 +1274,39 @@ impl Tensor {
     ///
     /// Panics if `segments.len()` differs from the number of rows.
     pub fn segment_softmax(&self, segments: &[usize]) -> Tensor {
-        let (m, n) = self.shape();
-        assert_eq!(segments.len(), m, "segment_softmax: one segment per row");
-        let n_segs = segments.iter().copied().max().map_or(0, |s| s + 1);
-        let d = self.data();
-        let mut seg_max = vec![f32::NEG_INFINITY; n_segs * n];
-        for i in 0..m {
-            let s = segments[i];
-            for j in 0..n {
-                let v = d[i * n + j];
-                if v > seg_max[s * n + j] {
-                    seg_max[s * n + j] = v;
+        let op = Op::SegmentSoftmax(self.clone(), Rc::new(segments.to_vec()));
+        Tensor::record(op, || {
+            let (m, n) = self.shape();
+            let n_segs = segments.iter().copied().max().map_or(0, |s| s + 1);
+            let d = self.data();
+            let mut seg_max = vec![f32::NEG_INFINITY; n_segs * n];
+            for i in 0..m {
+                let s = segments[i];
+                for j in 0..n {
+                    let v = d[i * n + j];
+                    if v > seg_max[s * n + j] {
+                        seg_max[s * n + j] = v;
+                    }
                 }
             }
-        }
-        let mut seg_sum = vec![0.0f32; n_segs * n];
-        let mut out = vec![0.0f32; m * n];
-        for i in 0..m {
-            let s = segments[i];
-            for j in 0..n {
-                let e = (d[i * n + j] - seg_max[s * n + j]).exp();
-                out[i * n + j] = e;
-                seg_sum[s * n + j] += e;
+            let mut seg_sum = vec![0.0f32; n_segs * n];
+            let mut out = vec![0.0f32; m * n];
+            for i in 0..m {
+                let s = segments[i];
+                for j in 0..n {
+                    let e = (d[i * n + j] - seg_max[s * n + j]).exp();
+                    out[i * n + j] = e;
+                    seg_sum[s * n + j] += e;
+                }
             }
-        }
-        for i in 0..m {
-            let s = segments[i];
-            for j in 0..n {
-                out[i * n + j] /= seg_sum[s * n + j];
+            for i in 0..m {
+                let s = segments[i];
+                for j in 0..n {
+                    out[i * n + j] /= seg_sum[s * n + j];
+                }
             }
-        }
-        drop(d);
-        Tensor::new_from_op(
-            out,
-            m,
-            n,
-            Op::SegmentSoftmax(self.clone(), Rc::new(segments.to_vec())),
-        )
+            out
+        })
     }
 
     /// Sparse binary matrix (`R × C`) times this dense `[C,1]` vector.
@@ -1462,28 +1318,18 @@ impl Tensor {
     ///
     /// Panics if `self` is not a `[C,1]` column vector matching the matrix.
     pub fn sp_matvec(&self, mat: &Arc<BinCsr>) -> Tensor {
-        assert_eq!(
-            self.shape(),
-            (mat.cols(), 1),
-            "sp_matvec: vector must be [{},1]",
-            mat.cols()
-        );
-        let d = self.data();
-        let mut out = vec![0.0f32; mat.rows()];
-        for (r, o) in out.iter_mut().enumerate() {
-            let mut acc = 0.0f32;
-            for &c in mat.row(r) {
-                acc += d[c as usize];
-            }
-            *o = acc;
-        }
-        drop(d);
-        Tensor::new_from_op(
-            out,
-            mat.rows(),
-            1,
-            Op::SpMatVec(Arc::clone(mat), self.clone()),
-        )
+        Tensor::record(Op::SpMatVec(Arc::clone(mat), self.clone()), || {
+            let d = self.data();
+            (0..mat.rows())
+                .map(|r| {
+                    let mut acc = 0.0f32;
+                    for &c in mat.row(r) {
+                        acc += d[c as usize];
+                    }
+                    acc
+                })
+                .collect()
+        })
     }
 }
 

@@ -142,7 +142,22 @@ impl Tensor {
         }
     }
 
-    pub(crate) fn new_from_op(data: Vec<f32>, rows: usize, cols: usize, op: Op) -> Self {
+    /// Records `op` as the producer of a fresh tensor: the one checked
+    /// entry every op method records through. Runs the op's shape rule
+    /// ([`Op::output_shape`]) before `forward` computes the row-major data.
+    ///
+    /// # Panics
+    ///
+    /// Panics with the rule's message if the operands do not fit `op`.
+    pub(crate) fn record(op: Op, forward: impl FnOnce() -> Vec<f32>) -> Tensor {
+        let (rows, cols) = match op.output_shape() {
+            Ok(shape) => shape,
+            Err(e) => panic!("{e}"),
+        };
+        Tensor::new_from_op(forward(), rows, cols, op)
+    }
+
+    fn new_from_op(data: Vec<f32>, rows: usize, cols: usize, op: Op) -> Self {
         assert_eq!(data.len(), rows * cols, "internal op produced wrong shape");
         Tensor {
             inner: Rc::new(Inner {
@@ -271,7 +286,8 @@ impl Tensor {
     /// that the claimed shape is consistent with the operand shapes.
     ///
     /// Exists so the static analyzer's tests can seed deliberately defective
-    /// tapes; real forward code must go through the checked op methods.
+    /// tapes; real forward code must go through the checked op methods,
+    /// which run [`Op::output_shape`] first.
     ///
     /// # Panics
     ///

@@ -76,24 +76,6 @@ fn sp_matvec_with_zero_column_matrix() {
     assert!(x.grad_vec().is_empty());
 }
 
-// ---------------- fallible gather ----------------
-
-#[test]
-fn try_gather_rows_rejects_out_of_range() {
-    let t = Tensor::from_vec(vec![1.0, 2.0, 3.0], 3, 1);
-    let err = t.try_gather_rows(&[0, 2, 3]).unwrap_err();
-    assert_eq!(err.index, 3);
-    assert_eq!(err.bound, 3);
-    assert!(err.to_string().contains("index 3 out of bounds for 3 rows"));
-}
-
-#[test]
-fn try_gather_rows_in_range_matches_gather_rows() {
-    let t = Tensor::from_vec(vec![1.0, 2.0, 3.0], 3, 1);
-    let ok = t.try_gather_rows(&[2, 0]).unwrap();
-    assert_eq!(ok.to_vec(), t.gather_rows(&[2, 0]).to_vec());
-}
-
 #[test]
 #[should_panic(expected = "out of bounds")]
 fn gather_rows_panic_message_names_the_bound() {

@@ -4,9 +4,7 @@
 use std::rc::Rc;
 use std::sync::Arc;
 
-use revelio_tensor::{
-    Adam, BinCsr, EdgeIndex, FlowLossSpec, Objective, Optimizer, Sgd, ShapeMismatch, Tensor,
-};
+use revelio_tensor::{Adam, BinCsr, EdgeIndex, FlowLossSpec, Objective, Optimizer, Sgd, Tensor};
 
 #[test]
 #[should_panic(expected = "incompatible shapes")]
@@ -14,100 +12,6 @@ fn matmul_shape_mismatch_panics() {
     let a = Tensor::zeros(2, 3);
     let b = Tensor::zeros(2, 3);
     let _ = a.matmul(&b);
-}
-
-#[test]
-fn try_matmul_reports_typed_error_for_all_transpose_variants() {
-    let a = Tensor::zeros(2, 3);
-    let b = Tensor::zeros(2, 3);
-    // nn: needs a.cols == b.rows (3 vs 2).
-    assert_eq!(
-        a.try_matmul(&b).err(),
-        Some(ShapeMismatch {
-            op: "matmul",
-            lhs: (2, 3),
-            rhs: (2, 3),
-        })
-    );
-    // nt: needs matching column counts.
-    let c = Tensor::zeros(4, 2);
-    assert_eq!(
-        a.try_matmul_nt(&c).err(),
-        Some(ShapeMismatch {
-            op: "matmul_nt",
-            lhs: (2, 3),
-            rhs: (4, 2),
-        })
-    );
-    // tn: needs matching row counts.
-    let d = Tensor::zeros(3, 5);
-    assert_eq!(
-        a.try_matmul_tn(&d).err(),
-        Some(ShapeMismatch {
-            op: "matmul_tn",
-            lhs: (2, 3),
-            rhs: (3, 5),
-        })
-    );
-    // The error is Display-able with both shapes in the message.
-    let msg = a.try_matmul(&b).expect_err("mismatched shapes").to_string();
-    assert!(msg.contains("[2,3]"), "unexpected message: {msg}");
-}
-
-#[test]
-fn try_matmul_ok_on_matching_shapes() {
-    let a = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], 2, 2);
-    let b = Tensor::from_vec(vec![5.0, 6.0, 7.0, 8.0], 2, 2);
-    let c = a.try_matmul(&b).expect("shapes match");
-    assert_eq!(c.to_vec(), vec![19.0, 22.0, 43.0, 50.0]);
-}
-
-#[test]
-fn matmul_nt_and_tn_match_explicit_transposes() {
-    // a [2,3], b [4,3]: a · bᵀ == matmul against the transposed copy.
-    let a = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0], 2, 3);
-    let b = Tensor::from_vec(
-        vec![
-            0.5, -1.0, 2.0, 1.5, 0.0, -0.5, 1.0, 1.0, 1.0, -2.0, 0.25, 4.0,
-        ],
-        4,
-        3,
-    );
-    let bt = transpose(&b);
-    assert_eq!(a.matmul_nt(&b).to_vec(), a.matmul(&bt).to_vec());
-    // aᵀ · c with c [2,4].
-    let c = Tensor::from_vec(vec![1.0, 0.0, -1.0, 2.0, 3.0, 1.0, 0.5, -0.5], 2, 4);
-    let at = transpose(&a);
-    assert_eq!(a.matmul_tn(&c).to_vec(), at.matmul(&c).to_vec());
-}
-
-#[test]
-fn matmul_nt_backward_matches_unfused_transpose() {
-    let a = Tensor::from_vec(vec![1.0, -2.0, 0.5, 3.0], 2, 2).requires_grad();
-    let b = Tensor::from_vec(vec![2.0, 1.0, -1.0, 0.25], 2, 2).requires_grad();
-    a.matmul_nt(&b).sum_all().backward();
-    let a2 = Tensor::from_vec(vec![1.0, -2.0, 0.5, 3.0], 2, 2).requires_grad();
-    let b2 = Tensor::from_vec(vec![2.0, 1.0, -1.0, 0.25], 2, 2).requires_grad();
-    let b2t = transpose(&b2);
-    a2.matmul(&b2t).sum_all().backward();
-    assert_eq!(a.grad_vec(), a2.grad_vec());
-    // b2's gradient flows through the transpose copy, so compare b's
-    // gradient against the transposed gradient of b2t instead.
-    let g2 = b2t.grad_vec();
-    assert_eq!(b.grad_vec(), vec![g2[0], g2[2], g2[1], g2[3]]);
-}
-
-/// Materialises a transposed copy (test helper; the library never needs one).
-fn transpose(t: &Tensor) -> Tensor {
-    let (m, n) = t.shape();
-    let d = t.to_vec();
-    let mut out = vec![0.0f32; m * n];
-    for i in 0..m {
-        for j in 0..n {
-            out[j * m + i] = d[i * n + j];
-        }
-    }
-    Tensor::from_vec(out, n, m).requires_grad()
 }
 
 #[test]
